@@ -110,6 +110,19 @@ bool SimFs::EnsureCapacity(File& f, uint64_t size) {
   return true;
 }
 
+sim::Task<void> SimFs::WriteExtents(const File& f, const iosched::IoTag& tag,
+                                    uint64_t offset, uint64_t length) {
+  uint64_t done = 0;
+  while (done < length) {
+    const uint64_t pos = offset + done;
+    const uint64_t in_extent = extent_bytes_ - pos % extent_bytes_;
+    const uint32_t len =
+        static_cast<uint32_t>(std::min<uint64_t>(in_extent, length - done));
+    co_await scheduler_.Write(tag, DiskAddress(f, pos), len);
+    done += len;
+  }
+}
+
 sim::Task<Status> SimFs::Append(FileId file, const iosched::IoTag& tag,
                                 std::string_view data) {
   File* f = Lookup(file);
@@ -119,25 +132,51 @@ sim::Task<Status> SimFs::Append(FileId file, const iosched::IoTag& tag,
   if (data.empty()) {
     co_return Status::Ok();
   }
+  assert(f->data.size() == f->size && "Append during a WriteFile");
   // Reserve the range synchronously so concurrent appenders do not
   // interleave byte ranges (the parallel-writes modification of §5); the
   // device IO below then overlaps freely.
-  const uint64_t offset = f->data.size();
+  const uint64_t offset = f->size;
   if (!EnsureCapacity(*f, offset + data.size())) {
     co_return Status::ResourceExhausted("filesystem full");
   }
   f->data.append(data.data(), data.size());
+  f->size = f->data.size();
+  co_await WriteExtents(*f, tag, offset, data.size());
+  co_return Status::Ok();
+}
 
-  // One device write per contiguous disk segment (extent-crossing appends
-  // split; the scheduler further chunks large segments).
-  uint64_t done = 0;
-  while (done < data.size()) {
-    const uint64_t pos = offset + done;
-    const uint64_t in_extent = extent_bytes_ - pos % extent_bytes_;
-    const uint32_t len = static_cast<uint32_t>(
-        std::min<uint64_t>(in_extent, data.size() - done));
-    co_await scheduler_.Write(tag, DiskAddress(*f, pos), len);
-    done += len;
+sim::Task<Status> SimFs::WriteFile(FileId file, const iosched::IoTag& tag,
+                                   std::string data, uint32_t chunk_bytes) {
+  File* f = Lookup(file);
+  if (f == nullptr) {
+    co_return Status::NotFound("bad file id");
+  }
+  if (chunk_bytes == 0) {
+    co_return Status::InvalidArgument("WriteFile needs chunk_bytes > 0");
+  }
+  if (f->size != 0) {
+    co_return Status::FailedPrecondition("WriteFile needs an empty file");
+  }
+  f->data = std::move(data);
+  // Each piece is reserved (extents, visible size) only when its turn
+  // comes, as the Append of that piece would have done.
+  while (f->size < f->data.size()) {
+    const uint64_t offset = f->size;
+    const uint64_t len =
+        std::min<uint64_t>(chunk_bytes, f->data.size() - offset);
+    if (!EnsureCapacity(*f, offset + len)) {
+      f->data.resize(offset);  // the unwritten tail never existed
+      co_return Status::ResourceExhausted("filesystem full");
+    }
+    f->size = offset + len;
+    co_await WriteExtents(*f, tag, offset, len);
+    // The file may have been deleted while the piece was written (a
+    // restarted DB reclaims a killed one's unfinished tables).
+    f = Lookup(file);
+    if (f == nullptr) {
+      co_return Status::NotFound("bad file id");
+    }
   }
   co_return Status::Ok();
 }
@@ -153,25 +192,19 @@ sim::Task<Status> SimFs::AppendShared(FileId file,
     co_return Status::Ok();
   }
   assert(!manifest.empty());
+  assert(f->data.size() == f->size && "Append during a WriteFile");
   // Same synchronous range reservation as Append (see above).
-  const uint64_t offset = f->data.size();
+  const uint64_t offset = f->size;
   if (!EnsureCapacity(*f, offset + data.size())) {
     co_return Status::ResourceExhausted("filesystem full");
   }
   f->data.append(data.data(), data.size());
+  f->size = f->data.size();
 
   if (manifest.size() == 1) {
     // Degenerate batch: identical IO pattern to a plain Append.
     const iosched::IoTag tag = manifest[0].tag;
-    uint64_t done = 0;
-    while (done < data.size()) {
-      const uint64_t pos = offset + done;
-      const uint64_t in_extent = extent_bytes_ - pos % extent_bytes_;
-      const uint32_t len = static_cast<uint32_t>(
-          std::min<uint64_t>(in_extent, data.size() - done));
-      co_await scheduler_.Write(tag, DiskAddress(*f, pos), len);
-      done += len;
-    }
+    co_await WriteExtents(*f, tag, offset, data.size());
     co_return Status::Ok();
   }
 
@@ -208,14 +241,14 @@ sim::Task<Status> SimFs::AppendShared(FileId file,
   co_return Status::Ok();
 }
 
-sim::Task<Status> SimFs::ReadAt(FileId file, const iosched::IoTag& tag,
-                                uint64_t offset, uint64_t length,
-                                std::string* out) {
+sim::Task<StatusOr<std::string_view>> SimFs::ReadView(
+    FileId file, const iosched::IoTag& tag, uint64_t offset,
+    uint64_t length) {
   File* f = Lookup(file);
   if (f == nullptr) {
     co_return Status::NotFound("bad file id");
   }
-  if (offset + length > f->data.size()) {
+  if (offset + length > f->size) {
     co_return Status::OutOfRange("read past EOF");
   }
   uint64_t done = 0;
@@ -227,13 +260,24 @@ sim::Task<Status> SimFs::ReadAt(FileId file, const iosched::IoTag& tag,
     co_await scheduler_.Read(tag, DiskAddress(*f, pos), len);
     done += len;
   }
-  out->assign(f->data.data() + offset, length);
+  co_return std::string_view(f->data).substr(offset, length);
+}
+
+sim::Task<Status> SimFs::ReadAt(FileId file, const iosched::IoTag& tag,
+                                uint64_t offset, uint64_t length,
+                                std::string* out) {
+  StatusOr<std::string_view> bytes =
+      co_await ReadView(file, tag, offset, length);
+  if (!bytes.ok()) {
+    co_return bytes.status();
+  }
+  out->assign(bytes->data(), bytes->size());
   co_return Status::Ok();
 }
 
 uint64_t SimFs::SizeOf(FileId file) const {
   const File* f = Lookup(file);
-  return f == nullptr ? 0 : f->data.size();
+  return f == nullptr ? 0 : f->size;
 }
 
 Status SimFs::PeekContents(FileId file, std::string* out) const {
@@ -241,7 +285,7 @@ Status SimFs::PeekContents(FileId file, std::string* out) const {
   if (f == nullptr) {
     return Status::NotFound("bad file id");
   }
-  *out = f->data;
+  out->assign(f->data, 0, f->size);
   return Status::Ok();
 }
 
@@ -252,8 +296,9 @@ Status SimFs::Truncate(const std::string& name, uint64_t size) {
   }
   File* f = Lookup(it->second);
   assert(f != nullptr);
-  if (size < f->data.size()) {
+  if (size < f->size) {
     f->data.resize(size);
+    f->size = size;
   }
   return Status::Ok();
 }
@@ -266,7 +311,7 @@ Status SimFs::CorruptByte(const std::string& name, uint64_t offset,
   }
   File* f = Lookup(it->second);
   assert(f != nullptr);
-  if (offset >= f->data.size()) {
+  if (offset >= f->size) {
     return Status::OutOfRange("corrupt past EOF");
   }
   f->data[offset] = static_cast<char>(
@@ -278,7 +323,7 @@ FsStats SimFs::stats() const {
   FsStats s;
   s.files = files_.size();
   for (const auto& [id, f] : files_) {
-    s.bytes_used += f->data.size();
+    s.bytes_used += f->size;
   }
   s.extents_free = free_extents_.size();
   return s;

@@ -61,6 +61,14 @@ class SimFs {
   sim::Task<Status> Append(FileId file, const iosched::IoTag& tag,
                            std::string_view data);
 
+  // Writes an empty file's whole contents: `data` becomes the stored bytes
+  // without a copy. Device IO, extent allocation and the visible size
+  // advance one `chunk_bytes` piece at a time, exactly as successive
+  // Appends of those pieces would (concurrent writers still interleave
+  // extents between the pieces). `chunk_bytes` must be positive.
+  sim::Task<Status> WriteFile(FileId file, const iosched::IoTag& tag,
+                              std::string data, uint32_t chunk_bytes);
+
   // Appends a batched payload contributed by multiple tags (WAL group
   // commit): one durable append whose device IOPs carry `manifest` — a
   // byte-ordered cost manifest covering `data` exactly — so the scheduler
@@ -71,8 +79,16 @@ class SimFs {
                                  std::vector<iosched::IoShare> manifest,
                                  std::string_view data);
 
-  // Reads [offset, offset+length) into *out (resized). Reading past EOF is
-  // an error.
+  // Reads [offset, offset+length) and returns a view of the stored bytes,
+  // taken once the device IO completes. The view stays valid until the file
+  // is next appended to, truncated or deleted; for an immutable table, as
+  // long as the table lives. Reading past EOF is an error.
+  sim::Task<StatusOr<std::string_view>> ReadView(FileId file,
+                                                 const iosched::IoTag& tag,
+                                                 uint64_t offset,
+                                                 uint64_t length);
+
+  // ReadView plus a copy into *out (resized).
   sim::Task<Status> ReadAt(FileId file, const iosched::IoTag& tag,
                            uint64_t offset, uint64_t length,
                            std::string* out);
@@ -106,7 +122,10 @@ class SimFs {
  private:
   struct File {
     std::string name;
-    std::string data;               // real contents
+    // Real contents. Only the first `size` bytes exist yet: during a
+    // WriteFile the rest of its buffer is still being written.
+    std::string data;
+    uint64_t size = 0;
     std::vector<uint32_t> extents;  // extent indices, in file order
   };
 
@@ -115,6 +134,12 @@ class SimFs {
 
   // Grows the extent list to cover `size` bytes. Returns false when full.
   bool EnsureCapacity(File& f, uint64_t size);
+
+  // Issues one device write per contiguous disk segment of the file's
+  // [offset, offset+length) (extent-crossing ranges split; the scheduler
+  // further chunks large segments).
+  sim::Task<void> WriteExtents(const File& f, const iosched::IoTag& tag,
+                               uint64_t offset, uint64_t length);
 
   File* Lookup(FileId id);
   const File* Lookup(FileId id) const;

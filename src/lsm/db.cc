@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -455,9 +454,8 @@ sim::Task<LsmDb::ScanResult> LsmDb::Scan(std::string_view start,
 }
 
 sim::Task<StatusOr<LsmDb::TableRef>> LsmDb::BuildTable(
-    const std::vector<MemTable::Entry>& entries, size_t begin, size_t end,
-    const iosched::IoTag& tag) {
-  assert(begin < end);
+    std::span<const Record> records, const iosched::IoTag& tag) {
+  assert(!records.empty());
   auto handle = std::make_shared<TableHandle>();
   handle->fs = &fs_;
   handle->number = next_file_number_++;
@@ -474,15 +472,15 @@ sim::Task<StatusOr<LsmDb::TableRef>> LsmDb::BuildTable(
   sst_opt.write_chunk_bytes = options_.write_chunk_bytes;
   sst_opt.bloom_bits_per_key = options_.bloom_bits_per_key;
   SstableBuilder builder(fs_, handle->file, sst_opt);
-  for (size_t i = begin; i < end; ++i) {
-    const MemTable::Entry& e = entries[i];
-    builder.Add(e.key, e.seq, e.type, e.value);
+  builder.Reserve(records);
+  for (const Record& r : records) {
+    builder.Add(r.key, r.seq, r.type, r.value);
   }
+  handle->smallest = std::string(records.front().key);
+  handle->largest = std::string(records.back().key);
   if (Status s = co_await builder.Finish(tag); !s.ok()) {
     co_return s;
   }
-  handle->smallest = builder.smallest_key();
-  handle->largest = builder.largest_key();
   handle->size_bytes = fs_.SizeOf(handle->file);
   // cache_ is null when no cache is configured: the legacy reader-resident
   // index (identical IO pattern to before the cache).
@@ -497,15 +495,17 @@ sim::Task<StatusOr<LsmDb::TableRef>> LsmDb::BuildTable(
 sim::Task<void> LsmDb::FlushJob() {
   while (imm_ != nullptr && !dead_) {
     const SimTime flush_start = loop_.Now();
-    // Collect the sealed memtable in order, gathering the origin spans of
-    // the requests whose bytes this flush persists.
-    std::vector<MemTable::Entry> entries;
-    entries.reserve(imm_->entries());
+    // View the sealed memtable in order (it lives until this flush resets
+    // it), gathering the origin spans of the requests whose bytes this
+    // flush persists.
+    std::vector<Record> records;
+    records.reserve(imm_->entries());
     obs::SpanLinkSet origins;
     MemTable::Iterator it(imm_.get());
     for (it.SeekToFirst(); it.Valid(); it.Next()) {
-      entries.push_back(it.entry());
-      origins.Add(it.entry().origin);
+      const MemTable::Entry& e = it.entry();
+      records.push_back(Record{e.key, e.value, e.seq, e.type});
+      origins.Add(e.origin);
     }
     // The flush gets its own span (new trace root when no writer was
     // traced); its device IO parents under it via the tag context.
@@ -515,8 +515,8 @@ sim::Task<void> LsmDb::FlushJob() {
       tag.ctx = spans->MintAlways();
     }
     uint64_t built_bytes = 0;
-    if (!entries.empty()) {
-      auto built = co_await BuildTable(entries, 0, entries.size(), tag);
+    if (!records.empty()) {
+      auto built = co_await BuildTable(records, tag);
       if (dead_) {
         break;  // crash: drop the build (dtor reclaims it), keep the WAL
       }
@@ -681,10 +681,12 @@ sim::Task<Status> LsmDb::CompactLevel(int level) {
       hi = t->largest;
     }
   }
-  std::vector<TableRef> overlap;
+  // Every table the merge reads: the inputs, then the overlapping
+  // out-level files.
+  std::vector<TableRef> sources = inputs;
   for (const TableRef& t : base->levels[out_level]) {
     if (RangesOverlap(*t, lo, hi)) {
-      overlap.push_back(t);
+      sources.push_back(t);
     }
   }
 
@@ -698,64 +700,30 @@ sim::Task<Status> LsmDb::CompactLevel(int level) {
   obs::SpanLinkSet origins;
   TraceContext compact_parent;
   if (spans != nullptr) {
-    for (const std::vector<TableRef>* group : {&inputs, &overlap}) {
-      for (const TableRef& t : *group) {
-        if (!compact_parent.valid()) {
-          compact_parent = t->lineage;
-        } else {
-          fan_in.Add(t->lineage);
-        }
-        origins.Merge(t->origin_links);
+    for (const TableRef& t : sources) {
+      if (!compact_parent.valid()) {
+        compact_parent = t->lineage;
+      } else {
+        fan_in.Add(t->lineage);
       }
+      origins.Merge(t->origin_links);
     }
     tag.ctx = compact_parent.valid() ? spans->MintChild(compact_parent)
                                      : spans->MintAlways();
   }
 
-  // Merge: read everything (sequential COMPACT reads), sort by internal
-  // key, keep only the newest version of each user key.
-  std::vector<MemTable::Entry> entries;
-  auto collect = [&entries](const Record& rec) {
-    entries.push_back(MemTable::Entry{std::string(rec.key),
-                                      std::string(rec.value), rec.seq,
-                                      rec.type, {}});
-  };
-  for (const std::vector<TableRef>* group : {&inputs, &overlap}) {
-    for (const TableRef& t : *group) {
-      Status s = co_await t->reader->ScanAll(tag, collect);
-      if (dead_) {
-        co_return Status::Unavailable("db killed");
-      }
-      if (!s.ok()) {
-        scheduler_.tracker().RecordInternalOpDone(tenant_,
-                                                  InternalOp::kCompact);
-        co_return s;
-      }
-    }
+  // Merge: read everything (sequential COMPACT reads), keep only the
+  // newest version of each user key; tombstones die at the bottom level.
+  std::vector<Record> merged;
+  Status read = co_await ReadTables(sources, tag, kMaxSequenceNumber, &merged);
+  if (dead_) {
+    co_return Status::Unavailable("db killed");
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const MemTable::Entry& a, const MemTable::Entry& b) {
-              return CompareInternalKey(a.key, a.seq, b.key, b.seq) < 0;
-            });
-  std::vector<MemTable::Entry> merged;
-  merged.reserve(entries.size());
-  std::string last_user_key;
-  bool have_last = false;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    // Compare against an explicit copy of the previous user key —
-    // entries[i-1] may have been moved into `merged` (hollow string), and
-    // at the bottom level a dropped tombstone must still shadow the older
-    // versions behind it.
-    if (have_last && entries[i].key == last_user_key) {
-      continue;  // shadowed older version
-    }
-    last_user_key = entries[i].key;
-    have_last = true;
-    if (bottom && entries[i].type == ValueType::kDelete) {
-      continue;  // tombstones die at the bottom level
-    }
-    merged.push_back(std::move(entries[i]));
+  if (!read.ok()) {
+    scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
+    co_return read;
   }
+  KeepNewest(&merged, bottom);
 
   // Write outputs split at the target file size.
   std::vector<TableRef> outputs;
@@ -767,7 +735,8 @@ sim::Task<Status> LsmDb::CompactLevel(int level) {
             ? i > begin
             : bytes >= options_.target_file_bytes && i > begin;
     if (flush_now) {
-      auto built = co_await BuildTable(merged, begin, i, tag);
+      auto built = co_await BuildTable(
+          std::span<const Record>(merged).subspan(begin, i - begin), tag);
       if (dead_) {
         co_return Status::Unavailable("db killed");  // outputs dtor-reclaimed
       }
@@ -783,21 +752,14 @@ sim::Task<Status> LsmDb::CompactLevel(int level) {
       bytes = 0;
     }
     if (i < merged.size()) {
-      bytes += merged[i].key.size() + merged[i].value.size() + 17;
+      bytes += EncodedRecordBytes(merged[i].key, merged[i].value);
     }
   }
 
   // Install: drop inputs, add outputs, from the *latest* version (flushes
   // may have prepended newer L0 files meanwhile; they are preserved).
   auto is_input = [&](const TableRef& t) {
-    for (const std::vector<TableRef>* group : {&inputs, &overlap}) {
-      for (const TableRef& in : *group) {
-        if (in == t) {
-          return true;
-        }
-      }
-    }
-    return false;
+    return std::find(sources.begin(), sources.end(), t) != sources.end();
   };
   auto next = std::make_shared<Version>(*current_);
   for (auto& files : next->levels) {
@@ -810,21 +772,10 @@ sim::Task<Status> LsmDb::CompactLevel(int level) {
             [](const TableRef& a, const TableRef& b) {
               return a->smallest < b->smallest;
             });
-  if (const char* dbg = getenv("LSM_DEBUG"); dbg != nullptr) {
-    std::printf("compact L%d->L%d inputs:", level, out_level);
-    for (const auto& t : inputs) std::printf(" #%llu[%s,%s]", (unsigned long long)t->number, t->smallest.c_str(), t->largest.c_str());
-    std::printf(" overlap:");
-    for (const auto& t : overlap) std::printf(" #%llu[%s,%s]", (unsigned long long)t->number, t->smallest.c_str(), t->largest.c_str());
-    std::printf(" outputs:");
-    for (const auto& t : outputs) std::printf(" #%llu[%s,%s]", (unsigned long long)t->number, t->smallest.c_str(), t->largest.c_str());
-    std::printf("\n");
-  }
   current_ = next;
   ++compactions_;
-  for (const std::vector<TableRef>* group : {&inputs, &overlap}) {
-    for (const TableRef& t : *group) {
-      compact_bytes_read_ += t->size_bytes;
-    }
+  for (const TableRef& t : sources) {
+    compact_bytes_read_ += t->size_bytes;
   }
   uint64_t output_bytes = 0;
   for (const TableRef& t : outputs) {
@@ -894,48 +845,24 @@ sim::Task<Status> LsmDb::CompactTier(int tier) {
                                      : spans->MintAlways();
   }
 
-  // Merge: sequential reads of every run, newest version of each key wins.
-  std::vector<MemTable::Entry> entries;
-  auto collect = [&entries](const Record& rec) {
-    entries.push_back(MemTable::Entry{std::string(rec.key),
-                                      std::string(rec.value), rec.seq,
-                                      rec.type, {}});
-  };
-  for (const TableRef& t : inputs) {
-    Status s = co_await t->reader->ScanAll(tag, collect);
-    if (dead_) {
-      co_return Status::Unavailable("db killed");
-    }
-    if (!s.ok()) {
-      scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
-      co_return s;
-    }
+  // Merge: sequential reads of every run, newest version of each key wins;
+  // tombstones die only in the bottom tier (nothing deeper to shadow).
+  std::vector<Record> merged;
+  Status read = co_await ReadTables(inputs, tag, kMaxSequenceNumber, &merged);
+  if (dead_) {
+    co_return Status::Unavailable("db killed");
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const MemTable::Entry& a, const MemTable::Entry& b) {
-              return CompareInternalKey(a.key, a.seq, b.key, b.seq) < 0;
-            });
-  std::vector<MemTable::Entry> merged;
-  merged.reserve(entries.size());
-  std::string last_user_key;
-  bool have_last = false;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (have_last && entries[i].key == last_user_key) {
-      continue;  // shadowed older version
-    }
-    last_user_key = entries[i].key;
-    have_last = true;
-    if (bottom_self && entries[i].type == ValueType::kDelete) {
-      continue;  // nothing deeper left to shadow
-    }
-    merged.push_back(std::move(entries[i]));
+  if (!read.ok()) {
+    scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
+    co_return read;
   }
+  KeepNewest(&merged, bottom_self);
 
   // One output run per merge — a run is a single file here, so the
   // newest-first invariant stays "front-inserted, highest number first".
   std::vector<TableRef> outputs;
   if (!merged.empty()) {
-    auto built = co_await BuildTable(merged, 0, merged.size(), tag);
+    auto built = co_await BuildTable(merged, tag);
     if (dead_) {
       co_return Status::Unavailable("db killed");  // output dtor-reclaimed
     }
@@ -1022,54 +949,75 @@ sim::Task<Status> LsmDb::ScanLive(
   }
   const SequenceNumber snapshot = seq_;
   // Pin the version and the memtables' contents before any suspension: the
-  // merge below must see one consistent cut of the tree.
+  // merge below must see one consistent cut of the tree. Memtable entries
+  // are copied, since a memtable may be sealed and freed while the table
+  // reads suspend; table records are views, valid while `base` holds them.
   const VersionRef base = current_;
-  std::vector<MemTable::Entry> entries;
+  std::vector<MemTable::Entry> mem_entries;
   for (const MemTable* mt : {mem_.get(), imm_.get()}) {
     if (mt == nullptr) {
       continue;
     }
     MemTable::Iterator it(mt);
     for (it.SeekToFirst(); it.Valid(); it.Next()) {
-      entries.push_back(it.entry());
+      mem_entries.push_back(it.entry());
     }
   }
-  auto collect = [&entries, snapshot](const Record& rec) {
-    if (rec.seq <= snapshot) {
-      entries.push_back(MemTable::Entry{std::string(rec.key),
-                                        std::string(rec.value), rec.seq,
-                                        rec.type, {}});
-    }
-  };
+  std::vector<Record> records;
+  records.reserve(mem_entries.size());
+  for (const MemTable::Entry& e : mem_entries) {
+    records.push_back(Record{e.key, e.value, e.seq, e.type});
+  }
   for (const std::vector<TableRef>& level : base->levels) {
-    for (const TableRef& t : level) {
-      Status s = co_await t->reader->ScanAll(tag, collect);
-      if (dead_) {
-        co_return Status::Unavailable("db killed");
-      }
-      if (!s.ok()) {
-        co_return s;
-      }
+    if (Status s = co_await ReadTables(level, tag, snapshot, &records);
+        !s.ok()) {
+      co_return s;
     }
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const MemTable::Entry& a, const MemTable::Entry& b) {
-              return CompareInternalKey(a.key, a.seq, b.key, b.seq) < 0;
-            });
-  std::string last_user_key;
-  bool have_last = false;
-  for (const MemTable::Entry& e : entries) {
-    if (have_last && e.key == last_user_key) {
-      continue;  // shadowed older version
-    }
-    last_user_key = e.key;
-    have_last = true;
-    if (e.type == ValueType::kDelete) {
-      continue;  // dead key
-    }
-    fn(e.key, e.value);
+  KeepNewest(&records, /*drop_tombstones=*/true);
+  for (const Record& r : records) {
+    fn(r.key, r.value);
   }
   co_return Status::Ok();
+}
+
+sim::Task<Status> LsmDb::ReadTables(const std::vector<TableRef>& tables,
+                                    const IoTag& tag, SequenceNumber snapshot,
+                                    std::vector<Record>* out) {
+  for (const TableRef& t : tables) {
+    Status s =
+        co_await t->reader->ScanAll(tag, [out, snapshot](const Record& r) {
+          if (r.seq <= snapshot) {
+            out->push_back(r);
+          }
+        });
+    if (dead_) {
+      co_return Status::Unavailable("db killed");
+    }
+    if (!s.ok()) {
+      co_return s;
+    }
+  }
+  co_return Status::Ok();
+}
+
+void LsmDb::KeepNewest(std::vector<Record>* records, bool drop_tombstones) {
+  std::sort(records->begin(), records->end(),
+            [](const Record& a, const Record& b) {
+              return CompareInternalKey(a.key, a.seq, b.key, b.seq) < 0;
+            });
+  size_t kept = 0;
+  for (size_t i = 0; i < records->size(); ++i) {
+    const Record& r = (*records)[i];
+    if (i > 0 && r.key == (*records)[i - 1].key) {
+      continue;  // shadowed older version (by a kept or dropped record)
+    }
+    if (drop_tombstones && r.type == ValueType::kDelete) {
+      continue;
+    }
+    (*records)[kept++] = r;
+  }
+  records->resize(kept);
 }
 
 LsmStats LsmDb::stats() const {

@@ -26,6 +26,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -309,10 +310,21 @@ class LsmDb {
   uint64_t MaxBytesForLevel(int level) const;
   static bool RangesOverlap(const TableHandle& t, std::string_view lo,
                             std::string_view hi);
-  // Builds one output table from sorted records [begin, end).
-  sim::Task<StatusOr<TableRef>> BuildTable(
-      const std::vector<MemTable::Entry>& entries, size_t begin, size_t end,
-      const iosched::IoTag& tag);
+  // Builds one output table from non-empty `records` in internal order.
+  sim::Task<StatusOr<TableRef>> BuildTable(std::span<const Record> records,
+                                           const iosched::IoTag& tag);
+  // Reads every table in order (sequential IO under `tag`) and appends its
+  // records with seq <= `snapshot` to *out, as views valid while the caller
+  // holds the tables. Unavailable once the DB is killed.
+  sim::Task<Status> ReadTables(const std::vector<TableRef>& tables,
+                               const iosched::IoTag& tag,
+                               SequenceNumber snapshot,
+                               std::vector<Record>* out);
+  // The merge shared by compaction and ScanLive: sorts `records` (unique
+  // internal keys) into internal order and keeps the newest version of
+  // each user key, dropping it when it is a tombstone and
+  // `drop_tombstones` is set.
+  static void KeepNewest(std::vector<Record>* records, bool drop_tombstones);
 
   sim::EventLoop& loop_;
   fs::SimFs& fs_;
@@ -333,7 +345,9 @@ class LsmDb {
   uint64_t next_file_number_ = 1;
 
   std::unique_ptr<MemTable> mem_;
-  std::unique_ptr<MemTable> imm_;  // sealed, being flushed
+  // Sealed, being flushed. The flush builds from views of its entries, so
+  // only the flush itself resets it, once the table is installed.
+  std::unique_ptr<MemTable> imm_;
   std::unique_ptr<WriteAheadLog> wal_;
   std::unique_ptr<WriteAheadLog> imm_wal_;
   VersionRef current_;

@@ -6,12 +6,16 @@
 
 namespace libra::lsm {
 
+void EncodeFixed32(char* dst, uint32_t v) {
+  dst[0] = static_cast<char>(v & 0xFF);
+  dst[1] = static_cast<char>((v >> 8) & 0xFF);
+  dst[2] = static_cast<char>((v >> 16) & 0xFF);
+  dst[3] = static_cast<char>((v >> 24) & 0xFF);
+}
+
 void PutFixed32(std::string* dst, uint32_t v) {
   char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
+  EncodeFixed32(buf, v);
   dst->append(buf, 4);
 }
 
@@ -188,8 +192,6 @@ uint32_t Crc32(std::string_view data) {
                          : internal::Crc32Software(data);
 }
 
-namespace {
-
 // FNV-1a over the key bytes, folded to 32 bits. Pure function of the bytes —
 // no per-process seed — so filters built on one host probe identically on any
 // other, and identically across --sim-threads settings.
@@ -202,10 +204,18 @@ uint32_t BloomHash(std::string_view key) {
   return static_cast<uint32_t>(h ^ (h >> 32));
 }
 
-}  // namespace
-
 void BloomFilterBuild(const std::vector<std::string>& keys,
                       uint32_t bits_per_key, std::string* dst) {
+  std::vector<uint32_t> hashes;
+  hashes.reserve(keys.size());
+  for (const std::string& key : keys) {
+    hashes.push_back(BloomHash(key));
+  }
+  BloomFilterBuildFromHashes(hashes, bits_per_key, dst);
+}
+
+void BloomFilterBuildFromHashes(const std::vector<uint32_t>& key_hashes,
+                                uint32_t bits_per_key, std::string* dst) {
   if (bits_per_key == 0) {
     return;
   }
@@ -217,7 +227,7 @@ void BloomFilterBuild(const std::vector<std::string>& keys,
   if (k > 30) {
     k = 30;
   }
-  size_t bits = keys.size() * static_cast<size_t>(bits_per_key);
+  size_t bits = key_hashes.size() * static_cast<size_t>(bits_per_key);
   // Tiny tables would have a high false-positive rate for no byte savings.
   if (bits < 64) {
     bits = 64;
@@ -229,9 +239,8 @@ void BloomFilterBuild(const std::vector<std::string>& keys,
   dst->resize(start + bytes, 0);
   dst->push_back(static_cast<char>(k));
   char* array = dst->data() + start;
-  for (const std::string& key : keys) {
+  for (uint32_t h : key_hashes) {
     // Double hashing: k probe positions from one hash (Kirsch-Mitzenmacher).
-    uint32_t h = BloomHash(key);
     const uint32_t delta = (h >> 17) | (h << 15);
     for (uint32_t j = 0; j < k; ++j) {
       const uint32_t bit = h % bits;

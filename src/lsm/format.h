@@ -19,11 +19,15 @@ enum class ValueType : uint8_t {
 };
 
 using SequenceNumber = uint64_t;
+inline constexpr SequenceNumber kMaxSequenceNumber = UINT64_MAX;
 
 // --- integer coding (little endian, fixed width) ---
 
 void PutFixed32(std::string* dst, uint32_t v);
 void PutFixed64(std::string* dst, uint64_t v);
+
+// Writes `v` over the 4 bytes at `dst` (filling in a reserved header).
+void EncodeFixed32(char* dst, uint32_t v);
 
 // Reads from `src` at `offset`; callers guarantee bounds.
 uint32_t GetFixed32(std::string_view src, size_t offset);
@@ -71,6 +75,12 @@ bool HasHardwareCrc32();
 void BloomFilterBuild(const std::vector<std::string>& keys,
                       uint32_t bits_per_key, std::string* dst);
 
+// The same filter block from the keys' BloomHash values, for builders that
+// hash keys as they arrive instead of keeping them.
+uint32_t BloomHash(std::string_view key);
+void BloomFilterBuildFromHashes(const std::vector<uint32_t>& key_hashes,
+                                uint32_t bits_per_key, std::string* dst);
+
 // True when `key` may be in the set `filter` was built from; false only
 // when it definitely is not. An empty or malformed filter answers "maybe"
 // (never wrongly excludes).
@@ -92,9 +102,16 @@ struct Record {
   ValueType type = ValueType::kPut;
 };
 
-// Encodes a record as [key][seq][type][value] with length prefixes.
+// Encodes a record as [key][seq][type][value] with length prefixes: the
+// key bytes start 4 bytes into the record.
 void EncodeRecord(std::string* dst, std::string_view key,
                   SequenceNumber seq, ValueType type, std::string_view value);
+
+// Bytes EncodeRecord appends for `key` and `value`.
+inline uint64_t EncodedRecordBytes(std::string_view key,
+                                   std::string_view value) {
+  return key.size() + value.size() + 17;
+}
 
 // Decodes a record at *offset, advancing it. Returns false on truncation.
 bool DecodeRecord(std::string_view src, size_t* offset, Record* out);

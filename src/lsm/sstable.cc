@@ -12,70 +12,75 @@ SstableBuilder::SstableBuilder(fs::SimFs& fs, fs::FileId file,
                                SstableOptions options)
     : fs_(fs), file_(file), options_(options) {}
 
+void SstableBuilder::Reserve(std::span<const Record> records) {
+  uint64_t bytes = 16;  // footer
+  for (const Record& r : records) {
+    // The record, plus an index entry as if it closed a block of its own.
+    bytes += EncodedRecordBytes(r.key, r.value) + 16 + r.key.size();
+  }
+  if (options_.bloom_bits_per_key > 0) {
+    // At least 64 filter bits, rounded up to bytes, plus the probe count.
+    bytes += (records.size() * options_.bloom_bits_per_key + 64) / 8 + 2;
+  }
+  buffer_.reserve(buffer_.size() + bytes);
+}
+
 void SstableBuilder::Add(std::string_view key, SequenceNumber seq,
                          ValueType type, std::string_view value) {
   assert(!finished_);
-  if (num_entries_ == 0) {
-    smallest_ = std::string(key);
-  }
-  largest_ = std::string(key);
   if (options_.bloom_bits_per_key > 0 &&
-      (filter_keys_.empty() || filter_keys_.back() != key)) {
-    filter_keys_.emplace_back(key);
+      (num_entries_ == 0 || KeyAt(last_key_) != key)) {
+    filter_hashes_.push_back(BloomHash(key));
   }
-  EncodeRecord(&block_, key, seq, type, value);
-  last_key_in_block_ = std::string(key);
+  last_key_ = KeyPos{buffer_.size() + 4, static_cast<uint32_t>(key.size())};
+  if (num_entries_ == 0) {
+    first_key_ = last_key_;
+  }
+  EncodeRecord(&buffer_, key, seq, type, value);
   ++num_entries_;
-  if (block_.size() >= options_.block_bytes) {
-    FlushBlock();
+  if (buffer_.size() - block_start_ >= options_.block_bytes) {
+    CloseBlock();
   }
 }
 
-void SstableBuilder::FlushBlock() {
-  if (block_.empty()) {
+void SstableBuilder::CloseBlock() {
+  if (buffer_.size() == block_start_) {
     return;
   }
-  index_.push_back(IndexEntry{last_key_in_block_, buffer_.size(),
-                              static_cast<uint32_t>(block_.size())});
-  buffer_ += block_;
-  block_.clear();
+  const auto size = static_cast<uint32_t>(buffer_.size() - block_start_);
+  index_.push_back(IndexEntry{last_key_, block_start_, size});
+  block_start_ = buffer_.size();
 }
 
 sim::Task<Status> SstableBuilder::Finish(const iosched::IoTag& tag) {
   assert(!finished_);
   finished_ = true;
-  FlushBlock();
+  CloseBlock();
   // Append the index block, the filter block (when filters are on; the
   // footer does not describe it — its region is whatever lies between the
   // index end and the footer, so bits_per_key 0 leaves the file
   // byte-identical to the pre-filter format), and the footer.
   const uint64_t index_offset = buffer_.size();
-  std::string index_block;
+  uint64_t index_bytes = 0;
   for (const IndexEntry& e : index_) {
-    PutLengthPrefixed(&index_block, e.last_key);
-    PutFixed64(&index_block, e.offset);
-    PutFixed32(&index_block, e.size);
+    index_bytes += 16 + e.last_key.size;
   }
-  buffer_ += index_block;
+  // The index keys are copied from the buffer into itself: it must not
+  // move while they are appended.
+  buffer_.reserve(index_offset + index_bytes);
+  for (const IndexEntry& e : index_) {
+    PutLengthPrefixed(&buffer_, KeyAt(e.last_key));
+    PutFixed64(&buffer_, e.offset);
+    PutFixed32(&buffer_, e.size);
+  }
   if (options_.bloom_bits_per_key > 0) {
-    BloomFilterBuild(filter_keys_, options_.bloom_bits_per_key, &buffer_);
+    BloomFilterBuildFromHashes(filter_hashes_, options_.bloom_bits_per_key,
+                               &buffer_);
   }
   PutFixed64(&buffer_, index_offset);
-  PutFixed64(&buffer_, index_block.size());
-
-  // Stream to disk in sequential chunks.
-  uint64_t written = 0;
-  while (written < buffer_.size()) {
-    const uint64_t len = std::min<uint64_t>(options_.write_chunk_bytes,
-                                            buffer_.size() - written);
-    Status s = co_await fs_.Append(
-        file_, tag, std::string_view(buffer_.data() + written, len));
-    if (!s.ok()) {
-      co_return s;
-    }
-    written += len;
-  }
-  co_return Status::Ok();
+  PutFixed64(&buffer_, index_bytes);
+  co_return co_await fs_.WriteFile(file_, tag, std::move(buffer_),
+                                   options_.write_chunk_bytes);
 }
 
 SstableReader::SstableReader(fs::SimFs& fs, fs::FileId file,
@@ -98,13 +103,13 @@ sim::Task<Status> SstableReader::LoadFooter(const iosched::IoTag& tag) {
   if (size < 16) {
     co_return Status::DataLoss("table too small");
   }
-  std::string footer;
-  Status s = co_await fs_.ReadAt(file_, tag, size - 16, 16, &footer);
-  if (!s.ok()) {
-    co_return s;
+  StatusOr<std::string_view> footer =
+      co_await fs_.ReadView(file_, tag, size - 16, 16);
+  if (!footer.ok()) {
+    co_return footer.status();
   }
-  index_offset_ = GetFixed64(footer, 0);
-  index_size_ = GetFixed64(footer, 8);
+  index_offset_ = GetFixed64(*footer, 0);
+  index_size_ = GetFixed64(*footer, 8);
   if (index_offset_ + index_size_ + 16 > size) {
     co_return Status::DataLoss("bad footer");
   }
@@ -129,24 +134,23 @@ sim::Task<StatusOr<TableIndexRef>> SstableReader::LoadIndex(
   }
   const uint64_t index_offset = index_offset_;
   const uint64_t index_size = index_size_;
-  Status s;
   // Index read padded to at least a 4KB block — the "at least one (4KB)
   // index block read per file" of §3.1.
-  std::string index_block;
   const uint64_t data_end = index_offset + index_size;
   const uint64_t read_size =
       std::max<uint64_t>(index_size, std::min<uint64_t>(4096, data_end));
   const uint64_t read_off = data_end - read_size;
-  s = co_await fs_.ReadAt(file_, tag, read_off, read_size, &index_block);
-  if (!s.ok()) {
-    co_return s;
+  StatusOr<std::string_view> index_block =
+      co_await fs_.ReadView(file_, tag, read_off, read_size);
+  if (!index_block.ok()) {
+    co_return index_block.status();
   }
   if (counters_ != nullptr) {
     ++counters_->index_block_reads;
   }
-  // The index proper is the tail of the padded read minus nothing: locate it.
-  const uint64_t skip = index_offset - read_off;
-  std::string_view data(index_block.data() + skip, index_size);
+  // The index proper is the tail of the padded read.
+  const std::string_view data =
+      index_block->substr(index_offset - read_off, index_size);
   auto index = std::make_shared<TableIndex>();
   size_t off = 0;
   while (off < data.size()) {
@@ -201,17 +205,17 @@ sim::Task<StatusOr<CachedBlockRef>> SstableReader::LoadFilter(
   const uint64_t read_size =
       std::max<uint64_t>(filter_size_, std::min<uint64_t>(4096, filter_end));
   const uint64_t read_off = filter_end - read_size;
-  std::string filter_block;
-  Status s = co_await fs_.ReadAt(file_, tag, read_off, read_size,
-                                 &filter_block);
-  if (!s.ok()) {
-    co_return s;
+  StatusOr<std::string_view> filter_block =
+      co_await fs_.ReadView(file_, tag, read_off, read_size);
+  if (!filter_block.ok()) {
+    co_return filter_block.status();
   }
   if (counters_ != nullptr) {
     ++counters_->filter_block_reads;
   }
   auto block = std::make_shared<CachedBlock>();
-  block->bytes = filter_block.substr(filter_offset - read_off, filter_size_);
+  block->bytes =
+      std::string(filter_block->substr(filter_offset - read_off, filter_size_));
   CachedBlockRef ref = std::move(block);
   if (cache_ != nullptr) {
     cache_->Insert(tenant_, table_, BlockCache::Kind::kFilter, 0, ref,
@@ -270,7 +274,7 @@ sim::Task<SstableReader::GetResult> SstableReader::Get(
   }
   const uint64_t block_off = std::get<1>(*it);
   CachedBlockRef data_ref;
-  std::string local_block;
+  std::string_view block;  // the cached copy, or a view of the file
   const bool data_cached = cache_ != nullptr && cache_->caches_data();
   if (data_cached) {
     data_ref = cache_->Get(tenant_, table_, BlockCache::Kind::kData,
@@ -280,26 +284,25 @@ sim::Task<SstableReader::GetResult> SstableReader::Get(
     if (counters_ != nullptr) {
       ++counters_->data_cache_hits;  // zero device IO
     }
+    block = data_ref->bytes;
   } else {
-    result.status = co_await fs_.ReadAt(file_, tag, block_off,
-                                        std::get<2>(*it), &local_block);
-    if (!result.status.ok()) {
+    StatusOr<std::string_view> read =
+        co_await fs_.ReadView(file_, tag, block_off, std::get<2>(*it));
+    if (!read.ok()) {
+      result.status = read.status();
       co_return result;
     }
     if (counters_ != nullptr) {
       ++counters_->data_block_reads;
     }
+    block = *read;
     if (data_cached) {
       auto filled = std::make_shared<CachedBlock>();
-      filled->bytes = std::move(local_block);
+      filled->bytes = std::string(block);
       cache_->Insert(tenant_, table_, BlockCache::Kind::kData, block_off,
                      filled, filled->bytes.size());
-      data_ref = std::move(filled);
     }
   }
-  const std::string_view block =
-      data_ref != nullptr ? std::string_view(data_ref->bytes)
-                          : std::string_view(local_block);
   // Scan the block for the newest visible entry (records are in internal
   // order: the first match with seq <= snapshot wins).
   size_t off = 0;
@@ -341,11 +344,12 @@ sim::Task<Status> SstableReader::RangeCursor::SkipTo(std::string_view start,
       co_return Status::Ok();  // clean end of table, cursor invalid
     }
     const auto& entry = (*index_)[next_block_];
-    Status s = co_await fs_.ReadAt(file_, tag_, std::get<1>(entry),
-                                   std::get<2>(entry), &block_);
-    if (!s.ok()) {
-      co_return s;
+    StatusOr<std::string_view> block = co_await fs_.ReadView(
+        file_, tag_, std::get<1>(entry), std::get<2>(entry));
+    if (!block.ok()) {
+      co_return block.status();
     }
+    block_ = *block;
     offset_ = 0;
     ++next_block_;
   }
@@ -389,24 +393,25 @@ sim::Task<Status> SstableReader::ScanAll(
   if (index.empty()) {
     co_return Status::Ok();
   }
-  Status s;
   const uint64_t data_end =
       std::get<1>(index.back()) + std::get<2>(index.back());
-  std::string data;
-  uint64_t pos = 0;
-  while (pos < data_end) {
+  std::string_view chunk;
+  for (uint64_t pos = 0; pos < data_end; pos += chunk.size()) {
     const uint64_t len =
         std::min<uint64_t>(options_.write_chunk_bytes, data_end - pos);
-    std::string chunk;
-    s = co_await fs_.ReadAt(file_, tag, pos, len, &chunk);
-    if (!s.ok()) {
-      co_return s;
+    StatusOr<std::string_view> read =
+        co_await fs_.ReadView(file_, tag, pos, len);
+    if (!read.ok()) {
+      co_return read.status();
     }
-    data += chunk;
-    pos += len;
+    chunk = *read;
   }
-  // Records never span blocks and blocks are contiguous, so a single
-  // linear decode covers the whole data section.
+  // The chunks are consecutive views of one stored file, and the last one,
+  // taken after all the IO, ends at data_end: the data section is the
+  // data_end bytes before its end. Records never span blocks and blocks are
+  // contiguous, so a single linear decode covers it.
+  const std::string_view data(chunk.data() + chunk.size() - data_end,
+                              data_end);
   size_t off = 0;
   Record rec;
   while (off < data.size() && DecodeRecord(data, &off, &rec)) {

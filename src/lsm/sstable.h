@@ -24,7 +24,7 @@
 // reader after first use; data blocks always hit the device — O_DIRECT
 // leaves no page cache.
 //
-// The builder emits the table through a sequential, chunked append stream
+// The builder emits the table as a sequential stream of chunked writes
 // (the paper's "asynchronous, io-efficient" FLUSH/COMPACT writes).
 
 #ifndef LIBRA_SRC_LSM_SSTABLE_H_
@@ -32,7 +32,9 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
@@ -64,45 +66,60 @@ struct TableReadCounters {
   uint64_t data_cache_hits = 0;        // GET data blocks served by the cache
 };
 
-// Builds a table in memory block by block; Finish() streams it to `file`.
+// Builds a table in one buffer, encoding records straight into it; Finish()
+// hands the buffer to `file` without a copy.
 class SstableBuilder {
  public:
   SstableBuilder(fs::SimFs& fs, fs::FileId file, SstableOptions options = {});
+
+  // Sizes the buffer once for a table of `records`. The size is an upper
+  // bound: the encoded records, one index entry per record, the filter and
+  // the footer. Without it the buffer grows as records arrive.
+  void Reserve(std::span<const Record> records);
 
   // Keys must arrive in internal order (user key asc, seq desc).
   void Add(std::string_view key, SequenceNumber seq, ValueType type,
            std::string_view value);
 
-  // Writes all pending data to the file with `tag` IO. No Adds afterwards.
+  // Appends index, filter and footer, then writes the table to the file
+  // with `tag` IO in write_chunk_bytes pieces. No Adds afterwards.
   sim::Task<Status> Finish(const iosched::IoTag& tag);
 
-  uint64_t estimated_bytes() const { return buffer_.size() + block_.size(); }
   uint64_t num_entries() const { return num_entries_; }
-  const std::string& smallest_key() const { return smallest_; }
-  const std::string& largest_key() const { return largest_; }
+  // Views into the buffer, valid until Finish.
+  std::string_view smallest_key() const { return KeyAt(first_key_); }
+  std::string_view largest_key() const { return KeyAt(last_key_); }
 
  private:
-  void FlushBlock();
+  // A key's position in buffer_ (which may still grow and move).
+  struct KeyPos {
+    uint64_t offset = 0;
+    uint32_t size = 0;
+  };
+  std::string_view KeyAt(KeyPos pos) const {
+    return std::string_view(buffer_).substr(pos.offset, pos.size);
+  }
+  // Ends the open data block at the buffer's end.
+  void CloseBlock();
 
   fs::SimFs& fs_;
   fs::FileId file_;
   SstableOptions options_;
 
-  std::string buffer_;  // completed data blocks
-  std::string block_;   // current data block
+  std::string buffer_;  // data blocks; Finish appends index, filter, footer
+  uint64_t block_start_ = 0;  // where the open data block begins
   struct IndexEntry {
-    std::string last_key;
+    KeyPos last_key;
     uint64_t offset;
     uint32_t size;
   };
   std::vector<IndexEntry> index_;
-  // Distinct user keys for the filter block (internal order keeps versions
-  // of one key adjacent, so adjacent-dup skipping suffices). Collected only
-  // when bloom_bits_per_key > 0.
-  std::vector<std::string> filter_keys_;
-  std::string last_key_in_block_;
-  std::string smallest_;
-  std::string largest_;
+  // BloomHash of each distinct user key for the filter block (internal
+  // order keeps versions of one key adjacent, so adjacent-dup skipping
+  // suffices). Collected only when bloom_bits_per_key > 0.
+  std::vector<uint32_t> filter_hashes_;
+  KeyPos first_key_;
+  KeyPos last_key_;
   uint64_t num_entries_ = 0;
   bool finished_ = false;
 };
@@ -172,7 +189,7 @@ class SstableReader {
     iosched::IoTag tag_;
     TableIndexRef index_;
     size_t next_block_ = 0;  // index of the next data block to load
-    std::string block_;      // resident data block backing record_'s views
+    std::string_view block_;  // current data block, a view of the file
     size_t offset_ = 0;      // decode position within block_
     Record record_;
     bool valid_ = false;
@@ -185,7 +202,9 @@ class SstableReader {
       const iosched::IoTag& tag, std::string_view start);
 
   // Sequential scan for compaction: reads the whole table in write_chunk
-  // sized IOs and yields records in order via `fn`.
+  // sized IOs and yields records in order via `fn`. The records are views
+  // of the stored file, valid for as long as the table lives (in LsmDb,
+  // while the caller holds its TableRef).
   sim::Task<Status> ScanAll(
       const iosched::IoTag& tag,
       const std::function<void(const Record&)>& fn);

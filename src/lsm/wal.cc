@@ -34,14 +34,15 @@ sim::Task<Status> WriteAheadLog::Append(const iosched::IoTag& tag,
                                         std::string_view key,
                                         SequenceNumber seq, ValueType type,
                                         std::string_view value) {
-  std::string payload;
-  payload.reserve(key.size() + value.size() + 32);
-  EncodeRecord(&payload, key, seq, type, value);
+  // One buffer per frame: the payload is encoded after a reserved header,
+  // which is filled in once the payload's length and CRC are known.
   std::string frame;
-  frame.reserve(payload.size() + 8);
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&frame, Crc32(payload));
-  frame += payload;
+  frame.reserve(8 + EncodedRecordBytes(key, value));
+  frame.resize(8);
+  EncodeRecord(&frame, key, seq, type, value);
+  const std::string_view payload = std::string_view(frame).substr(8);
+  EncodeFixed32(frame.data(), static_cast<uint32_t>(payload.size()));
+  EncodeFixed32(frame.data() + 4, Crc32(payload));
   if (counters_ != nullptr) {
     ++counters_->appends;
   }

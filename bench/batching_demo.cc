@@ -12,8 +12,9 @@
 //      gate and collapses duplicate in-flight GETs into one LSM lookup
 //      (singleflight); a bounded table cache replaces the grow-forever
 //      resident index blocks.
-// Both experiments are single-loop simulations, so output is identical for
-// any --jobs value.
+// Both experiments are deterministic virtual-time simulations (the second
+// on the cluster's MultiLoop engine), so output is identical for any --jobs
+// or --sim-threads value.
 
 #include <algorithm>
 #include <cstdio>
@@ -199,7 +200,6 @@ sim::Task<void> HotReader(cluster::TenantHandle h, int rounds, int fan,
 }
 
 GetRunResult RunHotReads(const BenchArgs& args, bool batching) {
-  sim::EventLoop loop;
   cluster::ClusterOptions copt;
   copt.num_nodes = 2;
   copt.node_options = PrototypeNodeOptions();
@@ -208,7 +208,10 @@ GetRunResult RunHotReads(const BenchArgs& args, bool batching) {
     copt.node_options.enable_read_coalescing = true;
     copt.node_options.lsm_options.table_cache_bytes = 64 * kKiB;
   }
-  cluster::Cluster cl(loop, copt);
+  SimRig rig = MakeSimRig(args, copt.num_nodes);
+  sim::EventLoop& loop = rig.client();
+  std::unique_ptr<cluster::Cluster> cl_holder = MakeCluster(rig, copt);
+  cluster::Cluster& cl = *cl_holder;
   const Result<cluster::TenantHandle> admitted =
       cl.AddTenant(7, cluster::GlobalReservation{3000.0, 500.0});
   GetRunResult r;
@@ -224,7 +227,7 @@ GetRunResult RunHotReads(const BenchArgs& args, bool batching) {
   {
     sim::TaskGroup group(loop);
     group.Spawn(PreloadHotKeys(handle, nkeys, &r.errors));
-    loop.Run();
+    rig.Run();
   }
 
   // The readers run a fixed number of rounds (no deadline), so the cluster
@@ -239,7 +242,7 @@ GetRunResult RunHotReads(const BenchArgs& args, bool batching) {
       group.Spawn(HotReader(handle, rounds, fan, nkeys, 900 + w,
                             &r.keys_issued, &r.errors));
     }
-    r.events = loop.Run();
+    r.events = rig.Run();
   }
 
   r.groups = cl.multiget_groups();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,6 +65,23 @@ void WriteStatsFile() {
   }
 }
 
+// Parses `flag`'s value as a whole base-10 integer in [min, max]; anything
+// else (empty, trailing garbage, out of range) is a usage error: the
+// message names the flag and the accepted range, and the process exits 2.
+long long ParseIntFlag(const char* flag, const char* value, long long min,
+                       long long max) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE || v < min ||
+      v > max) {
+    std::fprintf(stderr, "%s: expected an integer in [%lld, %lld], got '%s'\n",
+                 flag, min, max, value);
+    std::exit(2);
+  }
+  return v;
+}
+
 }  // namespace
 
 BenchArgs ParseCommonFlags(int argc, char** argv) {
@@ -86,14 +104,17 @@ BenchArgs ParseCommonFlags(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--trace-json=", 13) == 0) {
       args.trace_json = argv[i] + 13;
     } else if (std::strncmp(argv[i], "--sim-threads=", 14) == 0) {
-      args.sim_threads = std::atoi(argv[i] + 14);
-      if (args.sim_threads <= 0) {
+      args.sim_threads = static_cast<int>(
+          ParseIntFlag("--sim-threads", argv[i] + 14, 0, 1 << 16));
+      if (args.sim_threads == 0) {
         const unsigned hw = std::thread::hardware_concurrency();
         args.sim_threads = hw > 0 ? static_cast<int>(hw) : 1;
       }
     } else if (std::strncmp(argv[i], "--rpc-latency-us=", 17) == 0) {
+      // Bounded so the nanosecond latency (and every message time built on
+      // it) stays far from SimDuration overflow.
       args.rpc_latency =
-          static_cast<SimDuration>(std::max(0, std::atoi(argv[i] + 17))) *
+          ParseIntFlag("--rpc-latency-us", argv[i] + 17, 1, 1000000000) *
           kMicrosecond;
     } else if (std::strncmp(argv[i], "--trace-sample=", 15) == 0) {
       const char* v = argv[i] + 15;
@@ -109,9 +130,9 @@ BenchArgs ParseCommonFlags(int argc, char** argv) {
           "--nodes=N (cluster size, multi-node benches)  "
           "--trace-json=PATH (Chrome/Perfetto span export)  "
           "--trace-sample=1/N (trace 1 of every N root requests)  "
-          "--sim-threads=N (parallel sim engine workers; 0 = all cores)  "
-          "--rpc-latency-us=N (cross-node RPC latency; selects the parallel "
-          "engine when > 0)\n");
+          "--sim-threads=N (sim engine workers; 0 = all cores)  "
+          "--rpc-latency-us=N (cross-node RPC latency and engine lookahead, "
+          "N >= 1; default 50)\n");
     }
   }
   if (!args.stats_json.empty() && g_stats == nullptr) {

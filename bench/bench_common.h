@@ -30,21 +30,20 @@ struct BenchArgs {
   int nodes = 4;            // --nodes=N: cluster size (multi-node benches)
   std::string trace_json;   // --trace-json=PATH: Chrome/Perfetto span export
   uint32_t trace_sample = 1;  // --trace-sample=1/N: trace 1 of every N roots
-  // --sim-threads=N: worker threads for the parallel simulation engine
-  // (0 = all cores). N > 1 switches multi-node benches to the epoch-barrier
-  // MultiLoop engine; output is byte-identical for every N at a fixed
-  // --rpc-latency-us, only wall-clock time changes.
+  // --sim-threads=N: worker threads for the multi-node benches' epoch-barrier
+  // MultiLoop engine (0 = all cores); output is byte-identical for every N
+  // at a fixed --rpc-latency-us, only wall-clock time changes.
   int sim_threads = 1;
-  // --rpc-latency-us=N: minimum cross-node RPC latency. 0 keeps the
-  // historical instantaneous-RPC serial engine; > 0 selects the parallel
-  // engine (and doubles as its conservative lookahead) even at one thread.
-  SimDuration rpc_latency = 0;
+  // --rpc-latency-us=N (N >= 1): one-way cross-node RPC latency, which
+  // doubles as the engine's conservative lookahead.
+  SimDuration rpc_latency = 50 * kMicrosecond;
 };
 
 // Parses the flags shared by every bench binary (--full, --csv,
 // --stats-json=PATH, --jobs=N, --nodes=N, --trace-json=PATH,
 // --trace-sample=1/N, --sim-threads=N, --rpc-latency-us=N) and installs the
-// --stats-json capture hook. Unknown flags are ignored so binaries can
+// --stats-json capture hook. A malformed --sim-threads or --rpc-latency-us
+// is a usage error (exit 2). Unknown flags are ignored so binaries can
 // layer their own parsing on top.
 BenchArgs ParseCommonFlags(int argc, char** argv);
 

@@ -12,8 +12,8 @@
 //      status,
 //   3. a shard migration under live traffic completes without losing a key.
 // The demo is one deterministic virtual-time simulation, so its output is
-// identical for any --jobs value — and, with --rpc-latency-us set, for any
-// --sim-threads value on the parallel epoch-barrier engine.
+// identical for any --jobs value and, at a fixed --rpc-latency-us, for any
+// --sim-threads value on the epoch-barrier engine.
 
 #include <cstdio>
 #include <memory>
@@ -153,8 +153,7 @@ int RunDemo(const BenchArgs& args) {
       p[i] = cl.GlobalNormalizedTotal(kTenants[i].tenant, AppRequest::kPut);
     }
   };
-  // Mid-run tracker reads need quiesced node loops: barrier hooks in
-  // parallel mode, plain events in serial mode.
+  // Mid-run tracker reads need quiesced node loops (barrier hooks).
   rig.AtTime(t_warm, [&] { snap(gets0, puts0); });
   rig.AtTime(t_end, [&] { snap(gets1, puts1); });
 

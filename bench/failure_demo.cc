@@ -201,8 +201,7 @@ int RunDemo(const BenchArgs& args, uint64_t seed) {
       p[i] = cl.GlobalNormalizedTotal(kTenants[i].tenant, AppRequest::kPut);
     }
   };
-  // Mid-run tracker reads need quiesced node loops: barrier hooks in
-  // parallel mode, plain events in serial mode.
+  // Mid-run tracker reads need quiesced node loops (barrier hooks).
   rig.AtTime(t_warm, [&] { snap(gets0, puts0); });
   rig.AtTime(t_end, [&] { snap(gets1, puts1); });
 

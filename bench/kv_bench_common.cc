@@ -31,36 +31,17 @@ void RunPreloads(sim::EventLoop& loop,
   loop.Run();
 }
 
-void SimRig::AtTime(SimTime when, std::function<void()> fn) {
-  if (multi) {
-    multi->ScheduleBarrierAt(when, std::move(fn));
-  } else {
-    serial->ScheduleAt(when, [fn = std::move(fn)] { fn(); });
-  }
-}
-
 SimRig MakeSimRig(const BenchArgs& args, int nodes) {
-  SimRig rig;
-  if (args.sim_threads <= 1 && args.rpc_latency <= 0) {
-    rig.serial = std::make_unique<sim::EventLoop>();
-    return rig;
-  }
-  rig.rpc_latency =
-      args.rpc_latency > 0 ? args.rpc_latency : 50 * kMicrosecond;
   sim::MultiLoopOptions mopt;
   mopt.threads = args.sim_threads;
-  mopt.lookahead = rig.rpc_latency;
-  rig.multi = std::make_unique<sim::MultiLoop>(nodes + 1, mopt);
-  return rig;
+  mopt.lookahead = args.rpc_latency;
+  return SimRig{std::make_unique<sim::MultiLoop>(nodes + 1, mopt)};
 }
 
 std::unique_ptr<cluster::Cluster> MakeCluster(SimRig& rig,
                                               cluster::ClusterOptions options) {
-  if (rig.multi) {
-    options.rpc_latency = rig.rpc_latency;
-    return std::make_unique<cluster::Cluster>(*rig.multi, options);
-  }
-  return std::make_unique<cluster::Cluster>(*rig.serial, options);
+  options.rpc_latency = rig.multi->lookahead();
+  return std::make_unique<cluster::Cluster>(*rig.multi, options);
 }
 
 void RunPreloads(SimRig& rig,

@@ -33,44 +33,38 @@ void ApplyTraceFlags(const BenchArgs& args, kv::NodeOptions& options,
 void RunPreloads(sim::EventLoop& loop,
                  std::vector<workload::KvTenantWorkload*> workloads);
 
-// --- simulation rig: serial EventLoop or parallel MultiLoop ---
+// --- simulation rig ---
 //
-// Wraps the engine choice behind one small interface. Serial (the default:
-// one EventLoop, instantaneous RPC) is byte-identical to every release
-// before the parallel engine existed. Parallel (sim::MultiLoop: loop 0 for
-// clients/coordination, one loop per storage node) is selected by
-// --rpc-latency-us > 0 or --sim-threads > 1 and produces byte-identical
-// output for every thread count at a fixed latency — only wall-clock time
-// changes.
+// The multi-node benches run on sim::MultiLoop: loop 0 for clients and
+// coordination, one loop per storage node, and every cross-node RPC a
+// message with --rpc-latency-us latency (default 50us), which doubles as
+// the engine's conservative lookahead. Output is byte-identical for every
+// --sim-threads value at a fixed latency; only wall-clock time changes.
 struct SimRig {
-  std::unique_ptr<sim::EventLoop> serial;
   std::unique_ptr<sim::MultiLoop> multi;
-  SimDuration rpc_latency = 0;  // cross-node latency (parallel mode only)
 
-  bool parallel() const { return multi != nullptr; }
   // The loop clients (workloads, fault schedules, verifiers) run on.
-  sim::EventLoop& client() { return multi ? multi->loop(0) : *serial; }
-  uint64_t RunUntil(SimTime deadline) {
-    return multi ? multi->RunUntil(deadline) : serial->RunUntil(deadline);
+  sim::EventLoop& client() { return multi->loop(0); }
+  uint64_t RunUntil(SimTime deadline) { return multi->RunUntil(deadline); }
+  uint64_t Run() { return multi->Run(); }
+  // Runs `fn` at virtual time `when` with every loop quiesced (a barrier
+  // hook). Required for mid-run snapshots that read node-side state
+  // (trackers, policies).
+  void AtTime(SimTime when, std::function<void()> fn) {
+    multi->ScheduleBarrierAt(when, std::move(fn));
   }
-  uint64_t Run() { return multi ? multi->Run() : serial->Run(); }
-  // Runs `fn` at virtual time `when` with every loop quiesced: a barrier
-  // hook in parallel mode, a plain event in serial mode. Required for
-  // mid-run snapshots that read node-side state (trackers, policies).
-  void AtTime(SimTime when, std::function<void()> fn);
 };
 
 // Builds the engine the flags ask for; `nodes` is the storage-node count
-// (the parallel engine gets nodes + 1 loops). When the flags imply the
-// parallel engine but leave the latency unset, a 50us default is used.
+// (the engine gets nodes + 1 loops).
 SimRig MakeSimRig(const BenchArgs& args, int nodes);
 
-// Constructs the cluster on the rig's engine (rig.rpc_latency becomes
-// ClusterOptions::rpc_latency in parallel mode).
+// Constructs the cluster on the rig's engine, with the engine's lookahead
+// as ClusterOptions::rpc_latency.
 std::unique_ptr<cluster::Cluster> MakeCluster(SimRig& rig,
                                               cluster::ClusterOptions options);
 
-// RunPreloads on whichever engine the rig holds.
+// RunPreloads on the rig's client loop.
 void RunPreloads(SimRig& rig,
                  std::vector<workload::KvTenantWorkload*> workloads);
 

@@ -85,9 +85,8 @@ int RunDemo(const BenchArgs& args, const MegaFlags& mega) {
   Cluster& cl = *cl_holder;
 
   Section(args, "Mega demo: setup");
-  std::printf("nodes %d, tenants %d, rounds %d, engine %s\n", cl.num_nodes(),
-              mega.tenants, mega.rounds,
-              rig.parallel() ? "parallel" : "serial");
+  std::printf("nodes %d, tenants %d, rounds %d, engine parallel\n",
+              cl.num_nodes(), mega.tenants, mega.rounds);
 
   std::vector<cluster::TenantHandle> handles;
   handles.reserve(static_cast<size_t>(mega.tenants));
@@ -143,16 +142,12 @@ int RunDemo(const BenchArgs& args, const MegaFlags& mega) {
   Emit(args, table);
 
   Section(args, "Mega demo: engine");
-  if (rig.parallel()) {
-    std::printf("parallel engine: %d loops, lookahead %lld ns, %llu epochs, "
-                "%llu cross-loop messages\n",
-                rig.multi->num_loops(),
-                static_cast<long long>(rig.multi->lookahead()),
-                static_cast<unsigned long long>(rig.multi->epochs()),
-                static_cast<unsigned long long>(rig.multi->messages_sent()));
-  } else {
-    std::printf("serial engine: 1 loop\n");
-  }
+  std::printf("parallel engine: %d loops, lookahead %lld ns, %llu epochs, "
+              "%llu cross-loop messages\n",
+              rig.multi->num_loops(),
+              static_cast<long long>(rig.multi->lookahead()),
+              static_cast<unsigned long long>(rig.multi->epochs()),
+              static_cast<unsigned long long>(rig.multi->messages_sent()));
 
   const double wall_secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -321,16 +321,17 @@ BENCHMARK(BM_ScanMerge)->Arg(16)->Arg(128);
 
 // One 16-key MultiGet per iteration through the cluster routing layer,
 // keys resident in memtables (zero simulated IO time): measures the
-// per-request fan-out machinery. Arg(0) = per-key routing (default),
-// Arg(1) = slot-grouped batching.
+// per-request fan-out machinery, cross-node messages included (one worker
+// thread). Arg(0) = per-key routing (default), Arg(1) = slot-grouped
+// batching.
 void BM_MultiGetFanout(benchmark::State& state) {
-  sim::EventLoop loop;
   cluster::ClusterOptions options;
   options.num_nodes = 2;
   options.node_options.calibration = MicroTable();
   options.node_options.prefill_bytes = 64 * kMiB;
   options.batch_multiget = state.range(0) != 0;
-  cluster::Cluster cl(loop, options);
+  sim::MultiLoop engine(options.num_nodes + 1, {1, options.rpc_latency});
+  cluster::Cluster cl(engine, options);
   auto admitted = cl.AddTenant(1, cluster::GlobalReservation{});
   if (!admitted.ok()) {
     state.SkipWithError("AddTenant failed");
@@ -347,13 +348,13 @@ void BM_MultiGetFanout(benchmark::State& state) {
       co_await h.Put(k, "value");
     }
   }(tenant, keys));
-  loop.Run();
+  engine.Run();
   for (auto _ : state) {
     sim::Detach([](cluster::TenantHandle h,
                    const std::vector<std::string>* ks) -> sim::Task<void> {
       benchmark::DoNotOptimize(co_await h.MultiGet(*ks));
     }(tenant, &keys));
-    loop.Run();
+    engine.Run();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 16);
 }

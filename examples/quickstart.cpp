@@ -16,6 +16,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/multi_loop.h"
 #include "src/sim/task.h"
 #include "src/ssd/calibration.h"
 
@@ -33,8 +34,9 @@ int main() {
               table.max_iops());
 
   // 2. Build the cluster: four identical storage nodes (LSM partitions over
-  //    Libra over the SSD) on one loop, sharded by consistent hashing.
-  sim::EventLoop loop;
+  //    Libra over the SSD), sharded by consistent hashing. Each node runs on
+  //    its own loop of a MultiLoop engine; loop 0 runs the clients, and
+  //    every cross-node RPC is a message with options.rpc_latency (50us).
   cluster::ClusterOptions options;
   options.num_nodes = 4;
   options.node_options.device_profile = profile;
@@ -47,7 +49,10 @@ int main() {
   options.node_options.enable_read_coalescing = true;
   options.node_options.lsm_options.wal_group_commit = true;
   options.node_options.lsm_options.table_cache_bytes = 256 * kKiB;
-  cluster::Cluster cl(loop, options);
+  sim::MultiLoop engine(options.num_nodes + 1,
+                        {/*threads=*/1, options.rpc_latency});
+  sim::EventLoop& loop = engine.loop(0);
+  cluster::Cluster cl(engine, options);
 
   // 3. Admit a tenant with a *global* reservation: 2000 normalized (1KB)
   //    GET/s and 1000 normalized PUT/s, cluster-wide. Admission control
@@ -97,9 +102,9 @@ int main() {
   };
   sim::Detach(client());
   // Started policies keep timers pending, so bound the run, stop, drain.
-  loop.RunUntil(loop.Now() + 5 * kSecond);
+  engine.RunUntil(loop.Now() + 5 * kSecond);
   cl.Stop();
-  loop.Run();
+  engine.Run();
 
   // 5. Inspect where the requests landed and what they cost.
   const auto homes = cl.shard_map().Assignment(42);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <utility>
 
 #include "src/cluster/global_provisioner.h"
@@ -158,8 +159,12 @@ sim::Task<void> NodeGetInto(kv::StorageNode* node, TenantId tenant,
   *out = co_await node->Get(tenant, key, ctx);
 }
 
-// Records the cluster-layer root span of one routed request (no-op when the
-// home node's collector is off or the request sampled out).
+TraceContext MintTrace(obs::SpanCollector* spans) {
+  return spans != nullptr ? spans->MintTrace() : TraceContext{};
+}
+
+// Records the cluster-layer root span of one routed request (no-op when
+// tracing is off or the request sampled out).
 void RecordClientSpan(obs::SpanCollector* spans, const TraceContext& ctx,
                       AppRequest app, TenantId tenant, SimTime start,
                       SimTime end, uint64_t bytes) {
@@ -240,49 +245,28 @@ sim::Task<Result<ScanEntries>> TenantHandle::Scan(const std::string& start,
 
 // --- Cluster ---
 
-Cluster::Cluster(sim::EventLoop& loop, ClusterOptions options)
-    : loop_(loop),
-      options_(std::move(options)),
-      shard_map_(ShardMapOptions{options_.num_nodes,
-                                 options_.shards_per_tenant,
-                                 options_.vnodes_per_node,
-                                 options_.placement_seed,
-                                 options_.replication_factor}) {
-  assert(options_.rpc_latency == 0 &&
-         "rpc_latency requires the MultiLoop constructor");
-  Init(nullptr);
-}
-
 Cluster::Cluster(sim::MultiLoop& engine, ClusterOptions options)
-    : loop_(engine.loop(0)),
-      multi_(&engine),
+    : engine_(engine),
+      loop_(engine.loop(0)),
       options_(std::move(options)),
       shard_map_(ShardMapOptions{options_.num_nodes,
                                  options_.shards_per_tenant,
                                  options_.vnodes_per_node,
                                  options_.placement_seed,
                                  options_.replication_factor}) {
+  assert(options_.num_nodes > 0);
+  assert(options_.replication_factor >= 1);
   assert(engine.num_loops() == options_.num_nodes + 1 &&
-         "parallel cluster needs one loop per node plus the coordinator");
-  assert(options_.rpc_latency > 0 &&
-         "parallel cluster needs a positive rpc_latency");
+         "the cluster needs one loop per node plus the coordinator");
   assert(options_.rpc_latency >= engine.lookahead() &&
          "rpc_latency below the engine lookahead would break conservative "
          "synchronization");
-  Init(&engine);
-}
-
-void Cluster::Init(sim::MultiLoop* engine) {
-  assert(options_.num_nodes > 0);
-  assert(options_.replication_factor >= 1);
   node_state_.assign(static_cast<size_t>(options_.num_nodes), NodeState{});
   repl_.assign(static_cast<size_t>(options_.num_nodes), ReplTelemetry{});
   nodes_.reserve(options_.num_nodes);
   for (int i = 0; i < options_.num_nodes; ++i) {
-    sim::EventLoop& node_loop =
-        engine != nullptr ? engine->loop(NodeLoopIndex(i)) : loop_;
-    nodes_.push_back(
-        std::make_unique<kv::StorageNode>(node_loop, options_.node_options));
+    nodes_.push_back(std::make_unique<kv::StorageNode>(
+        engine.loop(NodeLoopIndex(i)), options_.node_options));
     // Namespace each node's minted trace/span ids so a merged cluster
     // export never collides across nodes (and stays deterministic).
     if (obs::SpanCollector* spans = nodes_.back()->scheduler().spans();
@@ -290,8 +274,7 @@ void Cluster::Init(sim::MultiLoop* engine) {
       spans->SeedIds(static_cast<uint64_t>(i) + 1);
     }
   }
-  if (engine != nullptr &&
-      options_.node_options.scheduler_options.span_capacity > 0) {
+  if (options_.node_options.scheduler_options.span_capacity > 0) {
     client_spans_ = std::make_unique<obs::SpanCollector>(
         options_.node_options.scheduler_options.span_capacity,
         options_.node_options.scheduler_options.span_sample_every);
@@ -319,279 +302,114 @@ void Cluster::Stop() {
 
 // --- cross-node seam ---
 //
-// Serial mode: direct calls, byte-identical to the historical inlined
-// paths. Parallel mode: request/response MultiLoop messages. The server
-// coroutine runs detached on the node's loop; the response message runs on
-// the coordinator loop and completes the caller's OneShot there, so the
-// OneShot (like all routing state) is touched only by the coordinator.
-// Per-channel FIFO at equal delays means control messages (tenant install,
-// crash) are never overtaken by requests sent after them.
+// The server half runs detached on the node's loop; the response message
+// runs on the coordinator loop and completes the caller's OneShot there, so
+// the OneShot (like all routing state) is touched only by the coordinator.
 
-sim::Task<Status> Cluster::NodePut(int node, TenantId tenant, std::string key,
-                                   std::string value, TraceContext ctx,
-                                   SimDuration request_delay) {
-  if (multi_ == nullptr) {
-    co_return co_await nodes_[node]->Put(tenant, key, value, ctx);
-  }
-  sim::OneShot<Status> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), request_delay,
-               [this, node, tenant, key = std::move(key),
-                value = std::move(value), ctx, &done]() mutable {
-                 sim::Detach(PutServer(node, tenant, std::move(key),
-                                       std::move(value), ctx, &done));
+template <typename T, typename Fn, typename... Args>
+sim::Task<T> Cluster::OnNode(int node, SimDuration request_delay, Fn fn,
+                             Args... args) {
+  sim::OneShot<T> done(loop_);
+  engine_.Send(0, NodeLoopIndex(node), request_delay,
+               [this, node, &done, fn, ... args = std::move(args)]() mutable {
+                 sim::Detach(Serve(node, &done, fn, std::move(args)...));
                });
   co_return co_await done.Wait();
 }
 
-sim::Task<void> Cluster::PutServer(int node, TenantId tenant, std::string key,
-                                   std::string value, TraceContext ctx,
-                                   sim::OneShot<Status>* done) {
-  Status s = co_await nodes_[node]->Put(tenant, key, value, ctx);
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, s = std::move(s)]() mutable { done->Set(std::move(s)); });
-}
-
-sim::Task<Status> Cluster::NodeDelete(int node, TenantId tenant,
-                                      std::string key, TraceContext ctx,
-                                      SimDuration request_delay) {
-  if (multi_ == nullptr) {
-    co_return co_await nodes_[node]->Delete(tenant, key, ctx);
-  }
-  sim::OneShot<Status> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), request_delay,
-               [this, node, tenant, key = std::move(key), ctx,
-                &done]() mutable {
-                 sim::Detach(DeleteServer(node, tenant, std::move(key), ctx,
-                                          &done));
+template <typename T, typename Fn, typename... Args>
+sim::Task<void> Cluster::Serve(int node, sim::OneShot<T>* done, Fn fn,
+                               Args... args) {
+  T result = co_await std::invoke(fn, std::move(args)...);
+  engine_.Send(NodeLoopIndex(node), 0, options_.rpc_latency,
+               [done, result = std::move(result)]() mutable {
+                 done->Set(std::move(result));
                });
-  co_return co_await done.Wait();
 }
 
-sim::Task<void> Cluster::DeleteServer(int node, TenantId tenant,
-                                      std::string key, TraceContext ctx,
-                                      sim::OneShot<Status>* done) {
-  Status s = co_await nodes_[node]->Delete(tenant, key, ctx);
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, s = std::move(s)]() mutable { done->Set(std::move(s)); });
+template <typename Fn>
+void Cluster::Post(int node, Fn fn) {
+  kv::StorageNode* n = nodes_[node].get();
+  engine_.Send(0, NodeLoopIndex(node), options_.rpc_latency,
+               [n, fn = std::move(fn)]() mutable { fn(*n); });
 }
 
-sim::Task<Result<std::string>> Cluster::NodeGet(int node, TenantId tenant,
-                                                std::string key,
-                                                TraceContext ctx,
-                                                SimDuration request_delay) {
-  if (multi_ == nullptr) {
-    co_return co_await nodes_[node]->Get(tenant, key, ctx);
+std::optional<SimDuration> Cluster::RequestLeg(TenantId tenant, int node) {
+  if (rpc_faults_ == nullptr) {
+    return options_.rpc_latency;
   }
-  sim::OneShot<Result<std::string>> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), request_delay,
-               [this, node, tenant, key = std::move(key), ctx,
-                &done]() mutable {
-                 sim::Detach(GetServer(node, tenant, std::move(key), ctx,
-                                       &done));
-               });
-  co_return co_await done.Wait();
+  const RpcFault f = rpc_faults_->OnRpc(tenant, node);
+  if (f.drop) {
+    return std::nullopt;
+  }
+  return f.delay > 0 ? f.delay : options_.rpc_latency;
 }
 
-sim::Task<void> Cluster::GetServer(int node, TenantId tenant, std::string key,
-                                   TraceContext ctx,
-                                   sim::OneShot<Result<std::string>>* done) {
-  Result<std::string> r = co_await nodes_[node]->Get(tenant, key, ctx);
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, r = std::move(r)]() mutable { done->Set(std::move(r)); });
-}
-
-sim::Task<std::vector<Result<std::string>>> Cluster::NodeMultiGet(
+sim::Task<std::vector<Result<std::string>>> Cluster::MultiGetOn(
     int node, TenantId tenant, std::vector<std::string> keys,
     TraceContext ctx) {
-  sim::OneShot<std::vector<Result<std::string>>> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [this, node, tenant, keys = std::move(keys), ctx,
-                &done]() mutable {
-                 sim::Detach(MultiGetServer(node, tenant, std::move(keys), ctx,
-                                            &done));
-               });
-  co_return co_await done.Wait();
-}
-
-sim::Task<void> Cluster::MultiGetServer(
-    int node, TenantId tenant, std::vector<std::string> keys, TraceContext ctx,
-    sim::OneShot<std::vector<Result<std::string>>>* done) {
   std::vector<Result<std::string>> results(keys.size());
-  sim::TaskGroup group(multi_->loop(NodeLoopIndex(node)));
+  sim::TaskGroup group(engine_.loop(NodeLoopIndex(node)));
   for (size_t i = 0; i < keys.size(); ++i) {
     group.Spawn(
         NodeGetInto(nodes_[node].get(), tenant, keys[i], ctx, &results[i]));
   }
   co_await group.Join();
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, results = std::move(results)]() mutable {
-                 done->Set(std::move(results));
-               });
+  co_return results;
 }
 
-sim::Task<lsm::LsmDb::ScanResult> Cluster::NodeScan(
-    int node, TenantId tenant, std::string start, std::string end,
-    size_t limit, TraceContext ctx, SimDuration request_delay) {
-  if (multi_ == nullptr) {
-    co_return co_await nodes_[node]->Scan(tenant, start, end, limit, ctx);
-  }
-  sim::OneShot<lsm::LsmDb::ScanResult> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), request_delay,
-               [this, node, tenant, start = std::move(start),
-                end = std::move(end), limit, ctx, &done]() mutable {
-                 sim::Detach(ScanServer(node, tenant, std::move(start),
-                                        std::move(end), limit, ctx, &done));
-               });
-  co_return co_await done.Wait();
-}
-
-sim::Task<void> Cluster::ScanServer(
-    int node, TenantId tenant, std::string start, std::string end,
-    size_t limit, TraceContext ctx,
-    sim::OneShot<lsm::LsmDb::ScanResult>* done) {
-  lsm::LsmDb::ScanResult r =
-      co_await nodes_[node]->Scan(tenant, start, end, limit, ctx);
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, r = std::move(r)]() mutable { done->Set(std::move(r)); });
-}
-
-sim::Task<Result<std::vector<std::pair<std::string, std::string>>>>
-Cluster::NodeScanSlots(int node, TenantId tenant, std::vector<int> slots,
-                       iosched::IoTag tag, const char* missing_msg) {
-  using Entries = std::vector<std::pair<std::string, std::string>>;
-  if (multi_ == nullptr) {
-    lsm::LsmDb* db = nodes_[node]->partition(tenant);
-    if (db == nullptr) {
-      co_return Result<Entries>(Status::Internal(missing_msg));
-    }
-    Entries entries;
-    Status scan = co_await db->ScanLive(
-        tag, [&](std::string_view k, std::string_view v) {
-          const int slot = shard_map_.SlotOfKey(k);
-          if (std::find(slots.begin(), slots.end(), slot) != slots.end()) {
-            entries.emplace_back(std::string(k), std::string(v));
-          }
-        });
-    if (!scan.ok()) {
-      co_return Result<Entries>(std::move(scan));
-    }
-    co_return Result<Entries>(std::move(entries));
-  }
-  sim::OneShot<Result<Entries>> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [this, node, tenant, slots = std::move(slots), tag, missing_msg,
-                &done]() mutable {
-                 sim::Detach(ScanSlotsServer(node, tenant, std::move(slots),
-                                             tag, missing_msg, &done));
-               });
-  co_return co_await done.Wait();
-}
-
-sim::Task<void> Cluster::ScanSlotsServer(
-    int node, TenantId tenant, std::vector<int> slots, iosched::IoTag tag,
-    const char* missing_msg,
-    sim::OneShot<Result<std::vector<std::pair<std::string, std::string>>>>*
-        done) {
-  using Entries = std::vector<std::pair<std::string, std::string>>;
-  Result<Entries> result;
+sim::Task<Result<ScanEntries>> Cluster::ScanSlotsOn(int node, TenantId tenant,
+                                                    std::vector<int> slots,
+                                                    iosched::IoTag tag,
+                                                    const char* missing_msg) {
   lsm::LsmDb* db = nodes_[node]->partition(tenant);
   if (db == nullptr) {
-    result = Result<Entries>(Status::Internal(missing_msg));
-  } else {
-    Entries entries;
-    // ShardMap::SlotOfKey is a pure hash of the key (no placement state),
-    // so calling it from the node's thread is safe.
-    Status scan = co_await db->ScanLive(
-        tag, [&](std::string_view k, std::string_view v) {
-          const int slot = shard_map_.SlotOfKey(k);
-          if (std::find(slots.begin(), slots.end(), slot) != slots.end()) {
-            entries.emplace_back(std::string(k), std::string(v));
-          }
-        });
-    result = scan.ok() ? Result<Entries>(std::move(entries))
-                       : Result<Entries>(std::move(scan));
+    co_return Result<ScanEntries>(Status::Internal(missing_msg));
   }
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, result = std::move(result)]() mutable {
-                 done->Set(std::move(result));
-               });
+  ScanEntries entries;
+  // ShardMap::SlotOfKey is a pure hash of the key (no placement state), so
+  // calling it from the node's thread is safe.
+  Status scan = co_await db->ScanLive(
+      tag, [&](std::string_view k, std::string_view v) {
+        const int slot = shard_map_.SlotOfKey(k);
+        if (std::find(slots.begin(), slots.end(), slot) != slots.end()) {
+          entries.emplace_back(std::string(k), std::string(v));
+        }
+      });
+  if (!scan.ok()) {
+    co_return Result<ScanEntries>(std::move(scan));
+  }
+  co_return Result<ScanEntries>(std::move(entries));
 }
 
-sim::Task<Cluster::ApplyResult> Cluster::NodeApplyOps(
+sim::Task<Cluster::ApplyResult> Cluster::ApplyOpsOn(
     int node, TenantId tenant,
     std::vector<std::pair<std::string, std::string>> puts,
     std::vector<std::string> deletes, TraceContext ctx, iosched::InternalOp op,
     const char* missing_msg) {
-  if (multi_ == nullptr) {
-    ApplyResult result;
-    lsm::LsmDb* db = nodes_[node]->partition(tenant);
-    if (db == nullptr) {
-      result.status = Status::Internal(missing_msg);
-      co_return result;
-    }
-    for (const auto& [k, v] : puts) {
-      if (Status s = co_await db->Put(k, v, ctx, op); !s.ok()) {
-        result.status = std::move(s);
-        co_return result;
-      }
-      ++result.puts_applied;
-      result.put_key_bytes += k.size();
-      result.put_value_bytes += v.size();
-    }
-    for (const std::string& k : deletes) {
-      if (Status s = co_await db->Delete(k, ctx, op); !s.ok()) {
-        result.status = std::move(s);
-        co_return result;
-      }
-      ++result.deletes_applied;
-    }
-    co_return result;
-  }
-  sim::OneShot<ApplyResult> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [this, node, tenant, puts = std::move(puts),
-                deletes = std::move(deletes), ctx, op, missing_msg,
-                &done]() mutable {
-                 sim::Detach(ApplyOpsServer(node, tenant, std::move(puts),
-                                            std::move(deletes), ctx, op,
-                                            missing_msg, &done));
-               });
-  co_return co_await done.Wait();
-}
-
-sim::Task<void> Cluster::ApplyOpsServer(
-    int node, TenantId tenant,
-    std::vector<std::pair<std::string, std::string>> puts,
-    std::vector<std::string> deletes, TraceContext ctx, iosched::InternalOp op,
-    const char* missing_msg, sim::OneShot<ApplyResult>* done) {
   ApplyResult result;
   lsm::LsmDb* db = nodes_[node]->partition(tenant);
   if (db == nullptr) {
     result.status = Status::Internal(missing_msg);
-  } else {
-    for (const auto& [k, v] : puts) {
-      if (Status s = co_await db->Put(k, v, ctx, op); !s.ok()) {
-        result.status = std::move(s);
-        break;
-      }
-      ++result.puts_applied;
-      result.put_key_bytes += k.size();
-      result.put_value_bytes += v.size();
-    }
-    if (result.status.ok()) {
-      for (const std::string& k : deletes) {
-        if (Status s = co_await db->Delete(k, ctx, op); !s.ok()) {
-          result.status = std::move(s);
-          break;
-        }
-        ++result.deletes_applied;
-      }
-    }
+    co_return result;
   }
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, result = std::move(result)]() mutable {
-                 done->Set(std::move(result));
-               });
+  for (const auto& [k, v] : puts) {
+    if (Status s = co_await db->Put(k, v, ctx, op); !s.ok()) {
+      result.status = std::move(s);
+      co_return result;
+    }
+    ++result.puts_applied;
+    result.put_key_bytes += k.size();
+    result.put_value_bytes += v.size();
+  }
+  for (const std::string& k : deletes) {
+    if (Status s = co_await db->Delete(k, ctx, op); !s.ok()) {
+      result.status = std::move(s);
+      co_return result;
+    }
+    ++result.deletes_applied;
+  }
+  co_return result;
 }
 
 lsm::CompactionPolicy Cluster::CompactionOf(TenantId tenant) const {
@@ -606,126 +424,53 @@ obs::DeclaredAttribution Cluster::DeclaredOf(TenantId tenant) const {
                               : it->second.declared;
 }
 
-Status Cluster::NodeEnsureTenant(int node, TenantId tenant) {
+void Cluster::NodeEnsureTenant(int node, TenantId tenant) {
   const lsm::CompactionPolicy compaction = CompactionOf(tenant);
   const obs::DeclaredAttribution declared = DeclaredOf(tenant);
-  if (multi_ == nullptr) {
-    if (!nodes_[node]->HasTenant(tenant)) {
-      return nodes_[node]->AddTenant(tenant, Reservation{}, declared,
-                                     compaction);
+  Post(node, [tenant, compaction, declared](kv::StorageNode& n) {
+    if (!n.HasTenant(tenant)) {
+      (void)n.AddTenant(tenant, Reservation{}, declared, compaction);
     }
-    return Status::Ok();
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [n, tenant, compaction, declared] {
-                 if (!n->HasTenant(tenant)) {
-                   (void)n->AddTenant(tenant, Reservation{}, declared,
-                                      compaction);
-                 }
-               });
-  return Status::Ok();
+  });
 }
 
-Status Cluster::NodeInstallReservation(int node, TenantId tenant,
-                                       Reservation share) {
+void Cluster::NodeInstallReservation(int node, TenantId tenant,
+                                     Reservation share) {
   const lsm::CompactionPolicy compaction = CompactionOf(tenant);
   const obs::DeclaredAttribution declared = DeclaredOf(tenant);
-  if (multi_ == nullptr) {
-    return nodes_[node]->HasTenant(tenant)
-               ? nodes_[node]->UpdateReservation(tenant, share)
-               : nodes_[node]->AddTenant(tenant, share, declared, compaction);
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [n, tenant, share, compaction, declared] {
-    if (n->HasTenant(tenant)) {
-      (void)n->UpdateReservation(tenant, share);
+  Post(node, [tenant, share, compaction, declared](kv::StorageNode& n) {
+    if (n.HasTenant(tenant)) {
+      (void)n.UpdateReservation(tenant, share);
     } else {
-      (void)n->AddTenant(tenant, share, declared, compaction);
+      (void)n.AddTenant(tenant, share, declared, compaction);
     }
   });
-  return Status::Ok();
 }
 
-Status Cluster::NodeZeroReservation(int node, TenantId tenant) {
-  if (multi_ == nullptr) {
-    if (nodes_[node]->HasTenant(tenant)) {
-      return nodes_[node]->UpdateReservation(tenant, Reservation{});
-    }
-    return Status::Ok();
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency, [n, tenant] {
-    if (n->HasTenant(tenant)) {
-      (void)n->UpdateReservation(tenant, Reservation{});
+void Cluster::NodeZeroReservation(int node, TenantId tenant) {
+  Post(node, [tenant](kv::StorageNode& n) {
+    if (n.HasTenant(tenant)) {
+      (void)n.UpdateReservation(tenant, Reservation{});
     }
   });
-  return Status::Ok();
 }
 
 void Cluster::NodeRecordReplTrigger(int node, TenantId tenant) {
-  if (multi_ == nullptr) {
-    nodes_[node]->tracker().RecordTrigger(tenant, AppRequest::kPut,
-                                          iosched::InternalOp::kReplicate);
-    return;
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency, [n, tenant] {
-    n->tracker().RecordTrigger(tenant, AppRequest::kPut,
-                               iosched::InternalOp::kReplicate);
+  Post(node, [tenant](kv::StorageNode& n) {
+    n.tracker().RecordTrigger(tenant, AppRequest::kPut,
+                              iosched::InternalOp::kReplicate);
   });
 }
 
 void Cluster::NodeRecordReplDone(int node, TenantId tenant) {
-  if (multi_ == nullptr) {
-    nodes_[node]->tracker().RecordInternalOpDone(
-        tenant, iosched::InternalOp::kReplicate);
-    return;
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency, [n, tenant] {
-    n->tracker().RecordInternalOpDone(tenant,
-                                      iosched::InternalOp::kReplicate);
+  Post(node, [tenant](kv::StorageNode& n) {
+    n.tracker().RecordInternalOpDone(tenant, iosched::InternalOp::kReplicate);
   });
 }
 
-void Cluster::NodeCrash(int node) {
-  if (multi_ == nullptr) {
-    nodes_[node]->Crash();
-    return;
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [n] { n->Crash(); });
-}
-
-sim::Task<Status> Cluster::NodeRestart(int node) {
-  if (multi_ == nullptr) {
-    co_return co_await nodes_[node]->Restart();
-  }
-  sim::OneShot<Status> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [this, node, &done] {
-                 sim::Detach(RestartServer(node, &done));
-               });
-  co_return co_await done.Wait();
-}
-
-sim::Task<void> Cluster::RestartServer(int node, sim::OneShot<Status>* done) {
-  Status s = co_await nodes_[node]->Restart();
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, s = std::move(s)]() mutable { done->Set(std::move(s)); });
-}
-
 void Cluster::InjectGcStall(int node, SimDuration stall) {
-  if (multi_ == nullptr) {
-    nodes_[node]->device().InjectGcStall(stall);
-    return;
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [n, stall] { n->device().InjectGcStall(stall); });
+  Post(node,
+       [stall](kv::StorageNode& n) { n.device().InjectGcStall(stall); });
 }
 
 double Cluster::AdmissionPrice(AppRequest app) const {
@@ -833,8 +578,8 @@ Status Cluster::CheckAdmission(
   return Status::Ok();
 }
 
-Status Cluster::ApplySplit(TenantId tenant,
-                           const std::map<int, Reservation>& split) {
+void Cluster::ApplySplit(TenantId tenant,
+                         const std::map<int, Reservation>& split) {
   TenantState& state = tenants_[tenant];
   // Nodes that dropped out of the split (all slots migrated away) fall back
   // to a zero local reservation: the partition still exists and may hold
@@ -844,18 +589,13 @@ Status Cluster::ApplySplit(TenantId tenant,
       continue;  // dead node: its policy is stopped; resplit covers it later
     }
     if (split.count(n) == 0) {
-      if (Status s = NodeZeroReservation(n, tenant); !s.ok()) {
-        return s;
-      }
+      NodeZeroReservation(n, tenant);
     }
   }
   for (const auto& [n, share] : split) {
-    if (Status s = NodeInstallReservation(n, tenant, share); !s.ok()) {
-      return s;
-    }
+    NodeInstallReservation(n, tenant, share);
   }
   state.split = split;
-  return Status::Ok();
 }
 
 Result<TenantHandle> Cluster::AddTenant(TenantId tenant,
@@ -877,10 +617,7 @@ Result<TenantHandle> Cluster::AddTenant(TenantId tenant,
   state.global = reservation;
   state.compaction = compaction;
   state.declared = declared;
-  if (Status s = ApplySplit(tenant, split); !s.ok()) {
-    tenants_.erase(tenant);
-    return Result<TenantHandle>(std::move(s));
-  }
+  ApplySplit(tenant, split);
   return Result<TenantHandle>(TenantHandle(this, tenant));
 }
 
@@ -899,7 +636,8 @@ Status Cluster::UpdateGlobalReservation(TenantId tenant,
     return s;
   }
   it->second.global = reservation;
-  return ApplySplit(tenant, split);
+  ApplySplit(tenant, split);
+  return Status::Ok();
 }
 
 Result<TenantHandle> Cluster::Handle(TenantId tenant) {
@@ -944,62 +682,53 @@ sim::Task<int> Cluster::AwaitRoutable(TenantId tenant, int slot) {
   co_return shard_map_.HomeOf(tenant, slot);
 }
 
-// Fault semantics at the replica seam: in serial mode an injected delay is
-// slept before the (instantaneous) call, exactly as before; in parallel
-// mode it replaces the request-leg latency — which is why FaultInjector
-// enforces delay >= lookahead. A drop never reaches the node in either
-// mode.
+namespace {
+
+Status DroppedRpc(int node) {
+  return Status::Unavailable("rpc to node " + std::to_string(node) +
+                             " dropped (injected)");
+}
+
+Status NodeDown(int node) {
+  return Status::Unavailable("node " + std::to_string(node) + " down");
+}
+
+}  // namespace
+
+// A drop never reaches the node; an injected delay replaces the request
+// leg's latency (see RequestLeg).
 sim::Task<void> Cluster::PutReplica(int node, TenantId tenant, std::string key,
                                     std::string value, TraceContext ctx,
                                     Status* out) {
-  SimDuration request_delay = options_.rpc_latency;
-  if (rpc_faults_ != nullptr) {
-    const RpcFault f = rpc_faults_->OnRpc(tenant, node);
-    if (f.delay > 0) {
-      if (multi_ == nullptr) {
-        co_await sim::SleepFor(loop_, f.delay);
-      } else {
-        request_delay = f.delay;
-      }
-    }
-    if (f.drop) {
-      *out = Status::Unavailable("rpc to node " + std::to_string(node) +
-                                 " dropped (injected)");
-      co_return;
-    }
-  }
-  if (!node_state_[node].alive) {
-    *out = Status::Unavailable("node " + std::to_string(node) + " down");
+  const std::optional<SimDuration> leg = RequestLeg(tenant, node);
+  if (!leg.has_value()) {
+    *out = DroppedRpc(node);
     co_return;
   }
-  *out = co_await NodePut(node, tenant, std::move(key), std::move(value), ctx,
-                          request_delay);
+  if (!node_state_[node].alive) {
+    *out = NodeDown(node);
+    co_return;
+  }
+  *out = co_await OnNode<Status>(node, *leg, &kv::StorageNode::Put,
+                                 nodes_[node].get(), tenant, std::move(key),
+                                 std::move(value), ctx);
 }
 
 sim::Task<void> Cluster::DeleteReplica(int node, TenantId tenant,
                                        std::string key, TraceContext ctx,
                                        Status* out) {
-  SimDuration request_delay = options_.rpc_latency;
-  if (rpc_faults_ != nullptr) {
-    const RpcFault f = rpc_faults_->OnRpc(tenant, node);
-    if (f.delay > 0) {
-      if (multi_ == nullptr) {
-        co_await sim::SleepFor(loop_, f.delay);
-      } else {
-        request_delay = f.delay;
-      }
-    }
-    if (f.drop) {
-      *out = Status::Unavailable("rpc to node " + std::to_string(node) +
-                                 " dropped (injected)");
-      co_return;
-    }
-  }
-  if (!node_state_[node].alive) {
-    *out = Status::Unavailable("node " + std::to_string(node) + " down");
+  const std::optional<SimDuration> leg = RequestLeg(tenant, node);
+  if (!leg.has_value()) {
+    *out = DroppedRpc(node);
     co_return;
   }
-  *out = co_await NodeDelete(node, tenant, std::move(key), ctx, request_delay);
+  if (!node_state_[node].alive) {
+    *out = NodeDown(node);
+    co_return;
+  }
+  *out = co_await OnNode<Status>(node, *leg, &kv::StorageNode::Delete,
+                                 nodes_[node].get(), tenant, std::move(key),
+                                 ctx);
 }
 
 namespace {
@@ -1051,14 +780,9 @@ sim::Task<Status> Cluster::Put(TenantId tenant, std::string key,
   Status result = Status::Unavailable("no live replica for slot " +
                                       std::to_string(slot));
   if (!targets.empty()) {
-    // Parallel mode mints and records the client-request span in the
-    // coordinator's own collector; node collectors are never touched from
-    // this thread.
-    obs::SpanCollector* spans = multi_ != nullptr
-                                    ? client_spans_.get()
-                                    : nodes_[targets[0]]->scheduler().spans();
-    const TraceContext ctx =
-        spans != nullptr ? spans->MintTrace() : TraceContext{};
+    // The client-request span lives in the coordinator's own collector;
+    // node collectors are never touched from this thread.
+    const TraceContext ctx = MintTrace(client_spans_.get());
     const SimTime start = loop_.Now();
     if (targets.size() == 1) {
       co_await PutReplica(targets[0], tenant, key, value, ctx, &result);
@@ -1078,8 +802,8 @@ sim::Task<Status> Cluster::Put(TenantId tenant, std::string key,
         }
       }
     }
-    RecordClientSpan(spans, ctx, AppRequest::kPut, tenant, start, loop_.Now(),
-                     value.size());
+    RecordClientSpan(client_spans_.get(), ctx, AppRequest::kPut, tenant, start,
+                     loop_.Now(), value.size());
   }
   --ss.inflight;
   co_return result;
@@ -1103,11 +827,7 @@ sim::Task<Status> Cluster::Delete(TenantId tenant, std::string key) {
   Status result = Status::Unavailable("no live replica for slot " +
                                       std::to_string(slot));
   if (!targets.empty()) {
-    obs::SpanCollector* spans = multi_ != nullptr
-                                    ? client_spans_.get()
-                                    : nodes_[targets[0]]->scheduler().spans();
-    const TraceContext ctx =
-        spans != nullptr ? spans->MintTrace() : TraceContext{};
+    const TraceContext ctx = MintTrace(client_spans_.get());
     const SimTime start = loop_.Now();
     if (targets.size() == 1) {
       co_await DeleteReplica(targets[0], tenant, key, ctx, &result);
@@ -1126,8 +846,8 @@ sim::Task<Status> Cluster::Delete(TenantId tenant, std::string key) {
         }
       }
     }
-    RecordClientSpan(spans, ctx, AppRequest::kPut, tenant, start, loop_.Now(),
-                     key.size());
+    RecordClientSpan(client_spans_.get(), ctx, AppRequest::kPut, tenant, start,
+                     loop_.Now(), key.size());
   }
   --ss.inflight;
   co_return result;
@@ -1160,31 +880,18 @@ sim::Task<Result<std::string>> Cluster::Get(TenantId tenant, std::string key) {
   Result<std::string> result(Status::Unavailable(
       "no live replica for slot " + std::to_string(slot)));
   for (const int node : order) {
-    SimDuration request_delay = options_.rpc_latency;
-    if (rpc_faults_ != nullptr) {
-      const RpcFault f = rpc_faults_->OnRpc(tenant, node);
-      if (f.delay > 0) {
-        if (multi_ == nullptr) {
-          co_await sim::SleepFor(loop_, f.delay);
-        } else {
-          request_delay = f.delay;
-        }
-      }
-      if (f.drop) {
-        result = Result<std::string>(Status::Unavailable(
-            "rpc to node " + std::to_string(node) + " dropped (injected)"));
-        continue;  // fail over to the next replica
-      }
+    const std::optional<SimDuration> leg = RequestLeg(tenant, node);
+    if (!leg.has_value()) {
+      result = Result<std::string>(DroppedRpc(node));
+      continue;  // fail over to the next replica
     }
-    obs::SpanCollector* spans = multi_ != nullptr
-                                    ? client_spans_.get()
-                                    : nodes_[node]->scheduler().spans();
-    const TraceContext ctx =
-        spans != nullptr ? spans->MintTrace() : TraceContext{};
+    const TraceContext ctx = MintTrace(client_spans_.get());
     const SimTime start = loop_.Now();
-    result = co_await NodeGet(node, tenant, key, ctx, request_delay);
-    RecordClientSpan(spans, ctx, AppRequest::kGet, tenant, start, loop_.Now(),
-                     result.ok() ? result.value().size() : 0);
+    result = co_await OnNode<Result<std::string>>(
+        node, *leg, &kv::StorageNode::Get, nodes_[node].get(), tenant, key,
+        ctx);
+    RecordClientSpan(client_spans_.get(), ctx, AppRequest::kGet, tenant, start,
+                     loop_.Now(), result.ok() ? result.value().size() : 0);
     if (result.status().code() != StatusCode::kUnavailable) {
       if (node != replicas[0]) {
         ++repl_[node].failover_gets;
@@ -1244,35 +951,24 @@ sim::Task<void> Cluster::MultiGetSlotGroup(
   ss.inflight += static_cast<int>(keys.size());
   // One client-request span covers the whole slot group; each member
   // lookup becomes a child span at the node.
-  obs::SpanCollector* spans = multi_ != nullptr
-                                  ? client_spans_.get()
-                                  : nodes_[node]->scheduler().spans();
-  const TraceContext ctx =
-      spans != nullptr ? spans->MintTrace() : TraceContext{};
+  const TraceContext ctx = MintTrace(client_spans_.get());
   const SimTime start = loop_.Now();
-  if (multi_ == nullptr) {
-    sim::TaskGroup group(loop_);
-    for (const auto& [i, key] : keys) {
-      group.Spawn(
-          NodeGetInto(nodes_[node].get(), tenant, key, ctx, &(*out)[i]));
-    }
-    co_await group.Join();
-  } else {
-    // One message carries the whole group; the node fans out on its own
-    // loop and replies with results in key order.
-    std::vector<std::string> group_keys;
-    group_keys.reserve(keys.size());
-    for (const auto& [i, key] : keys) {
-      group_keys.push_back(key);
-    }
-    std::vector<Result<std::string>> results =
-        co_await NodeMultiGet(node, tenant, std::move(group_keys), ctx);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      (*out)[keys[i].first] = std::move(results[i]);
-    }
+  // One message carries the whole group; the node fans the lookups out
+  // concurrently on its own loop and replies with results in key order.
+  std::vector<std::string> group_keys;
+  group_keys.reserve(keys.size());
+  for (const auto& [i, key] : keys) {
+    group_keys.push_back(key);
   }
-  RecordClientSpan(spans, ctx, AppRequest::kGet, tenant, start, loop_.Now(),
-                   keys.size());
+  std::vector<Result<std::string>> results =
+      co_await OnNode<std::vector<Result<std::string>>>(
+          node, options_.rpc_latency, &Cluster::MultiGetOn, this, node,
+          tenant, std::move(group_keys), ctx);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    (*out)[keys[i].first] = std::move(results[i]);
+  }
+  RecordClientSpan(client_spans_.get(), ctx, AppRequest::kGet, tenant, start,
+                   loop_.Now(), keys.size());
   ss.inflight -= static_cast<int>(keys.size());
 }
 
@@ -1283,40 +979,24 @@ sim::Task<void> Cluster::ScanNodeGroup(TenantId tenant, int node,
                                        std::string start, std::string end,
                                        size_t limit,
                                        lsm::LsmDb::ScanResult* out) {
-  SimDuration request_delay = options_.rpc_latency;
-  if (rpc_faults_ != nullptr) {
-    const RpcFault f = rpc_faults_->OnRpc(tenant, node);
-    if (f.delay > 0) {
-      if (multi_ == nullptr) {
-        co_await sim::SleepFor(loop_, f.delay);
-      } else {
-        request_delay = f.delay;
-      }
-    }
-    if (f.drop) {
-      out->status = Status::Unavailable("rpc to node " +
-                                        std::to_string(node) +
-                                        " dropped (injected)");
-      co_return;
-    }
-  }
-  if (!node_state_[node].alive) {
-    out->status =
-        Status::Unavailable("node " + std::to_string(node) + " down");
+  const std::optional<SimDuration> leg = RequestLeg(tenant, node);
+  if (!leg.has_value()) {
+    out->status = DroppedRpc(node);
     co_return;
   }
-  obs::SpanCollector* spans = multi_ != nullptr
-                                  ? client_spans_.get()
-                                  : nodes_[node]->scheduler().spans();
-  const TraceContext ctx =
-      spans != nullptr ? spans->MintTrace() : TraceContext{};
+  if (!node_state_[node].alive) {
+    out->status = NodeDown(node);
+    co_return;
+  }
+  const TraceContext ctx = MintTrace(client_spans_.get());
   const SimTime start_time = loop_.Now();
   // RF>1: the node's partition interleaves follower copies of slots served
   // elsewhere, so a pushed-down limit could truncate before this group's
   // own keys surface; scan unbounded and let the coordinator truncate.
   const size_t node_limit = shard_map_.replication_factor() > 1 ? 0 : limit;
-  *out = co_await NodeScan(node, tenant, std::move(start), std::move(end),
-                           node_limit, ctx, request_delay);
+  *out = co_await OnNode<lsm::LsmDb::ScanResult>(
+      node, *leg, &kv::StorageNode::Scan, nodes_[node].get(), tenant,
+      std::move(start), std::move(end), node_limit, ctx);
   uint64_t bytes = 0;
   if (out->status.ok()) {
     // Keep only the slots this node serves for the scan (SlotOfKey is a
@@ -1333,8 +1013,8 @@ sim::Task<void> Cluster::ScanNodeGroup(TenantId tenant, int node,
     }
     out->entries = std::move(kept);
   }
-  RecordClientSpan(spans, ctx, AppRequest::kScan, tenant, start_time,
-                   loop_.Now(), bytes);
+  RecordClientSpan(client_spans_.get(), ctx, AppRequest::kScan, tenant,
+                   start_time, loop_.Now(), bytes);
 }
 
 sim::Task<Result<ScanEntries>> Cluster::Scan(TenantId tenant,
@@ -1464,43 +1144,40 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
 
   // Best-effort registration; the provisioner assigns it a real share of
   // the global reservation at its next split. (Node-side membership checks
-  // happen on the node's own loop in parallel mode.)
-  if (Status s = NodeEnsureTenant(to_node, tenant); !s.ok()) {
-    co_return s;
-  }
+  // happen on the node's own loop.)
+  NodeEnsureTenant(to_node, tenant);
 
   // Copy every live key of the migrating slot. The drain read and the
   // re-home writes are charged to the tenant as unattributed IO (no app
   // request class), so its GET/PUT profiles are not distorted. Each side
-  // gets a kMigration span — in its own node's collector (serial), or in
-  // the coordinator's client collector (parallel): the source span covers
-  // the scan + tombstoning, the destination span (linked to the source)
-  // covers the copy-in, and all device IO parents under them.
-  obs::SpanCollector* src_spans = multi_ != nullptr
-                                      ? client_spans_.get()
-                                      : nodes_[from]->scheduler().spans();
-  obs::SpanCollector* dst_spans = multi_ != nullptr
-                                      ? client_spans_.get()
-                                      : nodes_[to_node]->scheduler().spans();
+  // gets a kMigration span in the coordinator's client collector: the
+  // source span covers the scan + tombstoning, the destination span
+  // (linked to the source) covers the copy-in, and all device IO parents
+  // under them.
+  obs::SpanCollector* spans = client_spans_.get();
   const TraceContext src_ctx =
-      src_spans != nullptr ? src_spans->MintAlways() : TraceContext{};
+      spans != nullptr ? spans->MintAlways() : TraceContext{};
   const TraceContext dst_ctx =
-      dst_spans != nullptr ? dst_spans->MintAlways() : TraceContext{};
+      spans != nullptr ? spans->MintAlways() : TraceContext{};
   const SimTime copy_start = loop_.Now();
   const iosched::IoTag drain_tag{tenant, AppRequest::kNone,
                                  iosched::InternalOp::kNone, src_ctx};
   const char* const kMissing = "missing partition during migration";
+  // Named locals, not prvalues, for OnNode's by-value arguments (see the
+  // GCC 12 note in cluster.h).
   std::vector<int> slot_vec(1, slot);
-  Result<std::vector<std::pair<std::string, std::string>>> scanned = co_await
-      NodeScanSlots(from, tenant, std::move(slot_vec), drain_tag, kMissing);
+  Result<ScanEntries> scanned = co_await OnNode<Result<ScanEntries>>(
+      from, options_.rpc_latency, &Cluster::ScanSlotsOn, this, from, tenant,
+      std::move(slot_vec), drain_tag, kMissing);
   if (!scanned.ok()) {
     co_return scanned.status();
   }
-  std::vector<std::pair<std::string, std::string>> moving =
-      std::move(scanned.value());
-  const ApplyResult copy_in =
-      co_await NodeApplyOps(to_node, tenant, moving, {}, dst_ctx,
-                            iosched::InternalOp::kNone, kMissing);
+  ScanEntries moving = std::move(scanned.value());
+  std::vector<std::string> no_deletes;
+  const ApplyResult copy_in = co_await OnNode<ApplyResult>(
+      to_node, options_.rpc_latency, &Cluster::ApplyOpsOn, this, to_node,
+      tenant, moving, std::move(no_deletes), dst_ctx,
+      iosched::InternalOp::kNone, kMissing);
   if (!copy_in.status.ok()) {
     co_return copy_in.status;
   }
@@ -1522,14 +1199,16 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
     for (const auto& [k, v] : moving) {
       dead_keys.push_back(k);
     }
-    const ApplyResult tombstoned =
-        co_await NodeApplyOps(from, tenant, {}, std::move(dead_keys), src_ctx,
-                              iosched::InternalOp::kNone, kMissing);
+    ScanEntries no_puts;
+    const ApplyResult tombstoned = co_await OnNode<ApplyResult>(
+        from, options_.rpc_latency, &Cluster::ApplyOpsOn, this, from, tenant,
+        std::move(no_puts), std::move(dead_keys), src_ctx,
+        iosched::InternalOp::kNone, kMissing);
     if (!tombstoned.status.ok()) {
       co_return tombstoned.status;
     }
   }
-  if (src_spans != nullptr) {
+  if (spans != nullptr) {
     obs::SpanRecord rec;
     rec.trace_id = src_ctx.trace_id;
     rec.span_id = src_ctx.span_id;
@@ -1538,20 +1217,13 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
     rec.start_ns = copy_start;
     rec.end_ns = loop_.Now();
     rec.bytes = moved_bytes;
-    src_spans->Record(rec);
-  }
-  if (dst_spans != nullptr) {
-    obs::SpanRecord rec;
+    spans->Record(rec);
+    // The destination's copy-in: a write, linked to the drain it rode.
     rec.trace_id = dst_ctx.trace_id;
     rec.span_id = dst_ctx.span_id;
-    rec.kind = obs::SpanKind::kMigration;
     rec.is_write = 1;
-    rec.tenant = tenant;
-    rec.start_ns = copy_start;
-    rec.end_ns = loop_.Now();
-    rec.bytes = moved_bytes;
-    rec.links.Add(src_ctx);  // the drain this copy rode
-    dst_spans->Record(rec);
+    rec.links.Add(src_ctx);
+    spans->Record(rec);
   }
 
   // GateRelease clears `migrating`; gated requests re-resolve to the new
@@ -1571,18 +1243,15 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
 
 // --- crash fault injection & recovery ---
 
-Status Cluster::ResplitForMembership() {
+void Cluster::ResplitForMembership() {
   for (auto& [tenant, state] : tenants_) {
     const std::map<int, Reservation> split = EvenSplit(tenant, state.global);
     if (split.empty()) {
       // Every hosting node is down; nothing to install until a restart.
       continue;
     }
-    if (Status s = ApplySplit(tenant, split); !s.ok()) {
-      return s;
-    }
+    ApplySplit(tenant, split);
   }
-  return Status::Ok();
 }
 
 Status Cluster::CrashNode(int node) {
@@ -1593,13 +1262,14 @@ Status Cluster::CrashNode(int node) {
     return Status::FailedPrecondition("node " + std::to_string(node) +
                                       " already down");
   }
-  NodeCrash(node);
+  Post(node, [](kv::StorageNode& n) { n.Crash(); });
   node_state_[node].alive = false;
   node_state_[node].syncing = false;
   // Immediately move the dead node's reservation mass to the survivors so
   // no tenant's global reservation is partially stranded on a stopped
   // policy (the exact-sum invariant the provisioner relies on).
-  return ResplitForMembership();
+  ResplitForMembership();
+  return Status::Ok();
 }
 
 sim::Task<Status> Cluster::RestartNode(int node) {
@@ -1610,17 +1280,17 @@ sim::Task<Status> Cluster::RestartNode(int node) {
     co_return Status::FailedPrecondition("node " + std::to_string(node) +
                                          " is not crashed");
   }
-  if (Status s = co_await NodeRestart(node); !s.ok()) {
+  if (Status s = co_await OnNode<Status>(node, options_.rpc_latency,
+                                         &kv::StorageNode::Restart,
+                                         nodes_[node].get());
+      !s.ok()) {
     co_return s;
   }
   node_state_[node].alive = true;
   node_state_[node].syncing = shard_map_.replication_factor() > 1;
   // Back in the write path (and the reservation split) right away; reads
   // prefer synced replicas until catch-up finishes.
-  if (Status s = ResplitForMembership(); !s.ok()) {
-    node_state_[node].syncing = false;
-    co_return s;
-  }
+  ResplitForMembership();
   if (node_state_[node].syncing) {
     const Status caught_up = co_await CatchUpNode(node);
     node_state_[node].syncing = false;
@@ -1708,9 +1378,9 @@ sim::Task<Status> Cluster::CatchUpTenant(TenantId tenant, int node) {
     const iosched::IoTag repl_tag{tenant, AppRequest::kPut,
                                   iosched::InternalOp::kReplicate,
                                   TraceContext{}};
-    Result<std::vector<std::pair<std::string, std::string>>> src_scan =
-        co_await NodeScanSlots(src_node, tenant, slots, repl_tag,
-                               "missing source partition during catch-up");
+    Result<ScanEntries> src_scan = co_await OnNode<Result<ScanEntries>>(
+        src_node, options_.rpc_latency, &Cluster::ScanSlotsOn, this, src_node,
+        tenant, slots, repl_tag, "missing source partition during catch-up");
     if (!src_scan.ok()) {
       NodeRecordReplDone(src_node, tenant);
       NodeRecordReplDone(node, tenant);
@@ -1724,9 +1394,9 @@ sim::Task<Status> Cluster::CatchUpTenant(TenantId tenant, int node) {
     // node was down; sweep anything the source no longer has. The slot
     // filter runs node-side (pure key hash); the authoritative diff runs
     // here against the map we just assembled.
-    Result<std::vector<std::pair<std::string, std::string>>> dst_scan =
-        co_await NodeScanSlots(node, tenant, slots, repl_tag,
-                               "missing partition during catch-up");
+    Result<ScanEntries> dst_scan = co_await OnNode<Result<ScanEntries>>(
+        node, options_.rpc_latency, &Cluster::ScanSlotsOn, this, node, tenant,
+        slots, repl_tag, "missing partition during catch-up");
     std::vector<std::string> stale;
     Status copy = dst_scan.status();
     if (copy.ok()) {
@@ -1735,14 +1405,16 @@ sim::Task<Status> Cluster::CatchUpTenant(TenantId tenant, int node) {
           stale.push_back(std::move(k));
         }
       }
-      std::vector<std::pair<std::string, std::string>> puts;
+      ScanEntries puts;
       puts.reserve(authoritative.size());
       for (const auto& [k, v] : authoritative) {
         puts.emplace_back(k, v);
       }
-      const ApplyResult applied = co_await NodeApplyOps(
-          node, tenant, std::move(puts), std::move(stale), TraceContext{},
-          iosched::InternalOp::kReplicate, "missing partition during catch-up");
+      const ApplyResult applied = co_await OnNode<ApplyResult>(
+          node, options_.rpc_latency, &Cluster::ApplyOpsOn, this, node, tenant,
+          std::move(puts), std::move(stale), TraceContext{},
+          iosched::InternalOp::kReplicate,
+          "missing partition during catch-up");
       repl_[node].catchup_keys += applied.puts_applied;
       repl_[node].catchup_bytes += applied.put_value_bytes;
       copy = applied.status;

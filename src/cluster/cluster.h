@@ -3,9 +3,10 @@
 // The paper positions Libra as the bottom half of a two-tier system (§1,
 // Fig. 1): a system-wide policy such as Pisces partitions each tenant's
 // global reservation into per-node local reservations, and Libra makes each
-// node's share achievable. Cluster is that tier: it owns N StorageNodes on
-// one EventLoop, shards each tenant's keyspace across nodes by consistent
-// hashing (ShardMap), and runs a GlobalProvisioner that periodically
+// node's share achievable. Cluster is that tier: it owns N StorageNodes,
+// each on its own loop of a sim::MultiLoop with cross-node RPCs as
+// latency-bearing messages, shards each tenant's keyspace across nodes by
+// consistent hashing (ShardMap), and runs a GlobalProvisioner that periodically
 // re-splits every tenant's global app-request reservation in proportion to
 // observed per-node demand, with hysteresis, node-level admission control,
 // and shard migration off persistently overbooked nodes.
@@ -23,6 +24,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,12 +129,11 @@ struct ClusterOptions {
   // which is O(tenants^2) across a mega-scale setup phase; consolidation
   // experiments that only study steady-state scheduling turn it off.
   bool admission_enabled = true;
-  // One-way cross-node RPC latency. 0 (default) keeps the historical
-  // instantaneous-RPC behavior and is required with the single-EventLoop
-  // constructor; the parallel (MultiLoop) constructor requires it positive
-  // and >= the engine's lookahead, since it bounds every cross-node message
-  // delay the conservative synchronization relies on.
-  SimDuration rpc_latency = 0;
+  // One-way cross-node RPC latency: the delay of every request and
+  // response message between the coordinator and a node's loop. Must be
+  // positive and >= the engine's lookahead, since it bounds every
+  // cross-node message delay the conservative synchronization relies on.
+  SimDuration rpc_latency = 50 * kMicrosecond;
   // Group MultiGet fan-out by shard slot: same-slot keys share one routing
   // gate (one AwaitRoutable instead of one per key) and are issued to the
   // home node as one batch whose lookups still proceed concurrently. Off by
@@ -193,16 +194,12 @@ std::string ClusterStatsToJson(const ClusterStats& stats);
 
 class Cluster {
  public:
-  // Serial cluster: every node shares `loop` and cross-node calls are
-  // direct (options.rpc_latency must be 0) — the historical engine.
-  Cluster(sim::EventLoop& loop, ClusterOptions options);
-
-  // Parallel cluster: `engine` must have options.num_nodes + 1 loops — loop
-  // 0 runs clients, routing, the provisioner, and fault schedules; loop
-  // i + 1 runs node i. Every cross-node interaction becomes a MultiLoop
-  // message with options.rpc_latency as the request/response leg, so
-  // options.rpc_latency must be positive and >= engine.lookahead(). Output
-  // is byte-identical across engine thread counts.
+  // `engine` must have options.num_nodes + 1 loops — loop 0 runs clients,
+  // routing, the provisioner, and fault schedules; loop i + 1 runs node i.
+  // Every cross-node interaction is a MultiLoop message with
+  // options.rpc_latency as the request/response leg, so options.rpc_latency
+  // must be positive and >= engine.lookahead(). Output is byte-identical
+  // across engine thread counts.
   Cluster(sim::MultiLoop& engine, ClusterOptions options);
 
   ~Cluster();
@@ -275,8 +272,8 @@ class Cluster {
     rpc_faults_ = injector;
   }
 
-  // Synchronous GC pause on one node's device, routed through the node's
-  // own loop in parallel mode (FaultInjector::InjectGcStall forwards here).
+  // GC pause on one node's device, delivered to the node's own loop
+  // (FaultInjector::InjectGcStall forwards here).
   void InjectGcStall(int node, SimDuration stall);
 
   // --- introspection ---
@@ -284,18 +281,14 @@ class Cluster {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   kv::StorageNode& node(int i) { return *nodes_[i]; }
   const ShardMap& shard_map() const { return shard_map_; }
-  // Parallel-engine introspection. In parallel mode, reading node state
-  // (node(i), Snapshot, GlobalNormalizedTotal) is only safe while the
-  // engine is quiesced: before RunUntil/Run, after it returns, or inside a
-  // MultiLoop barrier hook.
-  bool parallel() const { return multi_ != nullptr; }
-  sim::MultiLoop* multi_loop() { return multi_; }
-  SimDuration lookahead() const {
-    return multi_ != nullptr ? multi_->lookahead() : 0;
-  }
-  // Coordinator-side collector for client-request and migration spans in
-  // parallel mode (nullptr in serial mode, where those spans land in the
-  // home node's collector, and when tracing is off).
+  // Engine introspection. Reading node state (node(i), Snapshot,
+  // GlobalNormalizedTotal) is only safe while the engine is quiesced:
+  // before RunUntil/Run, after it returns, or inside a MultiLoop barrier
+  // hook.
+  sim::MultiLoop& engine() { return engine_; }
+  SimDuration lookahead() const { return engine_.lookahead(); }
+  // Coordinator-side collector for client-request and migration spans
+  // (nullptr when tracing is off).
   const obs::SpanCollector* client_spans() const {
     return client_spans_.get();
   }
@@ -377,71 +370,59 @@ class Cluster {
 
   // --- cross-node seam ---
   //
-  // Every interaction with a StorageNode funnels through these. Serial
-  // mode: a direct call on the shared loop, byte-identical to the
-  // historical inlined paths. Parallel mode: a MultiLoop message carrying
-  // the arguments to the node's loop (request leg `request_delay`, response
-  // leg rpc_latency), where a detached server coroutine performs the
-  // operation; the reply message completes a OneShot on the coordinator
-  // loop. `request_delay` lets an injected RPC delay replace the request
-  // leg (which is why FaultInjector delays must stay >= the lookahead).
+  // Every interaction with a StorageNode is a MultiLoop message to the
+  // node's own loop, in one of two forms:
+  //  - OnNode (request/response): the request leg takes `request_delay`
+  //    (the RPC latency, or an injected fault delay that replaces it —
+  //    which is why FaultInjector delays must stay >= the lookahead); the
+  //    node-side coroutine std::invoke(fn, args...) then runs detached on
+  //    the node's loop, and its Task<T> result rides the response leg
+  //    (rpc_latency) back to a OneShot on the coordinator loop.
+  //  - Post (fire-and-forget): `fn(node)` runs on the node's loop after
+  //    rpc_latency. Control-plane steps use it, so membership and
+  //    registration checks read node state only on the node's own loop.
+  // Per-channel FIFO at equal delays means control messages (tenant
+  // install, crash) are never overtaken by requests sent after them.
+  //
+  // OnNode carries request state as `args` (by value, moved along each
+  // hop) rather than as lambda captures: GCC 12 relocates a temporary
+  // closure that lives across a co_await with a bitwise copy, which breaks
+  // captured std::strings.
 
   int NodeLoopIndex(int node) const { return node + 1; }
 
-  sim::Task<Status> NodePut(int node, iosched::TenantId tenant,
-                            std::string key, std::string value,
-                            TraceContext ctx, SimDuration request_delay);
-  sim::Task<Status> NodeDelete(int node, iosched::TenantId tenant,
-                               std::string key, TraceContext ctx,
-                               SimDuration request_delay);
-  sim::Task<Result<std::string>> NodeGet(int node, iosched::TenantId tenant,
-                                         std::string key, TraceContext ctx,
-                                         SimDuration request_delay);
-  sim::Task<void> PutServer(int node, iosched::TenantId tenant,
-                            std::string key, std::string value,
-                            TraceContext ctx, sim::OneShot<Status>* done);
-  sim::Task<void> DeleteServer(int node, iosched::TenantId tenant,
-                               std::string key, TraceContext ctx,
-                               sim::OneShot<Status>* done);
-  sim::Task<void> GetServer(int node, iosched::TenantId tenant,
-                            std::string key, TraceContext ctx,
-                            sim::OneShot<Result<std::string>>* done);
+  template <typename T, typename Fn, typename... Args>
+  sim::Task<T> OnNode(int node, SimDuration request_delay, Fn fn,
+                      Args... args);
+  // The node-side half of OnNode: owns `args` (which the node task may
+  // reference) until that task completes, then replies.
+  template <typename T, typename Fn, typename... Args>
+  sim::Task<void> Serve(int node, sim::OneShot<T>* done, Fn fn,
+                        Args... args);
+  template <typename Fn>
+  void Post(int node, Fn fn);
 
-  // Batched slot-group lookup: one message carries the whole key group; the
-  // node fans the lookups out concurrently on its own loop and replies with
-  // the results in key order.
-  sim::Task<std::vector<Result<std::string>>> NodeMultiGet(
+  // Consults the RPC fault hook for one routed call to `node`: the
+  // request-leg delay (an injected delay replaces rpc_latency), or nullopt
+  // when the call is dropped and never reaches the node.
+  std::optional<SimDuration> RequestLeg(iosched::TenantId tenant, int node);
+
+  // Node-side bodies run through OnNode on the node's loop.
+
+  // Batched slot-group lookup: fans the keys out concurrently; results in
+  // key order.
+  sim::Task<std::vector<Result<std::string>>> MultiGetOn(
       int node, iosched::TenantId tenant, std::vector<std::string> keys,
       TraceContext ctx);
-  sim::Task<void> MultiGetServer(
-      int node, iosched::TenantId tenant, std::vector<std::string> keys,
-      TraceContext ctx,
-      sim::OneShot<std::vector<Result<std::string>>>* done);
 
-  // Node-level range scan (StorageNode::Scan behind the seam): one request
-  // message per node touched; the reply carries the node's whole run.
-  sim::Task<lsm::LsmDb::ScanResult> NodeScan(int node,
-                                             iosched::TenantId tenant,
-                                             std::string start,
-                                             std::string end, size_t limit,
-                                             TraceContext ctx,
-                                             SimDuration request_delay);
-  sim::Task<void> ScanServer(int node, iosched::TenantId tenant,
-                             std::string start, std::string end, size_t limit,
-                             TraceContext ctx,
-                             sim::OneShot<lsm::LsmDb::ScanResult>* done);
-
-  // Copy-stream primitives shared by migration and catch-up. ScanSlots
+  // Copy-stream primitives shared by migration and catch-up. ScanSlotsOn
   // reads every live key whose shard slot is in `slots`, in user-key order;
   // `missing_msg` is the kInternal message when the partition is absent.
-  sim::Task<Result<std::vector<std::pair<std::string, std::string>>>>
-  NodeScanSlots(int node, iosched::TenantId tenant, std::vector<int> slots,
-                iosched::IoTag tag, const char* missing_msg);
-  sim::Task<void> ScanSlotsServer(
-      int node, iosched::TenantId tenant, std::vector<int> slots,
-      iosched::IoTag tag, const char* missing_msg,
-      sim::OneShot<Result<std::vector<std::pair<std::string, std::string>>>>*
-          done);
+  sim::Task<Result<ScanEntries>> ScanSlotsOn(int node,
+                                             iosched::TenantId tenant,
+                                             std::vector<int> slots,
+                                             iosched::IoTag tag,
+                                             const char* missing_msg);
 
   // Applies `puts` then `deletes` sequentially on the node's partition,
   // stopping at the first error; counts cover the successful prefix.
@@ -452,38 +433,25 @@ class Cluster {
     uint64_t put_value_bytes = 0;
     uint64_t deletes_applied = 0;
   };
-  sim::Task<ApplyResult> NodeApplyOps(
+  sim::Task<ApplyResult> ApplyOpsOn(
       int node, iosched::TenantId tenant,
       std::vector<std::pair<std::string, std::string>> puts,
       std::vector<std::string> deletes, TraceContext ctx,
       iosched::InternalOp op, const char* missing_msg);
-  sim::Task<void> ApplyOpsServer(
-      int node, iosched::TenantId tenant,
-      std::vector<std::pair<std::string, std::string>> puts,
-      std::vector<std::string> deletes, TraceContext ctx,
-      iosched::InternalOp op, const char* missing_msg,
-      sim::OneShot<ApplyResult>* done);
 
-  // One-way control-plane seams (no reply; the node-side closure performs
-  // the membership/registration checks so no node state is read
-  // cross-thread).
-  Status NodeEnsureTenant(int node, iosched::TenantId tenant);
-  // Serial mode propagates the node's status; parallel mode is
-  // fire-and-forget (the shares were validated at admission) and returns
-  // Ok.
-  Status NodeInstallReservation(int node, iosched::TenantId tenant,
-                                iosched::Reservation share);
-  Status NodeZeroReservation(int node, iosched::TenantId tenant);
+  // Control-plane seams (Post): registration and reservation installs are
+  // fire-and-forget — the shares were validated at admission.
+  void NodeEnsureTenant(int node, iosched::TenantId tenant);
+  void NodeInstallReservation(int node, iosched::TenantId tenant,
+                              iosched::Reservation share);
+  void NodeZeroReservation(int node, iosched::TenantId tenant);
   void NodeRecordReplTrigger(int node, iosched::TenantId tenant);
   void NodeRecordReplDone(int node, iosched::TenantId tenant);
-  void NodeCrash(int node);
-  sim::Task<Status> NodeRestart(int node);
-  sim::Task<void> RestartServer(int node, sim::OneShot<Status>* done);
 
   // Re-splits every tenant's global reservation over the currently-alive
   // hosting nodes (no admission check: lost capacity must not strand
   // reservation mass).
-  Status ResplitForMembership();
+  void ResplitForMembership();
 
   // RF>1 catch-up after RestartNode: re-replicates every slot `node` hosts
   // from a surviving replica (see RestartNode).
@@ -511,15 +479,11 @@ class Cluster {
                         const std::map<int, iosched::Reservation>& split) const;
   // Installs a split on the nodes (registering the tenant where missing)
   // and remembers it as the tenant's current split.
-  Status ApplySplit(iosched::TenantId tenant,
-                    const std::map<int, iosched::Reservation>& split);
+  void ApplySplit(iosched::TenantId tenant,
+                  const std::map<int, iosched::Reservation>& split);
 
-  // Shared constructor tail: node creation (on per-node loops when
-  // `engine` is set), span-id namespacing, provisioner.
-  void Init(sim::MultiLoop* engine);
-
-  sim::EventLoop& loop_;
-  sim::MultiLoop* multi_ = nullptr;
+  sim::MultiLoop& engine_;
+  sim::EventLoop& loop_;  // the coordinator: engine_.loop(0)
   ClusterOptions options_;
   ShardMap shard_map_;
   std::vector<std::unique_ptr<kv::StorageNode>> nodes_;
@@ -555,10 +519,10 @@ class Cluster {
   };
   std::vector<ReplTelemetry> repl_;
   RpcFaultInjector* rpc_faults_ = nullptr;
-  // Parallel mode only: client-request and migration spans are recorded
-  // here (coordinator loop) instead of the home node's collector, so no
-  // collector is ever touched from two threads. Ids are namespaced with
-  // seed num_nodes + 1 (nodes use 1..num_nodes).
+  // Client-request and migration spans are recorded here (coordinator
+  // loop) instead of a node's collector, so no collector is ever touched
+  // from two threads. Ids are namespaced with seed num_nodes + 1 (nodes use
+  // 1..num_nodes).
   std::unique_ptr<obs::SpanCollector> client_spans_;
   obs::RebalanceLog rebalance_log_;
   int active_migrations_ = 0;  // MigrateShard calls currently draining/copying

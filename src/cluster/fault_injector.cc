@@ -17,13 +17,13 @@ sim::Task<void> RunRestart(Cluster* cluster, int node) {
 
 Status CheckFaultDelayFloor(const FaultInjectorOptions& options,
                             SimDuration lookahead) {
-  if (lookahead <= 0 || options.rpc_delay_rate <= 0.0) {
+  if (options.rpc_delay_rate <= 0.0) {
     return Status::Ok();
   }
   if (options.rpc_delay_min < lookahead) {
     return Status::InvalidArgument(
         "rpc_delay_min " + std::to_string(options.rpc_delay_min) +
-        "ns is below the parallel engine's conservative lookahead " +
+        "ns is below the engine's conservative lookahead " +
         std::to_string(lookahead) +
         "ns: an injected delay replaces the request leg's cross-node "
         "latency, so a shorter draw could deliver into an epoch that "

@@ -33,19 +33,19 @@ struct FaultInjectorOptions {
   // a fault-free run is byte-identical to one without an injector).
   double rpc_drop_rate = 0.0;
   double rpc_delay_rate = 0.0;
-  // On a parallel cluster an injected delay REPLACES the request leg's
-  // cross-node latency, so rpc_delay_min must be at least the engine's
-  // conservative lookahead (see CheckFaultDelayFloor).
+  // An injected delay REPLACES the request leg's cross-node latency, so
+  // rpc_delay_min must be at least the engine's conservative lookahead
+  // (see CheckFaultDelayFloor).
   SimDuration rpc_delay_min = 100 * kMicrosecond;
   SimDuration rpc_delay_max = 2 * kMillisecond;
 };
 
-// Validates a fault configuration against a parallel engine's conservative
+// Validates a fault configuration against the engine's conservative
 // lookahead. An injected RPC delay replaces the request leg's cross-node
 // latency, so every possible draw must stay at or above the lookahead —
 // otherwise the delayed message could land inside an epoch that already
 // ran and silently diverge from the single-threaded schedule. Returns Ok
-// for serial engines (lookahead <= 0) or configs that never inject delays.
+// for configs that never inject delays.
 Status CheckFaultDelayFloor(const FaultInjectorOptions& options,
                             SimDuration lookahead);
 

@@ -41,46 +41,25 @@ void GlobalProvisioner::Start() {
     return;
   }
   running_ = true;
-  if (sim::MultiLoop* multi = cluster_.multi_loop(); multi != nullptr) {
-    // Parallel engine: the interval step reads every node's tracker and
-    // audit log, which is only safe with all node loops quiesced — so the
-    // timer is a re-arming barrier hook instead of a loop event. A stale
-    // hook after Stop() fires once as a no-op (hooks cannot be cancelled).
-    auto rearm = [this, multi](auto&& self) -> void {
-      multi->ScheduleBarrierAt(multi->Now() + options_.interval,
-                               [this, multi, self] {
-                                 if (!running_) {
-                                   return;
-                                 }
-                                 RunIntervalStep();
-                                 self(self);
-                               });
-    };
-    rearm(rearm);
-    return;
-  }
-  auto reschedule = [this](auto&& self) -> void {
-    pending_event_ = loop_.ScheduleAfter(options_.interval, [this, self] {
-      if (!running_) {
-        return;
-      }
-      RunIntervalStep();
-      self(self);
-    });
+  // The interval step reads every node's tracker and audit log, which is
+  // only safe with all node loops quiesced — so the timer is a re-arming
+  // barrier hook instead of a loop event. A stale hook after Stop() fires
+  // once as a no-op (hooks cannot be cancelled).
+  sim::MultiLoop* engine = &cluster_.engine();
+  auto rearm = [this, engine](auto&& self) -> void {
+    engine->ScheduleBarrierAt(engine->Now() + options_.interval,
+                              [this, engine, self] {
+                                if (!running_) {
+                                  return;
+                                }
+                                RunIntervalStep();
+                                self(self);
+                              });
   };
-  reschedule(reschedule);
+  rearm(rearm);
 }
 
-void GlobalProvisioner::Stop() {
-  if (!running_) {
-    return;
-  }
-  running_ = false;
-  if (pending_event_ != 0) {
-    loop_.Cancel(pending_event_);
-    pending_event_ = 0;
-  }
-}
+void GlobalProvisioner::Stop() { running_ = false; }
 
 void GlobalProvisioner::RunIntervalStep() {
   const SimTime now = loop_.Now();
@@ -239,9 +218,7 @@ void GlobalProvisioner::ResplitTenant(iosched::TenantId tenant) {
     return;
   }
 
-  if (!cluster_.ApplySplit(tenant, split).ok()) {
-    return;
-  }
+  cluster_.ApplySplit(tenant, split);
   ++splits_applied_;
 
   obs::RebalanceRecord rec;

@@ -34,9 +34,9 @@ class GlobalProvisioner {
   GlobalProvisioner(const GlobalProvisioner&) = delete;
   GlobalProvisioner& operator=(const GlobalProvisioner&) = delete;
 
-  // Periodic re-splitting. Like ResourcePolicy, a started provisioner keeps
-  // one timer pending; drive the loop with RunUntil/RunFor and Stop()
-  // before a draining Run().
+  // Periodic re-splitting. A started provisioner keeps one engine barrier
+  // hook pending; drive the engine with RunUntil and Stop() before a
+  // draining Run().
   void Start();
   void Stop();
 
@@ -88,7 +88,6 @@ class GlobalProvisioner {
   std::vector<int> overbooked_streak_;
   // Audit records already inspected per node (total_appended watermark).
   std::vector<uint64_t> audit_seen_;
-  sim::EventLoop::EventId pending_event_ = 0;
   bool running_ = false;
   SimTime last_step_time_ = -1;  // demand deltas need the elapsed interval
   uint64_t splits_applied_ = 0;

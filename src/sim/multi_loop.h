@@ -76,8 +76,8 @@ class MultiLoop {
   // Checks a cross-loop delay against the lookahead floor. Callers that
   // accept latencies from configuration should validate with this before
   // sending; Send() aborts on violation (a delay below the lookahead would
-  // deliver into an epoch that already ran, silently diverging from the
-  // serial engine).
+  // deliver into an epoch that already ran, silently diverging from a
+  // single-loop run).
   Status CheckDelay(SimDuration delay) const;
 
   // Schedules `cb` to run on loop `to` at loop(from).Now() + delay. May be

@@ -101,7 +101,8 @@ class Ftl {
     return static_cast<int>(block / blocks_per_die_);
   }
 
-  const DeviceProfile& profile_;
+  // By value: callers may construct an Ftl from a temporary profile.
+  const DeviceProfile profile_;
   uint64_t logical_pages_;
   uint32_t total_blocks_;
   uint32_t blocks_per_die_;

@@ -14,6 +14,7 @@
 #include "src/cluster/fault_injector.h"
 #include "src/cluster/global_provisioner.h"
 #include "src/sim/sync.h"
+#include "tests/cluster/cluster_rig.h"
 
 namespace libra::cluster {
 namespace {
@@ -21,45 +22,13 @@ namespace {
 using iosched::Reservation;
 using iosched::TenantId;
 
-ssd::CalibrationTable TestTable() {
-  ssd::CalibrationTable t;
-  t.sizes_kb = {1, 2, 4, 8, 16, 32, 64, 128, 256};
-  t.rand_read_iops = {38000, 36000, 33000, 28000, 16500, 8200, 4100, 2050, 1025};
-  t.rand_write_iops = {13500, 13500, 13400, 10400, 8100, 4000, 2000, 1000, 610};
-  t.seq_read_iops = t.rand_read_iops;
-  t.seq_write_iops = t.rand_write_iops;
-  return t;
-}
-
-ClusterOptions TestOptions(int nodes = 4, int rf = 2) {
-  ClusterOptions opt;
-  opt.num_nodes = nodes;
-  opt.replication_factor = rf;
-  opt.node_options.calibration = TestTable();
-  opt.node_options.lsm_options.write_buffer_bytes = 256 * 1024;
-  opt.node_options.lsm_options.max_bytes_level1 = 1 * kMiB;
-  opt.node_options.prefill_bytes = 64 * kMiB;
-  return opt;
-}
-
-struct ClusterRig {
-  sim::EventLoop loop;
-  Cluster cl;
-
-  explicit ClusterRig(ClusterOptions opt) : cl(loop, std::move(opt)) {}
-
-  void RunTask(sim::Task<void> t) {
-    sim::Detach(std::move(t));
-    loop.Run();
-  }
-};
-
 std::string Key(int i) { return "k" + std::to_string(i); }
 std::string Val(int i) { return "v" + std::to_string(i); }
 
 // Sum of `tenant`'s local reservations across currently-alive nodes. Dead
 // nodes are excluded: their policies keep the stale pre-crash share, which
 // is exactly the mass the re-split must have moved onto the survivors.
+// Read with the engine settled, so every install has landed.
 Reservation SumAliveReservations(Cluster& cl, TenantId tenant) {
   Reservation sum;
   for (int n = 0; n < cl.num_nodes(); ++n) {
@@ -134,7 +103,10 @@ TEST(ReplicationTest, AckedWritesSurviveLeaderCrash) {
       EXPECT_TRUE(r.ok()) << Key(i);
       EXPECT_EQ(r.value(), Val(i));
     }
+  }());
 
+  const int victim = rig.cl.shard_map().NodeOfKey(1, Key(0));
+  {
     const ClusterStats stats = rig.cl.Snapshot();
     EXPECT_FALSE(stats.nodes[victim].replication.alive);
     uint64_t fanout = 0;
@@ -152,7 +124,7 @@ TEST(ReplicationTest, AckedWritesSurviveLeaderCrash) {
     EXPECT_GT(failover, 0u);  // k0's reads were served by a follower
     EXPECT_EQ(leader_slots, rig.cl.shard_map().shards_per_tenant());
     EXPECT_EQ(follower_slots, rig.cl.shard_map().shards_per_tenant());
-  }());
+  }
 }
 
 TEST(RecoveryTest, RestartReplaysWalAndCatchesUp) {
@@ -174,35 +146,37 @@ TEST(RecoveryTest, RestartReplaysWalAndCatchesUp) {
     EXPECT_TRUE(rig.cl.NodeAlive(victim));
     EXPECT_FALSE(rig.cl.NodeSyncing(victim));
 
-    // The victim's own copy now holds writes it missed while down: read
-    // directly from the node (bypassing cluster failover) for every missed
-    // key whose replica set includes the victim.
-    int checked = 0;
-    for (int i = 100; i < 132; ++i) {
-      const int slot = rig.cl.shard_map().SlotOfKey(Key(i));
-      const std::vector<int> replicas = rig.cl.shard_map().ReplicasOf(1, slot);
-      bool hosts = false;
-      for (int r : replicas) {
-        hosts |= (r == victim);
-      }
-      if (!hosts) {
-        continue;
-      }
-      const Result<std::string> r =
-          co_await rig.cl.node(victim).Get(1, Key(i));
-      EXPECT_TRUE(r.ok()) << Key(i) << ": " << r.status().ToString();
-      EXPECT_EQ(r.value(), Val(i));
-      ++checked;
-    }
-    EXPECT_GT(checked, 0);
-
-    // And the cluster as a whole lost nothing.
+    // The cluster as a whole lost nothing.
     for (int i = 0; i < 32; ++i) {
       const Result<std::string> r = co_await tenant.Get(Key(i));
       EXPECT_TRUE(r.ok()) << Key(i);
       EXPECT_EQ(r.value(), Val(i));
     }
+  }());
 
+  // The victim's own copy now holds writes it missed while down: read
+  // directly from the node (bypassing cluster failover) for every missed
+  // key whose replica set includes the victim.
+  const int victim = rig.cl.shard_map().NodeOfKey(1, Key(0));
+  int checked = 0;
+  for (int i = 100; i < 132; ++i) {
+    const int slot = rig.cl.shard_map().SlotOfKey(Key(i));
+    const std::vector<int> replicas = rig.cl.shard_map().ReplicasOf(1, slot);
+    bool hosts = false;
+    for (int r : replicas) {
+      hosts |= (r == victim);
+    }
+    if (!hosts) {
+      continue;
+    }
+    const Result<std::string> r = ReadOnNode(rig, victim, 1, Key(i));
+    EXPECT_TRUE(r.ok()) << Key(i) << ": " << r.status().ToString();
+    EXPECT_EQ(r.ok() ? r.value() : "", Val(i));
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
+
+  {
     const ClusterStats stats = rig.cl.Snapshot();
     const kv::NodeStats& vs = stats.nodes[victim];
     EXPECT_EQ(vs.recovery.crashes, 1u);
@@ -217,7 +191,7 @@ TEST(RecoveryTest, RestartReplaysWalAndCatchesUp) {
     EXPECT_GT(vs.replication.catchup_bytes, 0u);
     EXPECT_EQ(vs.replication.catchup_lag_slots, 0);
     EXPECT_GT(vs.recovery.rereplication_vops, 0.0);
-  }());
+  }
 }
 
 TEST(RecoveryTest, Rf1RestartRecoversTheWalTail) {
@@ -244,12 +218,12 @@ TEST(RecoveryTest, Rf1RestartRecoversTheWalTail) {
       EXPECT_TRUE(r.ok()) << Key(i) << ": " << r.status().ToString();
       EXPECT_EQ(r.value(), Val(i));
     }
-    const kv::NodeStats stats = rig.cl.node(0).Snapshot();
-    EXPECT_EQ(stats.recovery.crashes, 1u);
-    EXPECT_EQ(stats.recovery.restarts, 1u);
-    EXPECT_EQ(stats.recovery.replay_records, 16u);
-    EXPECT_GT(stats.recovery.replay_bytes, 0u);
   }());
+  const kv::NodeStats stats = rig.cl.node(0).Snapshot();
+  EXPECT_EQ(stats.recovery.crashes, 1u);
+  EXPECT_EQ(stats.recovery.restarts, 1u);
+  EXPECT_EQ(stats.recovery.replay_records, 16u);
+  EXPECT_GT(stats.recovery.replay_bytes, 0u);
 }
 
 TEST(RecoveryTest, CrashingACrashedNodeFails) {
@@ -272,21 +246,21 @@ TEST(RetryTest, BackoffRidesThroughCrashAndRestart) {
   ClusterRig rig(opt);
   TenantHandle tenant =
       rig.cl.AddTenant(1, GlobalReservation{100.0, 100.0}).value();
-  FaultInjector inj(rig.loop, rig.cl, FaultInjectorOptions{});
+  FaultInjector inj(rig.loop(), rig.cl, FaultInjectorOptions{});
   rig.RunTask([&]() -> sim::Task<void> {
     EXPECT_TRUE((co_await tenant.Put(Key(0), Val(0))).ok());
-    const SimTime crash_at = rig.loop.Now() + 1 * kMillisecond;
-    const SimTime restart_at = rig.loop.Now() + 60 * kMillisecond;
+    const SimTime crash_at = rig.loop().Now() + 1 * kMillisecond;
+    const SimTime restart_at = rig.loop().Now() + 60 * kMillisecond;
     inj.ScheduleCrash(0, crash_at);
     inj.ScheduleRestart(0, restart_at);
-    co_await sim::SleepFor(rig.loop, 5 * kMillisecond);
+    co_await sim::SleepFor(rig.loop(), 5 * kMillisecond);
     EXPECT_FALSE(rig.cl.NodeAlive(0));
     // The read arrives while the node is down; exponential backoff keeps
     // it alive until the scheduled restart brings the node back.
     const Result<std::string> r = co_await tenant.Get(Key(0));
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r.value(), Val(0));
-    EXPECT_GE(rig.loop.Now(), restart_at);
+    EXPECT_GE(rig.loop().Now(), restart_at);
   }());
   EXPECT_EQ(inj.crashes_injected(), 1u);
   EXPECT_EQ(inj.restarts_injected(), 1u);
@@ -302,18 +276,18 @@ TEST(RetryTest, DeadlineExceededInsteadOfHanging) {
       rig.cl.AddTenant(1, GlobalReservation{100.0, 100.0}).value();
   EXPECT_TRUE(rig.cl.CrashNode(0).ok());
   rig.RunTask([&]() -> sim::Task<void> {
-    const SimTime start = rig.loop.Now();
+    const SimTime start = rig.loop().Now();
     const Result<std::string> r = co_await tenant.Get(Key(0));
     EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
         << r.status().ToString();
-    const SimDuration elapsed = rig.loop.Now() - start;
+    const SimDuration elapsed = rig.loop().Now() - start;
     EXPECT_GE(elapsed, opt.retry.deadline);
     EXPECT_LE(elapsed, opt.retry.deadline + 10 * kMillisecond);
 
-    const SimTime put_start = rig.loop.Now();
+    const SimTime put_start = rig.loop().Now();
     EXPECT_EQ((co_await tenant.Put(Key(0), "new")).code(),
               StatusCode::kDeadlineExceeded);
-    EXPECT_LE(rig.loop.Now() - put_start,
+    EXPECT_LE(rig.loop().Now() - put_start,
               opt.retry.deadline + 10 * kMillisecond);
   }());
 }
@@ -327,14 +301,14 @@ TEST(RetryTest, ExhaustionSurfacesTheLastUnderlyingError) {
       rig.cl.AddTenant(1, GlobalReservation{100.0, 100.0}).value();
   EXPECT_TRUE(rig.cl.CrashNode(0).ok());
   rig.RunTask([&]() -> sim::Task<void> {
-    const SimTime start = rig.loop.Now();
+    const SimTime start = rig.loop().Now();
     const Result<std::string> r = co_await tenant.Get(Key(0));
     // Not kDeadlineExceeded: with no deadline set, running out of retries
     // surfaces what the last attempt actually saw.
     EXPECT_EQ(r.status().code(), StatusCode::kUnavailable)
         << r.status().ToString();
     // Three backoffs happened: 1 + 2 + 4 ms.
-    EXPECT_GE(rig.loop.Now() - start, 7 * kMillisecond);
+    EXPECT_GE(rig.loop().Now() - start, 7 * kMillisecond);
   }());
 }
 
@@ -346,11 +320,11 @@ TEST(RetryTest, NonRetryableErrorsAreNotRetried) {
   TenantHandle tenant =
       rig.cl.AddTenant(1, GlobalReservation{100.0, 100.0}).value();
   rig.RunTask([&]() -> sim::Task<void> {
-    const SimTime start = rig.loop.Now();
+    const SimTime start = rig.loop().Now();
     const Result<std::string> r = co_await tenant.Get("never-written");
     EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
     // A kNotFound is a real answer: no backoff sleeps were taken.
-    EXPECT_LT(rig.loop.Now() - start, 10 * kMillisecond);
+    EXPECT_LT(rig.loop().Now() - start, 10 * kMillisecond);
   }());
 }
 
@@ -360,11 +334,13 @@ TEST(MembershipTest, ReservationMassConservedAcrossCrashAndRestart) {
   const GlobalReservation g2{300.0, 100.0};
   EXPECT_TRUE(rig.cl.AddTenant(1, g1).ok());
   EXPECT_TRUE(rig.cl.AddTenant(2, g2).ok());
+  rig.Settle();
   ExpectSumMatchesGlobal(rig.cl, 1, g1);
   ExpectSumMatchesGlobal(rig.cl, 2, g2);
 
   // Crash: the dead node's share must move to survivors, exactly.
   EXPECT_TRUE(rig.cl.CrashNode(2).ok());
+  rig.Settle();
   ExpectSumMatchesGlobal(rig.cl, 1, g1);
   ExpectSumMatchesGlobal(rig.cl, 2, g2);
 
@@ -389,8 +365,9 @@ TEST(MembershipTest, ProvisionerKeepsExactSumWhileNodeIsDown) {
   // Demand-driven re-splits while a node is down must never route
   // reservation mass back onto it or strand any on the survivors.
   for (int i = 0; i < 3; ++i) {
-    rig.loop.RunUntil(rig.loop.Now() + kSecond);
+    rig.ml.RunUntil(rig.loop().Now() + kSecond);
     prov.RunIntervalStep();
+    rig.Settle();
     ExpectSumMatchesGlobal(rig.cl, 1, g1);
     EXPECT_FALSE(rig.cl.NodeAlive(1));
   }
@@ -399,6 +376,7 @@ TEST(MembershipTest, ProvisionerKeepsExactSumWhileNodeIsDown) {
     EXPECT_TRUE(s.ok()) << s.ToString();
   }());
   prov.RunIntervalStep();
+  rig.Settle();
   ExpectSumMatchesGlobal(rig.cl, 1, g1);
 }
 
@@ -408,8 +386,8 @@ TEST(FaultInjectorTest, SameSeedMakesIdenticalDecisions) {
   fo.seed = 42;
   fo.rpc_drop_rate = 0.3;
   fo.rpc_delay_rate = 0.4;
-  FaultInjector a(rig.loop, rig.cl, fo);
-  FaultInjector b(rig.loop, rig.cl, fo);
+  FaultInjector a(rig.loop(), rig.cl, fo);
+  FaultInjector b(rig.loop(), rig.cl, fo);
   for (int i = 0; i < 512; ++i) {
     const RpcFault fa = a.OnRpc(1, i % 2);
     const RpcFault fb = b.OnRpc(1, i % 2);
@@ -429,7 +407,7 @@ TEST(FaultInjectorTest, DroppedRpcsSurfaceUnavailable) {
       rig.cl.AddTenant(1, GlobalReservation{100.0, 100.0}).value();
   FaultInjectorOptions fo;
   fo.rpc_drop_rate = 1.0;  // every routed call is eaten by the network
-  FaultInjector inj(rig.loop, rig.cl, fo);
+  FaultInjector inj(rig.loop(), rig.cl, fo);
   rig.RunTask([&]() -> sim::Task<void> {
     EXPECT_EQ((co_await tenant.Put(Key(0), Val(0))).code(),
               StatusCode::kUnavailable);
@@ -448,11 +426,11 @@ TEST(FaultInjectorTest, DelayedRpcsStillSucceed) {
   fo.rpc_delay_rate = 1.0;
   fo.rpc_delay_min = 1 * kMillisecond;
   fo.rpc_delay_max = 2 * kMillisecond;
-  FaultInjector inj(rig.loop, rig.cl, fo);
+  FaultInjector inj(rig.loop(), rig.cl, fo);
   rig.RunTask([&]() -> sim::Task<void> {
-    const SimTime start = rig.loop.Now();
+    const SimTime start = rig.loop().Now();
     EXPECT_TRUE((co_await tenant.Put(Key(0), Val(0))).ok());
-    EXPECT_GE(rig.loop.Now() - start, fo.rpc_delay_min);
+    EXPECT_GE(rig.loop().Now() - start, fo.rpc_delay_min);
     const Result<std::string> r = co_await tenant.Get(Key(0));
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r.value(), Val(0));

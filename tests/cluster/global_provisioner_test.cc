@@ -7,32 +7,13 @@
 
 #include "src/cluster/cluster.h"
 #include "src/sim/sync.h"
+#include "tests/cluster/cluster_rig.h"
 
 namespace libra::cluster {
 namespace {
 
 using iosched::Reservation;
 using iosched::TenantId;
-
-ssd::CalibrationTable TestTable() {
-  ssd::CalibrationTable t;
-  t.sizes_kb = {1, 2, 4, 8, 16, 32, 64, 128, 256};
-  t.rand_read_iops = {38000, 36000, 33000, 28000, 16500, 8200, 4100, 2050, 1025};
-  t.rand_write_iops = {13500, 13500, 13400, 10400, 8100, 4000, 2000, 1000, 610};
-  t.seq_read_iops = t.rand_read_iops;
-  t.seq_write_iops = t.rand_write_iops;
-  return t;
-}
-
-ClusterOptions TestOptions(int nodes = 4) {
-  ClusterOptions opt;
-  opt.num_nodes = nodes;
-  opt.node_options.calibration = TestTable();
-  opt.node_options.lsm_options.write_buffer_bytes = 256 * 1024;
-  opt.node_options.lsm_options.max_bytes_level1 = 1 * kMiB;
-  opt.node_options.prefill_bytes = 64 * kMiB;
-  return opt;
-}
 
 double SplitGetSum(Cluster& cl, TenantId tenant) {
   double sum = 0.0;
@@ -71,15 +52,15 @@ sim::Task<void> HammerKeys(sim::EventLoop* loop, TenantHandle tenant,
   size_t i = 0;
   while (loop->Now() < end) {
     co_await tenant.Get(keys[i++ % keys.size()]);
-    // Memtable-resident GETs complete in zero simulated time; yield so the
-    // clock advances and the loop terminates.
+    // Pace the reads so each interval sees the same demand.
     co_await sim::SleepFor(*loop, 100 * kMicrosecond);
   }
 }
 
 TEST(GlobalProvisionerTest, ResplitSumsExactlyToGlobalUnderSkew) {
-  sim::EventLoop loop;
-  Cluster cl(loop, TestOptions());
+  ClusterRig rig;
+  Cluster& cl = rig.cl;
+  sim::EventLoop& loop = rig.loop();
   const GlobalReservation global{3000.0, 1000.0};
   TenantHandle tenant = cl.AddTenant(1, global).value();
 
@@ -92,7 +73,7 @@ TEST(GlobalProvisionerTest, ResplitSumsExactlyToGlobalUnderSkew) {
   {
     sim::TaskGroup group(loop);
     group.Spawn(PutAll(tenant, keys, std::string(1024, 'x')));
-    loop.Run();
+    rig.Settle();
   }
 
   GlobalProvisioner& prov = cl.provisioner();
@@ -101,9 +82,10 @@ TEST(GlobalProvisionerTest, ResplitSumsExactlyToGlobalUnderSkew) {
       sim::TaskGroup group(loop);
       group.Spawn(HammerKeys(&loop, tenant, keys,
                              loop.Now() + 500 * kMillisecond));
-      loop.Run();
+      rig.Settle();
     }
     prov.RunIntervalStep();
+    rig.Settle();
     EXPECT_DOUBLE_EQ(SplitGetSum(cl, 1), global.get_rps) << round;
   }
   EXPECT_GT(prov.splits_applied(), 0u);
@@ -116,8 +98,9 @@ TEST(GlobalProvisionerTest, ResplitSumsExactlyToGlobalUnderSkew) {
 }
 
 TEST(GlobalProvisionerTest, HysteresisStopsSteadyStateThrash) {
-  sim::EventLoop loop;
-  Cluster cl(loop, TestOptions());
+  ClusterRig rig;
+  Cluster& cl = rig.cl;
+  sim::EventLoop& loop = rig.loop();
   TenantHandle tenant = cl.AddTenant(1, GlobalReservation{1000.0, 0.0}).value();
   const int hot_node = cl.shard_map().HomeOf(1, 0);
   const std::vector<std::string> keys = KeysOn(cl, 1, hot_node, 4);
@@ -125,7 +108,7 @@ TEST(GlobalProvisionerTest, HysteresisStopsSteadyStateThrash) {
   {
     sim::TaskGroup group(loop);
     group.Spawn(PutAll(tenant, keys, "v"));
-    loop.Run();
+    rig.Settle();
   }
 
   GlobalProvisioner& prov = cl.provisioner();
@@ -135,7 +118,7 @@ TEST(GlobalProvisionerTest, HysteresisStopsSteadyStateThrash) {
     sim::TaskGroup group(loop);
     group.Spawn(
         HammerKeys(&loop, tenant, keys, loop.Now() + 500 * kMillisecond));
-    loop.Run();
+    rig.Settle();
     prov.RunIntervalStep();
   }
   const uint64_t converged = prov.splits_applied();
@@ -143,17 +126,18 @@ TEST(GlobalProvisionerTest, HysteresisStopsSteadyStateThrash) {
     sim::TaskGroup group(loop);
     group.Spawn(
         HammerKeys(&loop, tenant, keys, loop.Now() + 500 * kMillisecond));
-    loop.Run();
+    rig.Settle();
     prov.RunIntervalStep();
   }
   EXPECT_EQ(prov.splits_applied(), converged);
 }
 
 TEST(GlobalProvisionerTest, NoDemandKeepsSlotProportionalSplit) {
-  sim::EventLoop loop;
-  Cluster cl(loop, TestOptions());
+  ClusterRig rig;
+  Cluster& cl = rig.cl;
   const GlobalReservation global{800.0, 400.0};
   ASSERT_TRUE(cl.AddTenant(1, global).ok());
+  rig.Settle();
   const auto initial = [&] {
     std::vector<Reservation> r;
     for (int n = 0; n < cl.num_nodes(); ++n) {
@@ -164,8 +148,9 @@ TEST(GlobalProvisionerTest, NoDemandKeepsSlotProportionalSplit) {
   const std::vector<Reservation> before = initial();
   GlobalProvisioner& prov = cl.provisioner();
   prov.RunIntervalStep();
-  loop.RunUntil(loop.Now() + kSecond);
+  rig.ml.RunUntil(rig.loop().Now() + kSecond);
   prov.RunIntervalStep();
+  rig.Settle();
   // Nothing observed: the slot-proportional split equals the admission-time
   // even split, so hysteresis holds it and nothing thrashes.
   EXPECT_EQ(prov.splits_applied(), 0u);
@@ -174,15 +159,15 @@ TEST(GlobalProvisionerTest, NoDemandKeepsSlotProportionalSplit) {
     EXPECT_DOUBLE_EQ(after[n].get_rps, before[n].get_rps) << n;
     EXPECT_DOUBLE_EQ(after[n].put_rps, before[n].put_rps) << n;
   }
-  loop.Run();
 }
 
 TEST(GlobalProvisionerTest, PersistentOverbookingTriggersMigration) {
-  sim::EventLoop loop;
   ClusterOptions opt = TestOptions(2);
   opt.provisioner.overbook_intervals_before_migration = 3;
-  Cluster cl(loop, opt);
+  ClusterRig rig(opt);
+  Cluster& cl = rig.cl;
   ASSERT_TRUE(cl.AddTenant(1, GlobalReservation{100.0, 100.0}).ok());
+  rig.Settle();
 
   // Overbook node 0 behind the cluster's back: its policy now records
   // overbooked == true every interval.
@@ -195,13 +180,13 @@ TEST(GlobalProvisionerTest, PersistentOverbookingTriggersMigration) {
   GlobalProvisioner& prov = cl.provisioner();
   const size_t overrides_before = cl.shard_map().num_overrides();
   for (int i = 0; i < 5 && prov.migrations_started() == 0; ++i) {
-    loop.RunUntil(loop.Now() + 1100 * kMillisecond);
+    rig.ml.RunUntil(rig.loop().Now() + 1100 * kMillisecond);
     prov.RunIntervalStep();
   }
   EXPECT_EQ(prov.migrations_started(), 1u);
 
   // Let the detached migration drain and flip the map.
-  loop.RunUntil(loop.Now() + kSecond);
+  rig.ml.RunUntil(rig.loop().Now() + kSecond);
   EXPECT_GT(cl.shard_map().num_overrides(), overrides_before);
   bool saw_migration = false;
   for (const auto& rec : cl.rebalance_log().records()) {
@@ -216,27 +201,28 @@ TEST(GlobalProvisionerTest, PersistentOverbookingTriggersMigration) {
 
   cl.node(0).Stop();
   cl.node(1).Stop();
-  loop.Run();
+  rig.Settle();
 }
 
 TEST(GlobalProvisionerTest, DisabledMigrationNeverFires) {
-  sim::EventLoop loop;
   ClusterOptions opt = TestOptions(2);
   opt.provisioner.overbook_intervals_before_migration = 0;  // disabled
-  Cluster cl(loop, opt);
+  ClusterRig rig(opt);
+  Cluster& cl = rig.cl;
   ASSERT_TRUE(cl.AddTenant(1, GlobalReservation{100.0, 100.0}).ok());
+  rig.Settle();
   ASSERT_TRUE(cl.node(0).UpdateReservation(1, {1.0e6, 1.0e6}).ok());
   cl.node(0).Start();
   cl.node(1).Start();
   GlobalProvisioner& prov = cl.provisioner();
   for (int i = 0; i < 5; ++i) {
-    loop.RunUntil(loop.Now() + 1100 * kMillisecond);
+    rig.ml.RunUntil(rig.loop().Now() + 1100 * kMillisecond);
     prov.RunIntervalStep();
   }
   EXPECT_EQ(prov.migrations_started(), 0u);
   cl.node(0).Stop();
   cl.node(1).Stop();
-  loop.Run();
+  rig.Settle();
 }
 
 }  // namespace

@@ -1,63 +1,27 @@
-// Parallel-engine cluster tests: the Cluster seam layer on a MultiLoop —
+// Engine-level cluster tests: the Cluster seam layer on a MultiLoop —
 // request routing across per-node loops, thread-count-independent stats,
 // the fault-injector delay floor against the engine lookahead, crash
-// failover + recovery, and lossless migration, all through cross-loop
-// messages instead of direct calls.
+// failover + recovery, lossless migration, and every visible result
+// checked against a model of acknowledged writes at several worker counts.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/fault_injector.h"
 #include "src/cluster/global_provisioner.h"
+#include "src/common/rng.h"
 #include "src/sim/multi_loop.h"
 #include "src/sim/sync.h"
+#include "tests/cluster/cluster_rig.h"
 
 namespace libra::cluster {
 namespace {
 
 using iosched::TenantId;
-
-constexpr SimDuration kRpcLatency = 50 * kMicrosecond;
-
-ssd::CalibrationTable TestTable() {
-  ssd::CalibrationTable t;
-  t.sizes_kb = {1, 2, 4, 8, 16, 32, 64, 128, 256};
-  t.rand_read_iops = {38000, 36000, 33000, 28000, 16500, 8200, 4100, 2050, 1025};
-  t.rand_write_iops = {13500, 13500, 13400, 10400, 8100, 4000, 2000, 1000, 610};
-  t.seq_read_iops = t.rand_read_iops;
-  t.seq_write_iops = t.rand_write_iops;
-  return t;
-}
-
-ClusterOptions TestOptions(int nodes, int rf = 1) {
-  ClusterOptions opt;
-  opt.num_nodes = nodes;
-  opt.replication_factor = rf;
-  opt.node_options.calibration = TestTable();
-  opt.node_options.lsm_options.write_buffer_bytes = 256 * 1024;
-  opt.node_options.lsm_options.max_bytes_level1 = 1 * kMiB;
-  opt.node_options.prefill_bytes = 64 * kMiB;
-  opt.rpc_latency = kRpcLatency;
-  return opt;
-}
-
-// num_nodes + 1 loops: loop 0 is the coordinator, loop i + 1 is node i.
-struct ParallelRig {
-  sim::MultiLoop ml;
-  Cluster cl;
-
-  ParallelRig(int nodes, int threads, int rf = 1)
-      : ml(nodes + 1, {threads, kRpcLatency}),
-        cl(ml, TestOptions(nodes, rf)) {}
-
-  void RunTask(sim::Task<void> t) {
-    sim::Detach(std::move(t));
-    ml.Run();
-  }
-};
 
 std::string Key(int i) { return "k" + std::to_string(i); }
 std::string Val(int i) { return "v" + std::to_string(i); }
@@ -96,8 +60,7 @@ sim::Task<void> RestartAndCheck(Cluster* cl, int node) {
 }
 
 TEST(ParallelClusterTest, ServesRequestsAcrossNodeLoops) {
-  ParallelRig rig(/*nodes=*/4, /*threads=*/1);
-  ASSERT_TRUE(rig.cl.parallel());
+  ClusterRig rig(TestOptions(/*nodes=*/4), /*threads=*/1);
   TenantHandle h = rig.cl.AddTenant(1, GlobalReservation{500.0, 500.0}).value();
   rig.RunTask(PutAll(h, 32));
   uint64_t ok = 0;
@@ -110,7 +73,7 @@ TEST(ParallelClusterTest, ServesRequestsAcrossNodeLoops) {
 }
 
 TEST(ParallelClusterTest, DeleteAndMultiGetThroughSeams) {
-  ParallelRig rig(/*nodes=*/3, /*threads=*/1);
+  ClusterRig rig(TestOptions(/*nodes=*/3), /*threads=*/1);
   TenantHandle h = rig.cl.AddTenant(1, GlobalReservation{500.0, 500.0}).value();
   rig.RunTask([](TenantHandle t) -> sim::Task<void> {
     for (int i = 0; i < 8; ++i) {
@@ -141,7 +104,7 @@ TEST(ParallelClusterTest, DeleteAndMultiGetThroughSeams) {
 // barrier hooks, stop, drain — rendered to the stats JSON. The render must
 // be byte-identical for any worker count.
 std::string StatsScenario(int threads) {
-  ParallelRig rig(/*nodes=*/3, threads);
+  ClusterRig rig(TestOptions(/*nodes=*/3), threads);
   TenantHandle h1 =
       rig.cl.AddTenant(1, GlobalReservation{500.0, 500.0}).value();
   TenantHandle h2 =
@@ -167,8 +130,7 @@ TEST(ParallelClusterTest, FaultDelayFloorValidation) {
   opt.rpc_delay_rate = 0.5;
   opt.rpc_delay_min = 10 * kMicrosecond;
 
-  // Serial engines (no lookahead) and configs that never delay are fine.
-  EXPECT_TRUE(CheckFaultDelayFloor(opt, 0).ok());
+  // Configs that never delay are fine at any lookahead.
   FaultInjectorOptions inactive = opt;
   inactive.rpc_delay_rate = 0.0;
   EXPECT_TRUE(CheckFaultDelayFloor(inactive, kRpcLatency).ok());
@@ -191,7 +153,7 @@ TEST(ParallelClusterTest, FaultDelayFloorValidation) {
 }
 
 TEST(ParallelClusterTest, FaultInjectorRefusesShortDelaysOnParallelEngine) {
-  ParallelRig rig(/*nodes=*/2, /*threads=*/1);
+  ClusterRig rig(TestOptions(/*nodes=*/2), /*threads=*/1);
   FaultInjectorOptions bad;
   bad.rpc_delay_rate = 0.25;
   bad.rpc_delay_min = rig.ml.lookahead() - 1;
@@ -206,7 +168,7 @@ TEST(ParallelClusterTest, FaultInjectorRefusesShortDelaysOnParallelEngine) {
 }
 
 TEST(ParallelClusterTest, CrashFailoverAndRecoveryAtRf2) {
-  ParallelRig rig(/*nodes=*/4, /*threads=*/2, /*rf=*/2);
+  ClusterRig rig(TestOptions(/*nodes=*/4, /*rf=*/2), /*threads=*/2);
   TenantHandle h = rig.cl.AddTenant(1, GlobalReservation{500.0, 500.0}).value();
   rig.RunTask(PutAll(h, 64));
 
@@ -229,7 +191,7 @@ TEST(ParallelClusterTest, CrashFailoverAndRecoveryAtRf2) {
 }
 
 TEST(ParallelClusterTest, MigrationIsLosslessOnParallelEngine) {
-  ParallelRig rig(/*nodes=*/4, /*threads=*/2);
+  ClusterRig rig(TestOptions(/*nodes=*/4), /*threads=*/2);
   const TenantId tenant = 1;
   TenantHandle h =
       rig.cl.AddTenant(tenant, GlobalReservation{500.0, 500.0}).value();
@@ -255,48 +217,68 @@ TEST(ParallelClusterTest, MigrationIsLosslessOnParallelEngine) {
   EXPECT_EQ(ok, 64u);
 }
 
-// The parallel engine must agree with the serial engine on every visible
-// request result, not just on timing-free invariants.
-TEST(ParallelClusterTest, ResultsMatchSerialEngine) {
-  std::vector<std::string> serial_results;
-  {
-    sim::EventLoop loop;
-    ClusterOptions opt = TestOptions(3);
-    opt.rpc_latency = 0;
-    Cluster cl(loop, opt);
-    TenantHandle h = cl.AddTenant(1, GlobalReservation{500.0, 500.0}).value();
-    sim::Detach(PutAll(h, 24));
-    loop.Run();
-    sim::Detach([](TenantHandle t, std::vector<std::string>* out)
-                    -> sim::Task<void> {
-      for (int i = 0; i < 24; ++i) {
-        const Result<std::string> r = co_await t.Get(Key(i));
-        out->push_back(r.ok() ? r.value() : r.status().ToString());
+// Drives a seeded sequence of PUT / DELETE / GET (present and never-written
+// keys) through one tenant, one request at a time, and checks every visible
+// result against a std::map model of the acknowledged writes; a final full
+// scan must return exactly the model. Counts the results checked.
+sim::Task<void> CheckAgainstModel(TenantHandle h, uint64_t seed, int ops,
+                                  int* checked) {
+  Rng rng(seed);
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < ops; ++i) {
+    const std::string key = Key(static_cast<int>(rng.NextU64(24)));
+    const uint64_t dice = rng.NextU64(10);
+    if (dice < 4) {
+      const std::string value = Val(i);
+      const Status s = co_await h.Put(key, value);
+      EXPECT_TRUE(s.ok()) << "put " << key << ": " << s.ToString();
+      model[key] = value;
+    } else if (dice < 6) {
+      const Status s = co_await h.Delete(key);
+      EXPECT_TRUE(s.ok()) << "delete " << key << ": " << s.ToString();
+      model.erase(key);
+    } else {
+      // One GET in four asks for a key no one ever wrote.
+      const std::string probe = dice == 9 ? "absent-" + key : key;
+      const Result<std::string> r = co_await h.Get(probe);
+      const auto it = model.find(probe);
+      if (it == model.end()) {
+        EXPECT_EQ(r.status().code(), StatusCode::kNotFound)
+            << "get " << probe << " at op " << i;
+      } else {
+        EXPECT_TRUE(r.ok()) << "get " << probe << ": "
+                            << r.status().ToString();
+        EXPECT_EQ(r.ok() ? r.value() : "", it->second)
+            << "get " << probe << " at op " << i;
       }
-      const Result<std::string> miss = co_await t.Get("absent");
-      out->push_back(miss.ok() ? miss.value() : miss.status().ToString());
-    }(h, &serial_results));
-    loop.Run();
+    }
+    ++*checked;
   }
+  const Result<ScanEntries> all =
+      co_await h.Scan(std::string(), std::string(), 0);
+  EXPECT_TRUE(all.ok()) << all.status().ToString();
+  const ScanEntries expected(model.begin(), model.end());
+  EXPECT_EQ(all.ok() ? all.value() : ScanEntries{}, expected);
+  ++*checked;
+}
 
-  std::vector<std::string> parallel_results;
-  {
-    ParallelRig rig(/*nodes=*/3, /*threads=*/2);
-    TenantHandle h =
+TEST(ParallelClusterTest, ResultsMatchAckedModel) {
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ClusterRig rig(TestOptions(/*nodes=*/3, /*rf=*/2), threads);
+    TenantHandle a =
         rig.cl.AddTenant(1, GlobalReservation{500.0, 500.0}).value();
-    rig.RunTask(PutAll(h, 24));
-    rig.RunTask([](TenantHandle t, std::vector<std::string>* out)
-                    -> sim::Task<void> {
-      for (int i = 0; i < 24; ++i) {
-        const Result<std::string> r = co_await t.Get(Key(i));
-        out->push_back(r.ok() ? r.value() : r.status().ToString());
-      }
-      const Result<std::string> miss = co_await t.Get("absent");
-      out->push_back(miss.ok() ? miss.value() : miss.status().ToString());
-    }(h, &parallel_results));
+    TenantHandle b =
+        rig.cl.AddTenant(2, GlobalReservation{500.0, 500.0}).value();
+    // Two tenants interleave on the same nodes; each checks its own model.
+    int checked_a = 0;
+    int checked_b = 0;
+    sim::Detach(CheckAgainstModel(a, 7, 200, &checked_a));
+    sim::Detach(CheckAgainstModel(b, 8, 200, &checked_b));
+    rig.Settle();
+    EXPECT_EQ(checked_a, 201);
+    EXPECT_EQ(checked_b, 201);
   }
-
-  EXPECT_EQ(parallel_results, serial_results);
 }
 
 }  // namespace

@@ -268,12 +268,15 @@ void BM_WalGroupCommit(benchmark::State& state) {
 }
 BENCHMARK(BM_WalGroupCommit)->Arg(1)->Arg(8)->Arg(32);
 
-// One bounded range scan per iteration through the LSM k-way merge path:
-// the window overlaps the memtable and several flushed tables, so every
-// scan exercises cursor seeding, heap merging, newest-version-wins dedup,
-// and tombstone shadowing (every 7th key is deleted). Arg = scan limit in
-// keys; items = live entries returned.
-void BM_ScanMerge(benchmark::State& state) {
+// One bounded range scan per iteration through the LSM k-way merge path.
+// Table layout (BM_ScanMerge/<limit>): the window overlaps the memtable and
+// several flushed tables, so every scan exercises cursor seeding, heap
+// merging, newest-version-wins dedup, and tombstone shadowing (every 7th
+// key is deleted). Memtable layout (BM_ScanMerge/memtable/<limit>): every
+// key sits in one large unflushed memtable with 1 KB values, so a scan
+// must cost O(limit), not O(memtable). Arg = scan limit in keys; items =
+// live entries returned.
+void BM_ScanMerge(benchmark::State& state, bool memtable_resident) {
   sim::EventLoop loop;
   ssd::SsdDevice device(loop, ssd::Intel320Profile());
   device.Prefill(256 * kMiB);
@@ -282,24 +285,30 @@ void BM_ScanMerge(benchmark::State& state) {
   sched.SetAllocation(1, 100000.0);
   fs::SimFs fs(sched, device);
   lsm::LsmOptions opt;
-  opt.write_buffer_bytes = 64 * 1024;  // many small tables in the merge
+  // Many small tables in the merge, or one memtable holding everything.
+  opt.write_buffer_bytes = memtable_resident ? 64 * kMiB : 64 * 1024;
   lsm::LsmDb db(loop, fs, sched, 1, "bench_scan", opt);
   if (!db.Open().ok()) {
     state.SkipWithError("lsm open failed");
     return;
   }
-  sim::Detach([](lsm::LsmDb* d) -> sim::Task<void> {
+  const size_t value_bytes = memtable_resident ? 1024 : 128;
+  sim::Detach([](lsm::LsmDb* d, size_t vbytes) -> sim::Task<void> {
     char k[32];
     for (int i = 0; i < 4096; ++i) {
       std::snprintf(k, sizeof(k), "key%06d", i);
-      co_await d->Put(k, std::string(128, 'v'));
+      co_await d->Put(k, std::string(vbytes, 'v'));
       if (i % 7 == 0) {
         co_await d->Delete(k);
       }
     }
     co_await d->WaitIdle();
-  }(&db));
+  }(&db, value_bytes));
   loop.Run();
+  if (memtable_resident && db.stats().flushes != 0) {
+    state.SkipWithError("memtable layout flushed");
+    return;
+  }
   const int span = static_cast<int>(state.range(0));
   Rng rng(11);
   char key[32];
@@ -317,7 +326,9 @@ void BM_ScanMerge(benchmark::State& state) {
   benchmark::DoNotOptimize(returned);
   state.SetItemsProcessed(static_cast<int64_t>(returned));
 }
+void BM_ScanMerge(benchmark::State& state) { BM_ScanMerge(state, false); }
 BENCHMARK(BM_ScanMerge)->Arg(16)->Arg(128);
+BENCHMARK_CAPTURE(BM_ScanMerge, memtable, true)->Arg(16);
 
 // One 16-key MultiGet per iteration through the cluster routing layer,
 // keys resident in memtables (zero simulated IO time): measures the

@@ -67,7 +67,7 @@ uint64_t LsmDb::MaxBytesForLevel(int level) const {
 }
 
 Status LsmDb::Open() {
-  mem_ = std::make_unique<MemTable>();
+  mem_ = std::make_shared<MemTable>();
   // Boot-time recovery. There is no manifest (see header): sst_* files
   // left by a previous incarnation are orphans whose metadata died with
   // it and are deleted here; every surviving wal_* file is replayed in
@@ -143,7 +143,7 @@ Status LsmDb::SealMemtable() {
     // lands, the recovered WAL files are fully covered and can go.
     recovered_in_imm_ = true;
   }
-  mem_ = std::make_unique<MemTable>();
+  mem_ = std::make_shared<MemTable>();
   wal_ = std::make_unique<WriteAheadLog>(fs_, WalName(next_file_number_++),
                                          MakeWalOptions(), &wal_counters_);
   if (Status s = wal_->Open(); !s.ok()) {
@@ -327,29 +327,24 @@ sim::Task<LsmDb::ScanResult> LsmDb::Scan(std::string_view start,
   const SequenceNumber snapshot = seq_;
   const IoTag tag{tenant_, AppRequest::kScan, InternalOp::kNone, ctx};
 
-  // Pin one consistent cut before any suspension: the version snapshot
-  // plus the memtables' in-range entries (no IO).
+  // Pin one consistent cut before any suspension: the version snapshot and
+  // both memtables, each read through a cursor seeked to `start`. The live
+  // cursors stay correct across the suspensions below because
+  //  - a cursor shows only the entries its memtable held when it opened,
+  //    so an insert landing while the scan waits on table IO is skipped
+  //    (a sequence check alone would not do: a writer takes its sequence
+  //    number before its WAL append suspends, and inserts after it); and
+  //  - skiplist inserts never free or move nodes, and the pins keep a
+  //    memtable sealed or flushed meanwhile alive until the scan ends.
   const VersionRef base = current_;
-  std::vector<MemTable::Entry> mem_entries;
-  for (const MemTable* mt : {mem_.get(), imm_.get()}) {
-    if (mt == nullptr) {
-      continue;
-    }
-    MemTable::Iterator it(mt);
-    for (it.SeekToFirst(); it.Valid(); it.Next()) {
-      const MemTable::Entry& e = it.entry();
-      if (e.key < start || (!end.empty() && e.key >= end) ||
-          e.seq > snapshot) {
-        continue;
-      }
-      mem_entries.push_back(e);
+  const std::shared_ptr<const MemTable> pinned[] = {mem_, imm_};
+  std::vector<MemTable::Iterator> mems;
+  for (const std::shared_ptr<const MemTable>& mt : pinned) {
+    if (mt != nullptr) {
+      mems.emplace_back(mt.get());
+      mems.back().Seek(start);
     }
   }
-  // The two memtables interleave: restore internal order across them.
-  std::sort(mem_entries.begin(), mem_entries.end(),
-            [](const MemTable::Entry& a, const MemTable::Entry& b) {
-              return CompareInternalKey(a.key, a.seq, b.key, b.seq) < 0;
-            });
 
   // One streaming cursor per table whose range overlaps [start, end); the
   // TableRef pins the file for the cursor's lifetime. Applies uniformly to
@@ -383,32 +378,36 @@ sim::Task<LsmDb::ScanResult> LsmDb::Scan(std::string_view start,
   // K-way merge in internal-key order. The first surfacing of a user key
   // is its newest visible version — it wins, and (value or tombstone)
   // shadows every older version behind it.
-  size_t mem_pos = 0;
   std::string last_user_key;
   bool have_last = false;
   while (limit == 0 || out.entries.size() < limit) {
-    bool best_is_mem = false;
+    int best_mem = -1;
     int best = -1;
     std::string_view bkey;
     std::string_view bval;
     SequenceNumber bseq = 0;
     ValueType btype = ValueType::kPut;
-    if (mem_pos < mem_entries.size()) {
-      const MemTable::Entry& e = mem_entries[mem_pos];
-      best_is_mem = true;
-      bkey = e.key;
-      bval = e.value;
-      bseq = e.seq;
-      btype = e.type;
+    for (size_t i = 0; i < mems.size(); ++i) {
+      if (!mems[i].Valid()) {
+        continue;
+      }
+      const MemTable::Entry& e = mems[i].entry();
+      if (best_mem < 0 || CompareInternalKey(e.key, e.seq, bkey, bseq) < 0) {
+        best_mem = static_cast<int>(i);
+        bkey = e.key;
+        bval = e.value;
+        bseq = e.seq;
+        btype = e.type;
+      }
     }
     for (size_t i = 0; i < tables.size(); ++i) {
       if (!tables[i].cursor->Valid()) {
         continue;
       }
       const Record& r = tables[i].cursor->record();
-      if ((!best_is_mem && best < 0) ||
+      if ((best_mem < 0 && best < 0) ||
           CompareInternalKey(r.key, r.seq, bkey, bseq) < 0) {
-        best_is_mem = false;
+        best_mem = -1;
         best = static_cast<int>(i);
         bkey = r.key;
         bval = r.value;
@@ -416,7 +415,7 @@ sim::Task<LsmDb::ScanResult> LsmDb::Scan(std::string_view start,
         btype = r.type;
       }
     }
-    if (!best_is_mem && best < 0) {
+    if (best_mem < 0 && best < 0) {
       break;  // every source exhausted
     }
     if (!end.empty() && bkey >= end) {
@@ -436,8 +435,8 @@ sim::Task<LsmDb::ScanResult> LsmDb::Scan(std::string_view start,
         }
       }
     }
-    if (best_is_mem) {
-      ++mem_pos;
+    if (best_mem >= 0) {
+      mems[best_mem].Next();
     } else {
       Status s = co_await tables[best].cursor->Next();
       if (dead_) {
@@ -948,25 +947,23 @@ sim::Task<Status> LsmDb::ScanLive(
     co_return Status::Unavailable("db killed");
   }
   const SequenceNumber snapshot = seq_;
-  // Pin the version and the memtables' contents before any suspension: the
-  // merge below must see one consistent cut of the tree. Memtable entries
-  // are copied, since a memtable may be sealed and freed while the table
-  // reads suspend; table records are views, valid while `base` holds them.
+  // Pin the version and both memtables before any suspension: the merge
+  // below must see one consistent cut of the tree. The memtable records are
+  // views taken now, valid while the pins keep their skiplist nodes alive
+  // (a seal or flush during the table reads drops only the DB's reference);
+  // table records are views, valid while `base` holds the tables.
   const VersionRef base = current_;
-  std::vector<MemTable::Entry> mem_entries;
-  for (const MemTable* mt : {mem_.get(), imm_.get()}) {
+  const std::shared_ptr<const MemTable> pinned[] = {mem_, imm_};
+  std::vector<Record> records;
+  for (const std::shared_ptr<const MemTable>& mt : pinned) {
     if (mt == nullptr) {
       continue;
     }
-    MemTable::Iterator it(mt);
+    MemTable::Iterator it(mt.get());
     for (it.SeekToFirst(); it.Valid(); it.Next()) {
-      mem_entries.push_back(it.entry());
+      const MemTable::Entry& e = it.entry();
+      records.push_back(Record{e.key, e.value, e.seq, e.type});
     }
-  }
-  std::vector<Record> records;
-  records.reserve(mem_entries.size());
-  for (const MemTable::Entry& e : mem_entries) {
-    records.push_back(Record{e.key, e.value, e.seq, e.type});
   }
   for (const std::vector<TableRef>& level : base->levels) {
     if (Status s = co_await ReadTables(level, tag, snapshot, &records);

@@ -190,8 +190,9 @@ class LsmDb {
   // Bounded range scan over [start, end) — an empty `end` means "to the
   // end of the keyspace" — yielding at most `limit` live entries (0 = no
   // limit). A k-way merge-read across memtable, sealed memtable, and every
-  // overlapping table: sources stream in internal-key order through
-  // per-table RangeCursors, the newest version of each user key wins, and
+  // overlapping table: sources stream in internal-key order through pinned
+  // memtable cursors and per-table RangeCursors, so the cost follows what
+  // the scan reads; the newest version of each user key wins, and
   // tombstones shadow older versions below them. Table IO is charged to
   // the tenant's SCAN class; `ctx` rides the tags like Get's.
   sim::Task<ScanResult> Scan(std::string_view start, std::string_view end,
@@ -344,10 +345,12 @@ class LsmDb {
   SequenceNumber seq_ = 0;
   uint64_t next_file_number_ = 1;
 
-  std::unique_ptr<MemTable> mem_;
+  // Shared so a reader can pin them: a SCAN or ScanLive suspended on table
+  // IO keeps the memtables it started from alive through a seal or flush.
+  std::shared_ptr<MemTable> mem_;
   // Sealed, being flushed. The flush builds from views of its entries, so
   // only the flush itself resets it, once the table is installed.
-  std::unique_ptr<MemTable> imm_;
+  std::shared_ptr<MemTable> imm_;
   std::unique_ptr<WriteAheadLog> wal_;
   std::unique_ptr<WriteAheadLog> imm_wal_;
   VersionRef current_;

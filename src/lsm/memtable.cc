@@ -27,4 +27,14 @@ MemTable::GetResult MemTable::Get(std::string_view key,
   return result;
 }
 
+void MemTable::Iterator::Seek(std::string_view user_key) {
+  // Internal order is (key asc, seq desc): the newest possible version of
+  // `user_key` sorts first among its versions.
+  Entry probe;
+  probe.key = std::string(user_key);
+  probe.seq = kMaxSequenceNumber;
+  it_.Seek(probe);
+  SkipHidden();
+}
+
 }  // namespace libra::lsm

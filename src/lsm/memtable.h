@@ -22,6 +22,9 @@ class MemTable {
     std::string value;
     SequenceNumber seq = 0;
     ValueType type = ValueType::kPut;
+    // Insertion rank within this memtable (the entry count before it
+    // landed); an Iterator hides entries at or past its opening count.
+    uint32_t ordinal = 0;
     // Span of the app request that wrote this entry; lets the FLUSH that
     // later persists it emit a span causally linked to the requests whose
     // bytes it moves. Invalid (zero) when the writer was untraced.
@@ -64,24 +67,44 @@ class MemTable {
   // compares this against the write-buffer limit.
   size_t ApproximateMemoryUsage() const { return memory_usage_; }
 
-  // In-order iteration for FLUSH.
+  // In-order iteration (FLUSH, SCAN). An iterator sees exactly the entries
+  // present when it was constructed: an insert landing later — a writer
+  // whose WAL append was in flight, so its sequence number may be below a
+  // reader's snapshot — is skipped. Skiplist inserts never move or free
+  // nodes, so a live iterator stays valid across them.
   class Iterator {
    public:
-    explicit Iterator(const MemTable* mt) : it_(&mt->table_) {}
-    void SeekToFirst() { it_.SeekToFirst(); }
+    explicit Iterator(const MemTable* mt)
+        : it_(&mt->table_), visible_(mt->table_.size()) {}
+    void SeekToFirst() {
+      it_.SeekToFirst();
+      SkipHidden();
+    }
+    // Positions on the newest version of the first user key >= `user_key`.
+    void Seek(std::string_view user_key);
     bool Valid() const { return it_.Valid(); }
-    void Next() { it_.Next(); }
+    void Next() {
+      it_.Next();
+      SkipHidden();
+    }
     const Entry& entry() const { return it_.key(); }
 
    private:
+    void SkipHidden() {
+      while (it_.Valid() && it_.key().ordinal >= visible_) {
+        it_.Next();
+      }
+    }
+
     SkipList<Entry, EntryComparator>::Iterator it_;
+    size_t visible_;
   };
 
  private:
   void Add(std::string_view key, SequenceNumber seq, ValueType type,
            std::string_view value, TraceContext origin) {
-    table_.Insert(
-        Entry{std::string(key), std::string(value), seq, type, origin});
+    table_.Insert(Entry{std::string(key), std::string(value), seq, type,
+                        static_cast<uint32_t>(table_.size()), origin});
     memory_usage_ += key.size() + value.size() + 32;
   }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <tuple>
 
 namespace libra::ssd {
@@ -28,7 +30,16 @@ Ftl::Ftl(const DeviceProfile& profile)
   const int spare = static_cast<int>(
       static_cast<int64_t>(blocks_per_die_) -
       static_cast<int64_t>(live_blocks_per_die));
-  assert(spare >= 2 && "device needs at least 2 spare blocks per die");
+  if (spare < 2) {
+    // Checked in every build: the watermark clamps below need a non-empty
+    // range, and GC cannot make progress without spare blocks.
+    std::fprintf(stderr,
+                 "Ftl: profile '%s' leaves %d spare blocks per die (%u blocks, "
+                 "%llu needed for live data); at least 2 are required\n",
+                 profile.name.c_str(), spare, blocks_per_die_,
+                 static_cast<unsigned long long>(live_blocks_per_die));
+    std::abort();
+  }
   low_watermark_ = std::clamp(profile.gc_low_watermark_blocks, 1, spare / 2);
   high_watermark_ =
       std::clamp(profile.gc_high_watermark_blocks, low_watermark_ + 1,

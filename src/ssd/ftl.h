@@ -42,6 +42,8 @@ struct FtlWriteResult {
 
 class Ftl {
  public:
+  // Aborts (in every build) when the profile leaves fewer than 2 spare
+  // blocks per die beyond what its logical capacity needs.
   explicit Ftl(const DeviceProfile& profile);
 
   // Records a host write of `npages` logical pages starting at `first_lpn`

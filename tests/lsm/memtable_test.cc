@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace libra::lsm {
 namespace {
 
@@ -80,6 +84,50 @@ TEST(MemTableTest, PrefixKeysDistinct) {
   EXPECT_EQ(mt.Get("ab").value, "x");
   EXPECT_EQ(mt.Get("abc").value, "y");
   EXPECT_FALSE(mt.Get("a").found);
+}
+
+TEST(MemTableTest, SeekLandsOnNewestVersionOfFirstKeyAtOrAfter) {
+  MemTable mt;
+  mt.Put("a", 1, "a1");
+  mt.Put("c", 2, "c2");
+  mt.Put("c", 7, "c7");
+  mt.Put("d", 3, "d3");
+  MemTable::Iterator it(&mt);
+  it.Seek("b");
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.entry().key, "c");
+  EXPECT_EQ(it.entry().seq, 7u);
+  it.Seek("c");
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.entry().seq, 7u);
+  it.Seek("e");
+  EXPECT_FALSE(it.Valid());
+}
+
+TEST(MemTableTest, IteratorHidesEntriesInsertedAfterItOpened) {
+  MemTable mt;
+  mt.Put("b", 5, "b5");
+  mt.Put("d", 6, "d6");
+  MemTable::Iterator it(&mt);
+  it.Seek("a");
+  // Lands mid-iteration, with a sequence number below the others (a writer
+  // whose WAL append finished late): still invisible to this iterator.
+  mt.Put("c", 1, "c1");
+  mt.Put("b", 2, "b2");
+  std::vector<std::pair<std::string, SequenceNumber>> seen;
+  for (; it.Valid(); it.Next()) {
+    seen.emplace_back(it.entry().key, it.entry().seq);
+  }
+  const std::vector<std::pair<std::string, SequenceNumber>> expected = {
+      {"b", 5}, {"d", 6}};
+  EXPECT_EQ(seen, expected);
+  MemTable::Iterator fresh(&mt);
+  fresh.SeekToFirst();
+  size_t n = 0;
+  for (; fresh.Valid(); fresh.Next()) {
+    ++n;
+  }
+  EXPECT_EQ(n, 4u);
 }
 
 }  // namespace

@@ -163,5 +163,13 @@ TEST(FtlTest, LpnWrapsAroundLogicalSpace) {
   EXPECT_EQ(ftl.host_pages_written(), 8u);
 }
 
+TEST(FtlDeathTest, RejectsProfileWithoutTwoSpareBlocksPerDie) {
+  DeviceProfile p = Intel320Profile();
+  // 7% overprovisioning of 64 MiB: 27 blocks per die, 26 of them needed
+  // for live data, so one spare block per die.
+  p.capacity_bytes = 64ULL * kMiB;
+  EXPECT_DEATH(Ftl ftl(p), "1 spare blocks per die");
+}
+
 }  // namespace
 }  // namespace libra::ssd

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -94,13 +95,15 @@ BenchArgs ParseCommonFlags(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--stats-json=", 13) == 0) {
       args.stats_json = argv[i] + 13;
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      args.jobs = std::atoi(argv[i] + 7);
-      if (args.jobs <= 0) {
+      args.jobs =
+          static_cast<int>(ParseIntFlag("--jobs", argv[i] + 7, 0, 1 << 16));
+      if (args.jobs == 0) {
         const unsigned hw = std::thread::hardware_concurrency();
         args.jobs = hw > 0 ? static_cast<int>(hw) : 1;
       }
     } else if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      args.nodes = std::max(1, std::atoi(argv[i] + 8));
+      args.nodes =
+          static_cast<int>(ParseIntFlag("--nodes", argv[i] + 8, 1, 1 << 16));
     } else if (std::strncmp(argv[i], "--trace-json=", 13) == 0) {
       args.trace_json = argv[i] + 13;
     } else if (std::strncmp(argv[i], "--sim-threads=", 14) == 0) {
@@ -121,7 +124,8 @@ BenchArgs ParseCommonFlags(int argc, char** argv) {
       if (std::strncmp(v, "1/", 2) == 0) {  // accept both "N" and "1/N"
         v += 2;
       }
-      args.trace_sample = static_cast<uint32_t>(std::max(1, std::atoi(v)));
+      args.trace_sample = static_cast<uint32_t>(
+          ParseIntFlag("--trace-sample", v, 1, UINT32_MAX));
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "flags: --full (paper-size grids)  --csv (CSV output)  "
@@ -133,7 +137,20 @@ BenchArgs ParseCommonFlags(int argc, char** argv) {
           "--sim-threads=N (sim engine workers; 0 = all cores)  "
           "--rpc-latency-us=N (cross-node RPC latency and engine lookahead, "
           "N >= 1; default 50)\n");
+      std::exit(0);
     }
+  }
+  if (!args.stats_json.empty()) {
+    // The file is written by an atexit handler, which cannot change the
+    // exit status: an unwritable path must fail here, before the run. "a"
+    // creates the file without truncating an existing one.
+    std::FILE* f = std::fopen(args.stats_json.c_str(), "a");
+    if (f == nullptr) {
+      std::fprintf(stderr, "--stats-json: cannot write %s: %s\n",
+                   args.stats_json.c_str(), std::strerror(errno));
+      std::exit(2);
+    }
+    std::fclose(f);
   }
   if (!args.stats_json.empty() && g_stats == nullptr) {
     g_stats = new StatsCapture();
@@ -156,6 +173,7 @@ void WriteTraceJson(const BenchArgs& args,
   } else {
     std::fprintf(stderr, "trace-json: cannot write %s\n",
                  args.trace_json.c_str());
+    std::exit(1);
   }
 }
 

@@ -17,6 +17,11 @@
 
 namespace libra::bench {
 
+// VOP conservation bound for the demos' attribution check: a tenant's
+// attribution cells re-order the tracker's additions, so they sum to its
+// VOP total up to rounding, never further than this relative distance.
+inline constexpr double kConservationRelTol = 1e-12;
+
 // Node configured like the paper's prototype: Intel 320, exact cost model,
 // no object cache, 4MB write buffers.
 kv::NodeOptions PrototypeNodeOptions();

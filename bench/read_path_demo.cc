@@ -13,9 +13,10 @@
 //                   filtered q̂ (conformant).
 // For each phase the demo reads back data-block device reads per GET, the
 // floor (min-tenant) GET throughput, the admitted reservation mass from the
-// audit records, and bit-for-bit VOP conservation (attribution total ==
-// tracker sum on every node; filter and cache-fill IO rides the caller's
-// IoTag, so conservation must survive the new read path).
+// audit records, and VOP conservation (on every node the tracker-derived
+// attribution cells sum to the tracker's VOP total within 1e-12 relative;
+// filter and cache-fill IO rides the caller's IoTag, so conservation must
+// survive the new read path).
 // Contract (exit 1 on violation): filters cut data-block reads per GET
 // >= 3x vs baseline, bloom counters are exactly zero when off, cache hits
 // appear only when the cache is on, required VOP mass drops under
@@ -23,8 +24,10 @@
 // conformance verdicts split as declared. Output is byte-identical for any
 // --sim-threads at a fixed --rpc-latency-us.
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -262,13 +265,14 @@ PhaseResult RunPhase(const BenchArgs& args, const PhaseSpec& spec,
       }
     }
     for (size_t i = 0; i < kN; ++i) {
-      const obs::AttributionMatrix* m =
-          cl.node(n).scheduler().spans()->attribution().Of(kTenants[i]);
-      if (m == nullptr) {
+      const std::optional<obs::AttributionMatrix> m =
+          cl.node(n).tracker().Attribution(kTenants[i]);
+      if (!m) {
         continue;
       }
       ++out.conservation_cells;
-      if (m->total_vops != cl.node(n).tracker().Stats(kTenants[i]).vops) {
+      const double vops = cl.node(n).tracker().Stats(kTenants[i]).vops;
+      if (std::abs(m->CellSum() - vops) > kConservationRelTol * vops) {
         ++out.conservation_violations;
       }
       for (int a = 0; a < obs::kAttrApps; ++a) {
@@ -344,8 +348,10 @@ int RunDemo(const BenchArgs& args) {
     cells += r.conservation_cells;
     violations += r.conservation_violations;
   }
-  std::printf("attribution cells checked: %llu, bitwise violations: %llu\n",
+  std::printf("attribution matrices checked: %llu, cell-sum violations "
+              "(> %g relative to tracker VOPs): %llu\n",
               static_cast<unsigned long long>(cells),
+              kConservationRelTol,
               static_cast<unsigned long long>(violations));
   const double reduction =
       results[kFilters].DataReadsPerGet() > 0.0
@@ -369,7 +375,8 @@ int RunDemo(const BenchArgs& args) {
 
   bool failed = false;
   if (cells == 0 || violations > 0) {
-    std::fprintf(stderr, "FAIL: VOP attribution not conserved bit-for-bit\n");
+    std::fprintf(stderr,
+                 "FAIL: attribution cells do not sum to tracker VOPs\n");
     failed = true;
   }
   if (reduction < 3.0) {

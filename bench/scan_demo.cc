@@ -9,13 +9,13 @@
 // Libra's accounting says the policy choice did:
 //   1. the measured per-class cost profiles q̂_t^{a,i} (VOPs per normalized
 //      request of class a attributed to internal op i), aggregated across
-//      nodes from the span attribution matrices,
+//      nodes from each node tracker's attribution matrix,
 //   2. the admitted reservation mass (required/granted VOPs summed over the
 //      per-node audit records) — SCAN reservations are priced and admitted
 //      like any other class,
-//   3. bit-for-bit VOP conservation: on every node, each tenant's
-//      attribution total equals the scheduler tracker's admitted VOP sum
-//      exactly, scans included.
+//   3. VOP conservation: on every node, each tenant's attribution cells
+//      sum to the scheduler tracker's admitted VOP total within 1e-12
+//      relative, scans included.
 // The ablation contract (exit 1 on violation): scan-mixed tenants carry a
 // nonzero SCAN column while point-only tenants do not, every tenant's churn
 // actually compacted under its declared policy, and the policy measurably
@@ -26,6 +26,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,8 +101,7 @@ int RunDemo(const BenchArgs& args) {
   copt.node_options.lsm_options.write_buffer_bytes = 256 * kKiB;
   copt.node_options.lsm_options.max_bytes_level1 = 1 * kMiB;
   copt.node_options.lsm_options.wal_group_commit = true;
-  // Span attribution on: the conservation check and q̂ readback need the
-  // per-class matrices.
+  // Span collection on: the stats output reports the collector's counters.
   copt.node_options.scheduler_options.span_capacity = 1 << 14;
   std::unique_ptr<Cluster> cl_holder = MakeCluster(rig, copt);
   Cluster& cl = *cl_holder;
@@ -182,7 +182,7 @@ int RunDemo(const BenchArgs& args) {
     rig.Run();
   }
 
-  // --- cluster-wide measured profiles + bitwise conservation ---
+  // --- cluster-wide measured profiles + VOP conservation ---
   MeasuredProfile profiles[kN];
   uint64_t conservation_cells = 0;
   uint64_t conservation_violations = 0;
@@ -190,13 +190,14 @@ int RunDemo(const BenchArgs& args) {
   for (int n = 0; n < cl.num_nodes(); ++n) {
     for (size_t i = 0; i < kN; ++i) {
       const TenantId t = kCells[i].tenant;
-      const obs::AttributionMatrix* m =
-          cl.node(n).scheduler().spans()->attribution().Of(t);
-      if (m != nullptr) {
+      const std::optional<obs::AttributionMatrix> m =
+          cl.node(n).tracker().Attribution(t);
+      if (m) {
         ++conservation_cells;
-        // Arrival-order attribution total vs the tracker's admitted VOP
-        // sum: equal to the last bit, scans included.
-        if (m->total_vops != cl.node(n).tracker().Stats(t).vops) {
+        // The cells re-order the tracker's additions: equal to its admitted
+        // VOP total up to rounding, scans included.
+        const double vops = cl.node(n).tracker().Stats(t).vops;
+        if (std::abs(m->CellSum() - vops) > kConservationRelTol * vops) {
           ++conservation_violations;
         }
         for (int a = 0; a < obs::kAttrApps; ++a) {
@@ -258,8 +259,10 @@ int RunDemo(const BenchArgs& args) {
   Emit(args, table);
 
   Section(args, "Scan demo: conservation and contract");
-  std::printf("attribution cells checked: %llu, bitwise violations: %llu\n",
+  std::printf("attribution matrices checked: %llu, cell-sum violations "
+              "(> %g relative to tracker VOPs): %llu\n",
               static_cast<unsigned long long>(conservation_cells),
+              kConservationRelTol,
               static_cast<unsigned long long>(conservation_violations));
   for (size_t i = 0; i < kN; ++i) {
     std::printf("tenant %u: %llu compactions (%s), %llu scans issued\n",
@@ -274,7 +277,8 @@ int RunDemo(const BenchArgs& args) {
 
   bool failed = false;
   if (conservation_cells == 0 || conservation_violations > 0) {
-    std::fprintf(stderr, "FAIL: VOP attribution not conserved bit-for-bit\n");
+    std::fprintf(stderr,
+                 "FAIL: attribution cells do not sum to tracker VOPs\n");
     failed = true;
   }
   for (size_t i = 0; i < kN; ++i) {

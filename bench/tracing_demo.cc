@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -120,8 +121,8 @@ RunOutput RunOnce(const BenchArgs& args, SimDuration duration,
   out.stats = node.Snapshot();
   out.spans = node.scheduler().spans()->Spans();
   for (TenantId t : {kHonest, kMisdeclared}) {
-    if (const obs::AttributionMatrix* m =
-            node.scheduler().spans()->attribution().Of(t)) {
+    if (const std::optional<obs::AttributionMatrix> m =
+            node.tracker().Attribution(t)) {
       out.observed[t] = *m;
     }
   }

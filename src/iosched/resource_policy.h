@@ -130,7 +130,7 @@ class ResourcePolicy {
   }
 
   // The attribution profile the tenant declared at admission — what the
-  // conformance estimator's observed q̂^{a,i} is verified against. Optional:
+  // tracker-derived observed q̂^{a,i} is verified against. Optional:
   // tenants without a declaration are monitored but never flagged.
   void SetDeclaredProfile(TenantId tenant, obs::DeclaredAttribution declared) {
     declared_[tenant] = declared;

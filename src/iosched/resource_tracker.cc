@@ -173,6 +173,28 @@ double ResourceTracker::NormalizedRequestsTotal(TenantId tenant,
   return it->second.app[static_cast<int>(app)].s_total;
 }
 
+std::optional<obs::AttributionMatrix> ResourceTracker::Attribution(
+    TenantId tenant) const {
+  static_assert(kNumAppRequests == obs::kAttrApps &&
+                kNumInternalOps == obs::kAttrInternal);
+  const auto it = tenants_.find(tenant);
+  if (it == tenants_.end()) {
+    return std::nullopt;
+  }
+  const Tenant& t = it->second;
+  constexpr int kR = static_cast<int>(ssd::IoType::kRead);
+  constexpr int kW = static_cast<int>(ssd::IoType::kWrite);
+  obs::AttributionMatrix m;
+  for (int a = 0; a < kNumAppRequests; ++a) {
+    for (int i = 0; i < kNumInternalOps; ++i) {
+      m.vops[a][i] = t.vops_by[a][i][kR] + t.vops_by[a][i][kW];
+    }
+    m.norm_requests[a] = t.app[a].s_total;
+  }
+  m.total_vops = t.stats.vops;
+  return m;
+}
+
 const TenantIoStats& ResourceTracker::Stats(TenantId tenant) const {
   const auto it = tenants_.find(tenant);
   return it == tenants_.end() ? empty_stats_ : it->second.stats;

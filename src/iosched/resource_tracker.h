@@ -24,11 +24,13 @@
 #define LIBRA_SRC_IOSCHED_RESOURCE_TRACKER_H_
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/ewma.h"
 #include "src/iosched/io_tag.h"
+#include "src/obs/conformance.h"
 #include "src/ssd/io_types.h"
 
 namespace libra::iosched {
@@ -118,6 +120,12 @@ class ResourceTracker {
 
   // Cumulative normalized requests executed (throughput measurement).
   double NormalizedRequestsTotal(TenantId tenant, AppRequest app) const;
+
+  // The tenant's observed attribution matrix, derived from the cumulative
+  // counters above: cell (a, i) is VopsBy(a, i, read) + VopsBy(a, i, write),
+  // norm_requests[a] is NormalizedRequestsTotal(a), and total_vops is
+  // Stats().vops. nullopt until the tenant has recorded anything.
+  std::optional<obs::AttributionMatrix> Attribution(TenantId tenant) const;
 
   // Total VOPs consumed across all tenants since construction.
   double total_vops() const { return total_vops_; }

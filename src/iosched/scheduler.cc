@@ -33,9 +33,6 @@ IoScheduler::IoScheduler(sim::EventLoop& loop, ssd::SsdDevice& device,
   max_carry_vops_ = std::max(
       {64.0, cost_model_->Cost(ssd::IoType::kRead, max_chunk),
        cost_model_->Cost(ssd::IoType::kWrite, max_chunk)});
-  if (options_.trace_capacity > 0) {
-    trace_ = std::make_unique<obs::TraceRing>(options_.trace_capacity);
-  }
   if (options_.span_capacity > 0) {
     spans_ = std::make_unique<obs::SpanCollector>(options_.span_capacity,
                                                   options_.span_sample_every,
@@ -169,17 +166,6 @@ sim::Task<void> IoScheduler::Submit(IoTag tag, ssd::IoType type,
     // with zero chunks; recorded in the lifecycle stats so callers can see
     // the (degenerate) op happened.
     tenant.lifecycle->Mutable(tag.app, tag.internal).RecordOp(0, 0, 0, 0);
-    if (trace_ != nullptr) {
-      const SimTime now = loop_.Now();
-      trace_->Record({now, obs::TraceEventType::kSubmit, tag.tenant,
-                      static_cast<uint8_t>(tag.app),
-                      static_cast<uint8_t>(tag.internal),
-                      type == ssd::IoType::kWrite, offset, 0, 0, 0, 0});
-      trace_->Record({now, obs::TraceEventType::kComplete, tag.tenant,
-                      static_cast<uint8_t>(tag.app),
-                      static_cast<uint8_t>(tag.internal),
-                      type == ssd::IoType::kWrite, offset, 0, 0, 0, 0});
-    }
     done.Set(true);
     co_await done.Wait();
     co_return;
@@ -187,12 +173,6 @@ sim::Task<void> IoScheduler::Submit(IoTag tag, ssd::IoType type,
   Op* op = AllocOp(tag, type, offset, size);
   op->done = &done;
   op->manifest = std::move(manifest);
-  if (trace_ != nullptr) {
-    trace_->Record({op->submit_time, obs::TraceEventType::kSubmit, tag.tenant,
-                    static_cast<uint8_t>(tag.app),
-                    static_cast<uint8_t>(tag.internal),
-                    type == ssd::IoType::kWrite, offset, size, 0, 0, 0});
-  }
   if (!tenant.active() && tenant.busy_since < 0) {
     tenant.busy_since = loop_.Now();  // idle -> active: busy period opens
   }
@@ -283,13 +263,6 @@ void IoScheduler::DispatchChunk(Tenant& tenant) {
   if (op->dispatched == 0) {
     // First chunk leaves the DRR queue: the queue-wait span ends here.
     op->first_dispatch = loop_.Now();
-    if (trace_ != nullptr) {
-      trace_->Record({op->first_dispatch, obs::TraceEventType::kDispatch,
-                      tenant.id, static_cast<uint8_t>(op->tag.app),
-                      static_cast<uint8_t>(op->tag.internal),
-                      op->type == ssd::IoType::kWrite, op->offset, op->size, 0,
-                      0, 0});
-    }
   }
   op->dispatched += chunk;
   ++op->chunks_inflight;
@@ -351,24 +324,10 @@ void IoScheduler::OnChunkComplete(uint32_t index) {
   const uint32_t chunk = slot.chunk;
   if (slot.shares.empty()) {
     tracker_.RecordIo(op->tag, op->type, chunk, cost);
-    if (spans_ != nullptr) {
-      // Same cost value, same call order as the tracker: the estimator's
-      // per-tenant VOP totals reproduce the tracker's bit-for-bit.
-      spans_->attribution().RecordIo(op->tag.tenant,
-                                     static_cast<uint8_t>(op->tag.app),
-                                     static_cast<uint8_t>(op->tag.internal),
-                                     cost);
-    }
   } else {
     // Shared chunk: each contributor is charged its pre-split exact share.
     for (const ChunkShare& s : slot.shares) {
       tracker_.RecordIoShare(s.tag, op->type, s.bytes, s.cost);
-      if (spans_ != nullptr) {
-        spans_->attribution().RecordIo(s.tag.tenant,
-                                       static_cast<uint8_t>(s.tag.app),
-                                       static_cast<uint8_t>(s.tag.internal),
-                                       s.cost);
-      }
     }
     slot.shares.clear();  // free-list invariant: recycled slots hold none
   }
@@ -389,13 +348,6 @@ void IoScheduler::OnChunkComplete(uint32_t index) {
         static_cast<uint64_t>(now - op->first_dispatch);
     t.lifecycle->Mutable(op->tag.app, op->tag.internal)
         .RecordOp(queue_wait, service, op->chunks_total, op->size);
-    if (trace_ != nullptr) {
-      trace_->Record({now, obs::TraceEventType::kComplete, tenant_id,
-                      static_cast<uint8_t>(op->tag.app),
-                      static_cast<uint8_t>(op->tag.internal),
-                      op->type == ssd::IoType::kWrite, op->offset, op->size,
-                      op->chunks_total, queue_wait, service});
-    }
     if (spans_ != nullptr) {
       EmitDeviceIoSpan(*op, now);
     }
@@ -443,6 +395,7 @@ void IoScheduler::EmitDeviceIoSpan(const Op& op, SimTime now) {
   rec.tenant = op.tag.tenant;
   rec.start_ns = op.submit_time;
   rec.end_ns = now;
+  rec.queue_wait_ns = static_cast<uint64_t>(op.first_dispatch - op.submit_time);
   rec.bytes = op.size;
   rec.vops = op.cost_accum;
   // A group-committed IOP carries every rider's context: link the traced

@@ -42,7 +42,6 @@
 #include "src/iosched/resource_tracker.h"
 #include "src/obs/io_stats.h"
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -55,12 +54,10 @@ struct SchedulerOptions {
   uint32_t chunk_bytes = 128 * 1024;      // split threshold (0x20000)
   bool enable_chunking = true;            // ablation switch
   double round_quantum_vops = 256.0;      // total budget added per round
-  // IO lifecycle event trace: 0 disables; > 0 keeps the newest N events in
-  // a ring (see obs::TraceRing), dumpable as JSONL.
-  size_t trace_capacity = 0;
   // Causal span collection: 0 disables (every trace-context branch in the
   // IO path then costs one null/validity check); > 0 keeps the newest N
-  // spans (see obs::SpanCollector) and turns on attribution estimation.
+  // spans (see obs::SpanCollector). Each device-IO span carries its op's
+  // queue wait, so the collector is also the per-op lifecycle trace.
   size_t span_capacity = 0;
   // Mint 1 of every N root traces (1 = trace every request).
   uint32_t span_sample_every = 1;
@@ -154,9 +151,6 @@ class IoScheduler {
   // Lifecycle statistics for a tenant; nullptr until the tenant has been
   // registered (SetAllocation) or has submitted an IO.
   const TenantLifecycleStats* lifecycle(TenantId tenant) const;
-
-  // Event trace ring; nullptr unless options.trace_capacity > 0.
-  const obs::TraceRing* trace() const { return trace_.get(); }
 
   // Span collector; nullptr unless options.span_capacity > 0. Every layer
   // above the scheduler reaches tracing through this single owner.
@@ -310,7 +304,6 @@ class IoScheduler {
   uint64_t rounds_ = 0;
   bool pumping_ = false;
   double max_carry_vops_ = 64.0;  // covers the dearest chunk (see ctor)
-  std::unique_ptr<obs::TraceRing> trace_;
   std::unique_ptr<obs::SpanCollector> spans_;
 };
 

@@ -224,18 +224,6 @@ std::string NodeStatsToJson(const NodeStats& stats) {
   w.Uint(stats.scheduler_rounds);
   w.EndObject();
 
-  w.Key("trace_ring");
-  w.BeginObject();
-  w.Key("enabled");
-  w.Bool(stats.trace_ring.enabled);
-  w.Key("capacity");
-  w.Uint(stats.trace_ring.capacity);
-  w.Key("recorded");
-  w.Uint(stats.trace_ring.recorded);
-  w.Key("dropped");
-  w.Uint(stats.trace_ring.dropped);
-  w.EndObject();
-
   w.Key("spans");
   w.BeginObject();
   w.Key("enabled");

@@ -35,9 +35,10 @@ struct IoClassSnapshot {
   obs::IoClassStats stats;
 };
 
-// Observed-vs-declared attribution matrix for one tenant (tracing on).
+// Observed-vs-declared attribution matrix for one tenant (derived from the
+// scheduler's ResourceTracker; tracing need not be on).
 struct AttributionSnapshot {
-  bool observed = false;  // estimator has data for this tenant
+  bool observed = false;  // the tracker has data for this tenant
   obs::AttributionMatrix matrix;
   obs::DeclaredAttribution declared;
   obs::ConformanceReport report;  // valid when observed && declared
@@ -94,15 +95,6 @@ struct BlockCacheSnapshot {
   uint64_t evictions = 0;
 };
 
-// IO lifecycle trace-ring counters (scheduler's TraceRing; all zero when
-// trace_capacity is 0). A nonzero `dropped` means the ring wrapped.
-struct TraceRingSnapshot {
-  bool enabled = false;
-  uint64_t capacity = 0;
-  uint64_t recorded = 0;
-  uint64_t dropped = 0;
-};
-
 // Causal span collector counters (scheduler's SpanCollector).
 struct SpanCollectorSnapshot {
   bool enabled = false;
@@ -150,7 +142,6 @@ struct NodeStats {
   double capacity_floor_vops = 0.0;
   double capacity_estimate_vops = 0.0;
   uint64_t scheduler_rounds = 0;
-  TraceRingSnapshot trace_ring;
   SpanCollectorSnapshot spans;
   ObjectCacheSnapshot object_cache;
   BlockCacheSnapshot block_cache;

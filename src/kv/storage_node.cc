@@ -1,6 +1,7 @@
 #include "src/kv/storage_node.h"
 
 #include <cassert>
+#include <optional>
 
 #include "src/sim/sync.h"
 
@@ -263,15 +264,9 @@ sim::Task<Status> StorageNode::Put(TenantId tenant, const std::string& key,
       static_cast<uint64_t>(loop_.Now() - start));
   if (s.ok()) {
     // Normalized app-request accounting happens at the protocol layer
-    // (§2.2): reservations are in size-normalized 1KB requests. The
-    // attribution estimator sees the same normalization for every request
-    // (sampled or not) so the observed q̂ denominator stays exact.
+    // (§2.2): reservations are in size-normalized 1KB requests, and every
+    // request (traced or not) lands in the q̂ denominator.
     tracker().RecordAppRequest(tenant, AppRequest::kPut, value.size());
-    if (spans != nullptr) {
-      spans->attribution().RecordRequest(
-          tenant, static_cast<uint8_t>(AppRequest::kPut),
-          iosched::NormalizedRequests(value.size()));
-    }
     if (cache_ != nullptr) {
       cache_->Put(key, value);  // write-through
     }
@@ -298,11 +293,6 @@ sim::Task<Status> StorageNode::Delete(TenantId tenant, const std::string& key,
       static_cast<uint64_t>(loop_.Now() - start));
   if (s.ok()) {
     tracker().RecordAppRequest(tenant, AppRequest::kPut, key.size());
-    if (spans != nullptr) {
-      spans->attribution().RecordRequest(
-          tenant, static_cast<uint8_t>(AppRequest::kPut),
-          iosched::NormalizedRequests(key.size()));
-    }
     if (cache_ != nullptr) {
       cache_->Erase(key);
     }
@@ -330,11 +320,6 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
       Result<std::string> out(std::move(*hit));
       // Cache hits consume no IO; they still count as served requests.
       tracker().RecordAppRequest(tenant, AppRequest::kGet, out.value().size());
-      if (spans != nullptr) {
-        spans->attribution().RecordRequest(
-            tenant, static_cast<uint8_t>(AppRequest::kGet),
-            iosched::NormalizedRequests(out.value().size()));
-      }
       request_latency_[tenant].get->Record(
           static_cast<uint64_t>(loop_.Now() - start));
       EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kGet,
@@ -356,11 +341,6 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
       Result<std::string> out = co_await done.Wait();
       const uint64_t billed = out.ok() ? out.value().size() : 1;
       tracker().RecordAppRequest(tenant, AppRequest::kGet, billed);
-      if (spans != nullptr) {
-        spans->attribution().RecordRequest(
-            tenant, static_cast<uint8_t>(AppRequest::kGet),
-            iosched::NormalizedRequests(billed));
-      }
       request_latency_[tenant].get->Record(
           static_cast<uint64_t>(loop_.Now() - start));
       EndRequestSpan(spans, span, obs::SpanKind::kCoalescedGet,
@@ -381,11 +361,6 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
     }
     const uint64_t billed = out.ok() ? out.value().size() : 1;
     tracker().RecordAppRequest(tenant, AppRequest::kGet, billed);
-    if (spans != nullptr) {
-      spans->attribution().RecordRequest(
-          tenant, static_cast<uint8_t>(AppRequest::kGet),
-          iosched::NormalizedRequests(billed));
-    }
     request_latency_[tenant].get->Record(
         static_cast<uint64_t>(loop_.Now() - start));
     if (out.ok() && cache_ != nullptr) {
@@ -399,11 +374,6 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
   Result<std::string> out(std::move(r.status), std::move(r.value));
   const uint64_t billed = out.ok() ? out.value().size() : 1;
   tracker().RecordAppRequest(tenant, AppRequest::kGet, billed);
-  if (spans != nullptr) {
-    spans->attribution().RecordRequest(
-        tenant, static_cast<uint8_t>(AppRequest::kGet),
-        iosched::NormalizedRequests(billed));
-  }
   request_latency_[tenant].get->Record(
       static_cast<uint64_t>(loop_.Now() - start));
   if (out.ok() && cache_ != nullptr) {
@@ -447,11 +417,6 @@ sim::Task<lsm::LsmDb::ScanResult> StorageNode::Scan(TenantId tenant,
       billed = 1;
     }
     tracker().RecordAppRequest(tenant, AppRequest::kScan, billed);
-    if (spans != nullptr) {
-      spans->attribution().RecordRequest(
-          tenant, static_cast<uint8_t>(AppRequest::kScan),
-          iosched::NormalizedRequests(billed));
-    }
   }
   request_latency_[tenant].scan->Record(
       static_cast<uint64_t>(loop_.Now() - start_time));
@@ -467,12 +432,6 @@ NodeStats StorageNode::Snapshot() const {
   s.capacity_floor_vops = capacity_.provisionable();
   s.capacity_estimate_vops = capacity_.current_estimate();
   s.scheduler_rounds = scheduler_.rounds();
-  if (const obs::TraceRing* tr = scheduler_.trace(); tr != nullptr) {
-    s.trace_ring.enabled = true;
-    s.trace_ring.capacity = tr->capacity();
-    s.trace_ring.recorded = tr->total_recorded();
-    s.trace_ring.dropped = tr->dropped();
-  }
   if (const obs::SpanCollector* sc = scheduler_.spans(); sc != nullptr) {
     s.spans.enabled = true;
     s.spans.capacity = sc->capacity();
@@ -540,21 +499,18 @@ NodeStats StorageNode::Snapshot() const {
       }
     }
     t.lsm = db->stats();
-    if (const obs::SpanCollector* sc = scheduler_.spans(); sc != nullptr) {
-      if (const obs::AttributionMatrix* m = sc->attribution().Of(tenant);
-          m != nullptr) {
-        t.attribution.observed = true;
-        t.attribution.matrix = *m;
-      }
-      t.attribution.declared = policy_.DeclaredOf(tenant);
-      t.attribution.tolerance = options_.attribution_tolerance;
-      if (t.attribution.observed && t.attribution.declared.declared) {
-        t.attribution.report =
-            obs::CompareAttribution(t.attribution.matrix,
-                                    t.attribution.declared);
-        t.attribution.conformant =
-            t.attribution.report.conformant(options_.attribution_tolerance);
-      }
+    if (const std::optional<obs::AttributionMatrix> m =
+            scheduler_.tracker().Attribution(tenant)) {
+      t.attribution.observed = true;
+      t.attribution.matrix = *m;
+    }
+    t.attribution.declared = policy_.DeclaredOf(tenant);
+    t.attribution.tolerance = options_.attribution_tolerance;
+    if (t.attribution.observed && t.attribution.declared.declared) {
+      t.attribution.report = obs::CompareAttribution(t.attribution.matrix,
+                                                     t.attribution.declared);
+      t.attribution.conformant =
+          t.attribution.report.conformant(options_.attribution_tolerance);
     }
     if (const obs::SlaMonitor::TenantSla* sl = policy_.sla().Of(tenant);
         sl != nullptr) {

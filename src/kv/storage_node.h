@@ -59,8 +59,7 @@ struct NodeOptions {
   // Attribution-conformance flagging threshold: a tenant whose observed
   // q̂^{a,i} diverges from its declared profile by more than this relative
   // error (on any significant cell) is reported non-conformant in the
-  // stats JSON. Only meaningful when tracing (span_capacity) is on and the
-  // tenant declared a profile.
+  // stats JSON. Only meaningful when the tenant declared a profile.
   double attribution_tolerance = 0.25;
 
   NodeOptions() : device_profile(ssd::Intel320Profile()) {}

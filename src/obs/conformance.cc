@@ -5,19 +5,6 @@
 
 namespace libra::obs {
 
-AttributionMatrix Diff(const AttributionMatrix& later,
-                       const AttributionMatrix& earlier) {
-  AttributionMatrix out;
-  for (int a = 0; a < kAttrApps; ++a) {
-    for (int i = 0; i < kAttrInternal; ++i) {
-      out.vops[a][i] = later.vops[a][i] - earlier.vops[a][i];
-    }
-    out.norm_requests[a] = later.norm_requests[a] - earlier.norm_requests[a];
-  }
-  out.total_vops = later.total_vops - earlier.total_vops;
-  return out;
-}
-
 ConformanceReport CompareAttribution(const AttributionMatrix& observed,
                                      const DeclaredAttribution& declared,
                                      double min_declared) {

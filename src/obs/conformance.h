@@ -1,16 +1,14 @@
-// Attribution-conformance estimation: the observed indirect-IO matrix
-// q̂_t^{a,i} and its divergence from a tenant's declared profile.
+// Attribution conformance: the observed indirect-IO matrix q̂_t^{a,i} and
+// its divergence from a tenant's declared profile.
 //
 // Libra's provisioner prices reservations with per-(app request, internal
 // op) resource profiles. Nothing in the aggregate metrics can verify that
 // the profile a tenant *declared* at admission matches what actually flows
-// through the scheduler; this estimator closes that loop. It accumulates,
-// per tenant, the VOPs attributed to every (app, internal) cell — fed by
-// the scheduler on each chunk completion with the exact same cost values
-// the ResourceTracker records, in the same order, so the per-tenant total
-// reproduces the tracker's VOP sum bit-for-bit — plus the normalized
-// request counts that form the denominators of q̂^{a,i} = VOPs attributed
-// to (a, i) per normalized request of class a.
+// through the scheduler; this comparison closes that loop. The observed
+// matrix is not a second accumulator: iosched::ResourceTracker::Attribution
+// derives it from the tracker's cumulative per-(app, internal) VOPs and
+// normalized request totals, so q̂^{a,i} = VOPs attributed to (a, i) per
+// normalized request of class a is a decomposition of the bill itself.
 //
 // Field vocabulary mirrors iosched::AppRequest / InternalOp (io_tag.h) as
 // raw uint8 switches: obs stays the bottom observability layer.
@@ -18,25 +16,31 @@
 #ifndef LIBRA_SRC_OBS_CONFORMANCE_H_
 #define LIBRA_SRC_OBS_CONFORMANCE_H_
 
-#include <cstdint>
-#include <map>
-#include <vector>
-
 namespace libra::obs {
 
 // Mirrors iosched::kNumAppRequests / kNumInternalOps.
 inline constexpr int kAttrApps = 4;      // none, GET, PUT, SCAN
 inline constexpr int kAttrInternal = 4;  // direct, FLUSH, COMPACT, REPL
 
-// One tenant's cumulative attribution state. A value type: a steady-state
-// window is the element-wise difference of two snapshots (Diff below).
+// One tenant's cumulative attribution state.
 struct AttributionMatrix {
   double vops[kAttrApps][kAttrInternal] = {};  // attributed VOPs per cell
   double norm_requests[kAttrApps] = {};        // normalized requests served
-  // Arrival-order accumulation of every attributed cost — bitwise equal to
-  // the ResourceTracker's per-tenant VOP sum (the cell sums above re-order
-  // the additions and may differ in the last ulp).
+  // Arrival-order sum of every attributed cost (the tenant's tracker VOP
+  // total); the cell sums above re-order the additions and may differ from
+  // it in the last ulp.
   double total_vops = 0.0;
+
+  // Sum of the cells: total_vops up to summation order (VOP conservation).
+  double CellSum() const {
+    double sum = 0.0;
+    for (const auto& row : vops) {
+      for (const double v : row) {
+        sum += v;
+      }
+    }
+    return sum;
+  }
 
   // Observed q̂^{a,i}: VOPs of (app, internal) per normalized request of
   // `app`; 0 when the tenant has served no requests of that class.
@@ -44,45 +48,6 @@ struct AttributionMatrix {
     const double n = norm_requests[app];
     return n > 0.0 ? vops[app][internal] / n : 0.0;
   }
-};
-
-// later - earlier, element-wise (windowed observation between snapshots).
-AttributionMatrix Diff(const AttributionMatrix& later,
-                       const AttributionMatrix& earlier);
-
-class AttributionEstimator {
- public:
-  // One attributed IO cost (called once per chunk, or once per share of a
-  // shared chunk, with the exact cost the tracker records).
-  void RecordIo(uint32_t tenant, uint8_t app, uint8_t internal, double vops) {
-    AttributionMatrix& m = tenants_[tenant];
-    m.vops[app][internal] += vops;
-    m.total_vops += vops;
-  }
-
-  // One served app request in normalized (1KB) units.
-  void RecordRequest(uint32_t tenant, uint8_t app, double normalized) {
-    tenants_[tenant].norm_requests[app] += normalized;
-  }
-
-  // nullptr until the tenant has recorded anything.
-  const AttributionMatrix* Of(uint32_t tenant) const {
-    const auto it = tenants_.find(tenant);
-    return it == tenants_.end() ? nullptr : &it->second;
-  }
-
-  std::vector<uint32_t> tenants() const {
-    std::vector<uint32_t> out;
-    out.reserve(tenants_.size());
-    for (const auto& [t, m] : tenants_) {
-      out.push_back(t);
-    }
-    return out;
-  }
-
- private:
-  // std::map: deterministic iteration order for JSON export.
-  std::map<uint32_t, AttributionMatrix> tenants_;
 };
 
 // The per-request VOP matrix a tenant declared at admission — the profile

@@ -125,6 +125,10 @@ void WriteCompleteEvent(JsonWriter& w, const SpanRecord& s, int pid) {
   w.Uint(s.bytes);
   w.Key("vops");
   w.Double(s.vops);
+  if (s.kind == SpanKind::kDeviceIo) {
+    w.Key("queue_wait_ns");
+    w.Uint(s.queue_wait_ns);
+  }
   if (s.links.total > 0) {
     w.Key("links_total");
     w.Uint(s.links.total);

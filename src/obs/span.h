@@ -10,13 +10,12 @@
 // which is how a COMPACT device IO is connected back to the PUTs that
 // caused it even though they belong to different traces.
 //
-// The collector is a fixed-capacity ring like obs::TraceRing: recording is
-// a cursor bump plus a POD store, dropped spans are counted (no silent
-// caps), and id minting is a deterministic counter (optionally namespaced
-// by a per-node seed) so traces are byte-identical across runs and --jobs
-// values. Sampling (1/N minting) gates span *recording* only; the embedded
-// AttributionEstimator is fed for every IO regardless, so the observed
-// q̂^{a,i} matrix and VOP-conservation invariants are exact.
+// The collector is a fixed-capacity ring: recording is a cursor bump plus a
+// POD store, dropped spans are counted (no silent caps), and id minting is
+// a deterministic counter (optionally namespaced by a per-node seed) so
+// traces are byte-identical across runs and --jobs values. Sampling (1/N
+// minting) gates span recording only; attribution (q̂^{a,i}) is derived
+// from the ResourceTracker, which sees every IO whether traced or not.
 
 #ifndef LIBRA_SRC_OBS_SPAN_H_
 #define LIBRA_SRC_OBS_SPAN_H_
@@ -29,7 +28,6 @@
 #include <vector>
 
 #include "src/common/trace_context.h"
-#include "src/obs/conformance.h"
 
 namespace libra::obs {
 
@@ -86,6 +84,9 @@ struct SpanRecord {
   int64_t end_ns = 0;
   uint64_t bytes = 0;
   double vops = 0.0;       // attributed cost (kDeviceIo: exact op total)
+  // kDeviceIo only: submit -> first chunk dispatch, the DRR throttling
+  // delay (the scheduler's lifecycle queue-wait sample for this op).
+  uint64_t queue_wait_ns = 0;
   SpanLinkSet links;       // sampled cross-trace causal contributors
 };
 
@@ -129,9 +130,6 @@ class SpanCollector {
   // Retained spans, oldest first.
   std::vector<SpanRecord> Spans() const;
 
-  AttributionEstimator& attribution() { return attribution_; }
-  const AttributionEstimator& attribution() const { return attribution_; }
-
  private:
   uint64_t NextId() { return seed_ | ++next_id_; }
 
@@ -144,7 +142,6 @@ class SpanCollector {
   uint64_t mint_calls_ = 0;
   uint64_t minted_ = 0;
   uint64_t sampled_out_ = 0;
-  AttributionEstimator attribution_;
 };
 
 // One collector's contribution to a merged Chrome trace export: its spans

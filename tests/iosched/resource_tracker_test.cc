@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "src/common/rng.h"
+
 namespace libra::iosched {
 namespace {
 
@@ -169,6 +173,58 @@ TEST(ResourceTrackerTest, SharedIoCountersZeroWithoutBatching) {
               4096, 2.0);
   EXPECT_EQ(tr.shared_io_shares(), 0u);
   EXPECT_EQ(tr.shared_io_bytes(), 0u);
+}
+
+// The attribution matrix is a decomposition of the tracker's own bill:
+// plain IO and RecordIoShare slices land in each contributor's (app,
+// internal) cell, the cells sum to the tenant's VOP total, and the request
+// denominators are the tracker's normalized totals.
+TEST(ResourceTrackerTest, AttributionDecomposesTrackedVops) {
+  ResourceTracker tr;
+  EXPECT_FALSE(tr.Attribution(1).has_value());
+  Rng rng(9);
+  for (int i = 0; i < 200; ++i) {
+    const TenantId t = 1 + static_cast<TenantId>(i % 2);
+    const auto app = static_cast<AppRequest>(1 + rng.NextU64(3));
+    const auto op = static_cast<InternalOp>(rng.NextU64(kNumInternalOps));
+    const ssd::IoType type =
+        rng.NextU64(2) == 0 ? ssd::IoType::kRead : ssd::IoType::kWrite;
+    // Costs with long binary expansions, so re-ordered sums can round
+    // differently.
+    const double cost = 0.1 + static_cast<double>(rng.NextU64(1000)) / 7.0;
+    tr.RecordIo({t, app, op, {}}, type, 4096, cost);
+    tr.RecordAppRequest(t, app, 512 + rng.NextU64(8192));
+  }
+  // A batched write split between both tenants (FLUSH for tenant 1, direct
+  // PUT for tenant 2): each share lands in its contributor's cell.
+  const double before1 =
+      tr.Attribution(1)->vops[static_cast<int>(AppRequest::kPut)]
+                             [static_cast<int>(InternalOp::kFlush)];
+  const double before2 =
+      tr.Attribution(2)->vops[static_cast<int>(AppRequest::kPut)]
+                             [static_cast<int>(InternalOp::kNone)];
+  tr.RecordIoShare({1, AppRequest::kPut, InternalOp::kFlush, {}},
+                   ssd::IoType::kWrite, 6144, 3.0);
+  tr.RecordIoShare({2, AppRequest::kPut, InternalOp::kNone, {}},
+                   ssd::IoType::kWrite, 2048, 1.0);
+  EXPECT_NEAR(tr.Attribution(1)->vops[static_cast<int>(AppRequest::kPut)]
+                                     [static_cast<int>(InternalOp::kFlush)],
+              before1 + 3.0, 1e-9);
+  EXPECT_NEAR(tr.Attribution(2)->vops[static_cast<int>(AppRequest::kPut)]
+                                     [static_cast<int>(InternalOp::kNone)],
+              before2 + 1.0, 1e-9);
+
+  for (const TenantId t : {TenantId{1}, TenantId{2}}) {
+    const std::optional<obs::AttributionMatrix> m = tr.Attribution(t);
+    ASSERT_TRUE(m.has_value());
+    const double vops = tr.Stats(t).vops;
+    EXPECT_EQ(m->total_vops, vops);
+    EXPECT_NEAR(m->CellSum(), vops, 1e-12 * vops) << "tenant " << t;
+    for (int a = 0; a < kNumAppRequests; ++a) {
+      EXPECT_EQ(m->norm_requests[a],
+                tr.NormalizedRequestsTotal(t, static_cast<AppRequest>(a)));
+    }
+  }
 }
 
 TEST(ResourceTrackerTest, TenantsEnumerated) {

@@ -338,42 +338,10 @@ TEST(SchedulerTest, ThrottledTenantQueueWaitDominates) {
   EXPECT_LT(slow.service.Percentile(0.5), 4 * fast.service.Percentile(0.5));
 }
 
-TEST(SchedulerTest, TraceRingCapturesLifecycleEvents) {
-  SchedulerOptions opt;
-  opt.trace_capacity = 16;
-  Rig rig(opt);
-  rig.sched.SetAllocation(0, 1000.0);
-  auto t = [&]() -> sim::Task<void> {
-    for (int i = 0; i < 8; ++i) {
-      co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone},
-                              uint64_t{4096} * i, 4096);
-    }
-  };
-  sim::Detach(t());
-  rig.loop.Run();
-  const obs::TraceRing* trace = rig.sched.trace();
-  ASSERT_NE(trace, nullptr);
-  // 8 ops x (submit + dispatch + complete) = 24 events through a 16-slot
-  // ring: all recorded, newest 16 retained.
-  EXPECT_EQ(trace->total_recorded(), 24u);
-  EXPECT_EQ(trace->size(), 16u);
-  const auto events = trace->Events();
-  int completes = 0;
-  for (const obs::TraceEvent& ev : events) {
-    EXPECT_EQ(ev.tenant, 0u);
-    EXPECT_EQ(ev.size, 4096u);
-    if (ev.type == obs::TraceEventType::kComplete) {
-      ++completes;
-      EXPECT_EQ(ev.chunks, 1u);
-      EXPECT_GT(ev.service_ns, 0u);
-    }
-  }
-  EXPECT_GT(completes, 0);
-}
-
+// Span collection (the per-op lifecycle trace) is opt-in.
 TEST(SchedulerTest, TracingDisabledByDefault) {
   Rig rig;
-  EXPECT_EQ(rig.sched.trace(), nullptr);
+  EXPECT_EQ(rig.sched.spans(), nullptr);
 }
 
 // --- chunking boundary cases ---

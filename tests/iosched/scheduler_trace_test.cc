@@ -1,11 +1,14 @@
 // Scheduler-level span emission and attribution conservation: device-IO
 // spans parent to the submitting context, WriteShared manifests spread
-// their contexts into links, and the attribution estimator's per-tenant
-// VOP total reproduces the ResourceTracker's sum bit-for-bit.
+// their contexts into links, each device-IO span carries its op's queue
+// wait, and the tracker-derived attribution matrix decomposes the
+// ResourceTracker's per-tenant VOP total.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -115,9 +118,10 @@ TEST(SchedulerTraceTest, WriteSharedLinksFollowerContexts) {
 }
 
 // The conservation invariant the whole attribution pipeline hangs off:
-// the estimator is fed the exact cost doubles the tracker records, in the
-// same order, so per-tenant totals agree bitwise — across plain reads and
-// writes, chunked large ops, and WriteShared cost splits.
+// the matrix is read straight off the tracker's counters (bitwise), and its
+// cells re-order the tracker's additions, so they sum to its VOP total up
+// to rounding — across plain reads and writes, chunked large ops, and
+// WriteShared cost splits.
 TEST(SchedulerTraceTest, AttributionTotalsMatchTrackerBitForBit) {
   Rig rig;
   for (TenantId t = 0; t < 3; ++t) {
@@ -157,14 +161,76 @@ TEST(SchedulerTraceTest, AttributionTotalsMatchTrackerBitForBit) {
     rig.loop.Run();
   }
 
+  const ResourceTracker& tracker = rig.sched.tracker();
   for (TenantId t = 0; t < 3; ++t) {
-    const obs::AttributionMatrix* m = spans->attribution().Of(t);
-    ASSERT_NE(m, nullptr);
-    // Bitwise equality, not EXPECT_NEAR: same values, same order.
-    EXPECT_EQ(m->total_vops, rig.sched.tracker().Stats(t).vops)
-        << "tenant " << t;
-    EXPECT_GT(m->total_vops, 0.0);
+    const std::optional<obs::AttributionMatrix> m = tracker.Attribution(t);
+    ASSERT_TRUE(m.has_value());
+    const double vops = tracker.Stats(t).vops;
+    EXPECT_GT(vops, 0.0);
+    EXPECT_EQ(m->total_vops, vops) << "tenant " << t;
+    for (int a = 0; a < kNumAppRequests; ++a) {
+      const auto app = static_cast<AppRequest>(a);
+      EXPECT_EQ(m->norm_requests[a], tracker.NormalizedRequestsTotal(t, app));
+      for (int i = 0; i < kNumInternalOps; ++i) {
+        const auto op = static_cast<InternalOp>(i);
+        EXPECT_EQ(m->vops[a][i],
+                  tracker.VopsBy(t, app, op, ssd::IoType::kRead) +
+                      tracker.VopsBy(t, app, op, ssd::IoType::kWrite));
+      }
+    }
+    EXPECT_NEAR(m->CellSum(), vops, 1e-12 * vops) << "tenant " << t;
   }
+}
+
+// The per-op lifecycle trace: a throttled tenant's device-IO spans each
+// carry the op's queue wait (submit -> first dispatch), the same sample the
+// scheduler's lifecycle histogram records, so the spans' total and maximum
+// reproduce the tenant's lifecycle queue-wait statistics for the class.
+TEST(SchedulerTraceTest, DeviceIoSpansCarryQueueWait) {
+  Rig rig;
+  rig.sched.SetAllocation(0, 9000.0);
+  rig.sched.SetAllocation(1, 1000.0);  // throttled: 10% of the device
+  obs::SpanCollector* spans = rig.sched.spans();
+  Rng rng(5);
+  auto worker = [&](TenantId tenant) -> sim::Task<void> {
+    for (int i = 0; i < 25; ++i) {
+      const uint64_t offset = rng.NextU64(1ULL * kGiB / 4096) * 4096;
+      co_await rig.sched.Read(
+          {tenant, AppRequest::kGet, InternalOp::kNone, spans->MintTrace()},
+          offset, 4096);
+    }
+  };
+  {
+    sim::TaskGroup group(rig.loop);
+    for (int w = 0; w < 8; ++w) {
+      group.Spawn(worker(0));
+      group.Spawn(worker(1));
+    }
+    rig.loop.Run();
+  }
+
+  const obs::IoClassStats* cls =
+      rig.sched.lifecycle(1)->of(AppRequest::kGet, InternalOp::kNone);
+  ASSERT_NE(cls, nullptr);
+  uint64_t count = 0;
+  uint64_t max_wait = 0;
+  double total_wait = 0.0;  // summed in completion order, like the histogram
+  for (const obs::SpanRecord& s : spans->Spans()) {
+    ASSERT_EQ(s.kind, obs::SpanKind::kDeviceIo);
+    EXPECT_LE(s.queue_wait_ns, static_cast<uint64_t>(s.end_ns - s.start_ns));
+    if (s.tenant != 1) {
+      continue;
+    }
+    ++count;
+    max_wait = std::max(max_wait, s.queue_wait_ns);
+    total_wait += static_cast<double>(s.queue_wait_ns);
+  }
+  ASSERT_EQ(spans->dropped(), 0u);
+  EXPECT_EQ(count, cls->ops);
+  EXPECT_EQ(count, 200u);
+  EXPECT_GT(total_wait, 0.0);  // the tenant really was throttled
+  EXPECT_EQ(total_wait, cls->queue_wait.sum());
+  EXPECT_EQ(max_wait, cls->queue_wait.max());
 }
 
 TEST(SchedulerTraceTest, SampledOutRequestsStillFeedAttribution) {
@@ -189,10 +255,15 @@ TEST(SchedulerTraceTest, SampledOutRequestsStillFeedAttribution) {
   };
   sim::Detach(t());
   loop2.Run();
-  // Attribution saw all 8 IOs even though at most one span was recorded.
-  const obs::AttributionMatrix* m = sched2.spans()->attribution().Of(0);
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->total_vops, sched2.tracker().Stats(0).vops);
+  // Attribution saw all 8 IOs even though at most one span was recorded:
+  // sampling gates span recording, never the tracker's accounting.
+  const std::optional<obs::AttributionMatrix> m =
+      sched2.tracker().Attribution(0);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(sched2.tracker().Stats(0).read_ops, 8u);
+  EXPECT_GT(m->vops[static_cast<int>(AppRequest::kGet)]
+                   [static_cast<int>(InternalOp::kNone)],
+            0.0);
   EXPECT_LE(sched2.spans()->total_recorded(), 1u);
 }
 

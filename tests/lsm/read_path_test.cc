@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -199,9 +200,9 @@ sim::Task<void> MixedChurn(kv::StorageNode* node, iosched::TenantId tenant,
   }
 }
 
-// With filters AND the node-shared block cache on, span-attributed VOPs
-// still reproduce the tracker's per-tenant totals exactly — for GETs and
-// SCANs, under both compaction policies.
+// With filters AND the node-shared block cache on, the attribution cells
+// still sum to the tracker's per-tenant VOP totals — for GETs and SCANs,
+// under both compaction policies.
 TEST(ReadPathTest, VopConservationWithFiltersAndCacheUnderBothPolicies) {
   sim::EventLoop loop;
   kv::NodeOptions opt;
@@ -213,7 +214,6 @@ TEST(ReadPathTest, VopConservationWithFiltersAndCacheUnderBothPolicies) {
   opt.lsm_options.bloom_bits_per_key = 10;
   opt.lsm_options.block_cache_bytes = 256 * 1024;
   opt.prefill_bytes = 64 * kMiB;
-  opt.scheduler_options.span_capacity = 1 << 14;
   kv::StorageNode node(loop, opt);
   ASSERT_TRUE(
       node.AddTenant(1, {500.0, 500.0, 200.0}, {}, CompactionPolicy::kLeveled)
@@ -238,12 +238,13 @@ TEST(ReadPathTest, VopConservationWithFiltersAndCacheUnderBothPolicies) {
     EXPECT_GT(s.bloom_probes, 0u) << "tenant " << t;
     EXPECT_GT(s.bloom_negatives, 0u) << "tenant " << t;
     EXPECT_GT(s.scans, 0u) << "tenant " << t;
-    const obs::AttributionMatrix* m =
-        node.scheduler().spans()->attribution().Of(t);
-    ASSERT_NE(m, nullptr);
-    // Bit-for-bit: filter and cache-fill IO rides the caller's IoTag, so
-    // the per-class attribution still sums to exactly the admitted VOPs.
-    EXPECT_EQ(m->total_vops, node.tracker().Stats(t).vops) << "tenant " << t;
+    const std::optional<obs::AttributionMatrix> m =
+        node.tracker().Attribution(t);
+    ASSERT_TRUE(m.has_value());
+    // Filter and cache-fill IO rides the caller's IoTag, so the per-class
+    // attribution still sums to the admitted VOPs.
+    const double vops = node.tracker().Stats(t).vops;
+    EXPECT_NEAR(m->CellSum(), vops, 1e-12 * vops) << "tenant " << t;
     EXPECT_GT(
         m->norm_requests[static_cast<int>(iosched::AppRequest::kScan)], 0.0)
         << "tenant " << t;

@@ -11,62 +11,50 @@ constexpr uint8_t kDirect = 0;
 constexpr uint8_t kFlush = 1;
 constexpr uint8_t kCompact = 2;
 
-TEST(AttributionEstimatorTest, AccumulatesCellsAndTotals) {
-  AttributionEstimator est;
-  EXPECT_EQ(est.Of(7), nullptr);
-
-  est.RecordRequest(7, kPut, 2.0);
-  est.RecordIo(7, kPut, kDirect, 2.0);
-  est.RecordIo(7, kPut, kCompact, 6.0);
-
-  const AttributionMatrix* m = est.Of(7);
-  ASSERT_NE(m, nullptr);
-  EXPECT_DOUBLE_EQ(m->norm_requests[kPut], 2.0);
-  EXPECT_DOUBLE_EQ(m->total_vops, 8.0);
-  EXPECT_DOUBLE_EQ(m->Q(kPut, kDirect), 1.0);
-  EXPECT_DOUBLE_EQ(m->Q(kPut, kCompact), 3.0);
-  EXPECT_DOUBLE_EQ(m->Q(kGet, kDirect), 0.0);  // no GETs: zero, not NaN
+// A PUT-heavy tenant's matrix: `n` normalized PUTs with the given direct,
+// FLUSH and COMPACT VOPs.
+AttributionMatrix PutMatrix(double n, double direct, double flush,
+                            double compact) {
+  AttributionMatrix m;
+  m.norm_requests[kPut] = n;
+  m.vops[kPut][kDirect] = direct;
+  m.vops[kPut][kFlush] = flush;
+  m.vops[kPut][kCompact] = compact;
+  m.total_vops = direct + flush + compact;
+  return m;
 }
 
-TEST(AttributionEstimatorTest, DiffGivesWindowedMatrix) {
-  AttributionEstimator est;
-  est.RecordRequest(1, kGet, 10.0);
-  est.RecordIo(1, kGet, kDirect, 10.0);
-  const AttributionMatrix early = *est.Of(1);
-  est.RecordRequest(1, kGet, 10.0);
-  est.RecordIo(1, kGet, kDirect, 30.0);
-  const AttributionMatrix window = Diff(*est.Of(1), early);
-  EXPECT_DOUBLE_EQ(window.norm_requests[kGet], 10.0);
-  EXPECT_DOUBLE_EQ(window.Q(kGet, kDirect), 3.0);
+TEST(AttributionMatrixTest, QDividesCellsByNormalizedRequests) {
+  const AttributionMatrix m = PutMatrix(2.0, 2.0, 0.0, 6.0);
+  EXPECT_DOUBLE_EQ(m.Q(kPut, kDirect), 1.0);
+  EXPECT_DOUBLE_EQ(m.Q(kPut, kCompact), 3.0);
+  EXPECT_DOUBLE_EQ(m.Q(kGet, kDirect), 0.0);  // no GETs: zero, not NaN
+  EXPECT_DOUBLE_EQ(m.CellSum(), 8.0);
 }
 
 TEST(CompareAttributionTest, HonestDeclarationConforms) {
-  AttributionEstimator est;
-  est.RecordRequest(1, kPut, 100.0);
-  est.RecordIo(1, kPut, kDirect, 100.0);
-  est.RecordIo(1, kPut, kFlush, 98.0);  // q̂ = 0.98 vs declared 1.0
+  // q̂ FLUSH = 0.98 vs declared 1.0.
+  const AttributionMatrix m = PutMatrix(100.0, 100.0, 98.0, 0.0);
 
   DeclaredAttribution d;
   d.declared = true;
   d.at(kPut, kDirect) = 1.0;
   d.at(kPut, kFlush) = 1.0;
 
-  const ConformanceReport r = CompareAttribution(*est.Of(1), d);
+  const ConformanceReport r = CompareAttribution(m, d);
   EXPECT_LE(r.divergence, 0.05);
   EXPECT_TRUE(r.conformant(0.10));
 }
 
 TEST(CompareAttributionTest, UnderDeclaredAmplificationIsFlagged) {
-  AttributionEstimator est;
-  est.RecordRequest(1, kPut, 100.0);
-  est.RecordIo(1, kPut, kDirect, 100.0);
-  est.RecordIo(1, kPut, kCompact, 300.0);  // hidden 3x amplification
+  // Hidden 3x COMPACT amplification.
+  const AttributionMatrix m = PutMatrix(100.0, 100.0, 0.0, 300.0);
 
   DeclaredAttribution d;
   d.declared = true;
   d.at(kPut, kDirect) = 1.0;  // claims direct-only
 
-  const ConformanceReport r = CompareAttribution(*est.Of(1), d);
+  const ConformanceReport r = CompareAttribution(m, d);
   EXPECT_FALSE(r.conformant(0.10));
   EXPECT_EQ(r.worst_app, kPut);
   EXPECT_EQ(r.worst_internal, kCompact);
@@ -74,10 +62,8 @@ TEST(CompareAttributionTest, UnderDeclaredAmplificationIsFlagged) {
 }
 
 TEST(CompareAttributionTest, SkipsIdleRowsAndNoiseCells) {
-  AttributionEstimator est;
-  est.RecordRequest(1, kPut, 100.0);
-  est.RecordIo(1, kPut, kDirect, 100.0);
-  est.RecordIo(1, kPut, kFlush, 1.0);  // q̂ = 0.01: below min_declared
+  // q̂ FLUSH = 0.01: below min_declared.
+  const AttributionMatrix m = PutMatrix(100.0, 100.0, 1.0, 0.0);
 
   DeclaredAttribution d;
   d.declared = true;
@@ -86,7 +72,7 @@ TEST(CompareAttributionTest, SkipsIdleRowsAndNoiseCells) {
   // or flag an unexercised class.
   d.at(kGet, kDirect) = 4.0;
 
-  const ConformanceReport r = CompareAttribution(*est.Of(1), d);
+  const ConformanceReport r = CompareAttribution(m, d);
   EXPECT_TRUE(r.conformant(0.10));
 }
 

@@ -4,7 +4,8 @@
 // a top-level object with a traceEvents array; every event carries
 // name/ph/pid/tid; "X" slices carry numeric ts/dur; "s"/"f" flow events
 // carry an id and the finish side binds enclosing ("bp":"e"); "M" metadata
-// carries args.name. Runs against a self-generated export always, and —
+// carries args.name; device-IO slices carry a numeric args.queue_wait_ns
+// within the slice. Runs against a self-generated export always, and —
 // when LIBRA_TRACE_JSON names a file (CI points it at the bench-smoke
 // artifact) — against a real emitted trace too.
 
@@ -21,7 +22,8 @@
 namespace libra::obs {
 namespace {
 
-void ValidateChromeTrace(const std::string& json) {
+void ValidateChromeTrace(const std::string& json,
+                         size_t* io_slices_seen = nullptr) {
   JsonValue doc;
   std::string err;
   ASSERT_TRUE(JsonParse(json, &doc, &err)) << err;
@@ -34,6 +36,7 @@ void ValidateChromeTrace(const std::string& json) {
   ASSERT_TRUE(events->is_array());
 
   size_t slices = 0;
+  size_t io_slices = 0;
   size_t starts = 0;
   size_t finishes = 0;
   for (const JsonValue& e : events->array) {
@@ -56,6 +59,17 @@ void ValidateChromeTrace(const std::string& json) {
       EXPECT_TRUE(ts->is_number());
       EXPECT_TRUE(dur->is_number());
       EXPECT_GE(dur->number, 0.0);
+      const JsonValue* cat = e.Find("cat");
+      if (cat != nullptr && cat->string_value == "io") {
+        ++io_slices;
+        const JsonValue* args = e.Find("args");
+        ASSERT_NE(args, nullptr);
+        const JsonValue* wait = args->Find("queue_wait_ns");
+        ASSERT_NE(wait, nullptr) << "device-IO slice without queue_wait_ns";
+        ASSERT_TRUE(wait->is_number());
+        EXPECT_GE(wait->number, 0.0);
+        EXPECT_LE(wait->number / 1000.0, dur->number);  // us vs ns
+      }
     } else if (phase == "s" || phase == "f") {
       const JsonValue* id = e.Find("id");
       ASSERT_NE(id, nullptr);
@@ -78,6 +92,9 @@ void ValidateChromeTrace(const std::string& json) {
   }
   EXPECT_GT(slices, 0u);
   EXPECT_EQ(starts, finishes);  // flow arrows come in matched pairs
+  if (io_slices_seen != nullptr) {
+    *io_slices_seen = io_slices;
+  }
 }
 
 TEST(TraceSchemaTest, SelfGeneratedExportValidates) {
@@ -114,6 +131,7 @@ TEST(TraceSchemaTest, SelfGeneratedExportValidates) {
   d.tenant = 1;
   d.start_ns = 11000;
   d.end_ns = 15000;
+  d.queue_wait_ns = 1500;  // dispatched at 12500
   c.Record(d);
 
   // A SCAN request span: the export must label the kScan class by name.
@@ -129,7 +147,10 @@ TEST(TraceSchemaTest, SelfGeneratedExportValidates) {
   c.Record(sc);
 
   const std::string json = SpansToChromeTraceJson(c, 0, "node0");
-  ValidateChromeTrace(json);
+  size_t io_slices = 0;
+  ValidateChromeTrace(json, &io_slices);
+  EXPECT_EQ(io_slices, 1u);
+  EXPECT_NE(json.find("\"queue_wait_ns\":1500"), std::string::npos);
   EXPECT_NE(json.find("SCAN"), std::string::npos)
       << "kScan request spans must export under the SCAN class name";
 }

@@ -66,9 +66,8 @@ void WriteStatsFile() {
   }
 }
 
-// Parses `flag`'s value as a whole base-10 integer in [min, max]; anything
-// else (empty, trailing garbage, out of range) is a usage error: the
-// message names the flag and the accepted range, and the process exits 2.
+}  // namespace
+
 long long ParseIntFlag(const char* flag, const char* value, long long min,
                        long long max) {
   char* end = nullptr;
@@ -82,8 +81,6 @@ long long ParseIntFlag(const char* flag, const char* value, long long min,
   }
   return v;
 }
-
-}  // namespace
 
 BenchArgs ParseCommonFlags(int argc, char** argv) {
   BenchArgs args;

@@ -47,6 +47,13 @@ struct BenchArgs {
 // layer their own parsing on top.
 BenchArgs ParseCommonFlags(int argc, char** argv);
 
+// Parses `flag`'s value as a whole base-10 integer in [min, max]; anything
+// else (empty, trailing garbage, out of range) is a usage error: the
+// message names the flag and the accepted range, and the process exits 2.
+// Binaries parse their own numeric flags with it too.
+long long ParseIntFlag(const char* flag, const char* value, long long min,
+                       long long max);
+
 // True when --trace-json=PATH was given: benches should enable span
 // collection on their schedulers/nodes and export the spans before exit.
 inline bool TraceRequested(const BenchArgs& args) {

@@ -18,6 +18,7 @@
 // the same seed emit byte-identical output — for any --sim-threads value at
 // a fixed --rpc-latency-us — the property the CI fault smoke job diffs for.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -120,7 +121,8 @@ sim::Task<void> VerifyStableObjects(workload::ClusterTenantWorkload* wl,
 uint64_t ParseSeedFlag(int argc, char** argv, uint64_t def) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      return std::strtoull(argv[i] + 7, nullptr, 10);
+      return static_cast<uint64_t>(
+          ParseIntFlag("--seed", argv[i] + 7, 0, LLONG_MAX));
     }
   }
   return def;

@@ -183,9 +183,11 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
       nodes_given = true;
     } else if (std::strncmp(argv[i], "--tenants=", 10) == 0) {
-      mega.tenants = std::max(1, std::atoi(argv[i] + 10));
+      mega.tenants = static_cast<int>(
+          libra::bench::ParseIntFlag("--tenants", argv[i] + 10, 1, 1 << 24));
     } else if (std::strncmp(argv[i], "--rounds=", 9) == 0) {
-      mega.rounds = std::max(1, std::atoi(argv[i] + 9));
+      mega.rounds = static_cast<int>(
+          libra::bench::ParseIntFlag("--rounds", argv[i] + 9, 1, 1 << 20));
     }
   }
   if (!nodes_given) {

@@ -70,22 +70,24 @@ void BM_CostModelFitted(benchmark::State& state) {
 BENCHMARK(BM_CostModelFitted);
 
 // One full scheduler round trip per iteration: submit + dispatch + device
-// completion — the paper's "constant time" scheduling claim. Tenant count
-// is the benchmark argument; per-op cost should stay ~flat.
-void BM_SchedulerRoundTrip(benchmark::State& state) {
+// completion — the paper's "constant time" scheduling claim. Reads rotate
+// over `active` of `registered` tenants (every registered/active-th id);
+// the rest stay registered and idle. Per-op cost should stay ~flat in both.
+void SchedulerRoundTrip(benchmark::State& state, int registered, int active) {
   sim::EventLoop loop;
   ssd::SsdDevice device(loop, ssd::Intel320Profile());
   device.Prefill(256 * kMiB);
   iosched::IoScheduler sched(loop, device,
                              std::make_unique<iosched::ExactCostModel>(MicroTable()));
-  const int tenants = static_cast<int>(state.range(0));
-  for (int t = 0; t < tenants; ++t) {
+  for (int t = 0; t < registered; ++t) {
     sched.SetAllocation(t, 1000.0);
   }
+  const int stride = registered / active;
   Rng rng(3);
   uint64_t i = 0;
   for (auto _ : state) {
-    const iosched::TenantId t = static_cast<iosched::TenantId>(i++ % tenants);
+    const iosched::TenantId t =
+        static_cast<iosched::TenantId>(i++ % active * stride);
     sim::Detach([](iosched::IoScheduler& s, iosched::TenantId id,
                    uint64_t off) -> sim::Task<void> {
       co_await s.Read({id, iosched::AppRequest::kGet, iosched::InternalOp::kNone},
@@ -95,7 +97,22 @@ void BM_SchedulerRoundTrip(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+// Tenant count is the argument; every registered tenant is active.
+void BM_SchedulerRoundTrip(benchmark::State& state) {
+  const int tenants = static_cast<int>(state.range(0));
+  SchedulerRoundTrip(state, tenants, tenants);
+}
 BENCHMARK(BM_SchedulerRoundTrip)->Arg(1)->Arg(8)->Arg(64);
+
+// Arguments (registered, active): many partitions on a node, few busy.
+void BM_SchedulerRoundTripIdle(benchmark::State& state) {
+  SchedulerRoundTrip(state, static_cast<int>(state.range(0)),
+                     static_cast<int>(state.range(1)));
+}
+BENCHMARK(BM_SchedulerRoundTripIdle)
+    ->Name("BM_SchedulerRoundTrip")
+    ->Args({1024, 8});
 
 void BM_SkiplistInsert(benchmark::State& state) {
   lsm::MemTable mt;

@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bench/kv_bench_common.h"
@@ -178,16 +179,18 @@ int RunDemo(const BenchArgs& args) {
   }
 
   // Causality: every COMPACT device IO should walk back to a PUT request.
+  const std::unordered_set<uint64_t> reaches_put =
+      obs::CausallyReaching(spans, [](const obs::SpanRecord& r) {
+        return r.kind == obs::SpanKind::kRequest &&
+               r.app == static_cast<uint8_t>(AppRequest::kPut);
+      });
   uint64_t compact_ios = 0;
   uint64_t compact_ios_linked = 0;
   for (const obs::SpanRecord& s : spans) {
     if (s.kind == obs::SpanKind::kDeviceIo &&
         s.internal == static_cast<uint8_t>(InternalOp::kCompact)) {
       ++compact_ios;
-      if (obs::CausallyReaches(spans, s.span_id, [](const obs::SpanRecord& r) {
-            return r.kind == obs::SpanKind::kRequest &&
-                   r.app == static_cast<uint8_t>(AppRequest::kPut);
-          })) {
+      if (reaches_put.contains(s.span_id)) {
         ++compact_ios_linked;
       }
     }

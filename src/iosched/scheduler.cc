@@ -1,6 +1,7 @@
 #include "src/iosched/scheduler.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace libra::iosched {
@@ -41,6 +42,33 @@ IoScheduler::IoScheduler(sim::EventLoop& loop, ssd::SsdDevice& device,
   chunk_ctx_.reserve(static_cast<size_t>(options_.queue_depth));
 }
 
+size_t IoScheduler::IndexBits::Next(size_t from) const {
+  size_t w = from >> 6;
+  if (w >= words_.size()) {
+    return kNone;
+  }
+  uint64_t word = words_[w] & (~uint64_t{0} << (from & 63));
+  while (word == 0) {
+    if (++w == words_.size()) {
+      return kNone;
+    }
+    word = words_[w];
+  }
+  return (w << 6) + static_cast<size_t>(std::countr_zero(word));
+}
+
+void IoScheduler::IndexBits::InsertAt(size_t i) {
+  if (size_++ % 64 == 0) {
+    words_.push_back(0);
+  }
+  const size_t w = i >> 6;
+  for (size_t k = words_.size() - 1; k > w; --k) {
+    words_[k] = (words_[k] << 1) | (words_[k - 1] >> 63);
+  }
+  const uint64_t low = (uint64_t{1} << (i & 63)) - 1;
+  words_[w] = (words_[w] & low) | ((words_[w] & ~low) << 1);
+}
+
 size_t IoScheduler::LowerBound(TenantId id) const {
   size_t lo = 0;
   size_t hi = tenants_.size();
@@ -75,6 +103,8 @@ IoScheduler::Tenant& IoScheduler::GetTenant(TenantId id) {
   Tenant t;
   t.id = id;
   t.lifecycle = std::make_unique<TenantLifecycleStats>();
+  queued_.InsertAt(i);
+  active_.InsertAt(i);
   return *tenants_.insert(tenants_.begin() + static_cast<ptrdiff_t>(i),
                           std::move(t));
 }
@@ -173,8 +203,19 @@ sim::Task<void> IoScheduler::Submit(IoTag tag, ssd::IoType type,
   Op* op = AllocOp(tag, type, offset, size);
   op->done = &done;
   op->manifest = std::move(manifest);
-  if (!tenant.active() && tenant.busy_since < 0) {
-    tenant.busy_since = loop_.Now();  // idle -> active: busy period opens
+  const size_t index = static_cast<size_t>(&tenant - tenants_.data());
+  if (!tenant.active()) {
+    // Idle -> active: the busy period opens, and the idle clamp NewRound
+    // skipped (see Tenant::idle_round) is owed if a round passed.
+    assert(tenant.busy_since < 0);
+    tenant.busy_since = loop_.Now();
+    if (tenant.idle_round != rounds_) {
+      tenant.deficit = std::min(tenant.deficit, 0.0);
+    }
+    active_.Set(index);
+  }
+  if (tenant.queue.empty()) {
+    queued_.Set(index);
   }
   tenant.queue.push_back(op);
   Pump();
@@ -213,25 +254,25 @@ size_t IoScheduler::backlog() const {
 }
 
 bool IoScheduler::NewRound() {
+  // Active tenants only, in id order: the same additions in the same order
+  // as a scan over every tenant would make. Classic DRR also clamps each
+  // idle tenant's deficit to min(deficit, 0) here (an idle tenant does not
+  // hoard budget, which keeps the scheduler work-conserving; debt is kept);
+  // Submit applies that clamp on reactivation instead.
   double weight_sum = 0.0;
   int active = 0;
-  for (const Tenant& t : tenants_) {
-    if (t.active()) {
-      weight_sum += t.allocation;
-      ++active;
-    }
+  for (size_t i = active_.Next(0); i != IndexBits::kNone;
+       i = active_.Next(i + 1)) {
+    weight_sum += tenants_[i].allocation;
+    ++active;
   }
   if (active == 0) {
     return false;
   }
   ++rounds_;
-  for (Tenant& t : tenants_) {
-    if (!t.active()) {
-      // Classic DRR: an idle tenant does not hoard budget (this is what
-      // makes the scheduler work-conserving). Debt is kept.
-      t.deficit = std::min(t.deficit, 0.0);
-      continue;
-    }
+  for (size_t i = active_.Next(0); i != IndexBits::kNone;
+       i = active_.Next(i + 1)) {
+    Tenant& t = tenants_[i];
     // Weight-proportional quantum. With all-zero weights (only best-effort
     // tenants active) fall back to equal shares so the device never idles.
     const double share = weight_sum > 0.0
@@ -271,6 +312,9 @@ void IoScheduler::DispatchChunk(Tenant& tenant) {
   ++inflight_;
   if (op->fully_dispatched()) {
     tenant.queue.pop_front();  // op stays alive in the pool until completion
+    if (tenant.queue.empty()) {
+      queued_.Reset(static_cast<size_t>(&tenant - tenants_.data()));
+    }
   }
 
   const uint32_t ctx_idx = AllocChunkCtx();
@@ -354,18 +398,25 @@ void IoScheduler::OnChunkComplete(uint32_t index) {
     op->done->Set(true);
     FreeOp(op);  // last reference: recycle for the next Submit
   }
-  if (!t.active() && t.busy_since >= 0) {
-    // Active -> idle (a same-instant resubmission inside the Set above
-    // keeps the tenant active, so a saturating closed loop never closes
-    // its period; a genuine zero-duration gap accumulates zero anyway).
+  if (!t.active()) {
+    // Active -> idle. The Set above only posts the waiter's resume, so a
+    // closed-loop tenant is idle here even if it resubmits at this instant:
+    // its busy period closes now and reopens, zero time later, in that
+    // Submit. The mark lets Submit tell whether a round passed meanwhile.
+    assert(t.busy_since >= 0);
     t.busy_accum += loop_.Now() - t.busy_since;
     t.busy_since = -1;
+    t.idle_round = rounds_;
+    active_.Reset(static_cast<size_t>(&t - tenants_.data()));
   }
   --inflight_;
-  // Deferred so that same-instant worker resumptions (the Set above)
-  // enqueue their next op first — otherwise a closed-loop tenant looks
-  // idle for the zero-duration gap between completion and resubmission
-  // and a round change in that gap would wipe its budget.
+  // Posted, not called: the Set above posted the waiter's resume first, so
+  // a closed-loop worker resubmits before this Pump runs and does not look
+  // idle to it (a round opened in that gap would clamp its budget). Its
+  // Submit pumps by itself; this Pump covers completions nobody resubmits
+  // after. A round that Submit's Pump opens while another same-instant
+  // completer's resume is still queued does clamp that tenant, as a scan
+  // of idle tenants would (Tenant::idle_round).
   loop_.Post([this] { Pump(); });
 }
 
@@ -416,40 +467,38 @@ void IoScheduler::Pump() {
   // Bound successive budget refills within one pump so a queue whose head
   // chunk exceeds the deficit cap cannot spin the round counter.
   int refills_left = 8;
-  while (inflight_ < options_.queue_depth) {
-    // Scan the ring from the cursor for an eligible (work + budget) tenant:
-    // a single contiguous rotation over the id-sorted tenant vector.
-    Tenant* chosen = nullptr;
-    bool any_queued = false;
-    const size_t n = tenants_.size();
-    const size_t start = LowerBound(ring_cursor_);
-    for (size_t k = 0; k < n; ++k) {
-      size_t i = start + k;
-      if (i >= n) {
-        i -= n;
-      }
-      Tenant& t = tenants_[i];
-      if (t.queue.empty()) {
-        continue;
-      }
-      any_queued = true;
+  // First queued tenant at an index in [from, to) whose deficit covers its
+  // head chunk, or kNone.
+  const auto first_affordable = [this](size_t from, size_t to) {
+    for (size_t i = queued_.Next(from); i < to; i = queued_.Next(i + 1)) {
+      const Tenant& t = tenants_[i];
       const Op& head = *t.queue.front();
-      const double cost = cost_model_->Cost(head.type, NextChunkBytes(head));
-      if (t.deficit + kEps >= cost) {
-        chosen = &t;
-        break;
+      if (t.deficit + kEps >=
+          cost_model_->Cost(head.type, NextChunkBytes(head))) {
+        return i;
       }
     }
-
-    if (chosen != nullptr) {
+    return IndexBits::kNone;
+  };
+  while (inflight_ < options_.queue_depth) {
+    // Rotate the ring from the cursor for an eligible (work + budget)
+    // tenant: the queued tenants at or after the cursor, then the ones
+    // before it, in id order.
+    const size_t start = LowerBound(ring_cursor_);
+    size_t pick = first_affordable(start, IndexBits::kNone);
+    if (pick == IndexBits::kNone) {
+      pick = first_affordable(0, start);
+    }
+    if (pick != IndexBits::kNone) {
       // DRR: keep serving this tenant while it stays eligible (the cursor
       // only moves past it when it runs out of budget or work).
-      ring_cursor_ = chosen->id;
-      DispatchChunk(*chosen);
+      ring_cursor_ = tenants_[pick].id;
+      DispatchChunk(tenants_[pick]);
       continue;
     }
 
-    if (!any_queued) {
+    const size_t first_queued = queued_.Next(0);
+    if (first_queued == IndexBits::kNone) {
       break;  // nothing to dispatch
     }
 
@@ -457,10 +506,11 @@ void IoScheduler::Pump() {
     // in-flight work: its closed-loop workers will resubmit on completion,
     // and refilling now would let cheap-op tenants outrun their shares.
     bool holds_round_open = false;
-    for (const Tenant& t : tenants_) {
-      if (t.chunks_inflight > 0 && t.queue.empty() &&
-          t.deficit > kMinChunkCostVops) {
-        holds_round_open = true;
+    for (size_t i = active_.Next(0); i != IndexBits::kNone;
+         i = active_.Next(i + 1)) {
+      const Tenant& t = tenants_[i];
+      if (t.queue.empty() && t.deficit > kMinChunkCostVops) {
+        holds_round_open = true;  // active and not queued: chunks in flight
         break;
       }
     }
@@ -469,15 +519,10 @@ void IoScheduler::Pump() {
     }
 
     if (refills_left-- <= 0 || !NewRound()) {
-      // Refills exhausted or impossible: force the ring-next queued tenant
+      // Refills exhausted or impossible: force the lowest-id queued tenant
       // into debt so the scheduler always makes progress (the debt is
       // repaid out of future quanta, preserving long-run proportions).
-      for (Tenant& t : tenants_) {
-        if (!t.queue.empty()) {
-          DispatchChunk(t);
-          break;
-        }
-      }
+      DispatchChunk(tenants_[first_queued]);
     }
   }
   pumping_ = false;

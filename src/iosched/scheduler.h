@@ -32,6 +32,7 @@
 #ifndef LIBRA_SRC_IOSCHED_SCHEDULER_H_
 #define LIBRA_SRC_IOSCHED_SCHEDULER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -210,15 +211,41 @@ class IoScheduler {
     SimTime busy_since = -1;
     SimDuration busy_accum = 0;
 
+    // rounds_ when the tenant last went idle. Classic DRR clamps an idle
+    // tenant's deficit to min(deficit, 0) at every round; the clamp is
+    // idempotent and nothing reads an idle deficit, so Submit applies it
+    // once, on reactivation, if a round passed since this mark.
+    uint64_t idle_round = 0;
+
     // A tenant is active while it has queued or in-flight work; closed-loop
     // workers mid-IO count as demand (their next op arrives on completion).
     bool active() const { return !queue.empty() || chunks_inflight > 0; }
   };
 
-  // Tenants sit in a dense vector kept sorted by id, so Pump()/NewRound()
-  // iterate contiguously; the sort order makes the DRR ring scan identical
-  // to the previous std::map iteration (deterministic round-robin order).
-  // Registration (rare) inserts in the middle; the hot paths only scan.
+  // One bit per tenants_ index. Pump, NewRound and the round-open check
+  // visit only the set bits, in index (= id) order, so they touch the
+  // records of queued or active tenants only (plus one word load per 64
+  // registered tenants when skipping empty words).
+  class IndexBits {
+   public:
+    static constexpr size_t kNone = SIZE_MAX;
+    void Set(size_t i) { words_[i >> 6] |= uint64_t{1} << (i & 63); }
+    void Reset(size_t i) { words_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
+    // First set bit at index >= `from`, or kNone.
+    size_t Next(size_t from) const;
+    // Makes room for a tenant inserted at index `i`: bits at >= i move up
+    // one place and bit i is clear.
+    void InsertAt(size_t i);
+
+   private:
+    std::vector<uint64_t> words_;
+    size_t size_ = 0;
+  };
+
+  // Tenants sit in a dense vector kept sorted by id; queued_ and active_
+  // index it, so the DRR ring visits tenants in id order (deterministic
+  // round-robin order). Registration (rare) inserts in the middle and
+  // shifts both bitmaps; the hot paths only walk set bits.
   Tenant* FindTenant(TenantId id);
   const Tenant* FindTenant(TenantId id) const;
 
@@ -291,6 +318,8 @@ class IoScheduler {
   ResourceTracker tracker_;
 
   std::vector<Tenant> tenants_;  // sorted by Tenant::id
+  IndexBits queued_;             // tenant queue non-empty
+  IndexBits active_;             // Tenant::active()
   TenantId ring_cursor_ = 0;     // tenant id to consider next
 
   std::deque<Op> op_arena_;  // stable addresses; Op* handles circulate

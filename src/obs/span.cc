@@ -1,7 +1,6 @@
 #include "src/obs/span.h"
 
 #include <cstdio>
-#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -349,36 +348,51 @@ std::string SpansToChromeTraceJson(const SpanCollector& collector, int pid,
                                                  process_name}});
 }
 
-bool CausallyReaches(const std::vector<SpanRecord>& spans, uint64_t from,
-                     const std::function<bool(const SpanRecord&)>& pred) {
+std::unordered_set<uint64_t> CausallyReaching(
+    const std::vector<SpanRecord>& spans,
+    const std::function<bool(const SpanRecord&)>& pred) {
   std::unordered_map<uint64_t, const SpanRecord*> by_id;
   for (const SpanRecord& s : spans) {
     by_id[s.span_id] = &s;
   }
-  std::deque<uint64_t> frontier{from};
-  std::unordered_set<uint64_t> visited;
-  while (!frontier.empty()) {
-    const uint64_t id = frontier.front();
-    frontier.pop_front();
-    if (!visited.insert(id).second) {
-      continue;
+  // Reverse every retained edge (span -> its parent and linked spans) and
+  // spread forward from the spans satisfying `pred`: each edge is walked
+  // once, however many spans share an ancestor.
+  std::unordered_map<uint64_t, std::vector<uint64_t>> caused;
+  std::vector<uint64_t> frontier;
+  for (const auto& [id, s] : by_id) {
+    if (s->parent_span != 0 && by_id.contains(s->parent_span)) {
+      caused[s->parent_span].push_back(id);
     }
-    const auto it = by_id.find(id);
-    if (it == by_id.end()) {
-      continue;
+    for (uint32_t i = 0; i < s->links.count; ++i) {
+      if (by_id.contains(s->links.items[i].span_id)) {
+        caused[s->links.items[i].span_id].push_back(id);
+      }
     }
-    const SpanRecord& s = *it->second;
-    if (pred(s)) {
-      return true;
-    }
-    if (s.parent_span != 0) {
-      frontier.push_back(s.parent_span);
-    }
-    for (uint32_t i = 0; i < s.links.count; ++i) {
-      frontier.push_back(s.links.items[i].span_id);
+    if (pred(*s)) {
+      frontier.push_back(id);
     }
   }
-  return false;
+  std::unordered_set<uint64_t> reaching(frontier.begin(), frontier.end());
+  while (!frontier.empty()) {
+    const uint64_t id = frontier.back();
+    frontier.pop_back();
+    const auto it = caused.find(id);
+    if (it == caused.end()) {
+      continue;
+    }
+    for (const uint64_t next : it->second) {
+      if (reaching.insert(next).second) {
+        frontier.push_back(next);
+      }
+    }
+  }
+  return reaching;
+}
+
+bool CausallyReaches(const std::vector<SpanRecord>& spans, uint64_t from,
+                     const std::function<bool(const SpanRecord&)>& pred) {
+  return CausallyReaching(spans, pred).contains(from);
 }
 
 }  // namespace libra::obs

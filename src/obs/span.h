@@ -25,6 +25,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "src/common/trace_context.h"
@@ -163,9 +164,16 @@ std::string SpansToChromeTraceJson(const std::vector<SpanExportGroup>& groups);
 std::string SpansToChromeTraceJson(const SpanCollector& collector, int pid = 0,
                                    const std::string& process_name = "node");
 
-// True if `from` (a span id) reaches a span satisfying `pred` by following
-// parent edges and retained links backwards through `spans`. Test helper
-// for causal-chain assertions (e.g. COMPACT device IO -> ... -> PUT).
+// Ids of the spans in `spans` that reach a span satisfying `pred` (itself
+// included) by following parent edges and retained links backwards. One
+// pass over spans and links, so checking every span of a trace costs the
+// same as checking one — the causal-chain assertions (e.g. COMPACT device
+// IO -> ... -> PUT) call this once and look each span up.
+std::unordered_set<uint64_t> CausallyReaching(
+    const std::vector<SpanRecord>& spans,
+    const std::function<bool(const SpanRecord&)>& pred);
+
+// Whether the span `from` is in CausallyReaching(spans, pred).
 bool CausallyReaches(const std::vector<SpanRecord>& spans, uint64_t from,
                      const std::function<bool(const SpanRecord&)>& pred);
 

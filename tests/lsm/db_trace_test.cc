@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "src/fs/sim_fs.h"
@@ -113,16 +114,18 @@ TEST(DbTraceTest, CompactionDeviceIoReachesPutRequests) {
 
   ASSERT_GT(rig.db.stats().compactions, 0u);
   const std::vector<obs::SpanRecord> spans = rig.sched.spans()->Spans();
+  const std::unordered_set<uint64_t> reaches_put =
+      obs::CausallyReaching(spans, [](const obs::SpanRecord& r) {
+        return r.kind == obs::SpanKind::kRequest &&
+               r.app == static_cast<uint8_t>(AppRequest::kPut);
+      });
   int compact_ios = 0;
   int linked = 0;
   for (const obs::SpanRecord& s : spans) {
     if (s.kind == obs::SpanKind::kDeviceIo &&
         s.internal == static_cast<uint8_t>(InternalOp::kCompact)) {
       ++compact_ios;
-      if (obs::CausallyReaches(spans, s.span_id, [](const obs::SpanRecord& r) {
-            return r.kind == obs::SpanKind::kRequest &&
-                   r.app == static_cast<uint8_t>(AppRequest::kPut);
-          })) {
+      if (reaches_put.contains(s.span_id)) {
         ++linked;
       }
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/obs/json.h"
@@ -128,6 +129,41 @@ TEST(CausallyReachesTest, FollowsParentsAndLinksBackwards) {
   }));
   EXPECT_FALSE(CausallyReaches(spans, 1, [](const SpanRecord& r) {
     return r.kind == SpanKind::kDeviceIo;
+  }));
+}
+
+TEST(CausallyReachesTest, ReachingSetHandlesSharedAncestorsCyclesAndGaps) {
+  // Request 1 <- flushes 2 and 3 (both link it) <- compact 4 (links both)
+  // <- device IO 5. Spans 6 and 7 link each other and nothing else; 8's
+  // parent (99) was dropped from the ring.
+  std::vector<SpanRecord> spans;
+  spans.push_back(MakeSpan(1, 1, 0, SpanKind::kRequest));
+  for (uint64_t id : {2, 3}) {
+    SpanRecord flush = MakeSpan(2, id, 0, SpanKind::kFlush);
+    flush.links.Add(TraceContext{1, 1});
+    spans.push_back(flush);
+  }
+  SpanRecord compact = MakeSpan(2, 4, 0, SpanKind::kCompact);
+  compact.links.Add(TraceContext{2, 2});
+  compact.links.Add(TraceContext{2, 3});
+  spans.push_back(compact);
+  spans.push_back(MakeSpan(2, 5, 4, SpanKind::kDeviceIo));
+  SpanRecord a = MakeSpan(3, 6, 0, SpanKind::kFlush);
+  a.links.Add(TraceContext{3, 7});
+  SpanRecord b = MakeSpan(3, 7, 0, SpanKind::kFlush);
+  b.links.Add(TraceContext{3, 6});
+  spans.push_back(a);
+  spans.push_back(b);
+  spans.push_back(MakeSpan(4, 8, 99, SpanKind::kDeviceIo));
+
+  const std::unordered_set<uint64_t> reaching =
+      CausallyReaching(spans, [](const SpanRecord& r) {
+        return r.kind == SpanKind::kRequest;
+      });
+  EXPECT_EQ(reaching, (std::unordered_set<uint64_t>{1, 2, 3, 4, 5}));
+  // A span id missing from the ring reaches nothing, whatever the predicate.
+  EXPECT_FALSE(CausallyReaches(spans, 99, [](const SpanRecord&) {
+    return true;
   }));
 }
 

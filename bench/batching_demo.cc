@@ -10,8 +10,8 @@
 //   2. Read coalescing — a hot-key MultiGet workload on a small cluster.
 //      Batching groups each MultiGet's same-slot keys through one routing
 //      gate and collapses duplicate in-flight GETs into one LSM lookup
-//      (singleflight); a bounded table cache replaces the grow-forever
-//      resident index blocks.
+//      (singleflight); the index cache is bounded instead of growing
+//      with every table read.
 // Both experiments are deterministic virtual-time simulations (the second
 // on the cluster's MultiLoop engine), so output is identical for any --jobs
 // or --sim-threads value.
@@ -250,9 +250,9 @@ GetRunResult RunHotReads(const BenchArgs& args, bool batching) {
     r.coalesced += cl.node(n).coalesced_gets();
     for (TenantId t : cl.node(n).tenants()) {
       const lsm::LsmStats s = cl.node(n).partition(t)->stats();
-      r.cache_hits += s.table_cache_hits;
-      r.cache_misses += s.table_cache_misses;
-      r.cache_evictions += s.table_cache_evictions;
+      r.cache_hits += s.bcache_index_hits;
+      r.cache_misses += s.bcache_index_misses;
+      r.cache_evictions += s.bcache_evictions;
     }
   }
   r.events_per_key = r.keys_issued > 0

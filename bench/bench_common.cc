@@ -66,6 +66,17 @@ void WriteStatsFile() {
   }
 }
 
+// True when `arg` starts with one of the `own_flags` prefixes.
+bool IsOwnFlag(std::string_view arg,
+               std::initializer_list<std::string_view> own_flags) {
+  for (std::string_view prefix : own_flags) {
+    if (arg.starts_with(prefix)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 long long ParseIntFlag(const char* flag, const char* value, long long min,
@@ -82,7 +93,8 @@ long long ParseIntFlag(const char* flag, const char* value, long long min,
   return v;
 }
 
-BenchArgs ParseCommonFlags(int argc, char** argv) {
+BenchArgs ParseCommonFlags(int argc, char** argv,
+                           std::initializer_list<std::string_view> own_flags) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--full") == 0) {
@@ -135,6 +147,9 @@ BenchArgs ParseCommonFlags(int argc, char** argv) {
           "--rpc-latency-us=N (cross-node RPC latency and engine lookahead, "
           "N >= 1; default 50)\n");
       std::exit(0);
+    } else if (!IsOwnFlag(argv[i], own_flags)) {
+      std::fprintf(stderr, "unknown flag '%s' (see --help)\n", argv[i]);
+      std::exit(2);
     }
   }
   if (!args.stats_json.empty()) {

@@ -9,7 +9,9 @@
 
 #include <cstddef>
 #include <functional>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/stats.h"
@@ -42,10 +44,13 @@ struct BenchArgs {
 // Parses the flags shared by every bench binary (--full, --csv,
 // --stats-json=PATH, --jobs=N, --nodes=N, --trace-json=PATH,
 // --trace-sample=1/N, --sim-threads=N, --rpc-latency-us=N) and installs the
-// --stats-json capture hook. A malformed --sim-threads or --rpc-latency-us
-// is a usage error (exit 2). Unknown flags are ignored so binaries can
-// layer their own parsing on top.
-BenchArgs ParseCommonFlags(int argc, char** argv);
+// --stats-json capture hook. `own_flags` declares the flags the binary
+// parses itself by their "--name=" prefixes (e.g. {"--seed="}). A
+// malformed value or any other argument is a usage error: the message
+// names it and the process exits 2.
+BenchArgs ParseCommonFlags(
+    int argc, char** argv,
+    std::initializer_list<std::string_view> own_flags = {});
 
 // Parses `flag`'s value as a whole base-10 integer in [min, max]; anything
 // else (empty, trailing garbage, out of range) is a usage error: the
@@ -67,11 +72,6 @@ inline bool TraceRequested(const BenchArgs& args) {
 void WriteTraceJson(const BenchArgs& args,
                     const std::vector<obs::SpanExportGroup>& groups);
 
-[[deprecated("use bench::ParseCommonFlags")]]
-inline BenchArgs ParseArgs(int argc, char** argv) {
-  return ParseCommonFlags(argc, argv);
-}
-
 // Calibration for a device profile, computed once per process. Thread-safe;
 // still, call it once per profile before a parallel sweep (a cold first
 // lookup runs a calibration sim under the cache lock, serializing workers).
@@ -87,7 +87,7 @@ const ssd::CalibrationTable& TableFor(const ssd::DeviceProfile& profile);
 class SweepRunner {
  public:
   // jobs <= 1 runs cells inline on the calling thread (no pool, no
-  // threads). jobs == 0 is resolved by ParseArgs, not here.
+  // threads). jobs == 0 is resolved by ParseCommonFlags, not here.
   explicit SweepRunner(int jobs) : jobs_(jobs) {}
 
   // Runs fn(i) for every i in [0, count), distributing cells to workers by

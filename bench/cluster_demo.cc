@@ -186,13 +186,13 @@ int RunDemo(const BenchArgs& args) {
   for (size_t i = 0; i < kN; ++i) {
     const double get_rate = (gets1[i] - gets0[i]) / secs;
     const double put_rate = (puts1[i] - puts0[i]) / secs;
-    const bool met = get_rate >= kTenants[i].global.get_rps &&
-                     put_rate >= kTenants[i].global.put_rps;
+    const bool met = get_rate >= kTenants[i].global.get_rps() &&
+                     put_rate >= kTenants[i].global.put_rps();
     all_met = all_met && met;
     table.AddRow({std::to_string(kTenants[i].tenant),
-                  metrics::FormatDouble(kTenants[i].global.get_rps, 0),
+                  metrics::FormatDouble(kTenants[i].global.get_rps(), 0),
                   metrics::FormatDouble(get_rate, 0),
-                  metrics::FormatDouble(kTenants[i].global.put_rps, 0),
+                  metrics::FormatDouble(kTenants[i].global.put_rps(), 0),
                   metrics::FormatDouble(put_rate, 0), met ? "yes" : "NO"});
   }
   Emit(args, table);

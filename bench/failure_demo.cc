@@ -242,9 +242,9 @@ int RunDemo(const BenchArgs& args, uint64_t seed) {
   const double secs = ToSeconds(t_end - t_warm);
   for (size_t i = 0; i < kN; ++i) {
     table.AddRow({std::to_string(kTenants[i].tenant),
-                  metrics::FormatDouble(kTenants[i].global.get_rps, 0),
+                  metrics::FormatDouble(kTenants[i].global.get_rps(), 0),
                   metrics::FormatDouble((gets1[i] - gets0[i]) / secs, 0),
-                  metrics::FormatDouble(kTenants[i].global.put_rps, 0),
+                  metrics::FormatDouble(kTenants[i].global.put_rps(), 0),
                   metrics::FormatDouble((puts1[i] - puts0[i]) / secs, 0),
                   std::to_string(workloads[i]->put_errors()),
                   std::to_string(workloads[i]->unavailable_errors()),
@@ -357,7 +357,7 @@ int RunDemo(const BenchArgs& args, uint64_t seed) {
 
 int main(int argc, char** argv) {
   const libra::bench::BenchArgs args =
-      libra::bench::ParseCommonFlags(argc, argv);
+      libra::bench::ParseCommonFlags(argc, argv, {"--seed="});
   const uint64_t seed = libra::bench::ParseSeedFlag(argc, argv, 0xFA17ED);
   return libra::bench::RunDemo(args, seed);
 }

@@ -199,8 +199,8 @@ ModeResult RunMode(const BenchArgs& args, ProfileMode mode) {
       phases[0].put_rate += (s2.puts[t] - s1.puts[t]) / secs / g.count;
       phases[1].get_rate += (s3.gets[t] - s2.gets[t]) / secs / g.count;
       phases[1].put_rate += (s3.puts[t] - s2.puts[t]) / secs / g.count;
-      phases[0].get_res += base_res[t].get_rps / g.count;
-      phases[0].put_res += base_res[t].put_rps / g.count;
+      phases[0].get_res += base_res[t].get_rps() / g.count;
+      phases[0].put_res += base_res[t].put_rps() / g.count;
     }
     const double scale = g.first_tenant == 0 ? 0.5 : g.first_tenant == 5 ? 1.5 : 1.0;
     phases[1].get_res = phases[0].get_res * scale;

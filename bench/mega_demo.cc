@@ -176,7 +176,8 @@ int RunDemo(const BenchArgs& args, const MegaFlags& mega) {
 }  // namespace libra::bench
 
 int main(int argc, char** argv) {
-  libra::bench::BenchArgs args = libra::bench::ParseCommonFlags(argc, argv);
+  libra::bench::BenchArgs args =
+      libra::bench::ParseCommonFlags(argc, argv, {"--tenants=", "--rounds="});
   libra::bench::MegaFlags mega;
   bool nodes_given = false;
   for (int i = 1; i < argc; ++i) {

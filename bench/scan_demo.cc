@@ -119,13 +119,13 @@ int RunDemo(const BenchArgs& args) {
     handles.push_back(h.value());
     std::printf("tenant %u admitted: %s compaction, %.0f/%.0f/%.0f "
                 "GET/PUT/SCAN rps\n",
-                cell.tenant, cell.policy_name, kGlobal.get_rps,
-                kGlobal.put_rps, kGlobal.scan_rps);
+                cell.tenant, cell.policy_name, kGlobal.get_rps(),
+                kGlobal.put_rps(), kGlobal.scan_rps());
   }
   // A malformed per-class reservation is rejected up front, naming the
   // offending class.
   GlobalReservation bad = kGlobal;
-  bad.scan_rps = -1.0;
+  bad.scan_rps() = -1.0;
   const Result<cluster::TenantHandle> refused = cl.AddTenant(99, bad);
   if (refused.ok()) {
     std::fprintf(stderr, "negative scan_rps was wrongly admitted\n");

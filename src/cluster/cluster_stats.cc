@@ -40,11 +40,11 @@ std::string ClusterStatsToJson(const ClusterStats& stats) {
     w.Key("tenant");
     w.Uint(t.tenant);
     w.Key("global_get_rps");
-    w.Double(t.global.get_rps);
+    w.Double(t.global.get_rps());
     w.Key("global_put_rps");
-    w.Double(t.global.put_rps);
+    w.Double(t.global.put_rps());
     w.Key("global_scan_rps");
-    w.Double(t.global.scan_rps);
+    w.Double(t.global.scan_rps());
     w.Key("compaction");
     w.String(t.compaction == lsm::CompactionPolicy::kSizeTiered ? "tiered"
                                                                 : "leveled");

@@ -33,19 +33,10 @@ namespace libra::iosched {
 // Local per-tenant reservation in normalized (1KB) requests per second,
 // one rate per application request class. The storage is a per-class array
 // indexed by AppRequest — pricing, admission, and demand-splitting loop
-// over it, so new classes need no bespoke plumbing — while the anonymous
-// struct member aliases keep the historical `r.get_rps` / `r.put_rps`
-// spelling (read and write) working at every existing call site.
+// over it, so new classes need no bespoke plumbing — and the named
+// accessors read and write one class's slot.
 struct Reservation {
-  union {
-    double rps[kNumAppRequests];
-    struct {
-      double none_rps_;  // AppRequest::kNone slot: always 0, never priced
-      double get_rps;
-      double put_rps;
-      double scan_rps;
-    };
-  };
+  double rps[kNumAppRequests];  // rps[kNone] is always 0, never priced
 
   constexpr Reservation() : rps{} {}
   constexpr Reservation(double get, double put, double scan = 0.0)
@@ -57,6 +48,12 @@ struct Reservation {
   constexpr double& RateOf(AppRequest app) {
     return rps[static_cast<int>(app)];
   }
+  constexpr double get_rps() const { return RateOf(AppRequest::kGet); }
+  constexpr double& get_rps() { return RateOf(AppRequest::kGet); }
+  constexpr double put_rps() const { return RateOf(AppRequest::kPut); }
+  constexpr double& put_rps() { return RateOf(AppRequest::kPut); }
+  constexpr double scan_rps() const { return RateOf(AppRequest::kScan); }
+  constexpr double& scan_rps() { return RateOf(AppRequest::kScan); }
   constexpr double Total() const {
     double sum = 0.0;
     for (int a = kFirstAppRequest; a < kNumAppRequests; ++a) {
@@ -65,8 +62,6 @@ struct Reservation {
     return sum;
   }
 };
-static_assert(sizeof(Reservation) == kNumAppRequests * sizeof(double),
-              "member aliases must overlay the per-class rate array");
 
 // How the policy prices a normalized request (the Fig. 11 ablation).
 enum class ProfileMode {

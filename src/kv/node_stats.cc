@@ -408,17 +408,6 @@ std::string NodeStatsToJson(const NodeStats& stats) {
     w.Key("max_batch_records");
     w.Uint(t.lsm.wal_max_batch_records);
     w.EndObject();
-    w.Key("table_cache");
-    w.BeginObject();
-    w.Key("hits");
-    w.Uint(t.lsm.table_cache_hits);
-    w.Key("misses");
-    w.Uint(t.lsm.table_cache_misses);
-    w.Key("evictions");
-    w.Uint(t.lsm.table_cache_evictions);
-    w.Key("resident_bytes");
-    w.Uint(t.lsm.table_cache_resident_bytes);
-    w.EndObject();
     w.Key("bloom");
     w.BeginObject();
     w.Key("probes");

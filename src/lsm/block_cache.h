@@ -1,4 +1,6 @@
-// Shared byte-budget LRU cache for SSTable blocks.
+// Byte-budget LRU cache for SSTable blocks: the one place a table's index,
+// filter and (optionally) data blocks stay in memory. Every SstableReader
+// reads through one.
 //
 // One cache serves three block kinds — parsed index blocks, bloom filter
 // blocks, and raw data blocks — under a single capacity, so hot filters can
@@ -15,9 +17,10 @@
 //
 // Entries are shared_ptr<const CachedBlock>: a lookup in flight keeps a
 // just-evicted block alive until it finishes; the next lookup re-reads it.
-// Capacity 0 = unbounded. `cache_data` false restricts the cache to index
-// and filter blocks — the deprecated `table_cache_bytes` alias mode, byte-
-// identical to the old TableIndexCache this class replaces.
+// Capacity 0 = unbounded: every index and filter is read once and stays
+// until its table is erased, the LsmDb default. `cache_data` false
+// restricts the cache to index and filter blocks (LsmOptions'
+// table_cache_bytes mode).
 
 #ifndef LIBRA_SRC_LSM_BLOCK_CACHE_H_
 #define LIBRA_SRC_LSM_BLOCK_CACHE_H_

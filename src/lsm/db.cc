@@ -11,6 +11,24 @@ using iosched::AppRequest;
 using iosched::InternalOp;
 using iosched::IoTag;
 
+namespace {
+
+// The DB's own cache unless the caller shares one: a full cache of
+// block_cache_bytes, else index and filter blocks under table_cache_bytes.
+std::unique_ptr<BlockCache> MakeOwnedCache(const LsmOptions& options) {
+  if (options.shared_block_cache != nullptr) {
+    return nullptr;
+  }
+  if (options.block_cache_bytes > 0) {
+    return std::make_unique<BlockCache>(options.block_cache_bytes,
+                                        /*cache_data=*/true);
+  }
+  return std::make_unique<BlockCache>(options.table_cache_bytes,
+                                      /*cache_data=*/false);
+}
+
+}  // namespace
+
 LsmDb::LsmDb(sim::EventLoop& loop, fs::SimFs& fs,
              iosched::IoScheduler& scheduler, iosched::TenantId tenant,
              std::string name_prefix, LsmOptions options)
@@ -20,22 +38,13 @@ LsmDb::LsmDb(sim::EventLoop& loop, fs::SimFs& fs,
       tenant_(tenant),
       prefix_(std::move(name_prefix)),
       options_(options),
+      owned_cache_(MakeOwnedCache(options)),
+      cache_(options.shared_block_cache != nullptr
+                 ? *options.shared_block_cache
+                 : *owned_cache_),
       stall_mu_(loop),
       stall_cv_(loop) {
   assert(options_.num_levels >= 2);
-  if (options_.shared_block_cache != nullptr) {
-    cache_ = options_.shared_block_cache;
-  } else if (options_.block_cache_bytes > 0) {
-    owned_cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes,
-                                                /*cache_data=*/true);
-    cache_ = owned_cache_.get();
-  } else if (options_.table_cache_bytes > 0) {
-    // Deprecated alias: index blocks only, byte-identical IO to the old
-    // TableIndexCache.
-    owned_cache_ = std::make_unique<BlockCache>(options_.table_cache_bytes,
-                                                /*cache_data=*/false);
-    cache_ = owned_cache_.get();
-  }
   auto v = std::make_shared<Version>();
   v->levels.resize(options_.num_levels);
   current_ = v;
@@ -481,10 +490,6 @@ sim::Task<StatusOr<LsmDb::TableRef>> LsmDb::BuildTable(
     co_return s;
   }
   handle->size_bytes = fs_.SizeOf(handle->file);
-  // cache_ is null when no cache is configured: the legacy reader-resident
-  // index (identical IO pattern to before the cache).
-  handle->cache = cache_;
-  handle->tenant = tenant_;
   handle->reader = std::make_unique<SstableReader>(
       fs_, handle->file, sst_opt, cache_, handle->number, tenant_,
       &read_counters_);
@@ -1048,27 +1053,19 @@ LsmStats LsmDb::stats() const {
   s.filter_block_reads = read_counters_.filter_block_reads;
   s.data_block_reads = read_counters_.data_block_reads;
   s.data_cache_hits = read_counters_.data_cache_hits;
-  if (cache_ != nullptr) {
-    constexpr int kIdx = static_cast<int>(BlockCache::Kind::kIndex);
-    constexpr int kFlt = static_cast<int>(BlockCache::Kind::kFilter);
-    constexpr int kDat = static_cast<int>(BlockCache::Kind::kData);
-    const BlockCache::TenantCounters tc = cache_->CountersOf(tenant_);
-    s.bcache_index_hits = tc.hits[kIdx];
-    s.bcache_index_misses = tc.misses[kIdx];
-    s.bcache_filter_hits = tc.hits[kFlt];
-    s.bcache_filter_misses = tc.misses[kFlt];
-    s.bcache_data_hits = tc.hits[kDat];
-    s.bcache_data_misses = tc.misses[kDat];
-    s.bcache_evictions = tc.evictions;
-    s.bcache_resident_bytes = cache_->resident_bytes();
-    s.bcache_capacity_bytes = cache_->capacity_bytes();
-    // Legacy table-cache view: this tenant's index-block traffic (equal to
-    // the old TableIndexCache counters when the cache is DB-owned).
-    s.table_cache_hits = tc.hits[kIdx];
-    s.table_cache_misses = tc.misses[kIdx];
-    s.table_cache_evictions = tc.evictions;
-    s.table_cache_resident_bytes = cache_->resident_bytes();
-  }
+  constexpr int kIdx = static_cast<int>(BlockCache::Kind::kIndex);
+  constexpr int kFlt = static_cast<int>(BlockCache::Kind::kFilter);
+  constexpr int kDat = static_cast<int>(BlockCache::Kind::kData);
+  const BlockCache::TenantCounters tc = cache_.CountersOf(tenant_);
+  s.bcache_index_hits = tc.hits[kIdx];
+  s.bcache_index_misses = tc.misses[kIdx];
+  s.bcache_filter_hits = tc.hits[kFlt];
+  s.bcache_filter_misses = tc.misses[kFlt];
+  s.bcache_data_hits = tc.hits[kDat];
+  s.bcache_data_misses = tc.misses[kDat];
+  s.bcache_evictions = tc.evictions;
+  s.bcache_resident_bytes = cache_.resident_bytes();
+  s.bcache_capacity_bytes = cache_.capacity_bytes();
   for (const auto& files : current_->levels) {
     s.files_per_level.push_back(static_cast<int>(files.size()));
   }

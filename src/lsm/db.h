@@ -70,23 +70,26 @@ struct LsmOptions {
   int num_levels = 5;
   uint64_t max_bytes_level1 = 8 * kMiB;  // grows 8x per level
   // Request-path batching knobs. Defaults preserve the paper-faithful IO
-  // pattern (one synced WAL IOP per PUT, unbounded first-use index cache).
+  // pattern (one synced WAL IOP per PUT, every index read once per table).
   bool wal_group_commit = false;
   uint32_t wal_group_max_bytes = 256 * 1024;
   uint32_t wal_group_max_records = 64;
-  // Deprecated alias for block_cache_bytes that caches index blocks only
-  // (the old TableIndexCache, byte-identical IO). 0 = unbounded (default:
-  // every table keeps its index resident after first use, as before).
-  // Ignored when block_cache_bytes or shared_block_cache is set.
+  // Every DB reads its tables through one BlockCache: shared_block_cache
+  // when set, else a DB-owned one sized by the two byte knobs below.
+  //
+  // Byte budget of a DB-owned cache that holds index and filter blocks
+  // only, used when block_cache_bytes is 0. 0 = unbounded (the default:
+  // each table's index and filter are read once, then stay cached until
+  // the table is deleted).
   uint64_t table_cache_bytes = 0;
   // Bloom filter density for tables written at flush and compaction; 0
   // writes no filter blocks (files byte-identical to the seed format).
   uint32_t bloom_bits_per_key = 0;
-  // Byte budget for a DB-owned BlockCache over index + filter + data
-  // blocks; 0 = no data-block caching (table_cache_bytes still applies).
+  // Byte budget of a DB-owned cache over index + filter + data blocks;
+  // 0 = no data-block caching (the table_cache_bytes cache instead).
   uint64_t block_cache_bytes = 0;
   // Node-shared BlockCache (one budget across all tenants' partitions);
-  // when set it overrides both byte knobs above. Must outlive the DB.
+  // when set it overrides both byte knobs. Must outlive the DB.
   BlockCache* shared_block_cache = nullptr;
   CompactionPolicy compaction_policy = CompactionPolicy::kLeveled;
   // Size-tiered only: runs a tier accumulates before the whole tier merges
@@ -116,12 +119,6 @@ struct LsmStats {
   uint64_t wal_batches = 0;          // device appends issued by leaders
   uint64_t wal_batched_records = 0;  // records that rode those batches
   uint64_t wal_max_batch_records = 0;
-  // Table (index-block) cache — this tenant's index-block traffic through
-  // whichever cache serves it (legacy names kept for stats continuity):
-  uint64_t table_cache_hits = 0;
-  uint64_t table_cache_misses = 0;
-  uint64_t table_cache_evictions = 0;
-  uint64_t table_cache_resident_bytes = 0;
   // Bloom filters (all zero unless bloom_bits_per_key > 0):
   uint64_t bloom_probes = 0;
   uint64_t bloom_negatives = 0;
@@ -245,9 +242,7 @@ class LsmDb {
     uint64_t size_bytes = 0;
     std::string smallest;
     std::string largest;
-    std::unique_ptr<SstableReader> reader;
-    BlockCache* cache = nullptr;  // set iff a cache serves this table
-    iosched::TenantId tenant = 0;
+    std::unique_ptr<SstableReader> reader;  // drops the cached blocks
     // Tracing lineage: the FLUSH/COMPACT span that built this table, plus a
     // bounded sample of the app-request spans whose bytes it holds. A later
     // compaction reading this table links its span to these, extending the
@@ -256,9 +251,6 @@ class LsmDb {
     obs::SpanLinkSet origin_links;
 
     ~TableHandle() {
-      if (cache != nullptr) {
-        cache->EraseTable(tenant, number);  // dead table: drop its blocks
-      }
       if (fs != nullptr && !name.empty()) {
         fs->Delete(name);  // last reference gone: reclaim the space
       }
@@ -333,12 +325,11 @@ class LsmDb {
   iosched::TenantId tenant_;
   std::string prefix_;
   LsmOptions options_;
-  // The block cache serving this DB's readers, resolved from options_ in
-  // the constructor: a caller-owned shared cache, a DB-owned full cache
-  // (block_cache_bytes), a DB-owned index-only cache (the deprecated
-  // table_cache_bytes alias), or nullptr — legacy reader-resident indexes.
+  // The block cache serving this DB's readers: the caller's shared cache,
+  // else owned_cache_ (see LsmOptions). Declared before the tables, which
+  // drop their blocks from it when destroyed.
   std::unique_ptr<BlockCache> owned_cache_;
-  BlockCache* cache_ = nullptr;
+  BlockCache& cache_;
   TableReadCounters read_counters_;  // shared by all this DB's readers
   WalCounters wal_counters_;  // survives WAL rotation at memtable seal
 

@@ -84,7 +84,7 @@ sim::Task<Status> SstableBuilder::Finish(const iosched::IoTag& tag) {
 }
 
 SstableReader::SstableReader(fs::SimFs& fs, fs::FileId file,
-                             SstableOptions options, BlockCache* cache,
+                             SstableOptions options, BlockCache& cache,
                              uint64_t table, iosched::TenantId tenant,
                              TableReadCounters* counters)
     : fs_(fs),
@@ -118,80 +118,71 @@ sim::Task<Status> SstableReader::LoadFooter(const iosched::IoTag& tag) {
   co_return Status::Ok();
 }
 
+sim::Task<StatusOr<std::string_view>> SstableReader::ReadPadded(
+    const iosched::IoTag& tag, uint64_t offset, uint64_t size) {
+  const uint64_t end = offset + size;
+  const uint64_t read_size =
+      std::max<uint64_t>(size, std::min<uint64_t>(4096, end));
+  const uint64_t read_off = end - read_size;
+  StatusOr<std::string_view> read =
+      co_await fs_.ReadView(file_, tag, read_off, read_size);
+  if (!read.ok()) {
+    co_return read.status();
+  }
+  co_return read->substr(offset - read_off, size);
+}
+
 sim::Task<StatusOr<TableIndexRef>> SstableReader::LoadIndex(
     const iosched::IoTag& tag) {
-  if (cache_ != nullptr) {
-    if (CachedBlockRef hit =
-            cache_->Get(tenant_, table_, BlockCache::Kind::kIndex, 0);
-        hit != nullptr) {
-      co_return hit->index;
-    }
-  } else if (resident_index_ != nullptr) {
-    co_return resident_index_;
+  if (CachedBlockRef hit =
+          cache_.Get(tenant_, table_, BlockCache::Kind::kIndex, 0);
+      hit != nullptr) {
+    co_return hit->index;
   }
   if (Status s = co_await LoadFooter(tag); !s.ok()) {
     co_return s;
   }
-  const uint64_t index_offset = index_offset_;
-  const uint64_t index_size = index_size_;
-  // Index read padded to at least a 4KB block — the "at least one (4KB)
-  // index block read per file" of §3.1.
-  const uint64_t data_end = index_offset + index_size;
-  const uint64_t read_size =
-      std::max<uint64_t>(index_size, std::min<uint64_t>(4096, data_end));
-  const uint64_t read_off = data_end - read_size;
-  StatusOr<std::string_view> index_block =
-      co_await fs_.ReadView(file_, tag, read_off, read_size);
-  if (!index_block.ok()) {
-    co_return index_block.status();
+  StatusOr<std::string_view> data =
+      co_await ReadPadded(tag, index_offset_, index_size_);
+  if (!data.ok()) {
+    co_return data.status();
   }
   if (counters_ != nullptr) {
     ++counters_->index_block_reads;
   }
-  // The index proper is the tail of the padded read.
-  const std::string_view data =
-      index_block->substr(index_offset - read_off, index_size);
   auto index = std::make_shared<TableIndex>();
   size_t off = 0;
-  while (off < data.size()) {
+  while (off < data->size()) {
     std::string_view key;
-    if (!GetLengthPrefixed(data, &off, &key) || off + 12 > data.size()) {
+    if (!GetLengthPrefixed(*data, &off, &key) || off + 12 > data->size()) {
       co_return Status::DataLoss("bad index entry");
     }
-    const uint64_t block_off = GetFixed64(data, off);
-    const uint32_t block_size = GetFixed32(data, off + 8);
+    const uint64_t block_off = GetFixed64(*data, off);
+    const uint32_t block_size = GetFixed32(*data, off + 8);
     off += 12;
     index->emplace_back(std::string(key), block_off, block_size);
   }
   TableIndexRef ref = std::move(index);
-  if (cache_ != nullptr) {
-    auto block = std::make_shared<CachedBlock>();
-    block->index = ref;
-    cache_->Insert(tenant_, table_, BlockCache::Kind::kIndex, 0,
-                   std::move(block), index_size);
-  } else {
-    resident_index_ = ref;
-  }
+  auto block = std::make_shared<CachedBlock>();
+  block->index = ref;
+  cache_.Insert(tenant_, table_, BlockCache::Kind::kIndex, 0, std::move(block),
+                index_size_);
   co_return ref;
 }
 
 sim::Task<StatusOr<CachedBlockRef>> SstableReader::LoadFilter(
     const iosched::IoTag& tag) {
-  if (footer_cached_ && filter_size_ == 0) {
-    co_return CachedBlockRef{};  // known filterless: zero IO, zero probes
-  }
-  if (cache_ != nullptr) {
+  if (footer_cached_) {
+    if (filter_size_ == 0) {
+      co_return CachedBlockRef{};  // known filterless: zero IO, zero probes
+    }
     // Only probe once the footer proved a filter exists — otherwise every
     // GET against a filterless table would count a phantom cache miss.
-    if (footer_cached_) {
-      if (CachedBlockRef hit =
-              cache_->Get(tenant_, table_, BlockCache::Kind::kFilter, 0);
-          hit != nullptr) {
-        co_return hit;
-      }
+    if (CachedBlockRef hit =
+            cache_.Get(tenant_, table_, BlockCache::Kind::kFilter, 0);
+        hit != nullptr) {
+      co_return hit;
     }
-  } else if (resident_filter_ != nullptr) {
-    co_return resident_filter_;
   }
   if (Status s = co_await LoadFooter(tag); !s.ok()) {
     co_return s;
@@ -199,30 +190,19 @@ sim::Task<StatusOr<CachedBlockRef>> SstableReader::LoadFilter(
   if (filter_size_ == 0) {
     co_return CachedBlockRef{};
   }
-  // Filter read padded to at least a 4KB block, mirroring the index read.
-  const uint64_t filter_offset = index_offset_ + index_size_;
-  const uint64_t filter_end = filter_offset + filter_size_;
-  const uint64_t read_size =
-      std::max<uint64_t>(filter_size_, std::min<uint64_t>(4096, filter_end));
-  const uint64_t read_off = filter_end - read_size;
-  StatusOr<std::string_view> filter_block =
-      co_await fs_.ReadView(file_, tag, read_off, read_size);
-  if (!filter_block.ok()) {
-    co_return filter_block.status();
+  StatusOr<std::string_view> filter =
+      co_await ReadPadded(tag, index_offset_ + index_size_, filter_size_);
+  if (!filter.ok()) {
+    co_return filter.status();
   }
   if (counters_ != nullptr) {
     ++counters_->filter_block_reads;
   }
   auto block = std::make_shared<CachedBlock>();
-  block->bytes =
-      std::string(filter_block->substr(filter_offset - read_off, filter_size_));
+  block->bytes = std::string(*filter);
   CachedBlockRef ref = std::move(block);
-  if (cache_ != nullptr) {
-    cache_->Insert(tenant_, table_, BlockCache::Kind::kFilter, 0, ref,
-                   filter_size_);
-  } else {
-    resident_filter_ = ref;
-  }
+  cache_.Insert(tenant_, table_, BlockCache::Kind::kFilter, 0, ref,
+                filter_size_);
   co_return ref;
 }
 
@@ -275,10 +255,9 @@ sim::Task<SstableReader::GetResult> SstableReader::Get(
   const uint64_t block_off = std::get<1>(*it);
   CachedBlockRef data_ref;
   std::string_view block;  // the cached copy, or a view of the file
-  const bool data_cached = cache_ != nullptr && cache_->caches_data();
+  const bool data_cached = cache_.caches_data();
   if (data_cached) {
-    data_ref = cache_->Get(tenant_, table_, BlockCache::Kind::kData,
-                           block_off);
+    data_ref = cache_.Get(tenant_, table_, BlockCache::Kind::kData, block_off);
   }
   if (data_ref != nullptr) {
     if (counters_ != nullptr) {
@@ -299,8 +278,8 @@ sim::Task<SstableReader::GetResult> SstableReader::Get(
     if (data_cached) {
       auto filled = std::make_shared<CachedBlock>();
       filled->bytes = std::string(block);
-      cache_->Insert(tenant_, table_, BlockCache::Kind::kData, block_off,
-                     filled, filled->bytes.size());
+      cache_.Insert(tenant_, table_, BlockCache::Kind::kData, block_off,
+                    filled, filled->bytes.size());
     }
   }
   // Scan the block for the newest visible entry (records are in internal

@@ -18,11 +18,10 @@
 // started from) the lookup loads the index block (>= one 4KB read),
 // binary-searches it, and reads exactly one data block.
 //
-// Index, filter, and data blocks can be served from a shared BlockCache;
-// hits cost zero device IO and misses re-read (and re-charge) from the
-// device. Without a cache, the index and filter stay resident in the
-// reader after first use; data blocks always hit the device — O_DIRECT
-// leaves no page cache.
+// Every reader resolves its index and filter blocks through a BlockCache
+// (data blocks too when the cache caches data): a hit costs zero device IO,
+// a miss re-reads (and re-charges) the block from the device. Uncached data
+// blocks always hit the device — O_DIRECT leaves no page cache.
 //
 // The builder emits the table as a sequential stream of chunked writes
 // (the paper's "asynchronous, io-efficient" FLUSH/COMPACT writes).
@@ -126,21 +125,23 @@ class SstableBuilder {
 
 // Reads a finished table. The footer is loaded from disk on first need and
 // cached in the reader (tables are immutable). The parsed index and the
-// filter block live in the shared BlockCache when one is wired — bounded
-// by its budget, re-read and re-charged after eviction — or stay resident
-// in the reader forever without one (the default). Data blocks are served
-// from the cache only when it caches data (`block_cache_bytes` mode, not
-// the deprecated index-only `table_cache_bytes` alias).
+// filter block live in `cache`, bounded by its budget (unbounded caches
+// keep them from first use on) and re-read and re-charged after eviction.
+// Data blocks are served from the cache only when it caches data.
 class SstableReader {
  public:
-  // `cache`, if non-null, holds this reader's blocks under (`tenant`,
-  // `table`) — the owning tenant and table file number; table numbers
-  // alone collide across tenants' partitions on a node-shared cache.
+  // `cache` holds this reader's blocks under (`tenant`, `table`) — the
+  // owning tenant and table file number; table numbers alone collide
+  // across tenants' partitions on a node-shared cache. It must outlive the
+  // reader, whose destruction drops the table's blocks from it.
   // `counters`, if non-null, receives read-path events.
-  SstableReader(fs::SimFs& fs, fs::FileId file, SstableOptions options = {},
-                BlockCache* cache = nullptr, uint64_t table = 0,
-                iosched::TenantId tenant = 0,
+  SstableReader(fs::SimFs& fs, fs::FileId file, SstableOptions options,
+                BlockCache& cache, uint64_t table, iosched::TenantId tenant,
                 TableReadCounters* counters = nullptr);
+  ~SstableReader() { cache_.EraseTable(tenant_, table_); }
+
+  SstableReader(const SstableReader&) = delete;
+  SstableReader& operator=(const SstableReader&) = delete;
 
   struct GetResult {
     bool found = false;    // an entry for the key exists in this table
@@ -214,10 +215,16 @@ class SstableReader {
   // reader afterwards), locating the index and filter regions.
   sim::Task<Status> LoadFooter(const iosched::IoTag& tag);
 
-  // Resolves the parsed index: from the shared cache (or the reader-local
-  // resident copy when uncached), else loads footer + index block from the
-  // device, charged to `tag`. The returned ref pins the index for the
-  // caller even if the cache evicts it mid-lookup.
+  // Reads the `size` bytes at `offset`, charged to `tag`, padded back to at
+  // least one 4KB block — the "at least one (4KB) index block read per
+  // file" of §3.1 — and returns them without the padding.
+  sim::Task<StatusOr<std::string_view>> ReadPadded(const iosched::IoTag& tag,
+                                                   uint64_t offset,
+                                                   uint64_t size);
+
+  // Resolves the parsed index from the cache, else loads footer + index
+  // block from the device, charged to `tag`. The returned ref pins the
+  // index for the caller even if the cache evicts it mid-lookup.
   sim::Task<StatusOr<TableIndexRef>> LoadIndex(const iosched::IoTag& tag);
 
   // Resolves the filter block the same way. Returns a null ref when the
@@ -227,7 +234,7 @@ class SstableReader {
   fs::SimFs& fs_;
   fs::FileId file_;
   SstableOptions options_;
-  BlockCache* cache_;  // nullptr: index/filter resident in the reader
+  BlockCache& cache_;
   uint64_t table_;
   iosched::TenantId tenant_;
   TableReadCounters* counters_;  // nullptr: uncounted (bare-reader tests)
@@ -237,8 +244,6 @@ class SstableReader {
   uint64_t index_offset_ = 0;
   uint64_t index_size_ = 0;
   uint64_t filter_size_ = 0;  // 0 after footer load = table has no filter
-  TableIndexRef resident_index_;   // only used when cache_ == nullptr
-  CachedBlockRef resident_filter_;  // likewise
 };
 
 }  // namespace libra::lsm

@@ -210,11 +210,11 @@ TEST(ClusterTest, InitialSplitSumsExactlyToGlobal) {
   double put_sum = 0.0;
   for (int n = 0; n < rig.cl.num_nodes(); ++n) {
     const Reservation r = rig.cl.node(n).policy().GetReservation(1);
-    get_sum += r.get_rps;
-    put_sum += r.put_rps;
+    get_sum += r.get_rps();
+    put_sum += r.put_rps();
   }
-  EXPECT_DOUBLE_EQ(get_sum, global.get_rps);
-  EXPECT_DOUBLE_EQ(put_sum, global.put_rps);
+  EXPECT_DOUBLE_EQ(get_sum, global.get_rps());
+  EXPECT_DOUBLE_EQ(put_sum, global.put_rps());
 }
 
 TEST(ClusterTest, UpdateGlobalReservationReinstallsSplit) {
@@ -227,11 +227,11 @@ TEST(ClusterTest, UpdateGlobalReservationReinstallsSplit) {
       StatusCode::kResourceExhausted);
   ASSERT_TRUE(
       rig.cl.UpdateGlobalReservation(1, GlobalReservation{400.0, 40.0}).ok());
-  EXPECT_DOUBLE_EQ(rig.cl.global_reservation(1).get_rps, 400.0);
+  EXPECT_DOUBLE_EQ(rig.cl.global_reservation(1).get_rps(), 400.0);
   rig.Settle();
   double get_sum = 0.0;
   for (int n = 0; n < rig.cl.num_nodes(); ++n) {
-    get_sum += rig.cl.node(n).policy().GetReservation(1).get_rps;
+    get_sum += rig.cl.node(n).policy().GetReservation(1).get_rps();
   }
   EXPECT_DOUBLE_EQ(get_sum, 400.0);
 }

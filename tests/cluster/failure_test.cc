@@ -36,10 +36,10 @@ Reservation SumAliveReservations(Cluster& cl, TenantId tenant) {
       continue;
     }
     const Reservation r = cl.node(n).policy().GetReservation(tenant);
-    EXPECT_GE(r.get_rps, 0.0);
-    EXPECT_GE(r.put_rps, 0.0);
-    sum.get_rps += r.get_rps;
-    sum.put_rps += r.put_rps;
+    EXPECT_GE(r.get_rps(), 0.0);
+    EXPECT_GE(r.put_rps(), 0.0);
+    sum.get_rps() += r.get_rps();
+    sum.put_rps() += r.put_rps();
   }
   return sum;
 }
@@ -47,8 +47,8 @@ Reservation SumAliveReservations(Cluster& cl, TenantId tenant) {
 void ExpectSumMatchesGlobal(Cluster& cl, TenantId tenant,
                             const GlobalReservation& global) {
   const Reservation sum = SumAliveReservations(cl, tenant);
-  EXPECT_NEAR(sum.get_rps, global.get_rps, 1e-6) << "tenant " << tenant;
-  EXPECT_NEAR(sum.put_rps, global.put_rps, 1e-6) << "tenant " << tenant;
+  EXPECT_NEAR(sum.get_rps(), global.get_rps(), 1e-6) << "tenant " << tenant;
+  EXPECT_NEAR(sum.put_rps(), global.put_rps(), 1e-6) << "tenant " << tenant;
 }
 
 TEST(ReplicationTest, ReplicaSetsAreDistinctAndLeaderFirst) {

@@ -18,7 +18,7 @@ using iosched::TenantId;
 double SplitGetSum(Cluster& cl, TenantId tenant) {
   double sum = 0.0;
   for (int n = 0; n < cl.num_nodes(); ++n) {
-    sum += cl.node(n).policy().GetReservation(tenant).get_rps;
+    sum += cl.node(n).policy().GetReservation(tenant).get_rps();
   }
   return sum;
 }
@@ -86,13 +86,13 @@ TEST(GlobalProvisionerTest, ResplitSumsExactlyToGlobalUnderSkew) {
     }
     prov.RunIntervalStep();
     rig.Settle();
-    EXPECT_DOUBLE_EQ(SplitGetSum(cl, 1), global.get_rps) << round;
+    EXPECT_DOUBLE_EQ(SplitGetSum(cl, 1), global.get_rps()) << round;
   }
   EXPECT_GT(prov.splits_applied(), 0u);
 
   // The hot node ended up with the dominant share of the reservation.
   const double hot_share =
-      cl.node(hot_node).policy().GetReservation(1).get_rps / global.get_rps;
+      cl.node(hot_node).policy().GetReservation(1).get_rps() / global.get_rps();
   EXPECT_GT(hot_share, 0.5);
   EXPECT_GT(prov.DemandShare(1, hot_node), 0.5);
 }
@@ -156,8 +156,8 @@ TEST(GlobalProvisionerTest, NoDemandKeepsSlotProportionalSplit) {
   EXPECT_EQ(prov.splits_applied(), 0u);
   const std::vector<Reservation> after = initial();
   for (int n = 0; n < cl.num_nodes(); ++n) {
-    EXPECT_DOUBLE_EQ(after[n].get_rps, before[n].get_rps) << n;
-    EXPECT_DOUBLE_EQ(after[n].put_rps, before[n].put_rps) << n;
+    EXPECT_DOUBLE_EQ(after[n].get_rps(), before[n].get_rps()) << n;
+    EXPECT_DOUBLE_EQ(after[n].put_rps(), before[n].put_rps()) << n;
   }
 }
 

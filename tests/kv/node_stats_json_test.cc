@@ -412,12 +412,15 @@ TEST(NodeStatsJsonTest, BatchingSectionsEmitted) {
   EXPECT_GT(wal->Find("batches")->number, 0.0);
   EXPECT_LT(wal->Find("batches")->number, 300.0);
   EXPECT_GE(wal->Find("max_batch_records")->number, 2.0);
-  const JsonValue* tc = t.Find("lsm")->Find("table_cache");
-  ASSERT_NE(tc, nullptr);
-  EXPECT_GE(tc->Find("misses")->number, 1.0);
-  EXPECT_GT(tc->Find("resident_bytes")->number, 0.0);
-  ASSERT_NE(tc->Find("hits"), nullptr);
-  ASSERT_NE(tc->Find("evictions"), nullptr);
+  // table_cache_bytes bounds an index+filter-only block cache.
+  EXPECT_EQ(t.Find("lsm")->Find("table_cache"), nullptr);
+  const JsonValue* bc = t.Find("lsm")->Find("block_cache");
+  ASSERT_NE(bc, nullptr);
+  EXPECT_GE(bc->Find("index_misses")->number, 1.0);
+  EXPECT_GT(bc->Find("resident_bytes")->number, 0.0);
+  EXPECT_EQ(bc->Find("capacity_bytes")->number, 64.0 * kKiB);
+  ASSERT_NE(bc->Find("index_hits"), nullptr);
+  ASSERT_NE(bc->Find("evictions"), nullptr);
 }
 
 TEST(NodeStatsJsonTest, FilteredCachedReadPathSectionsEmitted) {

@@ -122,15 +122,19 @@ TEST(ReservationIntegrationTest, ContendingTenantsMeetReservations) {
   const double rate_p2 = (p2e - p2) / secs;
 
   // Every reservation achieved within a 10% band.
-  EXPECT_GE(rate_g1, 0.9 * res1.get_rps) << rate_g1 << " vs " << res1.get_rps;
-  EXPECT_GE(rate_p1, 0.9 * res1.put_rps) << rate_p1 << " vs " << res1.put_rps;
-  EXPECT_GE(rate_g2, 0.9 * res2.get_rps) << rate_g2 << " vs " << res2.get_rps;
-  EXPECT_GE(rate_p2, 0.9 * res2.put_rps) << rate_p2 << " vs " << res2.put_rps;
+  EXPECT_GE(rate_g1, 0.9 * res1.get_rps())
+      << rate_g1 << " vs " << res1.get_rps();
+  EXPECT_GE(rate_p1, 0.9 * res1.put_rps())
+      << rate_p1 << " vs " << res1.put_rps();
+  EXPECT_GE(rate_g2, 0.9 * res2.get_rps())
+      << rate_g2 << " vs " << res2.get_rps();
+  EXPECT_GE(rate_p2, 0.9 * res2.put_rps())
+      << rate_p2 << " vs " << res2.put_rps();
 
   // Sanity: the reservations were non-trivial (at least hundreds of
   // normalized requests per second each).
-  EXPECT_GT(res1.get_rps, 500.0);
-  EXPECT_GT(res2.put_rps, 200.0);
+  EXPECT_GT(res1.get_rps(), 500.0);
+  EXPECT_GT(res2.put_rps(), 200.0);
 
   // The observability snapshot saw the same run: both tenants' GET and PUT
   // latency histograms are populated with sane percentiles, and the policy

@@ -82,13 +82,13 @@ TEST(StorageNodeTest, UpdateReservationValidates) {
   EXPECT_EQ(rig.node.UpdateReservation(1, {nan, 0.0}).code(),
             StatusCode::kInvalidArgument);
   // A failed update leaves the previous reservation installed.
-  EXPECT_EQ(rig.node.policy().GetReservation(1).get_rps, 100.0);
+  EXPECT_EQ(rig.node.policy().GetReservation(1).get_rps(), 100.0);
   // Zero is legal (an existing tenant downgraded to best-effort).
   EXPECT_TRUE(rig.node.UpdateReservation(1, {}).ok());
-  EXPECT_EQ(rig.node.policy().GetReservation(1).get_rps, 0.0);
+  EXPECT_EQ(rig.node.policy().GetReservation(1).get_rps(), 0.0);
   // And valid updates land.
   EXPECT_TRUE(rig.node.UpdateReservation(1, {250.0, 125.0}).ok());
-  EXPECT_EQ(rig.node.policy().GetReservation(1).put_rps, 125.0);
+  EXPECT_EQ(rig.node.policy().GetReservation(1).put_rps(), 125.0);
 }
 
 TEST(StorageNodeTest, AddTenantValidatesReservation) {

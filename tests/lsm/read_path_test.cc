@@ -291,5 +291,81 @@ TEST(ReadPathTest, NodeSharedCachePerTenantAccounting) {
   EXPECT_EQ(per_tenant_hits, node.block_cache()->hits());
 }
 
+// Live tables across every level.
+int LiveTables(const LsmDb& db, const LsmOptions& opt) {
+  int n = 0;
+  for (int level = 0; level < opt.num_levels; ++level) {
+    n += db.NumFilesAtLevel(level);
+  }
+  return n;
+}
+
+// Default cache knobs: the DB reads through its own unbounded index-only
+// cache, so every index read from the device is one counted miss, repeat
+// lookups hit, and nothing is ever evicted.
+TEST(ReadPathTest, DefaultCacheCountsEveryIndexReadAndNeverEvicts) {
+  LsmRig rig;
+  const LsmOptions opt = SmallOptions();  // sizes only; cache knobs default
+  LsmDb db(rig.loop, rig.fs, rig.sched, 1, "t1", opt);
+  ASSERT_TRUE(db.Open().ok());
+  rig.RunTask([&]() -> sim::Task<void> {
+    for (int round = 0; round < 4; ++round) {
+      for (int i = 0; i < 400; ++i) {
+        co_await db.Put(Key(i), std::string(512, 'a' + round));
+      }
+      co_await db.WaitIdle();
+      for (int i = 0; i < 400; i += 7) {
+        auto r = co_await db.Get(Key(i));
+        EXPECT_TRUE(r.status.ok()) << i;
+      }
+    }
+  }());
+  const LsmStats s = db.stats();
+  ASSERT_GT(s.flushes, 0u);
+  ASSERT_GT(s.compactions, 0u);
+  EXPECT_GT(s.index_block_reads, 0u);
+  EXPECT_EQ(s.bcache_index_misses, s.index_block_reads);
+  EXPECT_GT(s.bcache_index_hits, 0u);
+  EXPECT_EQ(s.bcache_capacity_bytes, 0u);
+  EXPECT_EQ(s.bcache_evictions, 0u);
+  EXPECT_GT(s.bcache_resident_bytes, 0u);
+  EXPECT_EQ(s.bcache_data_hits + s.bcache_data_misses, 0u);  // index-only
+}
+
+// A table's reader drops its blocks from the cache when the table dies:
+// after every compaction the cache holds at most an index and a filter per
+// live table, however many tables came and went before.
+TEST(ReadPathTest, DeletedTablesLeaveTheCache) {
+  LsmRig rig;
+  BlockCache cache(0, /*cache_data=*/false);
+  LsmOptions opt = SmallOptions();
+  opt.bloom_bits_per_key = 10;
+  opt.shared_block_cache = &cache;
+  LsmDb db(rig.loop, rig.fs, rig.sched, 1, "t1", opt);
+  ASSERT_TRUE(db.Open().ok());
+  int checked = 0;
+  rig.RunTask([&]() -> sim::Task<void> {
+    uint64_t compactions = 0;
+    for (int round = 0; round < 8; ++round) {
+      for (int i = 0; i < 400; ++i) {
+        co_await db.Put(Key(i), std::string(512, 'a' + round));
+      }
+      co_await db.WaitIdle();
+      if (db.stats().compactions > compactions) {
+        compactions = db.stats().compactions;
+        EXPECT_LE(cache.entries(), 2u * LiveTables(db, opt)) << round;
+        ++checked;
+      }
+      // Probe every key, loading the filter and index of every live table.
+      for (int i = 0; i < 400; ++i) {
+        auto r = co_await db.Get(Key(i));
+        EXPECT_TRUE(r.status.ok()) << i;
+      }
+      EXPECT_GT(cache.entries(), 0u);
+    }
+  }());
+  EXPECT_GE(checked, 4);
+}
+
 }  // namespace
 }  // namespace libra::lsm

@@ -34,8 +34,9 @@ fs::FileId BuildTestTable(LsmRig& rig, int n, uint32_t value_size = 100) {
 
 TEST(SstableTest, BuildAndLookup) {
   LsmRig rig;
+  BlockCache cache(0, /*cache_data=*/false);  // the LsmDb default
   const fs::FileId file = BuildTestTable(rig, 500);
-  SstableReader reader(rig.fs, file);
+  SstableReader reader(rig.fs, file, {}, cache, /*table=*/1, /*tenant=*/1);
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await reader.Get(kGetTag, "key0000042", UINT64_MAX);
     EXPECT_TRUE(r.status.ok());
@@ -48,8 +49,9 @@ TEST(SstableTest, BuildAndLookup) {
 
 TEST(SstableTest, MissingKeyNotFound) {
   LsmRig rig;
+  BlockCache cache(0, /*cache_data=*/false);  // the LsmDb default
   const fs::FileId file = BuildTestTable(rig, 100);
-  SstableReader reader(rig.fs, file);
+  SstableReader reader(rig.fs, file, {}, cache, /*table=*/1, /*tenant=*/1);
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await reader.Get(kGetTag, "key0000xyz", UINT64_MAX);
     EXPECT_TRUE(r.status.ok());
@@ -79,13 +81,14 @@ TEST(SstableTest, SmallestLargestTracked) {
 
 TEST(SstableTest, TombstonesSurfaceAsDeleted) {
   LsmRig rig;
+  BlockCache cache(0, /*cache_data=*/false);  // the LsmDb default
   const fs::FileId file = *rig.fs.Create("sst_1");
   rig.RunTask([&]() -> sim::Task<void> {
     SstableBuilder builder(rig.fs, file);
     builder.Add("key", 5, ValueType::kDelete, "");
     builder.Add("key", 2, ValueType::kPut, "old");
     co_await builder.Finish(kFlushTag);
-    SstableReader reader(rig.fs, file);
+    SstableReader reader(rig.fs, file, {}, cache, /*table=*/1, /*tenant=*/1);
     auto r = co_await reader.Get(kGetTag, "key", UINT64_MAX);
     EXPECT_TRUE(r.found);
     EXPECT_TRUE(r.deleted);
@@ -99,8 +102,9 @@ TEST(SstableTest, TombstonesSurfaceAsDeleted) {
 
 TEST(SstableTest, LookupCostsIndexPlusDataBlock) {
   LsmRig rig;
+  BlockCache cache(0, /*cache_data=*/false);  // the LsmDb default
   const fs::FileId file = BuildTestTable(rig, 2000);  // many 4KB blocks
-  SstableReader reader(rig.fs, file);
+  SstableReader reader(rig.fs, file, {}, cache, /*table=*/1, /*tenant=*/1);
   const auto before = rig.sched.tracker().Stats(1);
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await reader.Get(kGetTag, "key0001000", UINT64_MAX);
@@ -158,9 +162,9 @@ TEST(BlockCacheTest, ZeroCapacityIsUnbounded) {
 TEST(SstableTest, SharedCacheServesRepeatLookups) {
   LsmRig rig;
   const fs::FileId file = BuildTestTable(rig, 2000);
-  // Index-only mode — the deprecated table_cache_bytes configuration.
+  // A bounded index-only cache (LsmOptions::table_cache_bytes).
   BlockCache cache(1 * kMiB, /*cache_data=*/false);
-  SstableReader reader(rig.fs, file, {}, &cache, /*table=*/1, /*tenant=*/1);
+  SstableReader reader(rig.fs, file, {}, cache, /*table=*/1, /*tenant=*/1);
   const auto before = rig.sched.tracker().Stats(1);
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await reader.Get(kGetTag, "key0001000", UINT64_MAX);
@@ -199,8 +203,8 @@ TEST(SstableTest, EvictedIndexReloadIsRereadAndCharged) {
   // Capacity below a single index: every insert evicts the other table's
   // entry (an insert never evicts itself, so the newest index is resident).
   BlockCache cache(1, /*cache_data=*/false);
-  SstableReader ra(rig.fs, file_a, {}, &cache, /*table=*/1, /*tenant=*/1);
-  SstableReader rb(rig.fs, file_b, {}, &cache, /*table=*/2, /*tenant=*/1);
+  SstableReader ra(rig.fs, file_a, {}, cache, /*table=*/1, /*tenant=*/1);
+  SstableReader rb(rig.fs, file_b, {}, cache, /*table=*/2, /*tenant=*/1);
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await ra.Get(kGetTag, "key0001000", UINT64_MAX);
     EXPECT_TRUE(r.found);
@@ -215,14 +219,15 @@ TEST(SstableTest, EvictedIndexReloadIsRereadAndCharged) {
   }());
   // Table A's index was evicted: reload re-reads the index block (footer
   // stays cached in the reader) plus the data block = 2 charged reads,
-  // where a resident index would have cost 1.
+  // where a cached index would have cost 1.
   EXPECT_EQ(rig.sched.tracker().Stats(1).read_ops - mid.read_ops, 2u);
 }
 
 TEST(SstableTest, ScanAllYieldsEverythingInOrder) {
   LsmRig rig;
+  BlockCache cache(0, /*cache_data=*/false);  // the LsmDb default
   const fs::FileId file = BuildTestTable(rig, 777);
-  SstableReader reader(rig.fs, file);
+  SstableReader reader(rig.fs, file, {}, cache, /*table=*/1, /*tenant=*/1);
   std::vector<std::string> keys;
   rig.RunTask([&]() -> sim::Task<void> {
     EXPECT_TRUE((co_await reader.ScanAll(
@@ -237,6 +242,7 @@ TEST(SstableTest, ScanAllYieldsEverythingInOrder) {
 
 TEST(SstableTest, LargeValuesSpanBlocks) {
   LsmRig rig;
+  BlockCache cache(0, /*cache_data=*/false);  // the LsmDb default
   const fs::FileId file = *rig.fs.Create("sst_1");
   const std::string big(64 * 1024, 'B');
   rig.RunTask([&]() -> sim::Task<void> {
@@ -244,7 +250,7 @@ TEST(SstableTest, LargeValuesSpanBlocks) {
     builder.Add("big0", 1, ValueType::kPut, big);
     builder.Add("big1", 2, ValueType::kPut, big);
     co_await builder.Finish(kFlushTag);
-    SstableReader reader(rig.fs, file);
+    SstableReader reader(rig.fs, file, {}, cache, /*table=*/1, /*tenant=*/1);
     auto r = co_await reader.Get(kGetTag, "big1", UINT64_MAX);
     EXPECT_TRUE(r.found);
     if (r.found) {
@@ -255,11 +261,12 @@ TEST(SstableTest, LargeValuesSpanBlocks) {
 
 TEST(SstableTest, EmptyTableLookups) {
   LsmRig rig;
+  BlockCache cache(0, /*cache_data=*/false);  // the LsmDb default
   const fs::FileId file = *rig.fs.Create("sst_1");
   rig.RunTask([&]() -> sim::Task<void> {
     SstableBuilder builder(rig.fs, file);
     co_await builder.Finish(kFlushTag);
-    SstableReader reader(rig.fs, file);
+    SstableReader reader(rig.fs, file, {}, cache, /*table=*/1, /*tenant=*/1);
     auto r = co_await reader.Get(kGetTag, "anything", UINT64_MAX);
     EXPECT_FALSE(r.found);
   }());

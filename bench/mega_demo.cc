@@ -11,8 +11,10 @@
 //
 // Output is byte-identical for any --sim-threads value at a fixed
 // --rpc-latency-us — the CI mega-smoke job runs the scaled-down
-// 8-node/1000-tenant config twice and diffs stdout. Wall-clock timing is
-// printed to stderr so stdout stays diffable.
+// 8-node/1000-tenant config twice and diffs stdout. Wall-clock time and
+// peak RSS are printed to stderr so stdout stays diffable.
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
@@ -153,10 +155,13 @@ int RunDemo(const BenchArgs& args, const MegaFlags& mega) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  // stderr, not stdout: wall-clock time varies run to run and stdout must
-  // stay byte-diffable.
-  std::fprintf(stderr, "wall-clock: %.2fs (--sim-threads=%d)\n", wall_secs,
-               args.sim_threads);
+  // stderr, not stdout: wall-clock time and memory vary run to run and
+  // stdout must stay byte-diffable. ru_maxrss is in KiB on Linux.
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  std::fprintf(stderr,
+               "wall-clock: %.2fs (--sim-threads=%d) peak-rss: %ld MB\n",
+               wall_secs, args.sim_threads, usage.ru_maxrss / 1024);
 
   const uint64_t expected =
       static_cast<uint64_t>(mega.tenants) * static_cast<uint64_t>(mega.rounds);

@@ -4,6 +4,7 @@
 // and event loop costs bound the simulator's wall-clock throughput.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <memory>
 #include <string>
@@ -14,11 +15,13 @@
 #include "src/fs/sim_fs.h"
 #include "src/iosched/cost_model.h"
 #include "src/iosched/scheduler.h"
+#include "src/kv/storage_node.h"
 #include "src/lsm/block_cache.h"
 #include "src/lsm/db.h"
 #include "src/lsm/format.h"
 #include "src/lsm/memtable.h"
 #include "src/lsm/wal.h"
+#include "src/obs/histogram.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/multi_loop.h"
 #include "src/sim/sync.h"
@@ -414,6 +417,85 @@ BENCHMARK(BM_EpochBarrierExchange)
     ->Args({8, 1})
     ->Args({64, 1})
     ->Args({8, 4});
+
+// --- Partition footprint and latency histograms -----------------------------
+
+// Heap retained per idle partition: mallinfo2 bytes in use across 1000
+// StorageNode::AddTenant calls with no traffic (counter
+// bytes_per_partition). The timed region is the AddTenant calls alone.
+void BM_PartitionFootprint(benchmark::State& state) {
+  constexpr int kPartitions = 1000;
+  kv::NodeOptions options;
+  options.calibration = MicroTable();
+  options.prefill_bytes = 64 * kMiB;
+  double bytes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto loop = std::make_unique<sim::EventLoop>();
+    auto node = std::make_unique<kv::StorageNode>(*loop, options);
+    (void)node->AddTenant(0, {});  // first-use node state
+    const auto before = static_cast<double>(mallinfo2().uordblks);
+    state.ResumeTiming();
+    for (iosched::TenantId t = 1; t <= kPartitions; ++t) {
+      if (!node->AddTenant(t, {}).ok()) {
+        state.SkipWithError("AddTenant failed");
+      }
+    }
+    state.PauseTiming();
+    bytes += static_cast<double>(mallinfo2().uordblks) - before;
+    node.reset();
+    loop.reset();
+    state.ResumeTiming();
+  }
+  const double partitions =
+      static_cast<double>(state.iterations()) * kPartitions;
+  state.counters["bytes_per_partition"] = bytes / partitions;
+  state.SetItemsProcessed(static_cast<int64_t>(partitions));
+}
+BENCHMARK(BM_PartitionFootprint)->Iterations(4)->Unit(benchmark::kMillisecond);
+
+// 4096 values spread uniformly over `octaves` octaves starting at 2^10 ns.
+std::vector<uint64_t> OctaveValues(int octaves) {
+  Rng rng(11);
+  std::vector<uint64_t> values(4096);
+  for (uint64_t& v : values) {
+    const int shift = 10 + static_cast<int>(rng.NextU64(octaves));
+    v = (1ULL << shift) + rng.NextU64(1ULL << shift);
+  }
+  return values;
+}
+
+// One Record per iteration. Arg = octaves the values span: 1 is a typical
+// latency series (one hot chunk), 20 forces the chunk-offset popcount to
+// vary on every call.
+void BM_HistogramRecord(benchmark::State& state) {
+  const std::vector<uint64_t> values =
+      OctaveValues(static_cast<int>(state.range(0)));
+  obs::LatencyHistogram h;
+  size_t i = 0;
+  benchmark::DoNotOptimize(&h);
+  for (auto _ : state) {
+    h.Record(values[i++ & 4095]);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistogramRecord)->Arg(1)->Arg(20);
+
+// One p99 query per iteration over 100k samples spanning `octaves` octaves.
+void BM_HistogramPercentile(benchmark::State& state) {
+  const std::vector<uint64_t> values =
+      OctaveValues(static_cast<int>(state.range(0)));
+  obs::LatencyHistogram h;
+  for (int i = 0; i < 100000; ++i) {
+    h.Record(values[i & 4095]);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(h.Percentile(0.99));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistogramPercentile)->Arg(1)->Arg(20);
 
 }  // namespace
 }  // namespace libra

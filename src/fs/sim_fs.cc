@@ -82,11 +82,11 @@ Status SimFs::Rename(const std::string& from, const std::string& to) {
   return Status::Ok();
 }
 
-std::vector<std::string> SimFs::List() const {
+std::vector<std::string> SimFs::List(std::string_view prefix) const {
   std::vector<std::string> out;
-  out.reserve(names_.size());
-  for (const auto& [name, id] : names_) {
-    out.push_back(name);
+  for (auto it = names_.lower_bound(prefix);
+       it != names_.end() && it->first.starts_with(prefix); ++it) {
+    out.push_back(it->first);
   }
   return out;
 }

@@ -14,6 +14,7 @@
 #define LIBRA_SRC_FS_SIM_FS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -53,7 +54,8 @@ class SimFs {
   bool Exists(const std::string& name) const;
   Status Delete(const std::string& name);
   Status Rename(const std::string& from, const std::string& to);
-  std::vector<std::string> List() const;
+  // Names starting with `prefix`, sorted (every name when it is empty).
+  std::vector<std::string> List(std::string_view prefix = {}) const;
 
   // --- IO (suspends on the scheduler) ---
 
@@ -149,7 +151,7 @@ class SimFs {
   uint32_t extent_bytes_;
   uint64_t num_extents_;
 
-  std::map<std::string, FileId> names_;
+  std::map<std::string, FileId, std::less<>> names_;
   std::map<FileId, std::unique_ptr<File>> files_;
   std::vector<uint32_t> free_extents_;
   FileId next_id_ = 1;

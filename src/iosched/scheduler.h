@@ -73,10 +73,10 @@ struct SchedulerOptions {
 // op) class, plus op/chunk/byte counts.
 //
 // Classes allocate on first use: a tenant typically exercises 2-4 of the 9
-// (app, internal) combinations, and embedding all of them eagerly (a pair of
-// full histograms each) would put ~170KB of mostly-dead per-tenant state on
-// the completion path's cache/TLB footprint. After the one-time allocation,
-// recording is plain arithmetic.
+// (app, internal) combinations, so an idle class costs one null pointer and
+// a used one a ~150-byte record plus the octave chunks its histograms hit
+// (128 bytes each). Recording allocates only on a class's first op or a
+// sample's first landing in a new octave; otherwise it is plain arithmetic.
 struct TenantLifecycleStats {
   std::unique_ptr<obs::IoClassStats> cls[kNumAppRequests][kNumInternalOps];
 
@@ -201,9 +201,9 @@ class IoScheduler {
     double allocation = 0.0;  // VOP/s (DRR weight)
     double deficit = 0.0;     // VOPs available now
     int chunks_inflight = 0;  // dispatched, not yet completed
-    std::deque<Op*> queue;    // owned by the op pool
-    // Heap-allocated (large: fixed histogram arrays); created once at
-    // tenant registration, then updated allocation-free.
+    sim::FifoQueue<Op*> queue;  // owned by the op pool
+    // Created once at tenant registration; keeps the Tenant record small
+    // for the sorted-vector shifts of later registrations.
     std::unique_ptr<TenantLifecycleStats> lifecycle;
 
     // Demand busy-time accounting for ConsumeDemandTime: start of the open

@@ -87,7 +87,7 @@ Status LsmDb::Open() {
   const std::string sst_prefix = prefix_ + "/sst_";
   std::vector<std::pair<uint64_t, std::string>> wals;
   uint64_t max_number = 0;
-  for (const std::string& name : fs_.List()) {
+  for (const std::string& name : fs_.List(prefix_ + "/")) {
     if (name.size() > wal_prefix.size() &&
         name.compare(0, wal_prefix.size(), wal_prefix) == 0) {
       const uint64_t num =

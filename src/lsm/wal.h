@@ -22,7 +22,6 @@
 
 #include <cassert>
 #include <coroutine>
-#include <deque>
 #include <functional>
 #include <string>
 
@@ -109,7 +108,7 @@ class WriteAheadLog {
   WalOptions options_;
   WalCounters* counters_;  // may be nullptr
   fs::FileId file_ = fs::kInvalidFile;
-  std::deque<Pending> pending_;
+  sim::FifoQueue<Pending> pending_;
   bool sync_inflight_ = false;
   int inflight_ = 0;  // batched appends between enqueue and ack
   std::coroutine_handle<> idle_waiter_;

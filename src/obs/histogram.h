@@ -4,10 +4,15 @@
 // binned into power-of-two octaves, each subdivided into 2^kSubBucketBits
 // linear sub-buckets, so relative error is bounded by 1/2^kSubBucketBits
 // (~3%) across the whole range while values below 2*kSubBuckets are recorded
-// exactly. Storage is one fixed-size count array — Record() is a handful of
-// ALU ops and never allocates, which is what lets the IO scheduler keep a
-// histogram per (tenant, app request, internal op) on its hot path without
-// perturbing the benchmark shapes it exists to measure.
+// exactly.
+//
+// Storage is sparse by octave: the 32 slots of an octave ("chunk") exist
+// only once a sample landed in it, packed in chunk order behind a 64-bit
+// presence mask. A latency series typically touches 1-3 of the 37 octaves,
+// so an empty histogram is 64 bytes and a busy one a few hundred — which is
+// what lets every (tenant, app request, internal op) cell of every
+// partition keep its own histograms. Record() is a handful of ALU ops plus
+// a popcount; it allocates only the first time an octave is hit.
 //
 // Percentile queries scan the cumulative counts and report the bucket's
 // upper bound, clamped into [min, max] so Percentile(0) and Percentile(1)
@@ -18,8 +23,10 @@
 #ifndef LIBRA_SRC_OBS_HISTOGRAM_H_
 #define LIBRA_SRC_OBS_HISTOGRAM_H_
 
-#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace libra::obs {
 
@@ -33,8 +40,9 @@ class LatencyHistogram {
   static constexpr int kMaxShift = 35;
   static constexpr uint64_t kMaxValue =
       (2 * kSubBuckets << kMaxShift) - 1;  // ~2^41 ns =~ 36 simulated minutes
-  static constexpr int kNumSlots =
-      static_cast<int>(kSubBuckets) * (kMaxShift + 2);
+  static constexpr int kNumChunks = kMaxShift + 2;  // one per octave
+  static constexpr int kNumSlots = static_cast<int>(kSubBuckets) * kNumChunks;
+  static_assert(kNumChunks <= 64, "the presence mask is one uint64_t");
 
   // Slot index for a value (saturating at the top bucket).
   static int SlotFor(uint64_t value);
@@ -42,6 +50,19 @@ class LatencyHistogram {
   static uint64_t SlotLowerBound(int slot);
   // Number of distinct values mapping to `slot` (1 below 2*kSubBuckets).
   static uint64_t SlotWidth(int slot);
+
+  LatencyHistogram() = default;
+  LatencyHistogram(const LatencyHistogram&) = default;
+  LatencyHistogram& operator=(const LatencyHistogram&) = default;
+  // Moves leave the source empty (a plain member-wise move would keep its
+  // presence mask over a moved-out chunk vector).
+  LatencyHistogram(LatencyHistogram&& other) noexcept { Take(other); }
+  LatencyHistogram& operator=(LatencyHistogram&& other) noexcept {
+    if (this != &other) {
+      Take(other);
+    }
+    return *this;
+  }
 
   void Record(uint64_t value) { RecordN(value, 1); }
   void RecordN(uint64_t value, uint64_t n);
@@ -59,32 +80,60 @@ class LatencyHistogram {
   // Monotonic in p by construction.
   uint64_t Percentile(double p) const;
 
+  // Self-merge doubles every count.
   void Merge(const LatencyHistogram& other);
+  // Clears the samples and frees the chunks.
   void Reset();
 
   // Iterates non-empty buckets in value order: fn(lower_bound, width, count).
   template <typename Fn>
   void ForEachBucket(Fn&& fn) const {
-    for (int s = 0; s < kNumSlots; ++s) {
-      if (counts_[s] != 0) {
-        fn(SlotLowerBound(s), SlotWidth(s), counts_[s]);
+    const uint32_t* chunk = chunks_.data();
+    for (uint64_t bits = present_; bits != 0; bits &= bits - 1) {
+      const int first = static_cast<int>(kSubBuckets) * std::countr_zero(bits);
+      for (int i = 0; i < static_cast<int>(kSubBuckets); ++i) {
+        if (chunk[i] != 0) {
+          fn(SlotLowerBound(first + i), SlotWidth(first + i), chunk[i]);
+        }
       }
+      chunk += kSubBuckets;
     }
   }
 
  private:
-  // 32-bit slot counters keep the array at ~4.6KB (vs ~9.5KB with 64-bit),
-  // which matters because the scheduler walks one histogram pair per tenant
-  // on every completion — the smaller footprint roughly halves the cache/TLB
-  // pages that path touches. Slots saturate at UINT32_MAX (~4.3e9 samples in
-  // one bucket; unreachable in practice) while count_/sum_ stay exact.
-  // Metadata first: a Record() touches this header plus one slot, and with
-  // the header at offset 0 both usually land in the same page.
+  // Offset in chunks_ of chunk `c`'s first slot (where it is, or would be
+  // inserted): the present chunks below it come first.
+  size_t ChunkOffset(int c) const {
+    return kSubBuckets * PopCount(present_ & ((1ULL << c) - 1));
+  }
+  // std::popcount is a libgcc call on baseline x86-64 (no POPCNT
+  // instruction); this branch-free form inlines into Record.
+  static constexpr size_t PopCount(uint64_t x) {
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return static_cast<size_t>((x * 0x0101010101010101ULL) >> 56);
+  }
+  // Chunk `c`'s slots, inserting 32 zero slots if it is absent.
+  uint32_t* MutableChunk(int c) {
+    const size_t offset = ChunkOffset(c);
+    if ((present_ >> c & 1) == 0) [[unlikely]] {
+      InsertChunk(c, offset);
+    }
+    return chunks_.data() + offset;
+  }
+  void InsertChunk(int c, size_t offset);
+  void Take(LatencyHistogram& other);
+
   uint64_t count_ = 0;
   uint64_t min_ = UINT64_MAX;
   uint64_t max_ = 0;
   double sum_ = 0.0;
-  std::array<uint32_t, kNumSlots> counts_{};
+  // Bit c set <=> chunk c (slots [32c, 32c + 32)) is stored. 32-bit slot
+  // counters saturate at UINT32_MAX (~4.3e9 samples in one bucket;
+  // unreachable in practice) while count_/sum_ stay exact.
+  uint64_t present_ = 0;
+  std::vector<uint32_t> chunks_;  // present chunks, in chunk order
 };
 
 }  // namespace libra::obs

@@ -7,8 +7,9 @@
 //   service    — first dispatch to last chunk completion: device time,
 //                including chunk serialization for ops > chunk_bytes.
 //
-// Everything is fixed-size and updated with plain arithmetic, so the
-// scheduler can record on its hot path without allocating.
+// Counters are plain arithmetic; a histogram grows by a 128-byte octave chunk
+// the first time a sample lands in that octave and never again, so
+// steady-state recording on the scheduler's hot path does not allocate.
 
 #ifndef LIBRA_SRC_OBS_IO_STATS_H_
 #define LIBRA_SRC_OBS_IO_STATS_H_

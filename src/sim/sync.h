@@ -12,15 +12,63 @@
 
 #include <cassert>
 #include <coroutine>
-#include <deque>
+#include <cstddef>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "src/common/units.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/task.h"
 
 namespace libra::sim {
+
+// --- FIFO queue ---------------------------------------------------------------
+
+// Queue for waiters and other per-partition backlogs that are empty most of
+// the time: a vector plus a head index, so an idle queue owns no heap memory
+// (a std::deque allocates a map and a block at construction) and allocates
+// on its first push. Popped slots are reset at once, releasing what they
+// own. The vector restarts at its front when the queue drains and drops its
+// popped prefix once that outgrows the live part, so each element is moved
+// O(1) times on average.
+template <typename T>
+class FifoQueue {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  size_t size() const { return items_.size() - head_; }
+
+  T& front() {
+    assert(!empty());
+    return items_[head_];
+  }
+  const T& front() const {
+    assert(!empty());
+    return items_[head_];
+  }
+
+  void push_back(T value) {
+    if (head_ > 0 && 2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    items_.push_back(std::move(value));
+  }
+
+  void pop_front() {
+    assert(!empty());
+    items_[head_++] = T();
+    if (empty()) {
+      items_.clear();
+      head_ = 0;
+    }
+  }
+
+ private:
+  std::vector<T> items_;
+  size_t head_ = 0;
+};
 
 // --- Sleeping -------------------------------------------------------------
 
@@ -165,7 +213,7 @@ class Mutex {
 
   EventLoop* loop_;
   bool locked_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  FifoQueue<std::coroutine_handle<>> waiters_;
 };
 
 // RAII-ish helper for coroutine scopes that can use it linearly.
@@ -232,7 +280,7 @@ class CondVar {
   };
 
   EventLoop* loop_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  FifoQueue<std::coroutine_handle<>> waiters_;
 };
 
 // --- Semaphore ---------------------------------------------------------------
@@ -289,7 +337,7 @@ class Semaphore {
  private:
   EventLoop* loop_;
   int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  FifoQueue<std::coroutine_handle<>> waiters_;
 };
 
 // --- Task group ----------------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/iosched/cost_model.h"
 #include "src/sim/event_loop.h"
@@ -158,6 +160,24 @@ TEST(SimFsTest, ListEnumeratesFiles) {
   ASSERT_TRUE(rig.fs.Create("y").ok());
   const auto names = rig.fs.List();
   EXPECT_EQ(names.size(), 2u);
+}
+
+TEST(SimFsTest, ListFiltersByPrefix) {
+  FsRig rig;
+  for (const char* name :
+       {"tenant_10/wal_1", "tenant_1/wal_2", "tenant_1/sst_3", "tenant_2/x",
+        "tenant_1", "a"}) {
+    ASSERT_TRUE(rig.fs.Create(name).ok());
+  }
+  EXPECT_EQ(rig.fs.List("tenant_1/"),
+            (std::vector<std::string>{"tenant_1/sst_3", "tenant_1/wal_2"}));
+  EXPECT_EQ(rig.fs.List("tenant_10/"),
+            (std::vector<std::string>{"tenant_10/wal_1"}));
+  EXPECT_TRUE(rig.fs.List("tenant_3/").empty());
+  EXPECT_EQ(rig.fs.List(),
+            (std::vector<std::string>{"a", "tenant_1", "tenant_1/sst_3",
+                                      "tenant_1/wal_2", "tenant_10/wal_1",
+                                      "tenant_2/x"}));
 }
 
 TEST(SimFsTest, PeekContentsBypassesIo) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "src/common/rng.h"
 
 #include "src/sim/event_loop.h"
 #include "src/sim/task.h"
@@ -260,6 +264,38 @@ TEST(IntegrationTest, ProducerConsumerPipeline) {
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(consumed[i], i);
   }
+}
+
+TEST(FifoQueueTest, MatchesDequeAndReleasesPoppedElements) {
+  // Random interleavings of bursts and drains against a std::deque model:
+  // same order and sizes through every compaction, and a popped element
+  // releases what it owns at once (the queue's copy of the shared_ptr is
+  // gone as soon as pop_front returns).
+  Rng rng(17);
+  FifoQueue<std::shared_ptr<int>> q;
+  std::deque<std::shared_ptr<int>> model;
+  int next = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (model.empty() || rng.NextU64(100) < 52) {
+      auto v = std::make_shared<int>(next++);
+      q.push_back(v);
+      model.push_back(v);
+    } else {
+      ASSERT_EQ(q.front(), model.front());
+      std::shared_ptr<int> popped = model.front();
+      q.pop_front();
+      model.pop_front();
+      EXPECT_EQ(popped.use_count(), 1);
+    }
+    ASSERT_EQ(q.size(), model.size());
+    ASSERT_EQ(q.empty(), model.empty());
+  }
+  while (!model.empty()) {
+    ASSERT_EQ(*q.front(), *model.front());
+    q.pop_front();
+    model.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

@@ -98,28 +98,15 @@ struct RetryState {
 
 }  // namespace
 
-sim::Task<Status> TenantHandle::Put(const std::string& key,
-                                    const std::string& value) {
+sim::Task<Status> TenantHandle::Write(const std::string& key,
+                                      std::optional<std::string_view> value) {
   if (!valid()) {
     co_return Status::FailedPrecondition("invalid tenant handle");
   }
   RetryState retry(cluster_->options_.retry, cluster_->loop_);
   for (;;) {
-    Status s = co_await cluster_->Put(tenant_, key, value);
-    if (retry.Exhausted(s)) {
-      co_return retry.deadline_hit ? retry.DeadlineError(s) : s;
-    }
-    co_await retry.Backoff();
-  }
-}
-
-sim::Task<Status> TenantHandle::Delete(const std::string& key) {
-  if (!valid()) {
-    co_return Status::FailedPrecondition("invalid tenant handle");
-  }
-  RetryState retry(cluster_->options_.retry, cluster_->loop_);
-  for (;;) {
-    Status s = co_await cluster_->Delete(tenant_, key);
+    Status s = co_await cluster_->Write(tenant_, key,
+                                        std::optional<std::string>(value));
     if (retry.Exhausted(s)) {
       co_return retry.deadline_hit ? retry.DeadlineError(s) : s;
     }
@@ -697,9 +684,10 @@ Status NodeDown(int node) {
 
 // A drop never reaches the node; an injected delay replaces the request
 // leg's latency (see RequestLeg).
-sim::Task<void> Cluster::PutReplica(int node, TenantId tenant, std::string key,
-                                    std::string value, TraceContext ctx,
-                                    Status* out) {
+sim::Task<void> Cluster::WriteReplica(int node, TenantId tenant,
+                                      std::string key,
+                                      std::optional<std::string> value,
+                                      TraceContext ctx, Status* out) {
   const std::optional<SimDuration> leg = RequestLeg(tenant, node);
   if (!leg.has_value()) {
     *out = DroppedRpc(node);
@@ -709,26 +697,9 @@ sim::Task<void> Cluster::PutReplica(int node, TenantId tenant, std::string key,
     *out = NodeDown(node);
     co_return;
   }
-  *out = co_await OnNode<Status>(node, *leg, &kv::StorageNode::Put,
+  *out = co_await OnNode<Status>(node, *leg, &kv::StorageNode::Write,
                                  nodes_[node].get(), tenant, std::move(key),
                                  std::move(value), ctx);
-}
-
-sim::Task<void> Cluster::DeleteReplica(int node, TenantId tenant,
-                                       std::string key, TraceContext ctx,
-                                       Status* out) {
-  const std::optional<SimDuration> leg = RequestLeg(tenant, node);
-  if (!leg.has_value()) {
-    *out = DroppedRpc(node);
-    co_return;
-  }
-  if (!node_state_[node].alive) {
-    *out = NodeDown(node);
-    co_return;
-  }
-  *out = co_await OnNode<Status>(node, *leg, &kv::StorageNode::Delete,
-                                 nodes_[node].get(), tenant, std::move(key),
-                                 ctx);
 }
 
 namespace {
@@ -759,8 +730,8 @@ Status AggregateWrite(const std::vector<Status>& statuses) {
 
 }  // namespace
 
-sim::Task<Status> Cluster::Put(TenantId tenant, std::string key,
-                               std::string value) {
+sim::Task<Status> Cluster::Write(TenantId tenant, std::string key,
+                                 std::optional<std::string> value) {
   if (tenants_.count(tenant) == 0) {
     co_return Status::NotFound("unknown tenant " + std::to_string(tenant));
   }
@@ -780,77 +751,53 @@ sim::Task<Status> Cluster::Put(TenantId tenant, std::string key,
   Status result = Status::Unavailable("no live replica for slot " +
                                       std::to_string(slot));
   if (!targets.empty()) {
+    // A DELETE is accounted as a PUT of its key (see StorageNode::Write).
+    const uint64_t bytes = value.has_value() ? value->size() : key.size();
     // The client-request span lives in the coordinator's own collector;
     // node collectors are never touched from this thread.
     const TraceContext ctx = MintTrace(client_spans_.get());
     const SimTime start = loop_.Now();
     if (targets.size() == 1) {
-      co_await PutReplica(targets[0], tenant, key, value, ctx, &result);
+      co_await WriteReplica(targets[0], tenant, key, value, ctx, &result);
     } else {
       std::vector<Status> statuses(targets.size());
       sim::TaskGroup group(loop_);
       for (size_t i = 0; i < targets.size(); ++i) {
-        group.Spawn(PutReplica(targets[i], tenant, key, value, ctx,
-                               &statuses[i]));
+        group.Spawn(WriteReplica(targets[i], tenant, key, value, ctx,
+                                 &statuses[i]));
       }
       co_await group.Join();
       result = AggregateWrite(statuses);
       for (size_t i = 1; i < targets.size(); ++i) {
         if (statuses[i].ok()) {
           ++repl_[targets[i]].fanout_puts;
-          repl_[targets[i]].fanout_bytes += value.size();
+          repl_[targets[i]].fanout_bytes += bytes;
         }
       }
     }
     RecordClientSpan(client_spans_.get(), ctx, AppRequest::kPut, tenant, start,
-                     loop_.Now(), value.size());
+                     loop_.Now(), bytes);
   }
   --ss.inflight;
   co_return result;
 }
 
-sim::Task<Status> Cluster::Delete(TenantId tenant, std::string key) {
-  if (tenants_.count(tenant) == 0) {
-    co_return Status::NotFound("unknown tenant " + std::to_string(tenant));
-  }
-  const int slot = shard_map_.SlotOfKey(key);
-  (void)co_await AwaitRoutable(tenant, slot);
-  const std::vector<int> replicas = shard_map_.ReplicasOf(tenant, slot);
-  ShardState& ss = Shard(tenant, slot);
-  ++ss.inflight;
-  std::vector<int> targets;
+std::vector<int> Cluster::ServingOrder(const std::vector<int>& replicas) const {
+  // Live synced replicas in replica-set order (leader first), then live
+  // syncing ones — a catching-up replica may be missing flushed data, so
+  // it serves only when nothing better is up.
+  std::vector<int> order;
   for (const int r : replicas) {
-    if (node_state_[r].alive) {
-      targets.push_back(r);
+    if (node_state_[r].alive && !node_state_[r].syncing) {
+      order.push_back(r);
     }
   }
-  Status result = Status::Unavailable("no live replica for slot " +
-                                      std::to_string(slot));
-  if (!targets.empty()) {
-    const TraceContext ctx = MintTrace(client_spans_.get());
-    const SimTime start = loop_.Now();
-    if (targets.size() == 1) {
-      co_await DeleteReplica(targets[0], tenant, key, ctx, &result);
-    } else {
-      std::vector<Status> statuses(targets.size());
-      sim::TaskGroup group(loop_);
-      for (size_t i = 0; i < targets.size(); ++i) {
-        group.Spawn(DeleteReplica(targets[i], tenant, key, ctx, &statuses[i]));
-      }
-      co_await group.Join();
-      result = AggregateWrite(statuses);
-      for (size_t i = 1; i < targets.size(); ++i) {
-        if (statuses[i].ok()) {
-          ++repl_[targets[i]].fanout_puts;
-          repl_[targets[i]].fanout_bytes += key.size();
-        }
-      }
+  for (const int r : replicas) {
+    if (node_state_[r].alive && node_state_[r].syncing) {
+      order.push_back(r);
     }
-    RecordClientSpan(client_spans_.get(), ctx, AppRequest::kPut, tenant, start,
-                     loop_.Now(), key.size());
   }
-  --ss.inflight;
-  co_return result;
+  return order;
 }
 
 sim::Task<Result<std::string>> Cluster::Get(TenantId tenant, std::string key) {
@@ -863,20 +810,8 @@ sim::Task<Result<std::string>> Cluster::Get(TenantId tenant, std::string key) {
   const std::vector<int> replicas = shard_map_.ReplicasOf(tenant, slot);
   ShardState& ss = Shard(tenant, slot);
   ++ss.inflight;
-  // Candidate order: live synced replicas in replica-set order (leader
-  // first), then live syncing ones — a catching-up replica may be missing
-  // flushed data, so it serves only when nothing better is up.
-  std::vector<int> order;
-  for (const int r : replicas) {
-    if (node_state_[r].alive && !node_state_[r].syncing) {
-      order.push_back(r);
-    }
-  }
-  for (const int r : replicas) {
-    if (node_state_[r].alive && node_state_[r].syncing) {
-      order.push_back(r);
-    }
-  }
+  // Fail over along the whole serving order.
+  const std::vector<int> order = ServingOrder(replicas);
   Result<std::string> result(Status::Unavailable(
       "no live replica for slot " + std::to_string(slot)));
   for (const int node : order) {
@@ -918,32 +853,19 @@ sim::Task<void> Cluster::MultiGetSlotGroup(
   // One migration gate for the whole group; the same inflight accounting
   // as per-key Get so a draining migration still waits for every member.
   (void)co_await AwaitRoutable(tenant, slot);
-  // Serve from the first live synced replica (the leader when it is up);
+  // Serve from the head of the serving order (the leader when it is up);
   // a whole group fails together when every replica is down — the per-key
   // retry path (TenantHandle) is the recourse.
   const std::vector<int> replicas = shard_map_.ReplicasOf(tenant, slot);
-  int node = -1;
-  for (const int r : replicas) {
-    if (node_state_[r].alive && !node_state_[r].syncing) {
-      node = r;
-      break;
-    }
-  }
-  if (node < 0) {
-    for (const int r : replicas) {
-      if (node_state_[r].alive) {
-        node = r;
-        break;
-      }
-    }
-  }
-  if (node < 0) {
+  const std::vector<int> order = ServingOrder(replicas);
+  if (order.empty()) {
     for (const auto& [i, key] : keys) {
       (*out)[i] = Result<std::string>(Status::Unavailable(
           "no live replica for slot " + std::to_string(slot)));
     }
     co_return;
   }
+  const int node = order[0];
   if (node != replicas[0]) {
     repl_[node].failover_gets += keys.size();
   }
@@ -1028,33 +950,19 @@ sim::Task<Result<ScanEntries>> Cluster::Scan(TenantId tenant,
     co_return Result<ScanEntries>(ScanEntries{});  // empty range
   }
   // Resolve every slot's serving node in ring order: gate on migrations,
-  // then prefer the first live synced replica (the leader when it is up),
-  // falling back to any live one. A slot with no live replica fails the
-  // whole scan — a range scan must not silently skip part of the keyspace.
+  // then take the head of its serving order (the leader when it is up). A
+  // slot with no live replica fails the whole scan — a range scan must not
+  // silently skip part of the keyspace.
   std::map<int, std::vector<int>> by_node;
   for (int slot = 0; slot < shard_map_.shards_per_tenant(); ++slot) {
     (void)co_await AwaitRoutable(tenant, slot);
-    const std::vector<int> replicas = shard_map_.ReplicasOf(tenant, slot);
-    int node = -1;
-    for (const int r : replicas) {
-      if (node_state_[r].alive && !node_state_[r].syncing) {
-        node = r;
-        break;
-      }
-    }
-    if (node < 0) {
-      for (const int r : replicas) {
-        if (node_state_[r].alive) {
-          node = r;
-          break;
-        }
-      }
-    }
-    if (node < 0) {
+    const std::vector<int> order =
+        ServingOrder(shard_map_.ReplicasOf(tenant, slot));
+    if (order.empty()) {
       co_return Result<ScanEntries>(Status::Unavailable(
           "no live replica for slot " + std::to_string(slot)));
     }
-    by_node[node].push_back(slot);
+    by_node[order[0]].push_back(slot);
   }
   // The scan holds every slot inflight for its whole duration, so a
   // migration drain waits for it like any other request.

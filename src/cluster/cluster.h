@@ -26,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -152,8 +153,12 @@ class TenantHandle {
   bool valid() const { return cluster_ != nullptr; }
   iosched::TenantId tenant() const { return tenant_; }
 
-  sim::Task<Status> Put(const std::string& key, const std::string& value);
-  sim::Task<Status> Delete(const std::string& key);
+  sim::Task<Status> Put(const std::string& key, const std::string& value) {
+    return Write(key, value);
+  }
+  sim::Task<Status> Delete(const std::string& key) {
+    return Write(key, std::nullopt);
+  }
   sim::Task<Result<std::string>> Get(const std::string& key);
   // Issues all lookups concurrently; results are in `keys` order.
   sim::Task<std::vector<Result<std::string>>> MultiGet(
@@ -171,6 +176,11 @@ class TenantHandle {
   friend class Cluster;
   TenantHandle(Cluster* cluster, iosched::TenantId tenant)
       : cluster_(cluster), tenant_(tenant) {}
+
+  // Put (value) or Delete (nullopt) with the retry policy; `value` views
+  // the caller's bytes, which must outlive the returned task.
+  sim::Task<Status> Write(const std::string& key,
+                          std::optional<std::string_view> value);
 
   Cluster* cluster_ = nullptr;
   iosched::TenantId tenant_ = iosched::kInvalidTenant;
@@ -328,9 +338,11 @@ class Cluster {
   }
 
   // --- request routing (TenantHandle forwards here) ---
-  sim::Task<Status> Put(iosched::TenantId tenant, std::string key,
-                        std::string value);
-  sim::Task<Status> Delete(iosched::TenantId tenant, std::string key);
+  // The one write verb: `value` is the PUT payload, nullopt a DELETE. The
+  // write fans out to every live replica; a DELETE is accounted as a PUT
+  // of its key (fan-out bytes and client span), like StorageNode::Write.
+  sim::Task<Status> Write(iosched::TenantId tenant, std::string key,
+                          std::optional<std::string> value);
   sim::Task<Result<std::string>> Get(iosched::TenantId tenant,
                                      std::string key);
   sim::Task<Result<ScanEntries>> Scan(iosched::TenantId tenant,
@@ -339,6 +351,11 @@ class Cluster {
 
   // Suspends while (tenant, slot) is migrating, then returns its home node.
   sim::Task<int> AwaitRoutable(iosched::TenantId tenant, int slot);
+
+  // The live members of `replicas` in the order reads try them: synced
+  // replicas in replica-set order (leader first), then syncing ones. Get
+  // fails over along it; MultiGet and Scan serve from its head.
+  std::vector<int> ServingOrder(const std::vector<int>& replicas) const;
 
   // Batched MultiGet: routes one slot's key group through a single gate,
   // then fans the lookups out concurrently on the home node, writing each
@@ -359,14 +376,12 @@ class Cluster {
                                 std::string end, size_t limit,
                                 lsm::LsmDb::ScanResult* out);
 
-  // Replica write fan-out helpers (TaskGroup-spawned: parameters by value,
-  // the frames outlive the caller's loop variables).
-  sim::Task<void> PutReplica(int node, iosched::TenantId tenant,
-                             std::string key, std::string value,
-                             TraceContext ctx, Status* out);
-  sim::Task<void> DeleteReplica(int node, iosched::TenantId tenant,
-                                std::string key, TraceContext ctx,
-                                Status* out);
+  // One replica's leg of a write fan-out (TaskGroup-spawned: parameters
+  // by value, the frames outlive the caller's loop variables).
+  sim::Task<void> WriteReplica(int node, iosched::TenantId tenant,
+                               std::string key,
+                               std::optional<std::string> value,
+                               TraceContext ctx, Status* out);
 
   // --- cross-node seam ---
   //

@@ -247,8 +247,9 @@ std::vector<TenantId> StorageNode::tenants() const {
   return out;
 }
 
-sim::Task<Status> StorageNode::Put(TenantId tenant, const std::string& key,
-                                   const std::string& value, TraceContext ctx) {
+sim::Task<Status> StorageNode::Write(TenantId tenant, const std::string& key,
+                                     std::optional<std::string_view> value,
+                                     TraceContext ctx) {
   if (crashed_) {
     co_return Status::Unavailable("node crashed");
   }
@@ -256,49 +257,34 @@ sim::Task<Status> StorageNode::Put(TenantId tenant, const std::string& key,
   if (db == nullptr) {
     co_return Status::NotFound("unknown tenant");
   }
+  // A DELETE is billed, traced and timed as a PUT of its key.
+  const uint64_t bytes = value.has_value() ? value->size() : key.size();
   obs::SpanCollector* spans = scheduler_.spans();
   const RequestSpan span = BeginRequestSpan(spans, ctx);
   const SimTime start = loop_.Now();
-  Status s = co_await db->Put(key, value, span.ctx);
+  // A named task: GCC 12 miscompiles co_await on a conditional expression
+  // whose arms are task prvalues.
+  sim::Task<Status> write = value.has_value()
+                                ? db->Put(key, *value, span.ctx)
+                                : db->Delete(key, span.ctx);
+  Status s = co_await std::move(write);
   request_latency_[tenant].put->Record(
       static_cast<uint64_t>(loop_.Now() - start));
   if (s.ok()) {
     // Normalized app-request accounting happens at the protocol layer
     // (§2.2): reservations are in size-normalized 1KB requests, and every
     // request (traced or not) lands in the q̂ denominator.
-    tracker().RecordAppRequest(tenant, AppRequest::kPut, value.size());
+    tracker().RecordAppRequest(tenant, AppRequest::kPut, bytes);
     if (cache_ != nullptr) {
-      cache_->Put(key, value);  // write-through
+      if (value.has_value()) {
+        cache_->Put(key, std::string(*value));  // write-through
+      } else {
+        cache_->Erase(key);
+      }
     }
   }
   EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kPut,
-                 tenant, start, loop_.Now(), value.size());
-  co_return s;
-}
-
-sim::Task<Status> StorageNode::Delete(TenantId tenant, const std::string& key,
-                                      TraceContext ctx) {
-  if (crashed_) {
-    co_return Status::Unavailable("node crashed");
-  }
-  lsm::LsmDb* db = partition(tenant);
-  if (db == nullptr) {
-    co_return Status::NotFound("unknown tenant");
-  }
-  obs::SpanCollector* spans = scheduler_.spans();
-  const RequestSpan span = BeginRequestSpan(spans, ctx);
-  const SimTime start = loop_.Now();
-  Status s = co_await db->Delete(key, span.ctx);
-  request_latency_[tenant].put->Record(
-      static_cast<uint64_t>(loop_.Now() - start));
-  if (s.ok()) {
-    tracker().RecordAppRequest(tenant, AppRequest::kPut, key.size());
-    if (cache_ != nullptr) {
-      cache_->Erase(key);
-    }
-  }
-  EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kPut,
-                 tenant, start, loop_.Now(), key.size());
+                 tenant, start, loop_.Now(), bytes);
   co_return s;
 }
 
@@ -327,8 +313,12 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
       co_return out;
     }
   }
-  if (options_.enable_read_coalescing) {
-    const std::pair<TenantId, std::string> flight_key(tenant, key);
+  // With read coalescing on, this request either rides an in-flight
+  // lookup of the same key (follower) or claims the flight (leader).
+  const bool coalesce = options_.enable_read_coalescing;
+  std::pair<TenantId, std::string> flight_key;
+  if (coalesce) {
+    flight_key = {tenant, key};
     const auto it = inflight_gets_.find(flight_key);
     if (it != inflight_gets_.end()) {
       // Follower: ride the leader's in-flight lookup. The request is still
@@ -348,30 +338,20 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
                      leader_ctx);
       co_return out;
     }
-    // Leader: claim the flight, run the lookup, resolve everyone who
-    // joined meanwhile.
+    // Leader: claim the flight for the lookup below.
     inflight_gets_.emplace(flight_key, GetFlight{span.ctx, {}});
-    lsm::LsmDb::GetResult r = co_await db->Get(key, span.ctx);
-    Result<std::string> out(std::move(r.status), std::move(r.value));
-    // Detach the waiter list before resolving: a resumed follower may
-    // immediately issue the same key again and must start a fresh flight.
+  }
+  lsm::LsmDb::GetResult r = co_await db->Get(key, span.ctx);
+  Result<std::string> out(std::move(r.status), std::move(r.value));
+  if (coalesce) {
+    // Resolve everyone who joined the flight meanwhile. Detach the waiter
+    // list first: a resumed follower may immediately issue the same key
+    // again and must start a fresh flight.
     auto flight = inflight_gets_.extract(flight_key);
     for (sim::OneShot<Result<std::string>>* w : flight.mapped().waiters) {
       w->Set(out);
     }
-    const uint64_t billed = out.ok() ? out.value().size() : 1;
-    tracker().RecordAppRequest(tenant, AppRequest::kGet, billed);
-    request_latency_[tenant].get->Record(
-        static_cast<uint64_t>(loop_.Now() - start));
-    if (out.ok() && cache_ != nullptr) {
-      cache_->Put(key, out.value());
-    }
-    EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kGet,
-                   tenant, start, loop_.Now(), billed);
-    co_return out;
   }
-  lsm::LsmDb::GetResult r = co_await db->Get(key, span.ctx);
-  Result<std::string> out(std::move(r.status), std::move(r.value));
   const uint64_t billed = out.ok() ? out.value().size() : 1;
   tracker().RecordAppRequest(tenant, AppRequest::kGet, billed);
   request_latency_[tenant].get->Record(

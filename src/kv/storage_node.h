@@ -13,7 +13,9 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -125,10 +127,23 @@ class StorageNode {
   // `ctx` is an optional caller span (the cluster layer's client-request
   // span); when invalid and tracing is on, the node mints a root trace for
   // the request (honoring the collector's 1/N sampling).
+  //
+  // The one write verb: stores `value`, or a tombstone when it is nullopt.
+  // A DELETE is a PUT of its key for accounting — billed, traced and timed
+  // as AppRequest::kPut with key-size bytes — and erases the key from the
+  // object cache where a PUT writes through. `value` views the caller's
+  // bytes, which must outlive the returned task.
+  sim::Task<Status> Write(iosched::TenantId tenant, const std::string& key,
+                          std::optional<std::string_view> value,
+                          TraceContext ctx = {});
   sim::Task<Status> Put(iosched::TenantId tenant, const std::string& key,
-                        const std::string& value, TraceContext ctx = {});
+                        const std::string& value, TraceContext ctx = {}) {
+    return Write(tenant, key, value, ctx);
+  }
   sim::Task<Status> Delete(iosched::TenantId tenant, const std::string& key,
-                           TraceContext ctx = {});
+                           TraceContext ctx = {}) {
+    return Write(tenant, key, std::nullopt, ctx);
+  }
 
   sim::Task<Result<std::string>> Get(iosched::TenantId tenant,
                                      const std::string& key,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 namespace libra::lsm {
@@ -265,8 +266,20 @@ sim::Task<LsmDb::GetResult> LsmDb::Get(std::string_view key, TraceContext ctx) {
       options_.compaction_policy == CompactionPolicy::kSizeTiered
           ? options_.num_levels
           : 1;
-  for (int level = 0; level < overlapping_levels; ++level) {
-    for (const TableRef& table : version->levels[level]) {
+  for (int level = 0; level < options_.num_levels; ++level) {
+    const std::vector<TableRef>& files = version->levels[level];
+    auto first = files.begin();
+    auto last = files.end();
+    if (level >= overlapping_levels) {
+      // Leveled L1+: sorted disjoint files, so at most the first one whose
+      // largest key reaches `key` can cover it.
+      first = std::lower_bound(
+          files.begin(), files.end(), key,
+          [](const TableRef& t, std::string_view k) { return t->largest < k; });
+      last = first == files.end() ? first : first + 1;
+    }
+    for (auto it = first; it != last; ++it) {
+      const TableRef& table = *it;
       if (key < table->smallest || key > table->largest) {
         continue;
       }
@@ -289,34 +302,6 @@ sim::Task<LsmDb::GetResult> LsmDb::Get(std::string_view key, TraceContext ctx) {
         }
         co_return out;
       }
-    }
-  }
-  // Leveled L1+: at most one file per level.
-  for (int level = overlapping_levels; level < options_.num_levels; ++level) {
-    const auto& files = version->levels[level];
-    const auto it = std::lower_bound(
-        files.begin(), files.end(), key,
-        [](const TableRef& t, std::string_view k) { return t->largest < k; });
-    if (it == files.end() || key < (*it)->smallest) {
-      continue;
-    }
-    ++tables_probed_;
-    SstableReader::GetResult r = co_await (*it)->reader->Get(tag, key, snapshot);
-    if (dead_) {
-      out.status = Status::Unavailable("db killed");
-      co_return out;
-    }
-    if (!r.status.ok()) {
-      out.status = r.status;
-      co_return out;
-    }
-    if (r.found) {
-      if (r.deleted) {
-        out.status = Status::NotFound("deleted");
-      } else {
-        out.value = std::move(r.value);
-      }
-      co_return out;
     }
   }
   out.status = Status::NotFound("no entry");
@@ -496,6 +481,29 @@ sim::Task<StatusOr<LsmDb::TableRef>> LsmDb::BuildTable(
   co_return handle;
 }
 
+void LsmDb::RecordJobSpan(obs::SpanCollector* spans, const IoTag& tag,
+                          uint64_t parent_span, SimTime start, uint64_t bytes,
+                          const obs::SpanLinkSet& links) const {
+  if (spans == nullptr) {
+    return;
+  }
+  obs::SpanRecord rec;
+  rec.trace_id = tag.ctx.trace_id;
+  rec.span_id = tag.ctx.span_id;
+  rec.parent_span = parent_span;
+  rec.kind = tag.internal == InternalOp::kFlush ? obs::SpanKind::kFlush
+                                                : obs::SpanKind::kCompact;
+  rec.app = static_cast<uint8_t>(tag.app);
+  rec.internal = static_cast<uint8_t>(tag.internal);
+  rec.is_write = 1;
+  rec.tenant = tenant_;
+  rec.start_ns = start;
+  rec.end_ns = loop_.Now();
+  rec.bytes = bytes;
+  rec.links = links;
+  spans->Record(rec);
+}
+
 sim::Task<void> LsmDb::FlushJob() {
   while (imm_ != nullptr && !dead_) {
     const SimTime flush_start = loop_.Now();
@@ -537,21 +545,8 @@ sim::Task<void> LsmDb::FlushJob() {
     }
     ++flushes_;
     flush_ns_ += static_cast<uint64_t>(loop_.Now() - flush_start);
-    if (spans != nullptr) {
-      obs::SpanRecord rec;
-      rec.trace_id = tag.ctx.trace_id;
-      rec.span_id = tag.ctx.span_id;
-      rec.kind = obs::SpanKind::kFlush;
-      rec.app = static_cast<uint8_t>(AppRequest::kPut);
-      rec.internal = static_cast<uint8_t>(InternalOp::kFlush);
-      rec.is_write = 1;
-      rec.tenant = tenant_;
-      rec.start_ns = flush_start;
-      rec.end_ns = loop_.Now();
-      rec.bytes = built_bytes;
-      rec.links = origins;
-      spans->Record(rec);
-    }
+    RecordJobSpan(spans, tag, /*parent_span=*/0, flush_start, built_bytes,
+                  origins);
     scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kFlush);
     imm_.reset();
     if (imm_wal_ != nullptr) {
@@ -637,11 +632,7 @@ sim::Task<void> LsmDb::CompactionJob() {
     if (level < 0) {
       break;
     }
-    if (options_.compaction_policy == CompactionPolicy::kSizeTiered) {
-      co_await CompactTier(level);
-    } else {
-      co_await CompactLevel(level);
-    }
+    co_await Compact(level);
   }
   compaction_running_ = false;
 }
@@ -651,33 +642,46 @@ bool LsmDb::RangesOverlap(const TableHandle& t, std::string_view lo,
   return !(t.largest < lo || hi < t.smallest);
 }
 
-sim::Task<Status> LsmDb::CompactLevel(int level) {
-  IoTag tag{tenant_, AppRequest::kPut, InternalOp::kCompact, {}};
-  const SimTime compact_start = loop_.Now();
-  scheduler_.tracker().RecordTrigger(tenant_, AppRequest::kPut,
-                                     InternalOp::kCompact);
-  const int out_level = level + 1;
-  const bool bottom = out_level == options_.num_levels - 1;
-
-  // Select inputs from the current version.
-  const VersionRef base = current_;
-  std::vector<TableRef> inputs;
-  std::string lo;
-  std::string hi;
+LsmDb::CompactionPick LsmDb::PickCompaction(int level) {
+  const std::vector<TableRef>& files = current_->levels[level];
+  CompactionPick pick;
+  if (options_.compaction_policy == CompactionPolicy::kSizeTiered) {
+    // The bottom tier has nowhere deeper to push: it merges in place, which
+    // is also the only point tombstones may die (no older version of any
+    // key can exist below the merge's inputs).
+    const bool bottom_self = level == options_.num_levels - 1;
+    pick.out_level = bottom_self ? level : level + 1;
+    pick.drop_tombstones = bottom_self;
+    // One output run per merge — a run is a single file here, so the
+    // newest-first invariant stays "front-inserted, highest number first".
+    pick.split_bytes = std::numeric_limits<uint64_t>::max();
+    pick.newest_first = true;
+    // Inputs: the whole tier. Taking every run is what keeps recency
+    // tier-ordered (all of tier k stays newer than all of tier k+1), which
+    // GET's newest-first probe relies on. A single run never merges.
+    if (files.size() >= 2) {
+      pick.sources = files;
+    }
+    return pick;
+  }
+  pick.out_level = level + 1;
+  pick.drop_tombstones = pick.out_level == options_.num_levels - 1;
+  pick.split_bytes = options_.target_file_bytes;
   if (level == 0) {
     // All of L0 (their ranges overlap each other anyway).
-    inputs = base->levels[0];
+    pick.sources = files;
   } else {
-    const auto& files = base->levels[level];
     if (files.empty()) {
-      scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
-      co_return Status::Ok();
+      return pick;
     }
     compact_cursor_[level] %= files.size();
-    inputs.push_back(files[compact_cursor_[level]]);
-    compact_cursor_[level] = (compact_cursor_[level] + 1) % std::max<size_t>(files.size(), 1);
+    pick.sources.push_back(files[compact_cursor_[level]]);
+    compact_cursor_[level] =
+        (compact_cursor_[level] + 1) % std::max<size_t>(files.size(), 1);
   }
-  for (const TableRef& t : inputs) {
+  std::string lo;
+  std::string hi;
+  for (const TableRef& t : pick.sources) {
     if (lo.empty() || t->smallest < lo) {
       lo = t->smallest;
     }
@@ -685,16 +689,28 @@ sim::Task<Status> LsmDb::CompactLevel(int level) {
       hi = t->largest;
     }
   }
-  // Every table the merge reads: the inputs, then the overlapping
-  // out-level files.
-  std::vector<TableRef> sources = inputs;
-  for (const TableRef& t : base->levels[out_level]) {
+  // The merge also reads every out-level file the inputs overlap.
+  for (const TableRef& t : current_->levels[pick.out_level]) {
     if (RangesOverlap(*t, lo, hi)) {
-      sources.push_back(t);
+      pick.sources.push_back(t);
     }
   }
+  return pick;
+}
 
-  // Trace: the compaction span parents under the first input table's
+sim::Task<Status> LsmDb::Compact(int level) {
+  IoTag tag{tenant_, AppRequest::kPut, InternalOp::kCompact, {}};
+  const SimTime compact_start = loop_.Now();
+  scheduler_.tracker().RecordTrigger(tenant_, AppRequest::kPut,
+                                     InternalOp::kCompact);
+  const CompactionPick pick = PickCompaction(level);
+  const std::vector<TableRef>& sources = pick.sources;
+  if (sources.empty()) {
+    scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
+    co_return Status::Ok();
+  }
+
+  // Trace: the compaction span parents under the first source table's
   // lineage (the FLUSH/COMPACT that built it), links the other tables'
   // lineage spans plus a sample of the app-request origins riding them —
   // the fan-in edge set that lets a viewer walk COMPACT device IO back to
@@ -717,7 +733,7 @@ sim::Task<Status> LsmDb::CompactLevel(int level) {
   }
 
   // Merge: read everything (sequential COMPACT reads), keep only the
-  // newest version of each user key; tombstones die at the bottom level.
+  // newest version of each user key; tombstones die where the pick says.
   std::vector<Record> merged;
   Status read = co_await ReadTables(sources, tag, kMaxSequenceNumber, &merged);
   if (dead_) {
@@ -727,17 +743,16 @@ sim::Task<Status> LsmDb::CompactLevel(int level) {
     scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
     co_return read;
   }
-  KeepNewest(&merged, bottom);
+  KeepNewest(&merged, pick.drop_tombstones);
 
-  // Write outputs split at the target file size.
+  // Write outputs split at the pick's file size.
   std::vector<TableRef> outputs;
   size_t begin = 0;
   uint64_t bytes = 0;
   for (size_t i = 0; i <= merged.size(); ++i) {
     const bool flush_now =
-        i == merged.size()
-            ? i > begin
-            : bytes >= options_.target_file_bytes && i > begin;
+        i == merged.size() ? i > begin
+                           : bytes >= pick.split_bytes && i > begin;
     if (flush_now) {
       auto built = co_await BuildTable(
           std::span<const Record>(merged).subspan(begin, i - begin), tag);
@@ -760,22 +775,27 @@ sim::Task<Status> LsmDb::CompactLevel(int level) {
     }
   }
 
-  // Install: drop inputs, add outputs, from the *latest* version (flushes
-  // may have prepended newer L0 files meanwhile; they are preserved).
-  auto is_input = [&](const TableRef& t) {
+  // Install: drop the sources, add the outputs, against the *latest*
+  // version (flushes may have prepended newer level-0 files meanwhile;
+  // they are preserved).
+  auto is_source = [&](const TableRef& t) {
     return std::find(sources.begin(), sources.end(), t) != sources.end();
   };
   auto next = std::make_shared<Version>(*current_);
   for (auto& files : next->levels) {
-    files.erase(std::remove_if(files.begin(), files.end(), is_input),
+    files.erase(std::remove_if(files.begin(), files.end(), is_source),
                 files.end());
   }
-  auto& out_files = next->levels[out_level];
-  out_files.insert(out_files.end(), outputs.begin(), outputs.end());
-  std::sort(out_files.begin(), out_files.end(),
-            [](const TableRef& a, const TableRef& b) {
-              return a->smallest < b->smallest;
-            });
+  auto& out_files = next->levels[pick.out_level];
+  if (pick.newest_first) {
+    out_files.insert(out_files.begin(), outputs.begin(), outputs.end());
+  } else {
+    out_files.insert(out_files.end(), outputs.begin(), outputs.end());
+    std::sort(out_files.begin(), out_files.end(),
+              [](const TableRef& a, const TableRef& b) {
+                return a->smallest < b->smallest;
+              });
+  }
   current_ = next;
   ++compactions_;
   for (const TableRef& t : sources) {
@@ -787,144 +807,11 @@ sim::Task<Status> LsmDb::CompactLevel(int level) {
   }
   compact_bytes_written_ += output_bytes;
   compact_ns_ += static_cast<uint64_t>(loop_.Now() - compact_start);
-  if (spans != nullptr) {
-    obs::SpanRecord rec;
-    rec.trace_id = tag.ctx.trace_id;
-    rec.span_id = tag.ctx.span_id;
-    rec.parent_span = compact_parent.span_id;
-    rec.kind = obs::SpanKind::kCompact;
-    rec.app = static_cast<uint8_t>(AppRequest::kPut);
-    rec.internal = static_cast<uint8_t>(InternalOp::kCompact);
-    rec.is_write = 1;
-    rec.tenant = tenant_;
-    rec.start_ns = compact_start;
-    rec.end_ns = loop_.Now();
-    rec.bytes = output_bytes;
-    rec.links = fan_in;
-    rec.links.Merge(origins);
-    spans->Record(rec);
-  }
+  fan_in.Merge(origins);  // the span links the fan-in, then the origins
+  RecordJobSpan(spans, tag, compact_parent.span_id, compact_start,
+                output_bytes, fan_in);
   scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
-  stall_cv_.NotifyAll();  // L0 pressure may have cleared
-  co_return Status::Ok();
-}
-
-sim::Task<Status> LsmDb::CompactTier(int tier) {
-  IoTag tag{tenant_, AppRequest::kPut, InternalOp::kCompact, {}};
-  const SimTime compact_start = loop_.Now();
-  scheduler_.tracker().RecordTrigger(tenant_, AppRequest::kPut,
-                                     InternalOp::kCompact);
-  // The bottom tier has nowhere deeper to push: it merges in place, which
-  // is also the only point tombstones may die (no older version of any key
-  // can exist below the merge's inputs).
-  const bool bottom_self = tier == options_.num_levels - 1;
-  const int out_level = bottom_self ? tier : tier + 1;
-
-  // Inputs: the whole tier, pinned from the current version. Taking every
-  // run is what keeps recency tier-ordered (all of tier k stays newer than
-  // all of tier k+1), which GET's newest-first probe relies on.
-  const VersionRef base = current_;
-  std::vector<TableRef> inputs = base->levels[tier];
-  if (inputs.size() < 2) {
-    scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
-    co_return Status::Ok();
-  }
-
-  // Trace: same fan-in linkage as leveled compaction — parent under the
-  // first input's lineage, link the rest plus sampled request origins.
-  obs::SpanCollector* spans = scheduler_.spans();
-  obs::SpanLinkSet fan_in;
-  obs::SpanLinkSet origins;
-  TraceContext compact_parent;
-  if (spans != nullptr) {
-    for (const TableRef& t : inputs) {
-      if (!compact_parent.valid()) {
-        compact_parent = t->lineage;
-      } else {
-        fan_in.Add(t->lineage);
-      }
-      origins.Merge(t->origin_links);
-    }
-    tag.ctx = compact_parent.valid() ? spans->MintChild(compact_parent)
-                                     : spans->MintAlways();
-  }
-
-  // Merge: sequential reads of every run, newest version of each key wins;
-  // tombstones die only in the bottom tier (nothing deeper to shadow).
-  std::vector<Record> merged;
-  Status read = co_await ReadTables(inputs, tag, kMaxSequenceNumber, &merged);
-  if (dead_) {
-    co_return Status::Unavailable("db killed");
-  }
-  if (!read.ok()) {
-    scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
-    co_return read;
-  }
-  KeepNewest(&merged, bottom_self);
-
-  // One output run per merge — a run is a single file here, so the
-  // newest-first invariant stays "front-inserted, highest number first".
-  std::vector<TableRef> outputs;
-  if (!merged.empty()) {
-    auto built = co_await BuildTable(merged, tag);
-    if (dead_) {
-      co_return Status::Unavailable("db killed");  // output dtor-reclaimed
-    }
-    if (!built.ok()) {
-      scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
-      co_return built.status();
-    }
-    (*built)->lineage = tag.ctx;
-    (*built)->origin_links = origins;
-    outputs.push_back(*built);
-  }
-
-  // Install against the *latest* version: flushes may have front-inserted
-  // newer tier-0 runs meanwhile; they are preserved.
-  auto is_input = [&](const TableRef& t) {
-    for (const TableRef& in : inputs) {
-      if (in == t) {
-        return true;
-      }
-    }
-    return false;
-  };
-  auto next = std::make_shared<Version>(*current_);
-  auto& in_files = next->levels[tier];
-  in_files.erase(std::remove_if(in_files.begin(), in_files.end(), is_input),
-                 in_files.end());
-  auto& out_files = next->levels[out_level];
-  out_files.insert(out_files.begin(), outputs.begin(), outputs.end());
-  current_ = next;
-  ++compactions_;
-  for (const TableRef& t : inputs) {
-    compact_bytes_read_ += t->size_bytes;
-  }
-  uint64_t output_bytes = 0;
-  for (const TableRef& t : outputs) {
-    output_bytes += t->size_bytes;
-  }
-  compact_bytes_written_ += output_bytes;
-  compact_ns_ += static_cast<uint64_t>(loop_.Now() - compact_start);
-  if (spans != nullptr) {
-    obs::SpanRecord rec;
-    rec.trace_id = tag.ctx.trace_id;
-    rec.span_id = tag.ctx.span_id;
-    rec.parent_span = compact_parent.span_id;
-    rec.kind = obs::SpanKind::kCompact;
-    rec.app = static_cast<uint8_t>(AppRequest::kPut);
-    rec.internal = static_cast<uint8_t>(InternalOp::kCompact);
-    rec.is_write = 1;
-    rec.tenant = tenant_;
-    rec.start_ns = compact_start;
-    rec.end_ns = loop_.Now();
-    rec.bytes = output_bytes;
-    rec.links = fan_in;
-    rec.links.Merge(origins);
-    spans->Record(rec);
-  }
-  scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
-  stall_cv_.NotifyAll();  // tier-0 pressure may have cleared
+  stall_cv_.NotifyAll();  // level-0 pressure may have cleared
   co_return Status::Ok();
 }
 

@@ -291,10 +291,27 @@ class LsmDb {
   void MaybeStartCompaction();
   // Level most in need of compaction; returns -1 when all scores < 1.
   int PickCompactionLevel() const;
-  sim::Task<Status> CompactLevel(int level);
-  // Size-tiered: merges every run of `tier` into one run front-inserted
-  // into the next tier (the bottom tier merges in place).
-  sim::Task<Status> CompactTier(int tier);
+  // The policy-specific part of one compaction of `level`; the merge,
+  // output split, install and accounting are shared (Compact).
+  struct CompactionPick {
+    // Every table the merge reads. Leveled: the input (all of L0, or the
+    // level's next file round-robin) plus the overlapping out-level files.
+    // Size-tiered: the whole tier. Empty when there is nothing to merge.
+    std::vector<TableRef> sources;
+    // Leveled: level + 1. Size-tiered: the next tier, or the bottom tier
+    // itself (it merges in place).
+    int out_level = 0;
+    // Tombstones die in the bottom level, or the bottom tier's self-merge.
+    bool drop_tombstones = false;
+    // Output file size: target_file_bytes for leveled; unbounded for
+    // size-tiered, so a merge writes exactly one run.
+    uint64_t split_bytes = 0;
+    // Install: size-tiered outputs go to the front of the out tier (newest
+    // first); leveled ones are appended and the level sorted by smallest.
+    bool newest_first = false;
+  };
+  CompactionPick PickCompaction(int level);
+  sim::Task<Status> Compact(int level);
 
   // --- helpers ---
   std::string TableName(uint64_t number) const;
@@ -303,6 +320,11 @@ class LsmDb {
   uint64_t MaxBytesForLevel(int level) const;
   static bool RangesOverlap(const TableHandle& t, std::string_view lo,
                             std::string_view hi);
+  // Records the span of one FLUSH or COMPACT job (tag.internal) under
+  // `parent_span` (0 = trace root); no-op when `spans` is nullptr.
+  void RecordJobSpan(obs::SpanCollector* spans, const iosched::IoTag& tag,
+                     uint64_t parent_span, SimTime start, uint64_t bytes,
+                     const obs::SpanLinkSet& links) const;
   // Builds one output table from non-empty `records` in internal order.
   sim::Task<StatusOr<TableRef>> BuildTable(std::span<const Record> records,
                                            const iosched::IoTag& tag);

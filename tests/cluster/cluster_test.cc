@@ -410,6 +410,105 @@ TEST(ClusterTest, ScanSurvivesShardMigration) {
   }());
 }
 
+// DELETE is a write verb: at RF=2 it fans out like a PUT and is accounted
+// as one. Follower fan-out counts the key bytes, the client and node
+// request spans are PUTs of key-size bytes, and every replica bills the
+// key size as a PUT and drops the key from its object cache.
+TEST(ClusterTest, Rf2DeleteIsAccountedAsKeySizedPut) {
+  ClusterOptions opt = TestOptions(/*nodes=*/2, /*rf=*/2);
+  opt.node_options.enable_cache = true;
+  opt.node_options.scheduler_options.span_capacity = 1 << 14;
+  ClusterRig rig(std::move(opt));
+  Result<TenantHandle> h = rig.cl.AddTenant(1, GlobalReservation{500.0, 500.0});
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  TenantHandle tenant = h.value();
+  // Keys over 1 KiB, so billing by key size shows in normalized requests
+  // (anything under 1 KiB rounds up to one).
+  std::vector<std::string> keys;
+  uint64_t key_bytes = 0;
+  double key_norm = 0.0;
+  for (int i = 0; i < 8; ++i) {
+    keys.push_back("del" + std::to_string(i) +
+                   std::string(1100 + 97 * i, 'k'));
+    key_bytes += keys.back().size();
+    key_norm += iosched::NormalizedRequests(keys.back().size());
+  }
+  rig.RunTask([&]() -> sim::Task<void> {
+    for (const std::string& k : keys) {
+      EXPECT_TRUE((co_await tenant.Put(k, "v")).ok());
+    }
+  }());
+
+  const ClusterStats before = rig.cl.Snapshot();
+  const uint64_t client_before = rig.cl.client_spans()->total_recorded();
+  uint64_t node_before[2];
+  double billed_before[2];
+  for (int n = 0; n < 2; ++n) {
+    EXPECT_EQ(rig.cl.node(n).cache()->entries(), keys.size());
+    node_before[n] = rig.cl.node(n).scheduler().spans()->total_recorded();
+    billed_before[n] = rig.cl.node(n).tracker().NormalizedRequestsTotal(
+        1, iosched::AppRequest::kPut);
+  }
+  rig.RunTask([&]() -> sim::Task<void> {
+    for (const std::string& k : keys) {
+      EXPECT_TRUE((co_await tenant.Delete(k)).ok());
+    }
+    for (const std::string& k : keys) {
+      EXPECT_EQ((co_await tenant.Get(k)).status().code(),
+                StatusCode::kNotFound);
+    }
+  }());
+
+  const ClusterStats after = rig.cl.Snapshot();
+  uint64_t fanout_puts = 0;
+  uint64_t fanout_bytes = 0;
+  for (int n = 0; n < 2; ++n) {
+    fanout_puts += after.nodes[n].replication.fanout_puts -
+                   before.nodes[n].replication.fanout_puts;
+    fanout_bytes += after.nodes[n].replication.fanout_bytes -
+                    before.nodes[n].replication.fanout_bytes;
+  }
+  EXPECT_EQ(fanout_puts, keys.size());
+  EXPECT_EQ(fanout_bytes, key_bytes);
+
+  // Client spans: one PUT span per delete, in issue order, sized by key.
+  std::vector<uint64_t> client_put_bytes;
+  const std::vector<obs::SpanRecord> client = rig.cl.client_spans()->Spans();
+  ASSERT_EQ(rig.cl.client_spans()->dropped(), 0u);
+  for (size_t i = client_before; i < client.size(); ++i) {
+    if (client[i].app == static_cast<uint8_t>(iosched::AppRequest::kPut)) {
+      EXPECT_EQ(client[i].kind, obs::SpanKind::kClientRequest);
+      client_put_bytes.push_back(client[i].bytes);
+    }
+  }
+  std::vector<uint64_t> want_bytes;
+  for (const std::string& k : keys) {
+    want_bytes.push_back(k.size());
+  }
+  EXPECT_EQ(client_put_bytes, want_bytes);
+
+  for (int n = 0; n < 2; ++n) {
+    kv::StorageNode& node = rig.cl.node(n);
+    std::vector<uint64_t> node_put_bytes;
+    const std::vector<obs::SpanRecord> spans =
+        node.scheduler().spans()->Spans();
+    ASSERT_EQ(node.scheduler().spans()->dropped(), 0u);
+    for (size_t i = node_before[n]; i < spans.size(); ++i) {
+      if (spans[i].kind == obs::SpanKind::kRequest &&
+          spans[i].app == static_cast<uint8_t>(iosched::AppRequest::kPut)) {
+        node_put_bytes.push_back(spans[i].bytes);
+      }
+    }
+    EXPECT_EQ(node_put_bytes, want_bytes) << "node " << n;
+    EXPECT_EQ(node.cache()->entries(), 0u) << "node " << n;
+    EXPECT_NEAR(node.tracker().NormalizedRequestsTotal(
+                    1, iosched::AppRequest::kPut) -
+                    billed_before[n],
+                key_norm, 1e-9)
+        << "node " << n;
+  }
+}
+
 TEST(ClusterTest, CompactionPolicyPlumbsToEveryNodeAndSnapshot) {
   ClusterRig rig;
   ASSERT_TRUE(rig.cl.AddTenant(1, GlobalReservation{100.0, 100.0},

@@ -30,11 +30,15 @@ inline ssd::CalibrationTable RigTable() {
 struct LsmRig {
   sim::EventLoop loop;
   ssd::SsdDevice device{loop, ssd::Intel320Profile()};
-  iosched::IoScheduler sched{
-      loop, device, std::make_unique<iosched::ExactCostModel>(RigTable())};
+  iosched::IoScheduler sched;
   fs::SimFs fs{sched, device};
 
-  LsmRig() { sched.SetAllocation(1, 50000.0); }
+  explicit LsmRig(iosched::SchedulerOptions sched_options = {})
+      : sched(loop, device,
+              std::make_unique<iosched::ExactCostModel>(RigTable()),
+              sched_options) {
+    sched.SetAllocation(1, 50000.0);
+  }
 
   void RunTask(sim::Task<void> t) {
     sim::Detach(std::move(t));

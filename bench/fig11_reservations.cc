@@ -21,7 +21,6 @@
 #include "bench/kv_bench_common.h"
 #include "src/iosched/capacity.h"
 #include "src/kv/node_stats.h"
-#include "src/metrics/meter.h"
 
 namespace libra::bench {
 namespace {

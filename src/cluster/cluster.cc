@@ -455,11 +455,6 @@ void Cluster::NodeRecordReplDone(int node, TenantId tenant) {
   });
 }
 
-void Cluster::InjectGcStall(int node, SimDuration stall) {
-  Post(node,
-       [stall](kv::StorageNode& n) { n.device().InjectGcStall(stall); });
-}
-
 double Cluster::AdmissionPrice(AppRequest app) const {
   // Direct cost of one normalized (1KB) request under the shared cost
   // model; headroom stands in for amplification unobservable at admission.

@@ -282,10 +282,6 @@ class Cluster {
     rpc_faults_ = injector;
   }
 
-  // GC pause on one node's device, delivered to the node's own loop
-  // (FaultInjector::InjectGcStall forwards here).
-  void InjectGcStall(int node, SimDuration stall);
-
   // --- introspection ---
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }

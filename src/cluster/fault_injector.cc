@@ -85,10 +85,6 @@ void FaultInjector::ScheduleRestart(int node, SimTime at) {
   });
 }
 
-void FaultInjector::InjectGcStall(int node, SimDuration stall) {
-  cluster_.InjectGcStall(node, stall);
-}
-
 RpcFault FaultInjector::OnRpc(iosched::TenantId /*tenant*/, int /*node*/) {
   RpcFault f;
   if (options_.rpc_delay_rate > 0.0 &&

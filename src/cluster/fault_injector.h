@@ -1,16 +1,12 @@
 // Deterministic crash/fault injection for the cluster layer.
 //
-// The injector drives three fault families, all seeded and replayable:
+// The injector drives two fault families, both seeded and replayable:
 //  - process crashes: ScheduleCrash/ScheduleRestart arm Cluster::CrashNode /
 //    Cluster::RestartNode at absolute virtual times, so a run's failure
 //    schedule is part of its seed;
 //  - RPC faults: installed as the cluster's RpcFaultInjector, each routed
 //    node call may be dropped (surfacing kUnavailable — the failover/retry
-//    path) or delayed by a uniform draw from [delay_min, delay_max];
-//  - SSD faults: InjectGcStall pushes a node's device into a synchronous
-//    garbage-collection pause, and DeviceOptions.latent_read_error_rate (set
-//    at construction) makes reads occasionally pay a checksum-verified
-//    re-read.
+//    path) or delayed by a uniform draw from [delay_min, delay_max].
 //
 // Everything draws from one splitmix64 stream per injector, so two runs
 // with the same seed and the same call sequence inject byte-identical
@@ -65,9 +61,6 @@ class FaultInjector : public RpcFaultInjector {
   // background while the workload keeps issuing requests.
   void ScheduleCrash(int node, SimTime at);
   void ScheduleRestart(int node, SimTime at);
-
-  // Synchronous GC pause on one node's device (all dies busy for `stall`).
-  void InjectGcStall(int node, SimDuration stall);
 
   // RpcFaultInjector: one RNG draw per configured fault family per RPC.
   RpcFault OnRpc(iosched::TenantId tenant, int node) override;

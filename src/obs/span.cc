@@ -175,26 +175,6 @@ void WriteFlowPair(JsonWriter& w, const std::string& id,
 
 }  // namespace
 
-std::string_view SpanKindName(SpanKind k) {
-  switch (k) {
-    case SpanKind::kClientRequest:
-      return "client_request";
-    case SpanKind::kRequest:
-      return "request";
-    case SpanKind::kDeviceIo:
-      return "device_io";
-    case SpanKind::kFlush:
-      return "flush";
-    case SpanKind::kCompact:
-      return "compact";
-    case SpanKind::kCoalescedGet:
-      return "coalesced_get";
-    case SpanKind::kMigration:
-      return "migration";
-  }
-  return "?";
-}
-
 SpanCollector::SpanCollector(size_t capacity, uint32_t sample_every,
                              uint64_t id_seed)
     : ring_(std::max<size_t>(1, capacity)),

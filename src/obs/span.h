@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -41,8 +40,6 @@ enum class SpanKind : uint8_t {
   kCoalescedGet = 5,   // follower riding a singleflight leader's lookup
   kMigration = 6,      // shard migration copy
 };
-
-std::string_view SpanKindName(SpanKind k);
 
 inline constexpr int kMaxSpanLinks = 4;
 

@@ -13,8 +13,7 @@ SsdDevice::SsdDevice(sim::EventLoop& loop, DeviceProfile profile,
       options_(options),
       ftl_(profile_),
       die_free_at_(profile_.num_dies, 0),
-      die_last_type_(profile_.num_dies, IoType::kRead),
-      fault_rng_(options.fault_seed) {
+      die_last_type_(profile_.num_dies, IoType::kRead) {
   stream_ends_.fill(UINT64_MAX);
   qd_start_time_ = loop_.Now();
   qd_last_change_ = qd_start_time_;
@@ -59,27 +58,6 @@ SimTime SsdDevice::OccupyDie(int die, IoType type, SimDuration busy,
   die_last_type_[die] = type;
   die_free_at_[die] = start + busy;
   return die_free_at_[die];
-}
-
-double SsdDevice::NextFaultUniform() {
-  // splitmix64 step; top 53 bits to a uniform in [0, 1).
-  fault_rng_ += 0x9E3779B97F4A7C15ULL;
-  uint64_t z = fault_rng_;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  z ^= z >> 31;
-  return static_cast<double>(z >> 11) * 0x1.0p-53;
-}
-
-void SsdDevice::InjectGcStall(SimDuration stall) {
-  if (stall <= 0) {
-    return;
-  }
-  const SimTime now = loop_.Now();
-  for (int d = 0; d < profile_.num_dies; ++d) {
-    die_free_at_[d] = std::max(die_free_at_[d], now) + stall;
-  }
-  ++gc_stalls_injected_;
 }
 
 SimDuration SsdDevice::GcPageCost() const {
@@ -132,15 +110,6 @@ void SsdDevice::Submit(const IoRequest& req, CompletionFn done) {
       const int die = (start_die + i) % profile_.num_dies;
       dies_done = std::max(
           dies_done, OccupyDie(die, IoType::kRead, die_busy, ctrl_done));
-    }
-    // Latent media error: the checksum on one stripe fails and the die
-    // re-reads it (retry voltage pass). The fallback always returns good
-    // data; the fault surfaces purely as extra die occupancy and latency.
-    if (options_.latent_read_error_rate > 0.0 &&
-        NextFaultUniform() < options_.latent_read_error_rate) {
-      dies_done = std::max(
-          dies_done, OccupyDie(start_die, IoType::kRead, die_busy, dies_done));
-      ++latent_read_errors_;
     }
     // Bus capacity is reserved in submission order at admission time (the
     // transfer physically happens after the die reads, but reserving it at
@@ -275,8 +244,6 @@ DeviceStats SsdDevice::stats() const {
   s.gc_pages_moved = ftl_.gc_pages_moved();
   s.blocks_erased = ftl_.blocks_erased();
   s.write_amp = ftl_.write_amp();
-  s.gc_stalls_injected = gc_stalls_injected_;
-  s.latent_read_errors = latent_read_errors_;
   const SimTime now = loop_.Now();
   const double elapsed = static_cast<double>(now - qd_start_time_);
   if (elapsed > 0.0) {

@@ -51,15 +51,6 @@ struct DeviceOptions {
   bool enable_gc = true;
   bool enable_rw_switch_penalty = true;
   bool enable_seq_detection = true;
-
-  // Fault injection (DESIGN.md §12). Probability that a read op hits a
-  // latent media error whose ECC/checksum failure forces a re-read of the
-  // affected stripe (the fallback always succeeds; the cost is the extra
-  // die occupancy). The RNG is drawn only when the rate is non-zero so a
-  // zero-rate device stays bit-identical to one built before this knob
-  // existed.
-  double latent_read_error_rate = 0.0;
-  uint64_t fault_seed = 0x9E3779B97F4A7C15ULL;
 };
 
 struct DeviceStats {
@@ -72,9 +63,6 @@ struct DeviceStats {
   double write_amp = 1.0;
   // Time-weighted average of in-flight ops since device construction.
   double avg_queue_depth = 0.0;
-  // Fault-injection counters.
-  uint64_t gc_stalls_injected = 0;
-  uint64_t latent_read_errors = 0;
 };
 
 class SsdDevice {
@@ -104,13 +92,9 @@ class SsdDevice {
   // physical SSD before benchmarking it.
   void Prefill(uint64_t bytes);
 
-  // Fault injection: occupies every die for `stall` starting from its
-  // current free-at clock, modeling a firmware-initiated GC burst that
-  // host IO must wait behind.
-  void InjectGcStall(SimDuration stall);
-
   int inflight() const { return inflight_; }
   const DeviceProfile& profile() const { return profile_; }
+  const Ftl& ftl() const { return ftl_; }
   DeviceStats stats() const;
 
  private:
@@ -176,13 +160,6 @@ class SsdDevice {
   uint64_t writes_completed_ = 0;
   uint64_t read_bytes_ = 0;
   uint64_t write_bytes_ = 0;
-
-  // Fault-injection state. fault_rng_ is advanced only when
-  // latent_read_error_rate > 0 (see DeviceOptions).
-  uint64_t fault_rng_;
-  uint64_t gc_stalls_injected_ = 0;
-  uint64_t latent_read_errors_ = 0;
-  double NextFaultUniform();
 };
 
 }  // namespace libra::ssd

@@ -7,18 +7,38 @@
 #include <tuple>
 
 namespace libra::ssd {
+namespace {
+
+// Whole physical blocks, rounded down to a multiple of the die count.
+uint32_t UsableBlocks(const DeviceProfile& profile) {
+  const uint32_t blocks =
+      static_cast<uint32_t>(profile.total_pages() / profile.pages_per_block);
+  return blocks / profile.num_dies * profile.num_dies;
+}
+
+}  // namespace
+
+void Ftl::DemandMap::Set(uint64_t i, uint32_t value) {
+  std::unique_ptr<uint32_t[]>& chunk = chunks_[i / kChunkEntries];
+  if (chunk == nullptr) {
+    if (value == kUnmapped) {
+      return;
+    }
+    chunk = std::make_unique_for_overwrite<uint32_t[]>(kChunkEntries);
+    std::fill_n(chunk.get(), kChunkEntries, kUnmapped);
+    ++allocated_;
+  }
+  chunk[i % kChunkEntries] = value;
+}
 
 Ftl::Ftl(const DeviceProfile& profile)
-    : profile_(profile), logical_pages_(profile.logical_pages()) {
-  const uint64_t phys_pages = profile.total_pages();
-  total_blocks_ = static_cast<uint32_t>(phys_pages / profile.pages_per_block);
-  blocks_per_die_ = total_blocks_ / profile.num_dies;
+    : profile_(profile),
+      logical_pages_(profile.logical_pages()),
+      total_blocks_(UsableBlocks(profile)),
+      blocks_per_die_(total_blocks_ / profile.num_dies),
+      page_map_(logical_pages_),
+      rev_map_(static_cast<uint64_t>(total_blocks_) * profile.pages_per_block) {
   assert(blocks_per_die_ > static_cast<uint32_t>(profile.gc_high_watermark_blocks + 2));
-  total_blocks_ = blocks_per_die_ * profile.num_dies;  // drop remainder
-
-  page_map_.assign(logical_pages_, kUnmapped);
-  rev_map_.assign(static_cast<size_t>(total_blocks_) * profile.pages_per_block,
-                  kUnmapped);
   block_valid_.assign(total_blocks_, 0);
   block_state_.assign(total_blocks_, BlockState::kFree);
 
@@ -64,7 +84,7 @@ void Ftl::InvalidatePpn(uint32_t ppn) {
   const uint32_t block = ppn / profile_.pages_per_block;
   assert(block_valid_[block] > 0);
   --block_valid_[block];
-  rev_map_[ppn] = kUnmapped;
+  rev_map_.Set(ppn, kUnmapped);
 }
 
 void Ftl::EnsureActiveBlock(int die_idx) {
@@ -100,7 +120,7 @@ void Ftl::EnsureActiveBlock(int die_idx) {
 
 void Ftl::WritePageToDie(int die_idx, uint64_t lpn) {
   // Invalidate the previous location, if any.
-  const uint32_t old_ppn = page_map_[lpn];
+  const uint32_t old_ppn = page_map_.Get(lpn);
   if (old_ppn != kUnmapped) {
     InvalidatePpn(old_ppn);
   }
@@ -109,8 +129,8 @@ void Ftl::WritePageToDie(int die_idx, uint64_t lpn) {
   const uint32_t ppn =
       die.active_block * profile_.pages_per_block + die.active_slot;
   ++die.active_slot;
-  page_map_[lpn] = ppn;
-  rev_map_[ppn] = static_cast<uint32_t>(lpn);
+  page_map_.Set(lpn, ppn);
+  rev_map_.Set(ppn, static_cast<uint32_t>(lpn));
   ++block_valid_[die.active_block];
 }
 
@@ -151,7 +171,7 @@ void Ftl::CollectGarbage(int die_idx, std::vector<GcWork>& out) {
     // Relocate valid pages to the die's append point.
     const uint32_t base = victim * profile_.pages_per_block;
     for (uint32_t s = 0; s < profile_.pages_per_block; ++s) {
-      const uint32_t lpn = rev_map_[base + s];
+      const uint32_t lpn = rev_map_.Get(base + s);
       if (lpn != kUnmapped) {
         RelocatePage(die_idx, lpn);
         ++work.pages_moved;
@@ -243,10 +263,10 @@ FtlWriteResult Ftl::Write(uint64_t first_lpn, uint32_t npages,
 void Ftl::Trim(uint64_t first_lpn, uint32_t npages) {
   uint64_t lpn = first_lpn % logical_pages_;
   for (uint32_t p = 0; p < npages; ++p) {
-    const uint32_t ppn = page_map_[lpn];
+    const uint32_t ppn = page_map_.Get(lpn);
     if (ppn != kUnmapped) {
       InvalidatePpn(ppn);
-      page_map_[lpn] = kUnmapped;
+      page_map_.Set(lpn, kUnmapped);
     }
     lpn = (lpn + 1) % logical_pages_;
   }

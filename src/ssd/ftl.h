@@ -15,7 +15,9 @@
 #ifndef LIBRA_SRC_SSD_FTL_H_
 #define LIBRA_SRC_SSD_FTL_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/ssd/profile.h"
@@ -74,8 +76,40 @@ class Ftl {
   // Free blocks currently available on `die` (testing / introspection).
   int free_blocks(int die) const;
 
+  // Bytes held by the allocated chunks of both maps (the chunk pointer
+  // vectors, 8 bytes per chunk slot, are not counted).
+  size_t map_bytes() const { return page_map_.bytes() + rev_map_.bytes(); }
+
  private:
   static constexpr uint32_t kUnmapped = UINT32_MAX;
+
+  // A fixed-length uint32_t array that reads kUnmapped wherever it was never
+  // written. Entries live in chunks of kChunkEntries, each allocated (and
+  // filled with kUnmapped) on its first store of a mapped value; storing
+  // kUnmapped into an absent chunk allocates nothing. Chunks are never
+  // freed: a device's written ranges only grow, and they stay compact
+  // because SimFs reuses the most recently freed extent first and each die
+  // hands out its low block indices first.
+  class DemandMap {
+   public:
+    static constexpr size_t kChunkEntries = 4096;
+
+    explicit DemandMap(uint64_t size)
+        : chunks_((size + kChunkEntries - 1) / kChunkEntries) {}
+
+    uint32_t Get(uint64_t i) const {
+      const uint32_t* chunk = chunks_[i / kChunkEntries].get();
+      return chunk != nullptr ? chunk[i % kChunkEntries] : kUnmapped;
+    }
+    void Set(uint64_t i, uint32_t value);
+    size_t bytes() const {
+      return allocated_ * kChunkEntries * sizeof(uint32_t);
+    }
+
+   private:
+    std::vector<std::unique_ptr<uint32_t[]>> chunks_;
+    size_t allocated_ = 0;
+  };
 
   struct Die {
     std::vector<uint32_t> free_blocks;  // block indices (die-global space)
@@ -116,8 +150,8 @@ class Ftl {
 
   enum class BlockState : uint8_t { kFree, kActive, kUsed };
 
-  std::vector<uint32_t> page_map_;     // lpn -> ppn (kUnmapped if unwritten)
-  std::vector<uint32_t> rev_map_;      // ppn -> lpn (kUnmapped if stale/free)
+  DemandMap page_map_;                 // lpn -> ppn (kUnmapped if unwritten)
+  DemandMap rev_map_;                  // ppn -> lpn (kUnmapped if stale/free)
   std::vector<uint16_t> block_valid_;  // valid page count per block
   std::vector<BlockState> block_state_;
   std::vector<Die> dies_;

@@ -127,18 +127,6 @@ void KvTenantWorkload::Start(sim::TaskGroup& group, SimTime end_time) {
   }
 }
 
-void KvTenantWorkload::SwapMix(const KvWorkloadSpec& spec) {
-  spec_.get_fraction = spec.get_fraction;
-  spec_.get_absent_fraction = spec.get_absent_fraction;
-  spec_.scan_fraction = spec.scan_fraction;
-  spec_.scan_span = spec.scan_span;
-  spec_.get_size = spec.get_size;
-  spec_.put_size = spec.put_size;
-  get_dist_ = std::make_unique<LogNormalSize>(MakeDist(spec_.get_size));
-  put_dist_ = std::make_unique<LogNormalSize>(MakeDist(spec_.put_size));
-  // Key ranges deliberately stay as preloaded.
-}
-
 sim::Task<void> KvTenantWorkload::Worker(SimTime end_time) {
   while (loop_.Now() < end_time) {
     // The scan_fraction > 0 short-circuit is load-bearing: at the default 0

@@ -115,11 +115,6 @@ class KvTenantWorkload {
   // Spawns the closed-loop workers until `end_time`.
   void Start(sim::TaskGroup& group, SimTime end_time);
 
-  // Live-swappable workload mix (Fig. 12's demand swap at t=200s). Key
-  // ranges and preloaded objects are unchanged; only the mix and sizes of
-  // subsequent requests follow the new spec.
-  void SwapMix(const KvWorkloadSpec& spec);
-
   uint64_t gets_done() const { return gets_done_; }
   uint64_t puts_done() const { return puts_done_; }
   uint64_t scans_done() const { return scans_done_; }

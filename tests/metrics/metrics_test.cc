@@ -1,56 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "src/metrics/meter.h"
 #include "src/metrics/table.h"
 
 namespace libra::metrics {
 namespace {
-
-TEST(ThroughputMeterTest, ZeroBeforeStart) {
-  ThroughputMeter m;
-  m.Add(100.0);
-  EXPECT_EQ(m.total(), 0.0);
-  EXPECT_EQ(m.Rate(kSecond), 0.0);
-}
-
-TEST(ThroughputMeterTest, RateOverWindow) {
-  ThroughputMeter m;
-  m.Start(1 * kSecond);
-  m.Add(500.0);
-  m.Add(500.0);
-  EXPECT_DOUBLE_EQ(m.Rate(3 * kSecond), 500.0);  // 1000 over 2s
-  EXPECT_DOUBLE_EQ(m.total(), 1000.0);
-}
-
-TEST(ThroughputMeterTest, RestartResetsCount) {
-  ThroughputMeter m;
-  m.Start(0);
-  m.Add(100.0);
-  m.Start(kSecond);
-  EXPECT_EQ(m.total(), 0.0);
-}
-
-TEST(TimeSeriesTest, RecordsAndAverages) {
-  TimeSeries ts("t");
-  ts.Record(1 * kSecond, 10.0);
-  ts.Record(2 * kSecond, 20.0);
-  ts.Record(3 * kSecond, 30.0);
-  EXPECT_EQ(ts.points().size(), 3u);
-  EXPECT_DOUBLE_EQ(ts.MeanOver(1 * kSecond, 2 * kSecond), 15.0);
-  EXPECT_DOUBLE_EQ(ts.MeanOver(0, 10 * kSecond), 20.0);
-  EXPECT_DOUBLE_EQ(ts.MeanOver(5 * kSecond, 6 * kSecond), 0.0);
-}
-
-TEST(RateSamplerTest, ComputesIntervalRates) {
-  RateSampler s("r");
-  s.Tick(0, 0.0);
-  s.Tick(1 * kSecond, 100.0);
-  s.Tick(2 * kSecond, 300.0);
-  const auto& pts = s.series().points();
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_DOUBLE_EQ(pts[0].value, 100.0);
-  EXPECT_DOUBLE_EQ(pts[1].value, 200.0);
-}
 
 TEST(TableTest, TextRenderingAligns) {
   Table t({"name", "value"});

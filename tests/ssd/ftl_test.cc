@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/sim/event_loop.h"
+#include "src/ssd/device.h"
 #include "src/ssd/profile.h"
 
 namespace libra::ssd {
@@ -161,6 +165,94 @@ TEST(FtlTest, LpnWrapsAroundLogicalSpace) {
   // Writing past the end wraps rather than corrupting state.
   ftl.Write(p.logical_pages() - 2, 8);
   EXPECT_EQ(ftl.host_pages_written(), 8u);
+}
+
+// Pins the FTL's work counters under a seeded mix of random writes,
+// hot-range overwrites, trims, wrap-around writes and large writes, with
+// and without a die preference. Placement and GC decisions depend only on
+// block-level state, so any change to how the maps are stored must
+// reproduce these numbers exactly.
+TEST(FtlTest, SeededChurnIsPinned) {
+  DeviceProfile p = SmallProfile();
+  Ftl ftl(p);
+  const uint64_t pages = p.logical_pages();
+  std::vector<int> pref(p.num_dies);
+  std::vector<uint64_t> erases_per_die(p.num_dies, 0);
+  uint64_t x = 20260214;
+  auto next = [&x](uint64_t bound) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (x >> 33) % bound;
+  };
+  for (int op = 0; op < 6000; ++op) {
+    uint64_t lpn = 0;
+    uint32_t n = 0;
+    switch (next(10)) {
+      case 0: case 1: case 2: case 3:  // random small write
+        lpn = next(pages);
+        n = static_cast<uint32_t>(1 + next(16));
+        break;
+      case 4: case 5:  // overwrite within a hot eighth of the space
+        lpn = next(pages / 8);
+        n = static_cast<uint32_t>(1 + next(64));
+        break;
+      case 6:  // trim
+        ftl.Trim(next(pages), static_cast<uint32_t>(1 + next(128)));
+        continue;
+      case 7: {  // wrap-around write across the end of the logical space
+        const uint64_t k = 1 + next(32);
+        lpn = pages - k;
+        n = static_cast<uint32_t>(k + 1 + next(32));
+        break;
+      }
+      default:  // large write
+        lpn = next(pages);
+        n = static_cast<uint32_t>(64 + next(192));
+        break;
+    }
+    const std::vector<int>* die_pref = nullptr;
+    if (op % 3 == 0) {
+      const int rot = static_cast<int>(next(p.num_dies));
+      for (int d = 0; d < p.num_dies; ++d) {
+        pref[d] = (d + rot) % p.num_dies;
+      }
+      die_pref = &pref;
+    }
+    for (const GcWork& g : ftl.Write(lpn, n, die_pref).gc) {
+      erases_per_die[g.die] += g.erases;
+    }
+  }
+  for (int d = 0; d < p.num_dies; ++d) {
+    EXPECT_GT(erases_per_die[d], 0u) << "die " << d;
+  }
+  EXPECT_EQ(ftl.host_pages_written(), 265986u);
+  EXPECT_EQ(ftl.gc_pages_moved(), 349685u);
+  EXPECT_EQ(ftl.blocks_erased(), 9359u);
+  EXPECT_DOUBLE_EQ(ftl.write_amp(), (265986.0 + 349685.0) / 265986.0);
+  const std::vector<int> free_pinned = {1, 1, 1, 1, 1, 2, 1, 1, 1, 1};
+  for (int d = 0; d < p.num_dies; ++d) {
+    EXPECT_EQ(ftl.free_blocks(d), free_pinned[d]) << "die " << d;
+  }
+}
+
+TEST(FtlTest, MapsAllocateOnFirstWrite) {
+  constexpr size_t kChunkBytes = 4096 * sizeof(uint32_t);
+  const DeviceProfile p = Intel320Profile();
+  Ftl ftl(p);
+  EXPECT_EQ(ftl.map_bytes(), 0u);
+
+  // One page: one page-map chunk and one reverse-map chunk.
+  ftl.Write(p.logical_pages() / 2, 1);
+  EXPECT_EQ(ftl.map_bytes(), 2 * kChunkBytes);
+
+  // Trimming pages that were never written allocates nothing.
+  ftl.Trim(0, 1u << 16);
+  EXPECT_EQ(ftl.map_bytes(), 2 * kChunkBytes);
+
+  // A 1 GiB sequential precondition touches a compact range of both maps.
+  sim::EventLoop loop;
+  SsdDevice dev(loop, p);
+  dev.Prefill(kGiB);
+  EXPECT_LT(dev.ftl().map_bytes(), 2'500'000u);
 }
 
 TEST(FtlDeathTest, RejectsProfileWithoutTwoSpareBlocksPerDie) {

@@ -369,32 +369,31 @@ sim::Task<Result<ScanEntries>> Cluster::ScanSlotsOn(int node, TenantId tenant,
   co_return Result<ScanEntries>(std::move(entries));
 }
 
-sim::Task<Cluster::ApplyResult> Cluster::ApplyOpsOn(
-    int node, TenantId tenant,
-    std::vector<std::pair<std::string, std::string>> puts,
-    std::vector<std::string> deletes, TraceContext ctx, iosched::InternalOp op,
-    const char* missing_msg) {
+sim::Task<Cluster::ApplyResult> Cluster::ApplyOpsOn(int node, TenantId tenant,
+                                                   WriteOps ops,
+                                                   TraceContext ctx,
+                                                   iosched::InternalOp op,
+                                                   const char* missing_msg) {
   ApplyResult result;
   lsm::LsmDb* db = nodes_[node]->partition(tenant);
   if (db == nullptr) {
     result.status = Status::Internal(missing_msg);
     co_return result;
   }
-  for (const auto& [k, v] : puts) {
-    if (Status s = co_await db->Put(k, v, ctx, op); !s.ok()) {
+  for (const auto& [k, v] : ops) {
+    // A named task: GCC 12 miscompiles co_await on a conditional expression
+    // whose arms are task prvalues.
+    sim::Task<Status> write =
+        v.has_value() ? db->Put(k, *v, ctx, op) : db->Delete(k, ctx, op);
+    if (Status s = co_await std::move(write); !s.ok()) {
       result.status = std::move(s);
       co_return result;
     }
-    ++result.puts_applied;
-    result.put_key_bytes += k.size();
-    result.put_value_bytes += v.size();
-  }
-  for (const std::string& k : deletes) {
-    if (Status s = co_await db->Delete(k, ctx, op); !s.ok()) {
-      result.status = std::move(s);
-      co_return result;
+    if (v.has_value()) {
+      ++result.puts_applied;
+      result.put_key_bytes += k.size();
+      result.put_value_bytes += v->size();
     }
-    ++result.deletes_applied;
   }
   co_return result;
 }
@@ -1075,12 +1074,14 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
   if (!scanned.ok()) {
     co_return scanned.status();
   }
-  ScanEntries moving = std::move(scanned.value());
-  std::vector<std::string> no_deletes;
+  WriteOps moving;
+  moving.reserve(scanned.value().size());
+  for (auto& [k, v] : scanned.value()) {
+    moving.emplace_back(std::move(k), std::move(v));
+  }
   const ApplyResult copy_in = co_await OnNode<ApplyResult>(
       to_node, options_.rpc_latency, &Cluster::ApplyOpsOn, this, to_node,
-      tenant, moving, std::move(no_deletes), dst_ctx,
-      iosched::InternalOp::kNone, kMissing);
+      tenant, moving, dst_ctx, iosched::InternalOp::kNone, kMissing);
   if (!copy_in.status.ok()) {
     co_return copy_in.status;
   }
@@ -1097,16 +1098,12 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
       std::find(post_replicas.begin(), post_replicas.end(), from) !=
       post_replicas.end();
   if (!from_still_replica) {
-    std::vector<std::string> dead_keys;
-    dead_keys.reserve(moving.size());
-    for (const auto& [k, v] : moving) {
-      dead_keys.push_back(k);
+    for (auto& [k, v] : moving) {
+      v.reset();  // tombstone each moved key
     }
-    ScanEntries no_puts;
     const ApplyResult tombstoned = co_await OnNode<ApplyResult>(
         from, options_.rpc_latency, &Cluster::ApplyOpsOn, this, from, tenant,
-        std::move(no_puts), std::move(dead_keys), src_ctx,
-        iosched::InternalOp::kNone, kMissing);
+        std::move(moving), src_ctx, iosched::InternalOp::kNone, kMissing);
     if (!tombstoned.status.ok()) {
       co_return tombstoned.status;
     }
@@ -1139,7 +1136,7 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
   rec.slot = slot;
   rec.from_node = from;
   rec.to_node = to_node;
-  rec.keys_moved = moving.size();
+  rec.keys_moved = copy_in.puts_applied;  // all of them: copy-in succeeded
   rebalance_log_.Append(rec);
   co_return Status::Ok();
 }
@@ -1300,23 +1297,22 @@ sim::Task<Status> Cluster::CatchUpTenant(TenantId tenant, int node) {
     Result<ScanEntries> dst_scan = co_await OnNode<Result<ScanEntries>>(
         node, options_.rpc_latency, &Cluster::ScanSlotsOn, this, node, tenant,
         slots, repl_tag, "missing partition during catch-up");
-    std::vector<std::string> stale;
     Status copy = dst_scan.status();
     if (copy.ok()) {
+      // The source's keys, then tombstones for the stale ones.
+      WriteOps ops;
+      ops.reserve(authoritative.size());
+      for (auto& [k, v] : authoritative) {
+        ops.emplace_back(k, std::move(v));
+      }
       for (auto& [k, v] : dst_scan.value()) {
         if (authoritative.count(k) == 0) {
-          stale.push_back(std::move(k));
+          ops.emplace_back(std::move(k), std::nullopt);
         }
-      }
-      ScanEntries puts;
-      puts.reserve(authoritative.size());
-      for (const auto& [k, v] : authoritative) {
-        puts.emplace_back(k, v);
       }
       const ApplyResult applied = co_await OnNode<ApplyResult>(
           node, options_.rpc_latency, &Cluster::ApplyOpsOn, this, node, tenant,
-          std::move(puts), std::move(stale), TraceContext{},
-          iosched::InternalOp::kReplicate,
+          std::move(ops), TraceContext{}, iosched::InternalOp::kReplicate,
           "missing partition during catch-up");
       repl_[node].catchup_keys += applied.puts_applied;
       repl_[node].catchup_bytes += applied.put_value_bytes;

@@ -435,20 +435,21 @@ class Cluster {
                                              iosched::IoTag tag,
                                              const char* missing_msg);
 
-  // Applies `puts` then `deletes` sequentially on the node's partition,
-  // stopping at the first error; counts cover the successful prefix.
+  // Applies `ops` in order on the node's partition — a PUT of each value,
+  // a DELETE where it is nullopt — stopping at the first error; the PUT
+  // counts cover the successful prefix.
+  using WriteOps =
+      std::vector<std::pair<std::string, std::optional<std::string>>>;
   struct ApplyResult {
     Status status;
     uint64_t puts_applied = 0;
     uint64_t put_key_bytes = 0;
     uint64_t put_value_bytes = 0;
-    uint64_t deletes_applied = 0;
   };
-  sim::Task<ApplyResult> ApplyOpsOn(
-      int node, iosched::TenantId tenant,
-      std::vector<std::pair<std::string, std::string>> puts,
-      std::vector<std::string> deletes, TraceContext ctx,
-      iosched::InternalOp op, const char* missing_msg);
+  sim::Task<ApplyResult> ApplyOpsOn(int node, iosched::TenantId tenant,
+                                    WriteOps ops, TraceContext ctx,
+                                    iosched::InternalOp op,
+                                    const char* missing_msg);
 
   // Control-plane seams (Post): registration and reservation installs are
   // fire-and-forget — the shares were validated at admission.

@@ -129,29 +129,20 @@ Status StorageNode::AddTenant(TenantId tenant, Reservation reservation,
   // Record the declared policy first: TenantLsmOptions reads it back, and
   // the resource policy stamps it on this tenant's audit rows.
   policy_.SetCompactionPolicy(tenant, static_cast<uint8_t>(compaction));
-  auto db = std::make_unique<lsm::LsmDb>(loop_, fs_, scheduler_, tenant,
-                                         "tenant_" + std::to_string(tenant),
-                                         TenantLsmOptions(tenant));
-  if (Status s = db->Open(); !s.ok()) {
-    return s;
+  std::unique_ptr<lsm::LsmDb> db;
+  if (!crashed_) {
+    db = std::make_unique<lsm::LsmDb>(loop_, fs_, scheduler_, tenant,
+                                      "tenant_" + std::to_string(tenant),
+                                      TenantLsmOptions(tenant));
+    if (Status s = db->Open(); !s.ok()) {
+      return s;
+    }
   }
-  partitions_.emplace(tenant, std::move(db));
+  partitions_[tenant].db = std::move(db);
   policy_.SetReservation(tenant, reservation);
   if (declared.declared) {
     policy_.SetDeclaredProfile(tenant, declared);
   }
-  // Resolve the tenant's latency series now; the request path only touches
-  // these pre-registered histograms (see RequestLatency).
-  RequestLatency& rl = request_latency_[tenant];
-  rl.get = &metrics_.GetHistogram(
-      "app_request_latency_ns",
-      {tenant, static_cast<uint8_t>(AppRequest::kGet), 0});
-  rl.put = &metrics_.GetHistogram(
-      "app_request_latency_ns",
-      {tenant, static_cast<uint8_t>(AppRequest::kPut), 0});
-  rl.scan = &metrics_.GetHistogram(
-      "app_request_latency_ns",
-      {tenant, static_cast<uint8_t>(AppRequest::kScan), 0});
   return Status::Ok();
 }
 
@@ -172,17 +163,18 @@ void StorageNode::Crash() {
     return;
   }
   crashed_ = true;
-  ++crashes_;
+  ++recovery_.crashes;
   // Remember whether the policy was running so Restart() doesn't resurrect
   // a periodic timer on a node that was never Start()ed (tests and
   // harnesses that drive provisioning manually rely on a draining Run()).
   policy_was_running_ = policy_.running();
   policy_.Stop();
-  for (auto& [tenant, db] : partitions_) {
-    db->Kill();
-    graveyard_.push_back(std::move(db));
+  for (auto& [tenant, p] : partitions_) {
+    if (p.db != nullptr) {
+      p.db->Kill();
+      graveyard_.push_back(std::move(p.db));
+    }
   }
-  partitions_.clear();
 }
 
 sim::Task<Status> StorageNode::Restart() {
@@ -211,9 +203,9 @@ sim::Task<Status> StorageNode::Restart() {
   graveyard_.clear();
   crashed_ = false;
   // The policy kept every tenant's reservation and declared profile;
-  // request_latency_ kept the tenant set. Reopen each partition over its
-  // old prefix — Open() replays the surviving WALs.
-  for (const auto& [tenant, unused] : request_latency_) {
+  // partitions_ kept the tenant set. Reopen each partition over its old
+  // prefix — Open() replays the surviving WALs.
+  for (auto& [tenant, p] : partitions_) {
     auto db = std::make_unique<lsm::LsmDb>(loop_, fs_, scheduler_, tenant,
                                            "tenant_" + std::to_string(tenant),
                                            TenantLsmOptions(tenant));
@@ -221,28 +213,35 @@ sim::Task<Status> StorageNode::Restart() {
       co_return s;
     }
     const lsm::LsmStats st = db->stats();
-    recovery_wal_files_ += st.recovered_wal_files;
-    recovery_replay_records_ += st.recovered_records;
-    recovery_replay_bytes_ += st.recovered_bytes;
-    partitions_.emplace(tenant, std::move(db));
+    recovery_.wal_files_replayed += st.recovered_wal_files;
+    recovery_.replay_records += st.recovered_records;
+    recovery_.replay_bytes += st.recovered_bytes;
+    p.db = std::move(db);
   }
-  ++restarts_;
+  ++recovery_.restarts;
   if (policy_was_running_) {
     policy_.Start();
   }
   co_return Status::Ok();
 }
 
-lsm::LsmDb* StorageNode::partition(TenantId tenant) {
+StorageNode::Partition* StorageNode::OpenPartition(TenantId tenant) {
   const auto it = partitions_.find(tenant);
-  return it == partitions_.end() ? nullptr : it->second.get();
+  return it == partitions_.end() || it->second.db == nullptr ? nullptr
+                                                              : &it->second;
+}
+
+lsm::LsmDb* StorageNode::partition(TenantId tenant) {
+  Partition* p = OpenPartition(tenant);
+  return p == nullptr ? nullptr : p->db.get();
 }
 
 std::vector<TenantId> StorageNode::tenants() const {
   std::vector<TenantId> out;
-  out.reserve(partitions_.size());
-  for (const auto& [tenant, db] : partitions_) {
-    out.push_back(tenant);
+  for (const auto& [tenant, p] : partitions_) {
+    if (p.db != nullptr) {
+      out.push_back(tenant);
+    }
   }
   return out;
 }
@@ -253,8 +252,8 @@ sim::Task<Status> StorageNode::Write(TenantId tenant, const std::string& key,
   if (crashed_) {
     co_return Status::Unavailable("node crashed");
   }
-  lsm::LsmDb* db = partition(tenant);
-  if (db == nullptr) {
+  Partition* p = OpenPartition(tenant);
+  if (p == nullptr) {
     co_return Status::NotFound("unknown tenant");
   }
   // A DELETE is billed, traced and timed as a PUT of its key.
@@ -265,11 +264,10 @@ sim::Task<Status> StorageNode::Write(TenantId tenant, const std::string& key,
   // A named task: GCC 12 miscompiles co_await on a conditional expression
   // whose arms are task prvalues.
   sim::Task<Status> write = value.has_value()
-                                ? db->Put(key, *value, span.ctx)
-                                : db->Delete(key, span.ctx);
+                                ? p->db->Put(key, *value, span.ctx)
+                                : p->db->Delete(key, span.ctx);
   Status s = co_await std::move(write);
-  request_latency_[tenant].put->Record(
-      static_cast<uint64_t>(loop_.Now() - start));
+  p->put_latency.Record(static_cast<uint64_t>(loop_.Now() - start));
   if (s.ok()) {
     // Normalized app-request accounting happens at the protocol layer
     // (§2.2): reservations are in size-normalized 1KB requests, and every
@@ -294,8 +292,8 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
   if (crashed_) {
     co_return Result<std::string>(Status::Unavailable("node crashed"));
   }
-  lsm::LsmDb* db = partition(tenant);
-  if (db == nullptr) {
+  Partition* p = OpenPartition(tenant);
+  if (p == nullptr) {
     co_return Result<std::string>(Status::NotFound("unknown tenant"));
   }
   obs::SpanCollector* spans = scheduler_.spans();
@@ -306,8 +304,7 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
       Result<std::string> out(std::move(*hit));
       // Cache hits consume no IO; they still count as served requests.
       tracker().RecordAppRequest(tenant, AppRequest::kGet, out.value().size());
-      request_latency_[tenant].get->Record(
-          static_cast<uint64_t>(loop_.Now() - start));
+      p->get_latency.Record(static_cast<uint64_t>(loop_.Now() - start));
       EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kGet,
                      tenant, start, loop_.Now(), out.value().size());
       co_return out;
@@ -331,8 +328,7 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
       Result<std::string> out = co_await done.Wait();
       const uint64_t billed = out.ok() ? out.value().size() : 1;
       tracker().RecordAppRequest(tenant, AppRequest::kGet, billed);
-      request_latency_[tenant].get->Record(
-          static_cast<uint64_t>(loop_.Now() - start));
+      p->get_latency.Record(static_cast<uint64_t>(loop_.Now() - start));
       EndRequestSpan(spans, span, obs::SpanKind::kCoalescedGet,
                      AppRequest::kGet, tenant, start, loop_.Now(), billed,
                      leader_ctx);
@@ -341,7 +337,7 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
     // Leader: claim the flight for the lookup below.
     inflight_gets_.emplace(flight_key, GetFlight{span.ctx, {}});
   }
-  lsm::LsmDb::GetResult r = co_await db->Get(key, span.ctx);
+  lsm::LsmDb::GetResult r = co_await p->db->Get(key, span.ctx);
   Result<std::string> out(std::move(r.status), std::move(r.value));
   if (coalesce) {
     // Resolve everyone who joined the flight meanwhile. Detach the waiter
@@ -354,8 +350,7 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
   }
   const uint64_t billed = out.ok() ? out.value().size() : 1;
   tracker().RecordAppRequest(tenant, AppRequest::kGet, billed);
-  request_latency_[tenant].get->Record(
-      static_cast<uint64_t>(loop_.Now() - start));
+  p->get_latency.Record(static_cast<uint64_t>(loop_.Now() - start));
   if (out.ok() && cache_ != nullptr) {
     cache_->Put(key, out.value());
   }
@@ -374,8 +369,8 @@ sim::Task<lsm::LsmDb::ScanResult> StorageNode::Scan(TenantId tenant,
     out.status = Status::Unavailable("node crashed");
     co_return out;
   }
-  lsm::LsmDb* db = partition(tenant);
-  if (db == nullptr) {
+  Partition* p = OpenPartition(tenant);
+  if (p == nullptr) {
     lsm::LsmDb::ScanResult out;
     out.status = Status::NotFound("unknown tenant");
     co_return out;
@@ -385,7 +380,8 @@ sim::Task<lsm::LsmDb::ScanResult> StorageNode::Scan(TenantId tenant,
   const SimTime start_time = loop_.Now();
   // Scans bypass the object cache: the merge must see a consistent ordered
   // cut of the tree, which point-lookup cache entries cannot provide.
-  lsm::LsmDb::ScanResult out = co_await db->Scan(start, end, limit, span.ctx);
+  lsm::LsmDb::ScanResult out =
+      co_await p->db->Scan(start, end, limit, span.ctx);
   uint64_t billed = 0;
   if (out.status.ok()) {
     for (const auto& [key, value] : out.entries) {
@@ -398,8 +394,7 @@ sim::Task<lsm::LsmDb::ScanResult> StorageNode::Scan(TenantId tenant,
     }
     tracker().RecordAppRequest(tenant, AppRequest::kScan, billed);
   }
-  request_latency_[tenant].scan->Record(
-      static_cast<uint64_t>(loop_.Now() - start_time));
+  p->scan_latency.Record(static_cast<uint64_t>(loop_.Now() - start_time));
   EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kScan,
                  tenant, start_time, loop_.Now(), billed);
   co_return out;
@@ -439,29 +434,22 @@ NodeStats StorageNode::Snapshot() const {
     s.block_cache.evictions = block_cache_->evictions();
   }
   s.coalesced_gets = coalesced_gets_;
-  s.recovery.crashes = crashes_;
-  s.recovery.restarts = restarts_;
-  s.recovery.wal_files_replayed = recovery_wal_files_;
-  s.recovery.replay_records = recovery_replay_records_;
-  s.recovery.replay_bytes = recovery_replay_bytes_;
-  for (const auto& [tenant, unused] : request_latency_) {
+  s.recovery = recovery_;
+  for (const auto& [tenant, p] : partitions_) {
     for (const ssd::IoType type : {ssd::IoType::kRead, ssd::IoType::kWrite}) {
       s.recovery.rereplication_vops += scheduler_.tracker().VopsBy(
           tenant, AppRequest::kPut, iosched::InternalOp::kReplicate, type);
     }
-  }
-  s.tenants.reserve(partitions_.size());
-  for (const auto& [tenant, db] : partitions_) {
+    if (p.db == nullptr) {
+      continue;  // crashed: no partition to report
+    }
     TenantSnapshot t;
     t.tenant = tenant;
     t.reservation = policy_.GetReservation(tenant);
     t.allocation_vops = scheduler_.Allocation(tenant);
-    if (const auto it = request_latency_.find(tenant);
-        it != request_latency_.end()) {
-      t.get_latency = *it->second.get;
-      t.put_latency = *it->second.put;
-      t.scan_latency = *it->second.scan;
-    }
+    t.get_latency = p.get_latency;
+    t.put_latency = p.put_latency;
+    t.scan_latency = p.scan_latency;
     t.compaction_policy = policy_.CompactionPolicyOf(tenant);
     if (const iosched::TenantLifecycleStats* lc = scheduler_.lifecycle(tenant);
         lc != nullptr) {
@@ -478,7 +466,7 @@ NodeStats StorageNode::Snapshot() const {
         }
       }
     }
-    t.lsm = db->stats();
+    t.lsm = p.db->stats();
     if (const std::optional<obs::AttributionMatrix> m =
             scheduler_.tracker().Attribution(tenant)) {
       t.attribution.observed = true;

@@ -29,7 +29,7 @@
 #include "src/kv/cache.h"
 #include "src/kv/node_stats.h"
 #include "src/lsm/db.h"
-#include "src/obs/registry.h"
+#include "src/obs/histogram.h"
 #include "src/sim/event_loop.h"
 #include "src/ssd/calibration.h"
 #include "src/ssd/device.h"
@@ -75,7 +75,8 @@ class StorageNode {
   StorageNode& operator=(const StorageNode&) = delete;
 
   // Registers a tenant with its local app-request reservation and creates
-  // its partition. Rejects duplicate tenants (kAlreadyExists) and malformed
+  // its partition (on a crashed node, Restart() opens it). Rejects
+  // registered tenants (kAlreadyExists), crashed or not, and malformed
   // reservations (kInvalidArgument: negative or non-finite rates; zero is
   // legal and means best-effort).
   // `declared` is the attribution profile the tenant claims (VOPs per
@@ -119,8 +120,8 @@ class StorageNode {
   sim::Task<Status> Restart();
 
   // Cumulative recovery accounting across all restarts of this node.
-  uint64_t crashes() const { return crashes_; }
-  uint64_t restarts() const { return restarts_; }
+  uint64_t crashes() const { return recovery_.crashes; }
+  uint64_t restarts() const { return recovery_.restarts; }
 
   // --- request API (coroutines; suspend on IO scheduling) ---
 
@@ -167,10 +168,15 @@ class StorageNode {
   iosched::CapacityModel& capacity() { return capacity_; }
   ssd::SsdDevice& device() { return device_; }
   fs::SimFs& filesystem() { return fs_; }
+  // The tenant's open LSM partition; nullptr when the tenant is unknown or
+  // the node is crashed.
   lsm::LsmDb* partition(iosched::TenantId tenant);
+  // Registered tenants, crashed or not: their reservations and partitions
+  // outlive a crash.
   bool HasTenant(iosched::TenantId tenant) const {
     return partitions_.count(tenant) > 0;
   }
+  // Tenants with an open partition, in id order (none while crashed).
   std::vector<iosched::TenantId> tenants() const;
   const LruCache* cache() const { return cache_.get(); }
   // The node-shared SSTable block cache; nullptr unless
@@ -178,21 +184,25 @@ class StorageNode {
   const lsm::BlockCache* block_cache() const { return block_cache_.get(); }
   // GETs that rode another request's in-flight lookup (read coalescing).
   uint64_t coalesced_gets() const { return coalesced_gets_; }
-  obs::MetricsRegistry& metrics() { return metrics_; }
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   // Gathers every layer's statistics at the current simulated time; the
   // JSON rendering is NodeStatsToJson (node_stats.h).
   NodeStats Snapshot() const;
 
  private:
-  // Per-tenant app-request latency series, resolved once at AddTenant so
-  // the request path records without registry lookups or allocation.
-  struct RequestLatency {
-    obs::LatencyHistogram* get = nullptr;
-    obs::LatencyHistogram* put = nullptr;
-    obs::LatencyHistogram* scan = nullptr;
+  // One registered tenant: its LSM partition and the latencies of the app
+  // requests it served. The entry lives as long as the node; only the DB
+  // dies with a crash.
+  struct Partition {
+    std::unique_ptr<lsm::LsmDb> db;  // nullptr while the node is crashed
+    obs::LatencyHistogram get_latency;
+    obs::LatencyHistogram put_latency;
+    obs::LatencyHistogram scan_latency;
   };
+
+  // The tenant's entry when its DB is open, else nullptr. Entries are never
+  // erased, so the pointer stays valid across the request's suspensions.
+  Partition* OpenPartition(iosched::TenantId tenant);
 
   // The tenant's LsmOptions: the node-wide base with the tenant's declared
   // compaction policy applied.
@@ -210,22 +220,17 @@ class StorageNode {
   // before partitions_/graveyard_: their TableHandle destructors erase
   // blocks from it, so it must outlive them.
   std::unique_ptr<lsm::BlockCache> block_cache_;
-  std::map<iosched::TenantId, std::unique_ptr<lsm::LsmDb>> partitions_;
+  std::map<iosched::TenantId, Partition> partitions_;
   // Killed partitions awaiting quiescence (see Crash/Restart). Declared
   // next to partitions_ so destruction order versus fs_/scheduler_ is the
   // same for both.
   std::vector<std::unique_ptr<lsm::LsmDb>> graveyard_;
   bool crashed_ = false;
   bool policy_was_running_ = false;  // policy state to restore at Restart()
-  uint64_t crashes_ = 0;
-  uint64_t restarts_ = 0;
-  // WAL replay totals accumulated over every restart (the per-partition
-  // LsmStats reset with each new incarnation).
-  uint64_t recovery_wal_files_ = 0;
-  uint64_t recovery_replay_records_ = 0;
-  uint64_t recovery_replay_bytes_ = 0;
-  obs::MetricsRegistry metrics_;
-  std::map<iosched::TenantId, RequestLatency> request_latency_;
+  // Crash/restart counts and the WAL replay totals of every restart (the
+  // per-partition LsmStats reset with each new incarnation).
+  // rereplication_vops is read from the tracker at Snapshot().
+  RecoverySnapshot recovery_;
   // Singleflight table: in-flight GET leaders keyed by (tenant, key);
   // followers park a OneShot here and are resolved when the leader's
   // lookup lands. Single-threaded coroutine interleaving makes the

@@ -117,13 +117,13 @@ Status LsmDb::Open() {
         mem_->Put(rec.key, rec.seq, rec.value);
       }
       max_seq = std::max(max_seq, rec.seq);
-      ++recovered_records_;
-      recovered_bytes_ += rec.key.size() + rec.value.size();
+      ++stats_.recovered_records;
+      stats_.recovered_bytes += rec.key.size() + rec.value.size();
     });
     if (!s.ok()) {
       return s;
     }
-    ++recovered_wal_files_;
+    ++stats_.recovered_wal_files;
     recovered_wals_.push_back(name);
   }
   seq_ = max_seq;
@@ -179,7 +179,7 @@ sim::Task<Status> LsmDb::WriteInternal(std::string_view key,
   // Backpressure: L0 overload or both write buffers full.
   if (WriteStalled()) {
     const SimTime stall_start = loop_.Now();
-    ++stalls_;
+    ++stats_.stalls;
     while (WriteStalled()) {
       co_await stall_mu_.Lock();
       if (!dead_ && WriteStalled()) {
@@ -190,7 +190,7 @@ sim::Task<Status> LsmDb::WriteInternal(std::string_view key,
         co_return Status::Unavailable("db killed");
       }
     }
-    stall_ns_ += static_cast<uint64_t>(loop_.Now() - stall_start);
+    stats_.stall_ns += static_cast<uint64_t>(loop_.Now() - stall_start);
   }
 
   const SequenceNumber seq = ++seq_;
@@ -211,7 +211,7 @@ sim::Task<Status> LsmDb::WriteInternal(std::string_view key,
   } else {
     mem_->Put(key, seq, value, ctx);
   }
-  ++puts_;
+  ++stats_.puts;
   if (mem_->ApproximateMemoryUsage() >= options_.write_buffer_bytes &&
       imm_ == nullptr) {
     s = SealMemtable();
@@ -231,7 +231,7 @@ sim::Task<Status> LsmDb::Delete(std::string_view key, TraceContext ctx,
 
 sim::Task<LsmDb::GetResult> LsmDb::Get(std::string_view key, TraceContext ctx) {
   const OpGuard guard(this);
-  ++gets_;
+  ++stats_.gets;
   const SequenceNumber snapshot = seq_;
   const IoTag tag{tenant_, AppRequest::kGet, InternalOp::kNone, ctx};
   GetResult out;
@@ -283,7 +283,7 @@ sim::Task<LsmDb::GetResult> LsmDb::Get(std::string_view key, TraceContext ctx) {
       if (key < table->smallest || key > table->largest) {
         continue;
       }
-      ++tables_probed_;
+      ++stats_.tables_probed;
       SstableReader::GetResult r =
           co_await table->reader->Get(tag, key, snapshot);
       if (dead_) {
@@ -312,7 +312,7 @@ sim::Task<LsmDb::ScanResult> LsmDb::Scan(std::string_view start,
                                          std::string_view end, size_t limit,
                                          TraceContext ctx) {
   const OpGuard guard(this);
-  ++scans_;
+  ++stats_.scans;
   ScanResult out;
   if (dead_) {
     out.status = Status::Unavailable("db killed");
@@ -424,8 +424,8 @@ sim::Task<LsmDb::ScanResult> LsmDb::Scan(std::string_view start,
         have_last = true;
         if (btype != ValueType::kDelete) {
           out.entries.emplace_back(std::string(bkey), std::string(bval));
-          ++scan_keys_;
-          scan_bytes_ += bkey.size() + bval.size();
+          ++stats_.scan_keys;
+          stats_.scan_bytes += bkey.size() + bval.size();
         }
       }
     }
@@ -533,7 +533,7 @@ sim::Task<void> LsmDb::FlushJob() {
         break;  // crash: drop the build (dtor reclaims it), keep the WAL
       }
       if (built.ok()) {
-        flush_bytes_ += (*built)->size_bytes;
+        stats_.flush_bytes += (*built)->size_bytes;
         built_bytes = (*built)->size_bytes;
         (*built)->lineage = tag.ctx;
         (*built)->origin_links = origins;
@@ -543,8 +543,8 @@ sim::Task<void> LsmDb::FlushJob() {
         current_ = next;
       }
     }
-    ++flushes_;
-    flush_ns_ += static_cast<uint64_t>(loop_.Now() - flush_start);
+    ++stats_.flushes;
+    stats_.flush_ns += static_cast<uint64_t>(loop_.Now() - flush_start);
     RecordJobSpan(spans, tag, /*parent_span=*/0, flush_start, built_bytes,
                   origins);
     scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kFlush);
@@ -797,16 +797,16 @@ sim::Task<Status> LsmDb::Compact(int level) {
               });
   }
   current_ = next;
-  ++compactions_;
+  ++stats_.compactions;
   for (const TableRef& t : sources) {
-    compact_bytes_read_ += t->size_bytes;
+    stats_.compact_bytes_read += t->size_bytes;
   }
   uint64_t output_bytes = 0;
   for (const TableRef& t : outputs) {
     output_bytes += t->size_bytes;
   }
-  compact_bytes_written_ += output_bytes;
-  compact_ns_ += static_cast<uint64_t>(loop_.Now() - compact_start);
+  stats_.compact_bytes_written += output_bytes;
+  stats_.compact_ns += static_cast<uint64_t>(loop_.Now() - compact_start);
   fan_in.Merge(origins);  // the span links the fan-in, then the origins
   RecordJobSpan(spans, tag, compact_parent.span_id, compact_start,
                 output_bytes, fan_in);
@@ -910,36 +910,16 @@ void LsmDb::KeepNewest(std::vector<Record>* records, bool drop_tombstones) {
 }
 
 LsmStats LsmDb::stats() const {
-  LsmStats s;
-  s.puts = puts_;
-  s.gets = gets_;
-  s.scans = scans_;
-  s.scan_keys = scan_keys_;
-  s.scan_bytes = scan_bytes_;
-  s.flushes = flushes_;
-  s.compactions = compactions_;
-  s.tables_probed = tables_probed_;
-  s.flush_bytes = flush_bytes_;
-  s.flush_ns = flush_ns_;
-  s.compact_bytes_read = compact_bytes_read_;
-  s.compact_bytes_written = compact_bytes_written_;
-  s.compact_ns = compact_ns_;
-  s.stalls = stalls_;
-  s.stall_ns = stall_ns_;
+  LsmStats s = stats_;
   s.wal_appends = wal_counters_.appends;
   s.wal_batches = wal_counters_.batches;
   s.wal_batched_records = wal_counters_.batched_records;
   s.wal_max_batch_records = wal_counters_.max_batch_records;
-  s.recovered_wal_files = recovered_wal_files_;
-  s.recovered_records = recovered_records_;
-  s.recovered_bytes = recovered_bytes_;
   s.bloom_probes = read_counters_.bloom_probes;
   s.bloom_negatives = read_counters_.bloom_negatives;
   s.bloom_false_positives = read_counters_.bloom_false_positives;
-  s.index_block_reads = read_counters_.index_block_reads;
   s.filter_block_reads = read_counters_.filter_block_reads;
   s.data_block_reads = read_counters_.data_block_reads;
-  s.data_cache_hits = read_counters_.data_cache_hits;
   constexpr int kIdx = static_cast<int>(BlockCache::Kind::kIndex);
   constexpr int kFlt = static_cast<int>(BlockCache::Kind::kFilter);
   constexpr int kDat = static_cast<int>(BlockCache::Kind::kData);
@@ -950,6 +930,10 @@ LsmStats LsmDb::stats() const {
   s.bcache_filter_misses = tc.misses[kFlt];
   s.bcache_data_hits = tc.hits[kDat];
   s.bcache_data_misses = tc.misses[kDat];
+  // Every index load asks the cache first, and only GETs look up data
+  // blocks, so these two are the cache's own counts.
+  s.index_block_reads = s.bcache_index_misses;
+  s.data_cache_hits = s.bcache_data_hits;
   s.bcache_evictions = tc.evictions;
   s.bcache_resident_bytes = cache_.resident_bytes();
   s.bcache_capacity_bytes = cache_.capacity_bytes();

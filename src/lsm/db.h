@@ -123,7 +123,10 @@ struct LsmStats {
   uint64_t bloom_probes = 0;
   uint64_t bloom_negatives = 0;
   uint64_t bloom_false_positives = 0;
-  // GET read-path block traffic (device reads vs cache hits):
+  // GET read-path block traffic (device reads vs cache hits). The index
+  // reads and data-cache hits are the block cache's index misses and data
+  // hits: with a node-shared cache they count across restarts, like the
+  // bcache_* fields below.
   uint64_t index_block_reads = 0;
   uint64_t filter_block_reads = 0;
   uint64_t data_block_reads = 0;
@@ -379,25 +382,9 @@ class LsmDb {
   // the memtable that absorbed them (see FlushJob).
   std::vector<std::string> recovered_wals_;
   bool recovered_in_imm_ = false;
-  uint64_t recovered_wal_files_ = 0;
-  uint64_t recovered_records_ = 0;
-  uint64_t recovered_bytes_ = 0;
-
-  uint64_t puts_ = 0;
-  uint64_t gets_ = 0;
-  uint64_t scans_ = 0;
-  uint64_t scan_keys_ = 0;
-  uint64_t scan_bytes_ = 0;
-  uint64_t flushes_ = 0;
-  uint64_t compactions_ = 0;
-  uint64_t tables_probed_ = 0;
-  uint64_t flush_bytes_ = 0;
-  uint64_t flush_ns_ = 0;
-  uint64_t compact_bytes_read_ = 0;
-  uint64_t compact_bytes_written_ = 0;
-  uint64_t compact_ns_ = 0;
-  uint64_t stalls_ = 0;
-  uint64_t stall_ns_ = 0;
+  // Every counter this DB keeps itself; stats() adds the WAL, reader and
+  // block-cache counts and the level shape.
+  LsmStats stats_;
   std::vector<size_t> compact_cursor_;  // round-robin pick per level
 };
 

@@ -147,9 +147,6 @@ sim::Task<StatusOr<TableIndexRef>> SstableReader::LoadIndex(
   if (!data.ok()) {
     co_return data.status();
   }
-  if (counters_ != nullptr) {
-    ++counters_->index_block_reads;
-  }
   auto index = std::make_shared<TableIndex>();
   size_t off = 0;
   while (off < data->size()) {
@@ -260,10 +257,7 @@ sim::Task<SstableReader::GetResult> SstableReader::Get(
     data_ref = cache_.Get(tenant_, table_, BlockCache::Kind::kData, block_off);
   }
   if (data_ref != nullptr) {
-    if (counters_ != nullptr) {
-      ++counters_->data_cache_hits;  // zero device IO
-    }
-    block = data_ref->bytes;
+    block = data_ref->bytes;  // zero device IO
   } else {
     StatusOr<std::string_view> read =
         co_await fs_.ReadView(file_, tag, block_off, std::get<2>(*it));

@@ -59,10 +59,8 @@ struct TableReadCounters {
   uint64_t bloom_probes = 0;           // GETs that consulted a filter
   uint64_t bloom_negatives = 0;        // ... answered "definitely absent"
   uint64_t bloom_false_positives = 0;  // ... said maybe, key wasn't there
-  uint64_t index_block_reads = 0;      // index blocks read from the device
   uint64_t filter_block_reads = 0;     // filter blocks read from the device
   uint64_t data_block_reads = 0;       // GET data blocks read from the device
-  uint64_t data_cache_hits = 0;        // GET data blocks served by the cache
 };
 
 // Builds a table in one buffer, encoding records straight into it; Finish()

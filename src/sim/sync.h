@@ -1,6 +1,6 @@
 // Coroutine-aware synchronization for the virtual-time runtime: sleeping,
 // one-shot completions (how the IO scheduler hands results back to suspended
-// tenant tasks), mutexes, condition variables, semaphores, and task groups.
+// tenant tasks), mutexes, condition variables, and task groups.
 //
 // Everything here is single-threaded: "concurrency" is coroutine
 // interleaving on one EventLoop, so no atomics are involved. Waiters are
@@ -96,23 +96,6 @@ inline SleepAwaiter SleepUntil(EventLoop& loop, SimTime when) {
   return SleepAwaiter(loop, when - loop.Now());
 }
 
-// Reschedules the current coroutine behind already-pending same-instant
-// events (cooperative yield).
-class YieldAwaiter {
- public:
-  explicit YieldAwaiter(EventLoop& loop) : loop_(loop) {}
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    loop_.Post([h] { h.resume(); });
-  }
-  void await_resume() const noexcept {}
-
- private:
-  EventLoop& loop_;
-};
-
-inline YieldAwaiter Yield(EventLoop& loop) { return YieldAwaiter(loop); }
-
 // --- One-shot completion ---------------------------------------------------
 
 // Single-producer, single-consumer, single-use rendezvous. The IO scheduler
@@ -185,15 +168,6 @@ class Mutex {
 
   LockAwaiter Lock() { return LockAwaiter{this}; }
 
-  // Non-blocking acquire.
-  bool TryLock() {
-    if (locked_) {
-      return false;
-    }
-    locked_ = true;
-    return true;
-  }
-
   void Unlock() {
     assert(locked_);
     if (waiters_.empty()) {
@@ -214,23 +188,6 @@ class Mutex {
   EventLoop* loop_;
   bool locked_ = false;
   FifoQueue<std::coroutine_handle<>> waiters_;
-};
-
-// RAII-ish helper for coroutine scopes that can use it linearly.
-class MutexGuard {
- public:
-  explicit MutexGuard(Mutex& mu) : mu_(&mu) {}
-  MutexGuard(MutexGuard&& o) noexcept : mu_(std::exchange(o.mu_, nullptr)) {}
-  MutexGuard(const MutexGuard&) = delete;
-  MutexGuard& operator=(const MutexGuard&) = delete;
-  ~MutexGuard() {
-    if (mu_ != nullptr) {
-      mu_->Unlock();
-    }
-  }
-
- private:
-  Mutex* mu_;
 };
 
 // --- Condition variable ------------------------------------------------------
@@ -280,63 +237,6 @@ class CondVar {
   };
 
   EventLoop* loop_;
-  FifoQueue<std::coroutine_handle<>> waiters_;
-};
-
-// --- Semaphore ---------------------------------------------------------------
-
-// Counting semaphore; models bounded resources such as the SSD queue depth.
-class Semaphore {
- public:
-  Semaphore(EventLoop& loop, int64_t initial) : loop_(&loop), count_(initial) {
-    assert(initial >= 0);
-  }
-
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
-
-  struct AcquireAwaiter {
-    Semaphore* sem;
-    bool await_ready() const noexcept {
-      if (sem->count_ > 0) {
-        --sem->count_;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      sem->waiters_.push_back(h);
-    }
-    void await_resume() const noexcept {}
-  };
-
-  AcquireAwaiter Acquire() { return AcquireAwaiter{this}; }
-
-  bool TryAcquire() {
-    if (count_ > 0) {
-      --count_;
-      return true;
-    }
-    return false;
-  }
-
-  void Release() {
-    if (!waiters_.empty()) {
-      // Hand the permit directly to the next waiter.
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      loop_->Post([h] { h.resume(); });
-      return;
-    }
-    ++count_;
-  }
-
-  int64_t available() const { return count_; }
-  size_t waiter_count() const { return waiters_.size(); }
-
- private:
-  EventLoop* loop_;
-  int64_t count_;
   FifoQueue<std::coroutine_handle<>> waiters_;
 };
 

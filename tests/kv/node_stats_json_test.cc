@@ -109,12 +109,17 @@ TEST(NodeStatsJsonTest, RecoverySectionCountsCrashRestartAndReplay) {
   sim::Detach(fill());
   loop.Run();
   node.Crash();
+  EXPECT_TRUE(node.Snapshot().tenants.empty());
   auto restart = [&]() -> sim::Task<void> {
     const Status s = co_await node.Restart();
     EXPECT_TRUE(s.ok()) << s.ToString();
   };
   sim::Detach(restart());
   loop.Run();
+  // The latencies served before the crash survive it.
+  const NodeStats snap = node.Snapshot();
+  ASSERT_EQ(snap.tenants.size(), 1u);
+  EXPECT_EQ(snap.tenants[0].put_latency.count(), 12u);
 
   JsonValue v;
   std::string err;

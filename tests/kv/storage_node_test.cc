@@ -59,6 +59,35 @@ TEST(StorageNodeTest, DuplicateTenantRejected) {
   EXPECT_EQ(rig.node.AddTenant(1, {}).code(), StatusCode::kAlreadyExists);
 }
 
+// A crashed node still hosts its tenants: registering one again must not
+// open a second DB over the prefix the killed incarnation left behind.
+TEST(StorageNodeTest, CrashedNodeRejectsHostedTenant) {
+  NodeRig rig;
+  ASSERT_TRUE(rig.node.AddTenant(1, {}).ok());
+  rig.RunTask([&]() -> sim::Task<void> {
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_TRUE(
+          (co_await rig.node.Put(1, "k" + std::to_string(i), "v")).ok());
+    }
+  }());
+  rig.node.Crash();
+  EXPECT_TRUE(rig.node.HasTenant(1));
+  EXPECT_TRUE(rig.node.tenants().empty());
+  EXPECT_EQ(rig.node.partition(1), nullptr);
+  EXPECT_EQ(rig.node.AddTenant(1, {}).code(), StatusCode::kAlreadyExists);
+  rig.RunTask([&]() -> sim::Task<void> {
+    const Status s = co_await rig.node.Restart();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    for (int i = 0; i < 5; ++i) {
+      auto r = co_await rig.node.Get(1, "k" + std::to_string(i));
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    }
+  }());
+  EXPECT_EQ(rig.node.tenants(), std::vector<iosched::TenantId>{1});
+  ASSERT_NE(rig.node.partition(1), nullptr);
+  EXPECT_EQ(rig.node.partition(1)->stats().recovered_records, 5u);
+}
+
 TEST(StorageNodeTest, UnknownTenantRejected) {
   NodeRig rig;
   rig.RunTask([&]() -> sim::Task<void> {

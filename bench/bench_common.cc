@@ -1,13 +1,11 @@
 #include "bench/bench_common.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -189,64 +187,46 @@ void WriteTraceJson(const BenchArgs& args,
   }
 }
 
-const ssd::CalibrationTable& TableFor(const ssd::DeviceProfile& profile) {
-  // The lock covers lookup and (cold) calibration; map nodes are stable, so
+namespace {
+
+// Working set of a raw-IO cell: 1 GiB, or half of a smaller device.
+uint64_t RawWorkingSet(const ssd::DeviceProfile& profile) {
+  return std::min<uint64_t>(1ULL * kGiB, profile.capacity_bytes / 2);
+}
+
+// What a sweep shares per device profile, computed on the first lookup.
+struct ProfileState {
+  ssd::CalibrationTable table;
+  ssd::Ftl preconditioned;  // prefilled over RawWorkingSet
+};
+
+const ProfileState& StateFor(const ssd::DeviceProfile& profile) {
+  // The lock covers lookup and (cold) set-up; map nodes are stable, so
   // returned references stay valid across later insertions.
   static std::mutex mu;
-  static std::map<std::string, ssd::CalibrationTable>* cache =
-      new std::map<std::string, ssd::CalibrationTable>();
+  static std::map<std::string, ProfileState>* cache =
+      new std::map<std::string, ProfileState>();
   std::lock_guard<std::mutex> lock(mu);
   auto it = cache->find(profile.name);
   if (it == cache->end()) {
     ssd::CalibrationOptions opt;
     opt.warmup = 300 * kMillisecond;
     opt.measure = 1 * kSecond;
-    it = cache->emplace(profile.name, ssd::Calibrate(profile, opt)).first;
+    ssd::Ftl ftl(profile);
+    ftl.Prefill(RawWorkingSet(profile));
+    it = cache
+             ->emplace(profile.name,
+                       ProfileState{ssd::Calibrate(profile, opt),
+                                    std::move(ftl)})
+             .first;
   }
   return it->second;
 }
 
-void SweepRunner::ForEach(size_t count,
-                          const std::function<void(size_t)>& fn) const {
-  if (jobs_ <= 1 || count <= 1) {
-    for (size_t i = 0; i < count; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  auto worker = [&] {
-    for (;;) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count || failed.load(std::memory_order_relaxed)) {
-        return;
-      }
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!failed.exchange(true)) {
-          first_error = std::current_exception();
-        }
-      }
-    }
-  };
-  const size_t nthreads =
-      std::min<size_t>(static_cast<size_t>(jobs_), count);
-  std::vector<std::thread> pool;
-  pool.reserve(nthreads);
-  for (size_t t = 0; t < nthreads; ++t) {
-    pool.emplace_back(worker);
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
-  if (first_error != nullptr) {
-    std::rethrow_exception(first_error);
-  }
+}  // namespace
+
+const ssd::CalibrationTable& TableFor(const ssd::DeviceProfile& profile) {
+  return StateFor(profile).table;
 }
 
 void Emit(const BenchArgs& args, const metrics::Table& table) {
@@ -285,10 +265,9 @@ std::vector<uint32_t> SweepSizesKb(bool full) {
 RawCellResult RunRawCell(const ssd::DeviceProfile& profile,
                          const RawCellSpec& spec) {
   sim::EventLoop loop;
-  ssd::SsdDevice device(loop, profile);
-  const uint64_t working_set =
-      std::min<uint64_t>(1ULL * kGiB, profile.capacity_bytes / 2);
-  device.Prefill(working_set);
+  // A copy of the shared preconditioned FTL equals a fresh prefill.
+  ssd::SsdDevice device(loop, StateFor(profile).preconditioned);
+  const uint64_t working_set = RawWorkingSet(profile);
   iosched::IoScheduler scheduler(
       loop, device,
       iosched::MakeCostModel(spec.cost_model, TableFor(profile)));

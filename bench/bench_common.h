@@ -1,8 +1,8 @@
 // Shared infrastructure for the figure-reproduction benches: flag parsing
 // (--full for the paper's full grids, --csv for machine-readable output,
-// --jobs=N for parallel sweeps), memoized device calibration, the raw-IO
-// experiment cell runner used by the Fig. 4/5/7/9 harnesses, and the
-// thread-pool sweep runner that fans independent cells across cores.
+// --jobs=N for parallel sweeps), memoized device calibration and
+// preconditioning, the raw-IO experiment cell runner used by the Fig. 4/5/7/9
+// harnesses, and the sweep runner that fans independent cells across cores.
 
 #ifndef LIBRA_BENCH_BENCH_COMMON_H_
 #define LIBRA_BENCH_BENCH_COMMON_H_
@@ -14,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/parallel.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
 #include "src/iosched/cost_model.h"
@@ -72,28 +73,32 @@ inline bool TraceRequested(const BenchArgs& args) {
 void WriteTraceJson(const BenchArgs& args,
                     const std::vector<obs::SpanExportGroup>& groups);
 
-// Calibration for a device profile, computed once per process. Thread-safe;
-// still, call it once per profile before a parallel sweep (a cold first
-// lookup runs a calibration sim under the cache lock, serializing workers).
+// Calibration for a device profile, computed once per process together
+// with the preconditioned FTL that every RunRawCell of the profile copies.
+// Thread-safe; still, call it once per profile before a parallel sweep (a
+// cold first lookup runs the calibration under the cache lock, serializing
+// workers).
 const ssd::CalibrationTable& TableFor(const ssd::DeviceProfile& profile);
 
 // --- parallel sweep runner ---
 //
-// Fans the cells of an experiment sweep across a thread pool. Cells must be
-// independent (each RunRawCell / KV cell builds its own EventLoop, device
-// and scheduler, so they are), and each cell's result is written to its own
-// slot — emission stays serial, in index order, after the pool drains, so
-// output is byte-identical to a serial run regardless of --jobs.
+// Fans the cells of an experiment sweep across --jobs threads (ParallelFor).
+// Cells must be independent (each RunRawCell / KV cell builds its own
+// EventLoop, device and scheduler, so they are), and each cell's result is
+// written to its own slot — emission stays serial, in index order, after
+// the pool drains, so output is byte-identical to a serial run regardless
+// of --jobs.
 class SweepRunner {
  public:
   // jobs <= 1 runs cells inline on the calling thread (no pool, no
   // threads). jobs == 0 is resolved by ParseCommonFlags, not here.
   explicit SweepRunner(int jobs) : jobs_(jobs) {}
 
-  // Runs fn(i) for every i in [0, count), distributing cells to workers by
-  // atomic index in submission order. Returns when all cells finished. If a
-  // cell throws, the first exception is rethrown here after the pool joins.
-  void ForEach(size_t count, const std::function<void(size_t)>& fn) const;
+  // ParallelFor(jobs, count, fn): the first exception a cell throws is
+  // rethrown here after the pool joins.
+  void ForEach(size_t count, const std::function<void(size_t)>& fn) const {
+    ParallelFor(jobs_, count, fn);
+  }
 
   // ForEach that collects fn(i) into a vector in index order.
   template <typename R, typename Fn>

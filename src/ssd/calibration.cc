@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <thread>
+#include <utility>
 
+#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/sync.h"
@@ -69,6 +72,45 @@ sim::Task<void> Worker(sim::EventLoop& loop, SsdDevice& dev, IoType type,
   }
 }
 
+uint64_t WorkingSet(const DeviceProfile& profile,
+                    const CalibrationOptions& options) {
+  return std::min(options.working_set_bytes, profile.capacity_bytes / 2);
+}
+
+Ftl Preconditioned(const DeviceProfile& profile,
+                   const CalibrationOptions& options) {
+  Ftl ftl(profile);
+  ftl.Prefill(WorkingSet(profile, options));
+  return ftl;
+}
+
+// One closed-loop probe on a device that starts from `ftl`, an FTL
+// preconditioned over the working set.
+double RunProbe(Ftl ftl, IoType type, uint32_t size, bool sequential,
+                const CalibrationOptions& options) {
+  sim::EventLoop loop;
+  const uint64_t working_set = WorkingSet(ftl.profile(), options);
+  SsdDevice dev(loop, std::move(ftl));
+
+  Rng rng(options.seed);
+  ProbeState state;
+  const SimTime end_time = options.warmup + options.measure;
+  {
+    sim::TaskGroup group(loop);
+    for (int w = 0; w < options.queue_depth; ++w) {
+      group.Spawn(Worker(loop, dev, type, size, sequential, working_set, rng,
+                         state, end_time));
+    }
+    loop.ScheduleAt(options.warmup, [&state] {
+      state.measuring = true;
+      state.measured = 0;
+    });
+    loop.ScheduleAt(end_time, [&state] { state.measuring = false; });
+    loop.Run();
+  }
+  return static_cast<double>(state.measured) / ToSeconds(options.measure);
+}
+
 }  // namespace
 
 double CalibrationTable::max_iops() const {
@@ -92,45 +134,37 @@ double CalibrationTable::RandWriteIops(uint32_t size_bytes) const {
 
 double MeasureIops(const DeviceProfile& profile, IoType type, uint32_t size,
                    bool sequential, const CalibrationOptions& options) {
-  sim::EventLoop loop;
-  SsdDevice dev(loop, profile);
-  const uint64_t working_set =
-      std::min(options.working_set_bytes, profile.capacity_bytes / 2);
-  dev.Prefill(working_set);
-
-  Rng rng(options.seed);
-  ProbeState state;
-  const SimTime end_time = options.warmup + options.measure;
-  {
-    sim::TaskGroup group(loop);
-    for (int w = 0; w < options.queue_depth; ++w) {
-      group.Spawn(Worker(loop, dev, type, size, sequential, working_set, rng,
-                         state, end_time));
-    }
-    loop.ScheduleAt(options.warmup, [&state] {
-      state.measuring = true;
-      state.measured = 0;
-    });
-    loop.ScheduleAt(end_time, [&state] { state.measuring = false; });
-    loop.Run();
-  }
-  return static_cast<double>(state.measured) / ToSeconds(options.measure);
+  return RunProbe(Preconditioned(profile, options), type, size, sequential,
+                  options);
 }
 
 CalibrationTable Calibrate(const DeviceProfile& profile,
                            const CalibrationOptions& options) {
+  // Every probe starts from a copy of one preconditioned FTL, which equals a
+  // fresh prefill (DESIGN.md §8), and depends only on its index, so the
+  // probes run in parallel and the table is the serial sweep's.
+  const Ftl preconditioned = Preconditioned(profile, options);
+  // Per size, in sweep order: random read, random write, sequential read,
+  // sequential write.
+  constexpr size_t kProbesPerSize = 4;
+  std::vector<double> iops(kNumSweepSizes * kProbesPerSize);
+  ParallelFor(static_cast<int>(std::thread::hardware_concurrency()),
+              iops.size(), [&](size_t i) {
+                const uint32_t size = kSweepSizesKb[i / kProbesPerSize] * 1024;
+                const size_t kind = i % kProbesPerSize;
+                iops[i] = RunProbe(preconditioned,
+                                   kind % 2 == 0 ? IoType::kRead
+                                                 : IoType::kWrite,
+                                   size, /*sequential=*/kind >= 2, options);
+              });
   CalibrationTable table;
-  for (uint32_t kb : kSweepSizesKb) {
-    table.sizes_kb.push_back(kb);
-    const uint32_t size = kb * 1024;
-    table.rand_read_iops.push_back(
-        MeasureIops(profile, IoType::kRead, size, /*sequential=*/false, options));
-    table.rand_write_iops.push_back(
-        MeasureIops(profile, IoType::kWrite, size, /*sequential=*/false, options));
-    table.seq_read_iops.push_back(
-        MeasureIops(profile, IoType::kRead, size, /*sequential=*/true, options));
-    table.seq_write_iops.push_back(
-        MeasureIops(profile, IoType::kWrite, size, /*sequential=*/true, options));
+  for (int s = 0; s < kNumSweepSizes; ++s) {
+    const double* point = &iops[s * kProbesPerSize];
+    table.sizes_kb.push_back(kSweepSizesKb[s]);
+    table.rand_read_iops.push_back(point[0]);
+    table.rand_write_iops.push_back(point[1]);
+    table.seq_read_iops.push_back(point[2]);
+    table.seq_write_iops.push_back(point[3]);
   }
   return table;
 }

@@ -41,12 +41,17 @@ struct CalibrationTable {
   double RandWriteIops(uint32_t size_bytes) const;
 };
 
-// Runs the full sweep for `profile`. Simulated duration per point is
-// warmup + measure; wall-clock cost is a few hundred thousand events.
+// Runs the full sweep for `profile`: 4 probes (random/sequential x
+// read/write) per size in kSweepSizesKb, each warmup + measure of simulated
+// time. The working set is preconditioned once; every probe starts from a
+// copy of that FTL, and the probes run in parallel on up to
+// std::thread::hardware_concurrency() threads. The table equals the one
+// MeasureIops gives point by point, for any thread count.
 CalibrationTable Calibrate(const DeviceProfile& profile,
                            const CalibrationOptions& options = {});
 
-// Single-point probe: achieved IOPS for a pure workload of `size` bytes.
+// Single-point probe: achieved IOPS for a pure workload of `size` bytes, on
+// a device freshly preconditioned over the working set.
 double MeasureIops(const DeviceProfile& profile, IoType type, uint32_t size,
                    bool sequential, const CalibrationOptions& options = {});
 

@@ -2,16 +2,20 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 #include <vector>
 
 namespace libra::ssd {
 
-SsdDevice::SsdDevice(sim::EventLoop& loop, DeviceProfile profile,
+SsdDevice::SsdDevice(sim::EventLoop& loop, const DeviceProfile& profile,
                      DeviceOptions options)
+    : SsdDevice(loop, Ftl(profile), options) {}
+
+SsdDevice::SsdDevice(sim::EventLoop& loop, Ftl ftl, DeviceOptions options)
     : loop_(loop),
-      profile_(std::move(profile)),
+      profile_(ftl.profile()),
       options_(options),
-      ftl_(profile_),
+      ftl_(std::move(ftl)),
       die_free_at_(profile_.num_dies, 0),
       die_last_type_(profile_.num_dies, IoType::kRead) {
   stream_ends_.fill(UINT64_MAX);
@@ -222,16 +226,6 @@ void SsdDevice::Trim(uint64_t offset, uint32_t size) {
   const uint64_t end = (offset + size) / profile_.page_bytes;
   if (end > first) {
     ftl_.Trim(first, static_cast<uint32_t>(end - first));
-  }
-}
-
-void SsdDevice::Prefill(uint64_t bytes) {
-  const uint64_t pages = bytes / profile_.page_bytes;
-  // Large sequential chunks keep preconditioning write-amp free.
-  const uint32_t chunk = profile_.pages_per_block;
-  for (uint64_t p = 0; p < pages; p += chunk) {
-    const uint32_t n = static_cast<uint32_t>(std::min<uint64_t>(chunk, pages - p));
-    ftl_.Write(p, n);
   }
 }
 

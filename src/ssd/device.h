@@ -71,8 +71,11 @@ class SsdDevice {
   // pending_ below), so submitting an IO performs no heap allocation.
   using CompletionFn = sim::SmallFn;
 
-  SsdDevice(sim::EventLoop& loop, DeviceProfile profile,
+  SsdDevice(sim::EventLoop& loop, const DeviceProfile& profile,
             DeviceOptions options = {});
+  // Starts from `ftl`'s state (e.g. a copy of a preconditioned FTL) and
+  // takes its profile from it.
+  SsdDevice(sim::EventLoop& loop, Ftl ftl, DeviceOptions options = {});
 
   SsdDevice(const SsdDevice&) = delete;
   SsdDevice& operator=(const SsdDevice&) = delete;
@@ -87,10 +90,8 @@ class SsdDevice {
   // Marks a logical extent as dead (filesystem TRIM on delete).
   void Trim(uint64_t offset, uint32_t size);
 
-  // Populates the FTL mapping for [0, bytes) without consuming simulated
-  // time — preconditioning before measurement, as one would precondition a
-  // physical SSD before benchmarking it.
-  void Prefill(uint64_t bytes);
+  // Ftl::Prefill without consuming simulated time.
+  void Prefill(uint64_t bytes) { ftl_.Prefill(bytes); }
 
   int inflight() const { return inflight_; }
   const DeviceProfile& profile() const { return profile_; }

@@ -31,6 +31,16 @@ void Ftl::DemandMap::Set(uint64_t i, uint32_t value) {
   chunk[i % kChunkEntries] = value;
 }
 
+Ftl::DemandMap::DemandMap(const DemandMap& other)
+    : chunks_(other.chunks_.size()), allocated_(other.allocated_) {
+  for (size_t c = 0; c < chunks_.size(); ++c) {
+    if (other.chunks_[c] != nullptr) {
+      chunks_[c] = std::make_unique_for_overwrite<uint32_t[]>(kChunkEntries);
+      std::copy_n(other.chunks_[c].get(), kChunkEntries, chunks_[c].get());
+    }
+  }
+}
+
 Ftl::Ftl(const DeviceProfile& profile)
     : profile_(profile),
       logical_pages_(profile.logical_pages()),
@@ -73,6 +83,14 @@ Ftl::Ftl(const DeviceProfile& profile)
     for (uint32_t b = blocks_per_die_; b > 0; --b) {
       die.free_blocks.push_back(static_cast<uint32_t>(d) * blocks_per_die_ + b - 1);
     }
+  }
+}
+
+void Ftl::Prefill(uint64_t bytes) {
+  const uint64_t pages = bytes / profile_.page_bytes;
+  const uint32_t chunk = profile_.pages_per_block;
+  for (uint64_t p = 0; p < pages; p += chunk) {
+    Write(p, static_cast<uint32_t>(std::min<uint64_t>(chunk, pages - p)));
   }
 }
 

@@ -10,7 +10,10 @@
 // victim blocks and erases them until the high watermark is restored.
 //
 // The FTL itself is time-free: it reports *work* (placements, pages moved,
-// erases); SsdDevice converts work into die-busy time.
+// erases); SsdDevice converts work into die-busy time. It is copyable: a
+// copy carries every map entry, block count, append point and counter, so
+// it continues exactly as the original would (calibration preconditions one
+// FTL and probes copies of it).
 
 #ifndef LIBRA_SRC_SSD_FTL_H_
 #define LIBRA_SRC_SSD_FTL_H_
@@ -48,6 +51,11 @@ class Ftl {
   // blocks per die beyond what its logical capacity needs.
   explicit Ftl(const DeviceProfile& profile);
 
+  // Maps logical bytes [0, bytes) with block-sized sequential writes, which
+  // keep preconditioning free of write amplification — as one would
+  // precondition a physical SSD before benchmarking it.
+  void Prefill(uint64_t bytes);
+
   // Records a host write of `npages` logical pages starting at `first_lpn`
   // (wrapped modulo the logical page count). Returns the per-die placement
   // and any GC work triggered.
@@ -72,6 +80,7 @@ class Ftl {
   uint64_t gc_pages_moved() const { return gc_pages_moved_; }
   uint64_t blocks_erased() const { return blocks_erased_; }
   uint64_t logical_pages() const { return logical_pages_; }
+  const DeviceProfile& profile() const { return profile_; }
 
   // Free blocks currently available on `die` (testing / introspection).
   int free_blocks(int die) const;
@@ -96,6 +105,9 @@ class Ftl {
 
     explicit DemandMap(uint64_t size)
         : chunks_((size + kChunkEntries - 1) / kChunkEntries) {}
+    // Deep copy of the allocated chunks only; absent chunks stay absent.
+    DemandMap(const DemandMap& other);
+    DemandMap(DemandMap&&) = default;
 
     uint32_t Get(uint64_t i) const {
       const uint32_t* chunk = chunks_[i / kChunkEntries].get();

@@ -12,12 +12,14 @@
 #include "src/sim/sync.h"
 #include "src/ssd/calibration.h"
 #include "src/ssd/device.h"
+#include "src/ssd/ftl.h"
 #include "src/ssd/profile.h"
 
 namespace libra::iosched {
 namespace {
 
-// One shared calibration for the whole file (the expensive step).
+// One shared calibration for the whole file, computed on first use (a
+// parallel sweep over copies of one preconditioned FTL).
 const ssd::CalibrationTable& Table() {
   static const ssd::CalibrationTable* table = [] {
     ssd::CalibrationOptions opt;
@@ -30,6 +32,17 @@ const ssd::CalibrationTable& Table() {
   return *table;
 }
 
+// Every rig's device starts from a copy of one FTL prefilled over 1 GiB,
+// which equals prefilling each device afresh.
+const ssd::Ftl& Preconditioned() {
+  static const ssd::Ftl* ftl = [] {
+    auto* f = new ssd::Ftl(ssd::Intel320Profile());
+    f->Prefill(1ULL * kGiB);
+    return f;
+  }();
+  return *ftl;
+}
+
 struct Rig {
   sim::EventLoop loop;
   ssd::SsdDevice device;
@@ -37,11 +50,9 @@ struct Rig {
   Rng rng{101};
 
   explicit Rig(SchedulerOptions options = {})
-      : device(loop, ssd::Intel320Profile()),
+      : device(loop, Preconditioned()),
         sched(loop, device, std::make_unique<ExactCostModel>(Table()),
-              options) {
-    device.Prefill(1ULL * kGiB);
-  }
+              options) {}
 
   // Backlogged worker issuing `size`-byte ops of `type` until `end`.
   sim::Task<void> Worker(TenantId tenant, ssd::IoType type, uint32_t size,

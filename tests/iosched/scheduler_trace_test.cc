@@ -20,11 +20,13 @@
 #include "src/sim/sync.h"
 #include "src/ssd/calibration.h"
 #include "src/ssd/device.h"
+#include "src/ssd/ftl.h"
 #include "src/ssd/profile.h"
 
 namespace libra::iosched {
 namespace {
 
+// One shared calibration for the whole file, computed on first use.
 const ssd::CalibrationTable& Table() {
   static const ssd::CalibrationTable* table = [] {
     ssd::CalibrationOptions opt;
@@ -37,20 +39,29 @@ const ssd::CalibrationTable& Table() {
   return *table;
 }
 
+// Every rig's device starts from a copy of one FTL prefilled over 1 GiB,
+// which equals prefilling each device afresh.
+const ssd::Ftl& Preconditioned() {
+  static const ssd::Ftl* ftl = [] {
+    auto* f = new ssd::Ftl(ssd::Intel320Profile());
+    f->Prefill(1ULL * kGiB);
+    return f;
+  }();
+  return *ftl;
+}
+
 struct Rig {
   sim::EventLoop loop;
   ssd::SsdDevice device;
   IoScheduler sched;
 
   explicit Rig(size_t span_capacity = 1 << 12)
-      : device(loop, ssd::Intel320Profile()),
+      : device(loop, Preconditioned()),
         sched(loop, device, std::make_unique<ExactCostModel>(Table()), [&] {
           SchedulerOptions o;
           o.span_capacity = span_capacity;
           return o;
-        }()) {
-    device.Prefill(1ULL * kGiB);
-  }
+        }()) {}
 };
 
 TEST(SchedulerTraceTest, DeviceIoSpanParentsToSubmitterContext) {
@@ -240,8 +251,7 @@ TEST(SchedulerTraceTest, SampledOutRequestsStillFeedAttribution) {
   o.span_capacity = 1 << 10;
   o.span_sample_every = 1000;  // nothing but the first trace sampled
   sim::EventLoop loop2;
-  ssd::SsdDevice device2(loop2, ssd::Intel320Profile());
-  device2.Prefill(1ULL * kGiB);
+  ssd::SsdDevice device2(loop2, Preconditioned());
   IoScheduler sched2(loop2, device2, std::make_unique<ExactCostModel>(Table()),
                      o);
   sched2.SetAllocation(0, 1000.0);

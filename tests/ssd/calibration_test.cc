@@ -92,6 +92,30 @@ TEST_F(CalibrationFixture, InterpolationIsMonotoneBetweenPoints) {
   }
 }
 
+// Calibrate probes copies of one preconditioned FTL on several threads;
+// each point must equal the serial path, a probe on its own freshly
+// prefilled device.
+TEST(CalibrationTest, SweepMatchesFreshProbes) {
+  const CalibrationTable t = Calibrate(Intel320Profile(), FastOptions());
+  ASSERT_EQ(t.sizes_kb.size(), static_cast<size_t>(kNumSweepSizes));
+  for (size_t i = 0; i < t.sizes_kb.size(); ++i) {
+    const uint32_t size = t.sizes_kb[i] * 1024;
+    const CalibrationOptions opt = FastOptions();
+    EXPECT_EQ(t.rand_read_iops[i],
+              MeasureIops(Intel320Profile(), IoType::kRead, size, false, opt))
+        << "rand read " << t.sizes_kb[i] << " KiB";
+    EXPECT_EQ(t.rand_write_iops[i],
+              MeasureIops(Intel320Profile(), IoType::kWrite, size, false, opt))
+        << "rand write " << t.sizes_kb[i] << " KiB";
+    EXPECT_EQ(t.seq_read_iops[i],
+              MeasureIops(Intel320Profile(), IoType::kRead, size, true, opt))
+        << "seq read " << t.sizes_kb[i] << " KiB";
+    EXPECT_EQ(t.seq_write_iops[i],
+              MeasureIops(Intel320Profile(), IoType::kWrite, size, true, opt))
+        << "seq write " << t.sizes_kb[i] << " KiB";
+  }
+}
+
 TEST(CalibrationTest, Sata3ProfilesAreFaster) {
   CalibrationOptions opt = FastOptions();
   const double intel_64k =

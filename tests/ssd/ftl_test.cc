@@ -167,57 +167,87 @@ TEST(FtlTest, LpnWrapsAroundLogicalSpace) {
   EXPECT_EQ(ftl.host_pages_written(), 8u);
 }
 
-// Pins the FTL's work counters under a seeded mix of random writes,
-// hot-range overwrites, trims, wrap-around writes and large writes, with
-// and without a die preference. Placement and GC decisions depend only on
-// block-level state, so any change to how the maps are stored must
-// reproduce these numbers exactly.
-TEST(FtlTest, SeededChurnIsPinned) {
-  DeviceProfile p = SmallProfile();
-  Ftl ftl(p);
+// One step of the seeded churn below: a trim, or a write with an optional
+// die preference (the dies rotated by `pref_rot`).
+struct ChurnOp {
+  bool trim = false;
+  uint64_t lpn = 0;
+  uint32_t n = 0;
+  int pref_rot = -1;  // -1: no die preference
+};
+
+// A seeded mix of random writes, hot-range overwrites, trims, wrap-around
+// writes and large writes, every third with a rotated die preference. The
+// ops do not depend on the FTL's state.
+std::vector<ChurnOp> SeededChurn(const DeviceProfile& p, int count) {
   const uint64_t pages = p.logical_pages();
-  std::vector<int> pref(p.num_dies);
-  std::vector<uint64_t> erases_per_die(p.num_dies, 0);
   uint64_t x = 20260214;
   auto next = [&x](uint64_t bound) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     return (x >> 33) % bound;
   };
-  for (int op = 0; op < 6000; ++op) {
-    uint64_t lpn = 0;
-    uint32_t n = 0;
+  std::vector<ChurnOp> ops;
+  for (int op = 0; op < count; ++op) {
+    ChurnOp c;
     switch (next(10)) {
       case 0: case 1: case 2: case 3:  // random small write
-        lpn = next(pages);
-        n = static_cast<uint32_t>(1 + next(16));
+        c.lpn = next(pages);
+        c.n = static_cast<uint32_t>(1 + next(16));
         break;
       case 4: case 5:  // overwrite within a hot eighth of the space
-        lpn = next(pages / 8);
-        n = static_cast<uint32_t>(1 + next(64));
+        c.lpn = next(pages / 8);
+        c.n = static_cast<uint32_t>(1 + next(64));
         break;
-      case 6:  // trim
-        ftl.Trim(next(pages), static_cast<uint32_t>(1 + next(128)));
+      case 6:  // trim (length drawn before start)
+        c.trim = true;
+        c.n = static_cast<uint32_t>(1 + next(128));
+        c.lpn = next(pages);
+        ops.push_back(c);
         continue;
       case 7: {  // wrap-around write across the end of the logical space
         const uint64_t k = 1 + next(32);
-        lpn = pages - k;
-        n = static_cast<uint32_t>(k + 1 + next(32));
+        c.lpn = pages - k;
+        c.n = static_cast<uint32_t>(k + 1 + next(32));
         break;
       }
       default:  // large write
-        lpn = next(pages);
-        n = static_cast<uint32_t>(64 + next(192));
+        c.lpn = next(pages);
+        c.n = static_cast<uint32_t>(64 + next(192));
         break;
     }
-    const std::vector<int>* die_pref = nullptr;
     if (op % 3 == 0) {
-      const int rot = static_cast<int>(next(p.num_dies));
-      for (int d = 0; d < p.num_dies; ++d) {
-        pref[d] = (d + rot) % p.num_dies;
-      }
-      die_pref = &pref;
+      c.pref_rot = static_cast<int>(next(p.num_dies));
     }
-    for (const GcWork& g : ftl.Write(lpn, n, die_pref).gc) {
+    ops.push_back(c);
+  }
+  return ops;
+}
+
+// Applies `op` to `ftl`; a trim returns an empty result.
+FtlWriteResult Apply(Ftl& ftl, const ChurnOp& op, int num_dies) {
+  if (op.trim) {
+    ftl.Trim(op.lpn, op.n);
+    return {};
+  }
+  if (op.pref_rot < 0) {
+    return ftl.Write(op.lpn, op.n);
+  }
+  std::vector<int> pref(num_dies);
+  for (int d = 0; d < num_dies; ++d) {
+    pref[d] = (d + op.pref_rot) % num_dies;
+  }
+  return ftl.Write(op.lpn, op.n, &pref);
+}
+
+// Pins the FTL's work counters under the seeded churn. Placement and GC
+// decisions depend only on block-level state, so any change to how the
+// maps are stored must reproduce these numbers exactly.
+TEST(FtlTest, SeededChurnIsPinned) {
+  DeviceProfile p = SmallProfile();
+  Ftl ftl(p);
+  std::vector<uint64_t> erases_per_die(p.num_dies, 0);
+  for (const ChurnOp& op : SeededChurn(p, 6000)) {
+    for (const GcWork& g : Apply(ftl, op, p.num_dies).gc) {
       erases_per_die[g.die] += g.erases;
     }
   }
@@ -232,6 +262,67 @@ TEST(FtlTest, SeededChurnIsPinned) {
   for (int d = 0; d < p.num_dies; ++d) {
     EXPECT_EQ(ftl.free_blocks(d), free_pinned[d]) << "die " << d;
   }
+}
+
+// Everything an FTL reports, for comparing two of them.
+struct FtlState {
+  uint64_t host_pages_written;
+  uint64_t gc_pages_moved;
+  uint64_t blocks_erased;
+  size_t map_bytes;
+  std::vector<int> free_blocks;
+  bool operator==(const FtlState&) const = default;
+};
+
+FtlState StateOf(const Ftl& ftl, int num_dies) {
+  FtlState s{ftl.host_pages_written(), ftl.gc_pages_moved(),
+             ftl.blocks_erased(), ftl.map_bytes(), {}};
+  for (int d = 0; d < num_dies; ++d) {
+    s.free_blocks.push_back(ftl.free_blocks(d));
+  }
+  return s;
+}
+
+// A copy taken partway through the churn continues exactly as the original
+// does (same placement and GC work for every later op, same counters), and
+// writing to the copy leaves the original untouched.
+TEST(FtlTest, CopyContinuesIdentically) {
+  const DeviceProfile p = SmallProfile();
+  const std::vector<ChurnOp> ops = SeededChurn(p, 6000);
+  const size_t split = ops.size() / 2;
+  Ftl original(p);
+  for (size_t i = 0; i < split; ++i) {
+    Apply(original, ops[i], p.num_dies);
+  }
+  ASSERT_GT(original.blocks_erased(), 0u) << "copy after GC has started";
+  const FtlState at_copy = StateOf(original, p.num_dies);
+
+  Ftl copy(original);
+  EXPECT_EQ(StateOf(copy, p.num_dies), at_copy);
+  std::vector<FtlWriteResult> copy_results;
+  for (size_t i = split; i < ops.size(); ++i) {
+    copy_results.push_back(Apply(copy, ops[i], p.num_dies));
+  }
+  EXPECT_EQ(StateOf(original, p.num_dies), at_copy);
+
+  for (size_t i = split; i < ops.size(); ++i) {
+    const FtlWriteResult r = Apply(original, ops[i], p.num_dies);
+    const FtlWriteResult& c = copy_results[i - split];
+    ASSERT_EQ(r.placements.size(), c.placements.size()) << "op " << i;
+    for (size_t k = 0; k < r.placements.size(); ++k) {
+      EXPECT_EQ(r.placements[k].die, c.placements[k].die) << "op " << i;
+      EXPECT_EQ(r.placements[k].pages, c.placements[k].pages) << "op " << i;
+    }
+    ASSERT_EQ(r.gc.size(), c.gc.size()) << "op " << i;
+    for (size_t k = 0; k < r.gc.size(); ++k) {
+      EXPECT_EQ(r.gc[k].die, c.gc[k].die) << "op " << i;
+      EXPECT_EQ(r.gc[k].pages_moved, c.gc[k].pages_moved) << "op " << i;
+      EXPECT_EQ(r.gc[k].erases, c.gc[k].erases) << "op " << i;
+    }
+  }
+  EXPECT_EQ(StateOf(original, p.num_dies), StateOf(copy, p.num_dies));
+  EXPECT_DOUBLE_EQ(original.write_amp(), copy.write_amp());
+  EXPECT_EQ(original.host_pages_written(), 265986u);
 }
 
 TEST(FtlTest, MapsAllocateOnFirstWrite) {

@@ -178,40 +178,49 @@ void BM_BloomProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomProbe);
 
-// One shared-block-cache hit per iteration: the map probe + LRU splice that
-// replaces a device read on the cached GET path. The cache holds a working
-// set of data blocks across several tenants/tables, all resident (no
-// evictions inside the timed loop) — this is the pure hit cost.
+// One shared-block-cache hit per iteration: the slot check + LRU splice
+// that replaces a device read on the cached GET path. The cache holds a
+// working set of data blocks across several tenants/tables, all resident
+// (no evictions inside the timed loop) — this is the pure hit cost.
 void BM_BlockCacheGet(benchmark::State& state) {
   constexpr int kTenants = 4;
   constexpr int kTables = 16;
   constexpr int kBlocks = 8;
   constexpr uint64_t kBlockBytes = 4096;
   lsm::BlockCache cache(/*capacity_bytes=*/0, /*cache_data=*/true);
+  // The stored table bytes the cached blocks view, and each reader's data
+  // block slots: slots[tenant][table * kBlocks + block].
+  const std::string table_bytes(kBlocks * kBlockBytes, 'd');
+  std::vector<std::vector<lsm::BlockCache::Slot>> slots;
+  std::vector<lsm::BlockCache::TenantCounters*> counters;
+  slots.reserve(kTenants);
   for (int t = 1; t <= kTenants; ++t) {
+    counters.push_back(&cache.Counters(static_cast<iosched::TenantId>(t)));
+    slots.emplace_back(kTables * kBlocks);
     for (int f = 0; f < kTables; ++f) {
       for (int b = 0; b < kBlocks; ++b) {
-        auto block = std::make_shared<lsm::CachedBlock>();
-        block->bytes = std::string(kBlockBytes, 'd');
-        cache.Insert(static_cast<iosched::TenantId>(t),
-                     static_cast<uint64_t>(f), lsm::BlockCache::Kind::kData,
-                     static_cast<uint64_t>(b) * kBlockBytes, std::move(block),
-                     kBlockBytes);
+        const std::string_view block =
+            std::string_view(table_bytes).substr(b * kBlockBytes, kBlockBytes);
+        cache.Insert(slots.back()[f * kBlocks + b], *counters.back(), block);
       }
     }
   }
   Rng rng(17);
   uint64_t hits = 0;
   for (auto _ : state) {
-    const auto tenant =
-        static_cast<iosched::TenantId>(1 + rng.NextU64(kTenants));
+    const uint64_t tenant = rng.NextU64(kTenants);
     const uint64_t table = rng.NextU64(kTables);
-    const uint64_t offset = rng.NextU64(kBlocks) * kBlockBytes;
-    hits += cache.Get(tenant, table, lsm::BlockCache::Kind::kData, offset) !=
-            nullptr;
+    const uint64_t block = rng.NextU64(kBlocks);
+    hits += cache.Get(slots[tenant][table * kBlocks + block],
+                      lsm::BlockCache::Kind::kData, *counters[tenant]);
   }
   benchmark::DoNotOptimize(hits);
   state.SetItemsProcessed(state.iterations());
+  for (auto& reader_slots : slots) {
+    for (lsm::BlockCache::Slot& slot : reader_slots) {
+      cache.Erase(slot);
+    }
+  }
 }
 BENCHMARK(BM_BlockCacheGet);
 

@@ -4,61 +4,42 @@
 
 namespace libra::lsm {
 
-CachedBlockRef BlockCache::Get(iosched::TenantId tenant, uint64_t table,
-                               Kind kind, uint64_t offset) {
-  const Key key{tenant, table, kind, offset};
-  TenantCounters& tc = tenants_[tenant];
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++misses_;
-    ++tc.misses[static_cast<int>(kind)];
-    return nullptr;
-  }
-  ++hits_;
-  ++tc.hits[static_cast<int>(kind)];
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return it->second->block;
+BlockCache::BlockCache(uint64_t capacity_bytes, bool cache_data)
+    : capacity_bytes_(capacity_bytes), cache_data_(cache_data) {
+  lru_.prev_ = &lru_;
+  lru_.next_ = &lru_;
 }
 
-void BlockCache::Insert(iosched::TenantId tenant, uint64_t table, Kind kind,
-                        uint64_t offset, CachedBlockRef block,
-                        uint64_t bytes) {
-  const Key key{tenant, table, kind, offset};
-  EraseKey(key);  // replace semantics (concurrent loaders may both insert)
-  lru_.push_front(Entry{key, std::move(block), bytes});
-  map_[key] = lru_.begin();
-  resident_bytes_ += bytes;
+void BlockCache::Insert(Slot& slot, TenantCounters& tenant,
+                        std::string_view bytes, TableIndexRef index) {
+  Erase(slot);  // replace semantics (concurrent loaders may both insert)
+  slot.tenant_ = &tenant;
+  slot.bytes_ = bytes;
+  slot.index_ = std::move(index);
+  LinkFront(slot);
+  ++entries_;
+  resident_bytes_ += bytes.size();
   if (capacity_bytes_ == 0) {
     return;  // unbounded
   }
-  while (resident_bytes_ > capacity_bytes_ && lru_.size() > 1) {
-    const Entry& victim = lru_.back();
-    resident_bytes_ -= victim.bytes;
+  while (resident_bytes_ > capacity_bytes_ && lru_.prev_ != &slot) {
+    Slot& victim = *lru_.prev_;
     ++evictions_;
-    ++tenants_[victim.key.tenant].evictions;
-    map_.erase(victim.key);
-    lru_.pop_back();
+    ++victim.tenant_->evictions;
+    Erase(victim);
   }
 }
 
-void BlockCache::EraseTable(iosched::TenantId tenant, uint64_t table) {
-  auto it = map_.lower_bound(Key{tenant, table, Kind::kIndex, 0});
-  while (it != map_.end() && it->first.tenant == tenant &&
-         it->first.table == table) {
-    resident_bytes_ -= it->second->bytes;
-    lru_.erase(it->second);
-    it = map_.erase(it);
-  }
-}
-
-void BlockCache::EraseKey(const Key& key) {
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
+void BlockCache::Erase(Slot& slot) {
+  if (!slot.resident()) {
     return;
   }
-  resident_bytes_ -= it->second->bytes;
-  lru_.erase(it->second);
-  map_.erase(it);
+  Unlink(slot);
+  --entries_;
+  resident_bytes_ -= slot.bytes_.size();
+  slot.tenant_ = nullptr;
+  slot.bytes_ = {};
+  slot.index_.reset();
 }
 
 BlockCache::TenantCounters BlockCache::CountersOf(

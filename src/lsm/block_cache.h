@@ -3,32 +3,40 @@
 // reads through one.
 //
 // One cache serves three block kinds — parsed index blocks, bloom filter
-// blocks, and raw data blocks — under a single capacity, so hot filters can
+// blocks, and data blocks — under a single capacity, so hot filters can
 // displace cold data blocks and vice versa. A cache hit costs zero device
 // IO; a miss makes the caller re-read (and re-charge, via its IoTag) the
 // block from the device, which is how eviction pressure shows up in a
 // tenant's attributed VOPs.
 //
-// Keys carry the owning tenant: with one node-shared cache, tenants of
-// different DB partitions reuse table file numbers (each LsmDb numbers its
-// own files from 1), and per-tenant hit/miss/eviction counters feed the
-// node-stats `block_cache` section. The key map is ordered so EraseTable —
-// dropping every block of a deleted table — is a deterministic range erase.
+// The cache has no lookup structure of its own. Every block has a Slot in
+// the reader of its table — one for the index, one for the filter, one per
+// data block — and the LRU list links the resident slots. A hit is a check
+// of the slot, a splice to the list front and a counter bump; an eviction
+// empties the victim's slot; a reader's destruction erases its occupied
+// slots (not an eviction). Slots belong to one reader, so tenants whose
+// partitions reuse table file numbers on a node-shared cache never meet.
 //
-// Entries are shared_ptr<const CachedBlock>: a lookup in flight keeps a
-// just-evicted block alive until it finishes; the next lookup re-reads it.
+// Filter and data blocks are views of the table bytes stored in SimFs (a
+// table is immutable while its reader lives): the cache holds no copy. An
+// index stays parsed, owned through a shared_ptr, so a scan cursor pins it
+// past eviction. The budget charges each block's on-disk size, the length
+// of the view.
+//
+// Per-tenant, per-kind hit/miss and per-tenant eviction counters feed the
+// node-stats `block_cache` section.
 // Capacity 0 = unbounded: every index and filter is read once and stays
-// until its table is erased, the LsmDb default. `cache_data` false
+// until its table is deleted, the LsmDb default. `cache_data` false
 // restricts the cache to index and filter blocks (LsmOptions'
 // table_cache_bytes mode).
 
 #ifndef LIBRA_SRC_LSM_BLOCK_CACHE_H_
 #define LIBRA_SRC_LSM_BLOCK_CACHE_H_
 
-#include <list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -39,14 +47,6 @@ namespace libra::lsm {
 // Parsed sstable index: {last_key, block offset, block size} per data block.
 using TableIndex = std::vector<std::tuple<std::string, uint64_t, uint32_t>>;
 using TableIndexRef = std::shared_ptr<const TableIndex>;
-
-// One cached block. Index blocks live parsed (`index` set); filter and data
-// blocks keep their raw bytes.
-struct CachedBlock {
-  TableIndexRef index;
-  std::string bytes;
-};
-using CachedBlockRef = std::shared_ptr<const CachedBlock>;
 
 class BlockCache {
  public:
@@ -60,31 +60,72 @@ class BlockCache {
     uint64_t evictions = 0;  // this tenant's blocks pushed out by pressure
   };
 
-  explicit BlockCache(uint64_t capacity_bytes = 0, bool cache_data = true)
-      : capacity_bytes_(capacity_bytes), cache_data_(cache_data) {}
+  // One block's place in the cache, owned by the block's reader. Empty, or
+  // resident: linked into the LRU and holding the block. A slot must not
+  // move while resident, and its owner erases it before it dies.
+  class Slot {
+   public:
+    Slot() = default;
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+
+    bool resident() const { return tenant_ != nullptr; }
+    // The block's on-disk bytes, a view of the table; empty when not
+    // resident.
+    std::string_view bytes() const { return bytes_; }
+    // The parsed index of an index slot; null otherwise or when not
+    // resident.
+    const TableIndexRef& index() const { return index_; }
+
+   private:
+    friend class BlockCache;
+    Slot* prev_ = nullptr;  // LRU neighbours while resident
+    Slot* next_ = nullptr;
+    TenantCounters* tenant_ = nullptr;  // the owner's counters while resident
+    std::string_view bytes_;
+    TableIndexRef index_;
+  };
+
+  explicit BlockCache(uint64_t capacity_bytes = 0, bool cache_data = true);
 
   BlockCache(const BlockCache&) = delete;
   BlockCache& operator=(const BlockCache&) = delete;
 
-  // nullptr on miss; a hit refreshes the entry's LRU position. `offset` is
-  // the block's file offset (0 for the per-table index and filter blocks).
-  CachedBlockRef Get(iosched::TenantId tenant, uint64_t table, Kind kind,
-                     uint64_t offset);
+  // The counters of `tenant`, created zeroed on first use. The reference
+  // stays valid for the cache's lifetime: a reader looks it up once.
+  TenantCounters& Counters(iosched::TenantId tenant) {
+    return tenants_[tenant];
+  }
 
-  // Inserts (replacing any previous entry under the same key), charging
-  // `bytes` (the block's on-disk size) against capacity, then evicts from
-  // the LRU tail until resident bytes fit. The inserted entry itself is
-  // never evicted by its own insertion.
-  void Insert(iosched::TenantId tenant, uint64_t table, Kind kind,
-              uint64_t offset, CachedBlockRef block, uint64_t bytes);
+  // Probes `slot` for a block of `kind` on behalf of `tenant`: a hit
+  // refreshes its LRU position. Counts the hit or the miss.
+  bool Get(Slot& slot, Kind kind, TenantCounters& tenant) {
+    if (!slot.resident()) {
+      ++misses_;
+      ++tenant.misses[static_cast<int>(kind)];
+      return false;
+    }
+    ++hits_;
+    ++tenant.hits[static_cast<int>(kind)];
+    Unlink(slot);
+    LinkFront(slot);
+    return true;
+  }
 
-  // Drops every block of `table` when it is deleted (not an eviction).
-  void EraseTable(iosched::TenantId tenant, uint64_t table);
+  // Makes `slot` resident with `bytes` (and, for an index, its parsed
+  // `index`), replacing what it held, charging bytes.size() against
+  // capacity, then evicts from the LRU tail until resident bytes fit. The
+  // inserted slot itself is never evicted by its own insertion.
+  void Insert(Slot& slot, TenantCounters& tenant, std::string_view bytes,
+              TableIndexRef index = nullptr);
+
+  // Empties `slot` if it is resident (not an eviction).
+  void Erase(Slot& slot);
 
   bool caches_data() const { return cache_data_; }
   uint64_t capacity_bytes() const { return capacity_bytes_; }
   uint64_t resident_bytes() const { return resident_bytes_; }
-  size_t entries() const { return map_.size(); }
+  size_t entries() const { return entries_; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
   uint64_t evictions() const { return evictions_; }
@@ -92,35 +133,26 @@ class BlockCache {
   TenantCounters CountersOf(iosched::TenantId tenant) const;
 
  private:
-  struct Key {
-    iosched::TenantId tenant = 0;
-    uint64_t table = 0;
-    Kind kind = Kind::kIndex;
-    uint64_t offset = 0;
-
-    bool operator<(const Key& o) const {
-      return std::tie(tenant, table, kind, offset) <
-             std::tie(o.tenant, o.table, o.kind, o.offset);
-    }
-  };
-  struct Entry {
-    Key key;
-    CachedBlockRef block;
-    uint64_t bytes = 0;
-  };
-  using LruList = std::list<Entry>;
-
-  void EraseKey(const Key& key);
+  void LinkFront(Slot& slot) {
+    slot.prev_ = &lru_;
+    slot.next_ = lru_.next_;
+    lru_.next_->prev_ = &slot;
+    lru_.next_ = &slot;
+  }
+  static void Unlink(Slot& slot) {
+    slot.prev_->next_ = slot.next_;
+    slot.next_->prev_ = slot.prev_;
+  }
 
   uint64_t capacity_bytes_;
   bool cache_data_;
-  LruList lru_;                            // front = most recent
-  std::map<Key, LruList::iterator> map_;   // ordered: EraseTable range-scans
-  std::map<iosched::TenantId, TenantCounters> tenants_;
+  Slot lru_;  // sentinel of the circular LRU list: next_ = most recent
+  size_t entries_ = 0;
   uint64_t resident_bytes_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
+  std::map<iosched::TenantId, TenantCounters> tenants_;  // nodes never move
 };
 
 }  // namespace libra::lsm

@@ -284,12 +284,16 @@ sim::Task<LsmDb::GetResult> LsmDb::Get(std::string_view key, TraceContext ctx) {
         continue;
       }
       ++stats_.tables_probed;
-      SstableReader::GetResult r =
-          co_await table->reader->Get(tag, key, snapshot);
-      if (dead_) {
-        out.status = Status::Unavailable("db killed");
-        co_return out;
+      // Resident blocks answer without suspending; only a miss awaits IO.
+      SstableReader::Lookup lk;
+      if (!table->reader->TryGet(key, snapshot, lk)) {
+        co_await table->reader->ResumeGet(tag, key, snapshot, lk);
+        if (dead_) {
+          out.status = Status::Unavailable("db killed");
+          co_return out;
+        }
       }
+      SstableReader::GetResult& r = lk.result;
       if (!r.status.ok()) {
         out.status = r.status;
         co_return out;
@@ -476,8 +480,7 @@ sim::Task<StatusOr<LsmDb::TableRef>> LsmDb::BuildTable(
   }
   handle->size_bytes = fs_.SizeOf(handle->file);
   handle->reader = std::make_unique<SstableReader>(
-      fs_, handle->file, sst_opt, cache_, handle->number, tenant_,
-      &read_counters_);
+      fs_, handle->file, sst_opt, cache_, tenant_, &read_counters_);
   co_return handle;
 }
 

@@ -245,7 +245,9 @@ class LsmDb {
     uint64_t size_bytes = 0;
     std::string smallest;
     std::string largest;
-    std::unique_ptr<SstableReader> reader;  // drops the cached blocks
+    // Views the file's bytes from its cache slots, so it dies first and
+    // drops them before the file goes.
+    std::unique_ptr<SstableReader> reader;
     // Tracing lineage: the FLUSH/COMPACT span that built this table, plus a
     // bounded sample of the app-request spans whose bytes it holds. A later
     // compaction reading this table links its span to these, extending the
@@ -254,6 +256,7 @@ class LsmDb {
     obs::SpanLinkSet origin_links;
 
     ~TableHandle() {
+      reader.reset();
       if (fs != nullptr && !name.empty()) {
         fs->Delete(name);  // last reference gone: reclaim the space
       }

@@ -85,15 +85,22 @@ sim::Task<Status> SstableBuilder::Finish(const iosched::IoTag& tag) {
 
 SstableReader::SstableReader(fs::SimFs& fs, fs::FileId file,
                              SstableOptions options, BlockCache& cache,
-                             uint64_t table, iosched::TenantId tenant,
+                             iosched::TenantId tenant,
                              TableReadCounters* counters)
     : fs_(fs),
       file_(file),
       options_(options),
       cache_(cache),
-      table_(table),
-      tenant_(tenant),
+      tenant_(cache.Counters(tenant)),
       counters_(counters) {}
+
+SstableReader::~SstableReader() {
+  cache_.Erase(index_slot_);
+  cache_.Erase(filter_slot_);
+  for (BlockCache::Slot& slot : data_slots_) {
+    cache_.Erase(slot);
+  }
+}
 
 sim::Task<Status> SstableReader::LoadFooter(const iosched::IoTag& tag) {
   if (footer_cached_) {
@@ -132,13 +139,8 @@ sim::Task<StatusOr<std::string_view>> SstableReader::ReadPadded(
   co_return read->substr(offset - read_off, size);
 }
 
-sim::Task<StatusOr<TableIndexRef>> SstableReader::LoadIndex(
+sim::Task<StatusOr<TableIndexRef>> SstableReader::ReadIndex(
     const iosched::IoTag& tag) {
-  if (CachedBlockRef hit =
-          cache_.Get(tenant_, table_, BlockCache::Kind::kIndex, 0);
-      hit != nullptr) {
-    co_return hit->index;
-  }
   if (Status s = co_await LoadFooter(tag); !s.ok()) {
     co_return s;
   }
@@ -159,33 +161,29 @@ sim::Task<StatusOr<TableIndexRef>> SstableReader::LoadIndex(
     off += 12;
     index->emplace_back(std::string(key), block_off, block_size);
   }
+  if (cache_.caches_data() && data_slots_.empty()) {
+    data_slots_ = std::vector<BlockCache::Slot>(index->size());
+  }
   TableIndexRef ref = std::move(index);
-  auto block = std::make_shared<CachedBlock>();
-  block->index = ref;
-  cache_.Insert(tenant_, table_, BlockCache::Kind::kIndex, 0, std::move(block),
-                index_size_);
+  cache_.Insert(index_slot_, tenant_, *data, ref);
   co_return ref;
 }
 
-sim::Task<StatusOr<CachedBlockRef>> SstableReader::LoadFilter(
+sim::Task<StatusOr<TableIndexRef>> SstableReader::LoadIndex(
     const iosched::IoTag& tag) {
-  if (footer_cached_) {
-    if (filter_size_ == 0) {
-      co_return CachedBlockRef{};  // known filterless: zero IO, zero probes
-    }
-    // Only probe once the footer proved a filter exists — otherwise every
-    // GET against a filterless table would count a phantom cache miss.
-    if (CachedBlockRef hit =
-            cache_.Get(tenant_, table_, BlockCache::Kind::kFilter, 0);
-        hit != nullptr) {
-      co_return hit;
-    }
+  if (cache_.Get(index_slot_, BlockCache::Kind::kIndex, tenant_)) {
+    co_return index_slot_.index();
   }
+  co_return co_await ReadIndex(tag);
+}
+
+sim::Task<StatusOr<std::string_view>> SstableReader::ReadFilter(
+    const iosched::IoTag& tag) {
   if (Status s = co_await LoadFooter(tag); !s.ok()) {
     co_return s;
   }
   if (filter_size_ == 0) {
-    co_return CachedBlockRef{};
+    co_return std::string_view();
   }
   StatusOr<std::string_view> filter =
       co_await ReadPadded(tag, index_offset_ + index_size_, filter_size_);
@@ -195,86 +193,88 @@ sim::Task<StatusOr<CachedBlockRef>> SstableReader::LoadFilter(
   if (counters_ != nullptr) {
     ++counters_->filter_block_reads;
   }
-  auto block = std::make_shared<CachedBlock>();
-  block->bytes = std::string(*filter);
-  CachedBlockRef ref = std::move(block);
-  cache_.Insert(tenant_, table_, BlockCache::Kind::kFilter, 0, ref,
-                filter_size_);
-  co_return ref;
+  cache_.Insert(filter_slot_, tenant_, *filter);
+  co_return *filter;
 }
 
-sim::Task<SstableReader::GetResult> SstableReader::Get(
-    const iosched::IoTag& tag, std::string_view key,
-    SequenceNumber snapshot) {
-  GetResult result;
-  // Filter first: a negative probe proves the key absent and skips both
-  // the index and the data-block device reads.
-  bool filter_maybe = false;
-  {
-    StatusOr<CachedBlockRef> filter = co_await LoadFilter(tag);
-    if (!filter.ok()) {
-      result.status = filter.status();
-      co_return result;
-    }
-    if (*filter != nullptr) {
-      if (counters_ != nullptr) {
-        ++counters_->bloom_probes;
-      }
-      if (!BloomFilterMayContain((*filter)->bytes, key)) {
-        if (counters_ != nullptr) {
-          ++counters_->bloom_negatives;
+bool SstableReader::TryGet(std::string_view key, SequenceNumber snapshot,
+                           Lookup& lk) {
+  using Kind = BlockCache::Kind;
+  GetResult& result = lk.result;
+  switch (lk.step) {
+    case Lookup::Step::kFilter: {
+      // Filter first: a negative probe proves the key absent and skips both
+      // the index and the data-block device reads. Until the footer is
+      // loaded nobody knows whether the table has a filter, so ResumeGet
+      // reads footer and filter without counting a probe — as it does for
+      // a filterless table, whose every GET would otherwise count a
+      // phantom miss.
+      std::string_view filter = lk.bytes;
+      if (!lk.loaded) {
+        if (!footer_cached_) {
+          return false;
         }
-        co_return result;  // definitely not in this table
+        if (filter_size_ > 0) {
+          if (!cache_.Get(filter_slot_, Kind::kFilter, tenant_)) {
+            return false;
+          }
+          filter = filter_slot_.bytes();
+        }
       }
-      filter_maybe = true;
+      if (filter_size_ > 0) {
+        if (counters_ != nullptr) {
+          ++counters_->bloom_probes;
+        }
+        if (!BloomFilterMayContain(filter, key)) {
+          if (counters_ != nullptr) {
+            ++counters_->bloom_negatives;
+          }
+          return true;  // definitely not in this table
+        }
+        lk.filter_maybe = true;
+      }
+      lk.step = Lookup::Step::kIndex;
+      lk.loaded = false;
+      [[fallthrough]];
     }
+    case Lookup::Step::kIndex: {
+      if (!lk.loaded && !cache_.Get(index_slot_, Kind::kIndex, tenant_)) {
+        return false;
+      }
+      // No suspension separates the probe from the search, so the slot's
+      // index cannot be evicted under it.
+      const TableIndex& index = lk.loaded ? *lk.index : *index_slot_.index();
+      // First block whose last key >= lookup key.
+      const auto it = std::lower_bound(
+          index.begin(), index.end(), key,
+          [](const auto& entry, std::string_view k) {
+            return std::string_view(std::get<0>(entry)) < k;
+          });
+      if (it == index.end()) {
+        // Key larger than everything in the table — a filter that said
+        // maybe was wrong.
+        if (lk.filter_maybe && counters_ != nullptr) {
+          ++counters_->bloom_false_positives;
+        }
+        return true;
+      }
+      lk.block = static_cast<size_t>(it - index.begin());
+      lk.block_offset = std::get<1>(*it);
+      lk.block_size = std::get<2>(*it);
+      lk.step = Lookup::Step::kData;
+      lk.loaded = false;
+      [[fallthrough]];
+    }
+    case Lookup::Step::kData:
+      break;
   }
-  StatusOr<TableIndexRef> loaded = co_await LoadIndex(tag);
-  if (!loaded.ok()) {
-    result.status = loaded.status();
-    co_return result;
-  }
-  const TableIndex& index = **loaded;  // ref pins past eviction
-  // First block whose last key >= lookup key.
-  const auto it = std::lower_bound(
-      index.begin(), index.end(), key,
-      [](const auto& entry, std::string_view k) {
-        return std::string_view(std::get<0>(entry)) < k;
-      });
-  if (it == index.end()) {
-    // Key larger than everything in the table — a filter that said maybe
-    // was wrong.
-    if (filter_maybe && counters_ != nullptr) {
-      ++counters_->bloom_false_positives;
+  std::string_view block = lk.bytes;
+  if (!lk.loaded) {
+    if (!cache_.caches_data() ||
+        !cache_.Get(data_slots_[lk.block], Kind::kData, tenant_)) {
+      return false;
     }
-    co_return result;
-  }
-  const uint64_t block_off = std::get<1>(*it);
-  CachedBlockRef data_ref;
-  std::string_view block;  // the cached copy, or a view of the file
-  const bool data_cached = cache_.caches_data();
-  if (data_cached) {
-    data_ref = cache_.Get(tenant_, table_, BlockCache::Kind::kData, block_off);
-  }
-  if (data_ref != nullptr) {
-    block = data_ref->bytes;  // zero device IO
-  } else {
-    StatusOr<std::string_view> read =
-        co_await fs_.ReadView(file_, tag, block_off, std::get<2>(*it));
-    if (!read.ok()) {
-      result.status = read.status();
-      co_return result;
-    }
-    if (counters_ != nullptr) {
-      ++counters_->data_block_reads;
-    }
-    block = *read;
-    if (data_cached) {
-      auto filled = std::make_shared<CachedBlock>();
-      filled->bytes = std::string(block);
-      cache_.Insert(tenant_, table_, BlockCache::Kind::kData, block_off,
-                    filled, filled->bytes.size());
-    }
+    block = data_slots_[lk.block].bytes();  // zero device IO
   }
   // Scan the block for the newest visible entry (records are in internal
   // order: the first match with seq <= snapshot wins).
@@ -286,18 +286,62 @@ sim::Task<SstableReader::GetResult> SstableReader::Get(
       if (rec.type == ValueType::kDelete) {
         result.deleted = true;
       } else {
-        result.value = std::string(rec.value);
+        result.value.assign(rec.value);
       }
-      co_return result;
+      return true;
     }
     if (rec.key > key) {
       break;
     }
   }
-  if (filter_maybe && counters_ != nullptr) {
+  if (lk.filter_maybe && counters_ != nullptr) {
     ++counters_->bloom_false_positives;
   }
-  co_return result;
+  return true;
+}
+
+sim::Task<void> SstableReader::ResumeGet(const iosched::IoTag& tag,
+                                         std::string_view key,
+                                         SequenceNumber snapshot,
+                                         Lookup& lk) {
+  do {
+    Status status;
+    switch (lk.step) {
+      case Lookup::Step::kFilter: {
+        StatusOr<std::string_view> filter = co_await ReadFilter(tag);
+        status = filter.status();
+        lk.bytes = filter.ok() ? *filter : std::string_view();
+        break;
+      }
+      case Lookup::Step::kIndex: {
+        StatusOr<TableIndexRef> index = co_await ReadIndex(tag);
+        status = index.status();
+        lk.index = index.ok() ? std::move(*index) : nullptr;
+        break;
+      }
+      case Lookup::Step::kData: {
+        StatusOr<std::string_view> read = co_await fs_.ReadView(
+            file_, tag, lk.block_offset, lk.block_size);
+        status = read.status();
+        if (!read.ok()) {
+          break;
+        }
+        if (counters_ != nullptr) {
+          ++counters_->data_block_reads;
+        }
+        lk.bytes = *read;
+        if (cache_.caches_data()) {
+          cache_.Insert(data_slots_[lk.block], tenant_, lk.bytes);
+        }
+        break;
+      }
+    }
+    if (!status.ok()) {
+      lk.result.status = std::move(status);
+      co_return;
+    }
+    lk.loaded = true;
+  } while (!TryGet(key, snapshot, lk));
 }
 
 sim::Task<Status> SstableReader::RangeCursor::SkipTo(std::string_view start,

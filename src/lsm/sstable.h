@@ -19,9 +19,11 @@
 // binary-searches it, and reads exactly one data block.
 //
 // Every reader resolves its index and filter blocks through a BlockCache
-// (data blocks too when the cache caches data): a hit costs zero device IO,
-// a miss re-reads (and re-charges) the block from the device. Uncached data
-// blocks always hit the device — O_DIRECT leaves no page cache.
+// (data blocks too when the cache caches data), in slots the reader owns: a
+// hit costs zero device IO, a miss re-reads (and re-charges) the block from
+// the device. Uncached data blocks always hit the device — O_DIRECT leaves
+// no page cache. A lookup whose blocks are all resident runs as one plain
+// function call (TryGet); only a miss suspends, in ResumeGet.
 //
 // The builder emits the table as a sequential stream of chunked writes
 // (the paper's "asynchronous, io-efficient" FLUSH/COMPACT writes).
@@ -122,21 +124,21 @@ class SstableBuilder {
 };
 
 // Reads a finished table. The footer is loaded from disk on first need and
-// cached in the reader (tables are immutable). The parsed index and the
-// filter block live in `cache`, bounded by its budget (unbounded caches
-// keep them from first use on) and re-read and re-charged after eviction.
-// Data blocks are served from the cache only when it caches data.
+// cached in the reader (tables are immutable). The parsed index, the filter
+// block and (when the cache caches data) the data blocks live in the
+// reader's slots of `cache`, bounded by its budget (unbounded caches keep
+// index and filter from first use on) and re-read and re-charged after
+// eviction. The filter and data slots are views of the stored table.
 class SstableReader {
  public:
-  // `cache` holds this reader's blocks under (`tenant`, `table`) — the
-  // owning tenant and table file number; table numbers alone collide
-  // across tenants' partitions on a node-shared cache. It must outlive the
-  // reader, whose destruction drops the table's blocks from it.
-  // `counters`, if non-null, receives read-path events.
+  // `cache` holds this reader's blocks on behalf of `tenant`. It must
+  // outlive the reader, whose destruction drops the blocks from it; the
+  // table's file must outlive the reader too. `counters`, if non-null,
+  // receives read-path events.
   SstableReader(fs::SimFs& fs, fs::FileId file, SstableOptions options,
-                BlockCache& cache, uint64_t table, iosched::TenantId tenant,
+                BlockCache& cache, iosched::TenantId tenant,
                 TableReadCounters* counters = nullptr);
-  ~SstableReader() { cache_.EraseTable(tenant_, table_); }
+  ~SstableReader();
 
   SstableReader(const SstableReader&) = delete;
   SstableReader& operator=(const SstableReader&) = delete;
@@ -148,10 +150,32 @@ class SstableReader {
     Status status;         // IO / parse errors
   };
 
-  // Point lookup: newest entry for `key` visible at `snapshot`. Probes the
-  // bloom filter (when the table has one) before touching the index.
-  sim::Task<GetResult> Get(const iosched::IoTag& tag, std::string_view key,
-                           SequenceNumber snapshot);
+  // One point lookup: the newest entry for a key visible at a snapshot. It
+  // probes the bloom filter (when the table has one), then the index, then
+  // one data block. TryGet runs it as far as resident blocks allow; when it
+  // stops, `step` names the block it waits for, whose cache probe is
+  // already counted, and ResumeGet reads that block and carries on.
+  struct Lookup {
+    enum class Step : uint8_t { kFilter, kIndex, kData };
+    Step step = Step::kFilter;
+    bool loaded = false;        // ResumeGet has read step's block
+    bool filter_maybe = false;  // the filter said maybe
+    size_t block = 0;           // kData: the data block's index entry
+    uint64_t block_offset = 0;
+    uint32_t block_size = 0;
+    std::string_view bytes;  // the filter or data block ResumeGet read
+    TableIndexRef index;     // the index ResumeGet read
+    GetResult result;        // set once the lookup is done
+  };
+
+  // Runs `lk` without IO. Returns true when the lookup is done (its result
+  // in lk.result), false when it waits for a block not in the cache.
+  bool TryGet(std::string_view key, SequenceNumber snapshot, Lookup& lk);
+
+  // Finishes a lookup TryGet stopped: reads each block it waits for,
+  // charged to `tag`, until it is done.
+  sim::Task<void> ResumeGet(const iosched::IoTag& tag, std::string_view key,
+                            SequenceNumber snapshot, Lookup& lk);
 
   // Streaming in-order cursor over the table's records with user key >=
   // the seek key, for range scans. Data blocks are loaded on demand as the
@@ -220,22 +244,30 @@ class SstableReader {
                                                    uint64_t offset,
                                                    uint64_t size);
 
-  // Resolves the parsed index from the cache, else loads footer + index
-  // block from the device, charged to `tag`. The returned ref pins the
-  // index for the caller even if the cache evicts it mid-lookup.
+  // Reads footer + index block from the device, charged to `tag`, and
+  // makes the parsed index resident. The returned ref pins the index for
+  // the caller even if the cache evicts it.
+  sim::Task<StatusOr<TableIndexRef>> ReadIndex(const iosched::IoTag& tag);
+
+  // The index from the cache (a counted probe), else ReadIndex.
   sim::Task<StatusOr<TableIndexRef>> LoadIndex(const iosched::IoTag& tag);
 
-  // Resolves the filter block the same way. Returns a null ref when the
-  // table has no filter; the ref pins the bytes past cache eviction.
-  sim::Task<StatusOr<CachedBlockRef>> LoadFilter(const iosched::IoTag& tag);
+  // Reads footer + filter block the same way and returns the filter bytes,
+  // empty when the table has none.
+  sim::Task<StatusOr<std::string_view>> ReadFilter(const iosched::IoTag& tag);
 
   fs::SimFs& fs_;
   fs::FileId file_;
   SstableOptions options_;
   BlockCache& cache_;
-  uint64_t table_;
-  iosched::TenantId tenant_;
+  // This reader's tenant's counters in cache_, looked up once.
+  BlockCache::TenantCounters& tenant_;
   TableReadCounters* counters_;  // nullptr: uncounted (bare-reader tests)
+  BlockCache::Slot index_slot_;
+  BlockCache::Slot filter_slot_;
+  // One per data block when cache_ caches data, sized at the first index
+  // read and never resized.
+  std::vector<BlockCache::Slot> data_slots_;
   // Footer, cached after the first (charged) load; a post-eviction reload
   // re-reads only the evicted block.
   bool footer_cached_ = false;

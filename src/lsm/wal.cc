@@ -154,8 +154,4 @@ Status WriteAheadLog::Remove() {
   return fs_.Delete(filename_);
 }
 
-uint64_t WriteAheadLog::SizeBytes() const {
-  return file_ == fs::kInvalidFile ? 0 : fs_.SizeOf(file_);
-}
-
 }  // namespace libra::lsm

@@ -78,7 +78,6 @@ class WriteAheadLog {
   // write lands, so a rotated log must be drained before it is destroyed.
   sim::Task<void> WaitIdle();
 
-  uint64_t SizeBytes() const;
   const std::string& filename() const { return filename_; }
 
  private:

@@ -47,7 +47,7 @@ void AppendAll(LsmRig& rig, WriteAheadLog& wal,
       EXPECT_TRUE(
           (co_await wal.Append(kPutTag, r.key, r.seq, r.type, r.value)).ok());
       if (boundaries != nullptr) {
-        boundaries->push_back(wal.SizeBytes());
+        boundaries->push_back(rig.fs.SizeOf(*rig.fs.Open(wal.filename())));
       }
     }
   }());
@@ -109,7 +109,7 @@ TEST(WalFuzzTest, DamagedLogsAlwaysReplayAnIntactPrefix) {
     WriteAheadLog wal(rig.fs, name);
     EXPECT_TRUE(wal.Open().ok());
     AppendAll(rig, wal, written);
-    const uint64_t full_size = wal.SizeBytes();
+    const uint64_t full_size = rig.fs.SizeOf(*rig.fs.Open(name));
     EXPECT_GT(full_size, 0u);
 
     // Damage: truncate at a random byte, flip a random bit, or both.
@@ -163,7 +163,7 @@ TEST(WalFuzzTest, SingleBitFlipNeverFabricatesARecord) {
   WriteAheadLog wal(rig.fs, "wal_bits");
   EXPECT_TRUE(wal.Open().ok());
   AppendAll(rig, wal, written);
-  const uint64_t size = wal.SizeBytes();
+  const uint64_t size = rig.fs.SizeOf(*rig.fs.Open("wal_bits"));
   for (uint64_t off = 0; off < size; ++off) {
     for (int bit = 0; bit < 8; ++bit) {
       const uint8_t mask = static_cast<uint8_t>(1u << bit);

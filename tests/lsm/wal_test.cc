@@ -83,11 +83,12 @@ TEST(WalTest, SizeTracksAppends) {
   LsmRig rig;
   WriteAheadLog wal(rig.fs, "wal_1");
   ASSERT_TRUE(wal.Open().ok());
-  EXPECT_EQ(wal.SizeBytes(), 0u);
+  const fs::FileId file = *rig.fs.Open("wal_1");
+  EXPECT_EQ(rig.fs.SizeOf(file), 0u);
   rig.RunTask([&]() -> sim::Task<void> {
     co_await wal.Append(kPutTag, "k", 1, ValueType::kPut, std::string(100, 'v'));
   }());
-  EXPECT_GT(wal.SizeBytes(), 100u);
+  EXPECT_GT(rig.fs.SizeOf(file), 100u);
 }
 
 // --- group commit ---

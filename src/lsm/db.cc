@@ -110,12 +110,9 @@ Status LsmDb::Open() {
     if (Status s = wal.Open(); !s.ok()) {
       return s;
     }
-    Status s = wal.Replay([&](const Record& rec) {
-      if (rec.type == ValueType::kDelete) {
-        mem_->Delete(rec.key, rec.seq);
-      } else {
-        mem_->Put(rec.key, rec.seq, rec.value);
-      }
+    Status s = wal.Replay([&](const LoggedRecord& logged) {
+      const Record& rec = logged.record;
+      mem_->Add(rec, logged.pin);
       max_seq = std::max(max_seq, rec.seq);
       ++stats_.recovered_records;
       stats_.recovered_bytes += rec.key.size() + rec.value.size();
@@ -195,28 +192,26 @@ sim::Task<Status> LsmDb::WriteInternal(std::string_view key,
 
   const SequenceNumber seq = ++seq_;
   const IoTag tag{tenant_, AppRequest::kPut, op, ctx};
-  Status s = co_await wal_->Append(tag, key, seq, type, value);
+  StatusOr<LoggedRecord> logged =
+      co_await wal_->Append(tag, key, seq, type, value);
   if (dead_) {
     // The record may or may not be durable; the crash decides. Either way
     // this incarnation stops mutating state — replay arbitrates at boot.
     co_return Status::Unavailable("db killed");
   }
-  if (!s.ok()) {
-    co_return s;
+  if (!logged.ok()) {
+    co_return logged.status();
   }
-  // Insert after durability; ordering between concurrent writers is by
-  // sequence number regardless of insertion order.
-  if (type == ValueType::kDelete) {
-    mem_->Delete(key, seq, ctx);
-  } else {
-    mem_->Put(key, seq, value, ctx);
-  }
+  // Insert after durability, viewing the bytes the log stored; ordering
+  // between concurrent writers is by sequence number regardless of
+  // insertion order.
+  mem_->Add(logged->record, std::move(logged->pin), ctx);
   ++stats_.puts;
   if (mem_->ApproximateMemoryUsage() >= options_.write_buffer_bytes &&
       imm_ == nullptr) {
-    s = SealMemtable();
+    co_return SealMemtable();
   }
-  co_return s;
+  co_return Status::Ok();
 }
 
 sim::Task<Status> LsmDb::Put(std::string_view key, std::string_view value,
@@ -250,7 +245,7 @@ sim::Task<LsmDb::GetResult> LsmDb::Get(std::string_view key, TraceContext ctx) {
       if (r.deleted) {
         out.status = Status::NotFound("deleted");
       } else {
-        out.value = r.value;
+        out.value.assign(r.value);
       }
       co_return out;
     }
@@ -844,8 +839,9 @@ sim::Task<Status> LsmDb::ScanLive(
   const SequenceNumber snapshot = seq_;
   // Pin the version and both memtables before any suspension: the merge
   // below must see one consistent cut of the tree. The memtable records are
-  // views taken now, valid while the pins keep their skiplist nodes alive
-  // (a seal or flush during the table reads drops only the DB's reference);
+  // views taken now, valid while the pins keep the memtables, and the WAL
+  // segments they pin, alive (a seal or flush during the table reads drops
+  // only the DB's reference);
   // table records are views, valid while `base` holds the tables.
   const VersionRef base = current_;
   const std::shared_ptr<const MemTable> pinned[] = {mem_, imm_};

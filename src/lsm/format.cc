@@ -298,6 +298,29 @@ void EncodeRecord(std::string* dst, std::string_view key, SequenceNumber seq,
   PutLengthPrefixed(dst, value);
 }
 
+Record EncodeRecordAt(char* dst, std::string_view key, SequenceNumber seq,
+                      ValueType type, std::string_view value) {
+  Record rec{{}, {}, seq, type};
+  EncodeFixed32(dst, static_cast<uint32_t>(key.size()));
+  dst += 4;
+  if (!key.empty()) {
+    std::memcpy(dst, key.data(), key.size());
+  }
+  rec.key = std::string_view(dst, key.size());
+  dst += key.size();
+  EncodeFixed32(dst, static_cast<uint32_t>(seq & 0xFFFFFFFFu));
+  EncodeFixed32(dst + 4, static_cast<uint32_t>(seq >> 32));
+  dst += 8;
+  *dst++ = static_cast<char>(type);
+  EncodeFixed32(dst, static_cast<uint32_t>(value.size()));
+  dst += 4;
+  if (!value.empty()) {
+    std::memcpy(dst, value.data(), value.size());
+  }
+  rec.value = std::string_view(dst, value.size());
+  return rec;
+}
+
 bool DecodeRecord(std::string_view src, size_t* offset, Record* out) {
   if (!GetLengthPrefixed(src, offset, &out->key)) {
     return false;

@@ -107,6 +107,11 @@ struct Record {
 void EncodeRecord(std::string* dst, std::string_view key,
                   SequenceNumber seq, ValueType type, std::string_view value);
 
+// EncodeRecord in place: writes the record's EncodedRecordBytes at `dst`
+// and returns it, its key and value viewing the written bytes.
+Record EncodeRecordAt(char* dst, std::string_view key, SequenceNumber seq,
+                      ValueType type, std::string_view value);
+
 // Bytes EncodeRecord appends for `key` and `value`.
 inline uint64_t EncodedRecordBytes(std::string_view key,
                                    std::string_view value) {

@@ -10,7 +10,7 @@ MemTable::GetResult MemTable::Get(std::string_view key,
   // (key asc, seq desc), so the first entry >= (key, snapshot) is the
   // newest one with seq <= snapshot.
   Entry probe;
-  probe.key = std::string(key);
+  probe.key = key;
   probe.seq = snapshot;
   probe.type = ValueType::kPut;
   it.Seek(probe);
@@ -31,7 +31,7 @@ void MemTable::Iterator::Seek(std::string_view user_key) {
   // Internal order is (key asc, seq desc): the newest possible version of
   // `user_key` sorts first among its versions.
   Entry probe;
-  probe.key = std::string(user_key);
+  probe.key = user_key;
   probe.seq = kMaxSequenceNumber;
   it_.Seek(probe);
   SkipHidden();

@@ -1,14 +1,20 @@
 // In-memory write buffer: a skiplist over internal keys (user key asc,
 // sequence desc). When it reaches the configured size it is sealed and
 // FLUSHed to an L0 SSTable by a background task.
+//
+// Entries own no bytes: each views its record where the WAL stored it,
+// and the memtable pins the WAL segments its entries view, so those bytes
+// outlive the log's removal (DESIGN.md §8).
 
 #ifndef LIBRA_SRC_LSM_MEMTABLE_H_
 #define LIBRA_SRC_LSM_MEMTABLE_H_
 
-#include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/common/trace_context.h"
+#include "src/fs/sim_fs.h"
 #include "src/lsm/format.h"
 #include "src/lsm/skiplist.h"
 
@@ -16,10 +22,10 @@ namespace libra::lsm {
 
 class MemTable {
  public:
-  // One decoded, owned entry (also the unit compaction merges operate on).
+  // One entry, viewing bytes the memtable pins.
   struct Entry {
-    std::string key;
-    std::string value;
+    std::string_view key;
+    std::string_view value;
     SequenceNumber seq = 0;
     ValueType type = ValueType::kPut;
     // Insertion rank within this memtable (the entry count before it
@@ -39,21 +45,26 @@ class MemTable {
 
   MemTable() : table_(EntryComparator{}) {}
 
-  void Put(std::string_view key, SequenceNumber seq, std::string_view value,
-           TraceContext origin = {}) {
-    Add(key, seq, ValueType::kPut, value, origin);
-  }
-  void Delete(std::string_view key, SequenceNumber seq,
-              TraceContext origin = {}) {
-    Add(key, seq, ValueType::kDelete, "", origin);
+  // Inserts `rec`, whose key and value live in the segment `pin` holds
+  // (or in storage that outlives the memtable when `pin` is null).
+  // `origin` is the span of the request that wrote it.
+  void Add(const Record& rec, fs::SegmentPin pin, TraceContext origin = {}) {
+    table_.Insert(Entry{rec.key, rec.value, rec.seq, rec.type,
+                        static_cast<uint32_t>(table_.size()), origin});
+    memory_usage_ += rec.key.size() + rec.value.size() + 32;
+    // Consecutive records mostly share a segment, so only a change of
+    // segment adds a pin (an occasional repeat is harmless).
+    if (pin != nullptr && (pins_.empty() || pins_.back() != pin)) {
+      pins_.push_back(std::move(pin));
+    }
   }
 
   // Lookup result: `found` with the value for a PUT; a tombstone is
-  // signalled via `deleted`.
+  // signalled via `deleted`. `value` views the memtable's bytes.
   struct GetResult {
     bool found = false;
     bool deleted = false;
-    std::string value;
+    std::string_view value;
   };
 
   // Newest entry for `key` visible at `snapshot` (inclusive).
@@ -101,15 +112,9 @@ class MemTable {
   };
 
  private:
-  void Add(std::string_view key, SequenceNumber seq, ValueType type,
-           std::string_view value, TraceContext origin) {
-    table_.Insert(Entry{std::string(key), std::string(value), seq, type,
-                        static_cast<uint32_t>(table_.size()), origin});
-    memory_usage_ += key.size() + value.size() + 32;
-  }
-
   SkipList<Entry, EntryComparator> table_;
   size_t memory_usage_ = 0;
+  std::vector<fs::SegmentPin> pins_;  // segments the entries view
 };
 
 }  // namespace libra::lsm

@@ -11,6 +11,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace libra::lsm {
@@ -37,9 +38,9 @@ class SkipList {
     }
   }
 
-  // Inserts `key`; duplicate keys (comparator == 0) are rejected (callers
-  // make keys unique via the sequence number).
-  bool Insert(const Key& key) {
+  // Inserts `key`, moving it into its node; duplicate keys (comparator ==
+  // 0) are rejected (callers make keys unique via the sequence number).
+  bool Insert(Key key) {
     std::array<Node*, kMaxHeight> prev;
     Node* x = FindGreaterOrEqual(key, &prev);
     if (x != nullptr && cmp_(x->key, key) == 0) {
@@ -52,7 +53,7 @@ class SkipList {
       }
       height_ = height;
     }
-    Node* node = NewNode(key, height);
+    Node* node = NewNode(std::move(key), height);
     for (int i = 0; i < height; ++i) {
       node->next[i] = prev[i]->next[i];
       prev[i]->next[i] = node;
@@ -101,9 +102,9 @@ class SkipList {
     Node* next[1];  // over-allocated to `height`
   };
 
-  static Node* NewNode(const Key& key, int height) {
+  static Node* NewNode(Key key, int height) {
     void* mem = ::operator new(sizeof(Node) + sizeof(Node*) * (height - 1));
-    Node* n = new (mem) Node{key, height, {nullptr}};
+    Node* n = new (mem) Node{std::move(key), height, {nullptr}};
     for (int i = 0; i < height; ++i) {
       n->next[i] = nullptr;
     }

@@ -42,6 +42,14 @@ struct WalOptions {
   uint32_t group_max_records = 64;
 };
 
+// A record as stored in the log: `record`'s key and value view the log
+// file's bytes, which `pin` keeps alive past later appends, the log's
+// removal and the filesystem's fault hooks.
+struct LoggedRecord {
+  Record record;
+  fs::SegmentPin pin;
+};
+
 // Group-commit counters, owned by the caller (LsmDb) so they survive WAL
 // rotation at memtable seal.
 struct WalCounters {
@@ -59,16 +67,19 @@ class WriteAheadLog {
   // Creates (or truncates) the log file.
   Status Open();
 
-  // Appends one record and waits until it is durable. Concurrent appends
+  // Appends one record and waits until it is durable; returns it as
+  // stored. The frame is encoded straight into the file. Concurrent appends
   // from different client tasks are safe; with group commit they coalesce
   // into shared device writes, otherwise their IO overlaps.
-  sim::Task<Status> Append(const iosched::IoTag& tag, std::string_view key,
-                           SequenceNumber seq, ValueType type,
-                           std::string_view value);
+  sim::Task<StatusOr<LoggedRecord>> Append(const iosched::IoTag& tag,
+                                           std::string_view key,
+                                           SequenceNumber seq, ValueType type,
+                                           std::string_view value);
 
-  // Replays all intact records in file order. Stops at corruption (torn
-  // tail) without error — that is the crash-recovery contract.
-  Status Replay(const std::function<void(const Record&)>& fn) const;
+  // Replays all intact records in file order, each viewing the file's
+  // bytes. Stops at corruption (torn tail) without error — that is the
+  // crash-recovery contract.
+  Status Replay(const std::function<void(const LoggedRecord&)>& fn) const;
 
   // Deletes the log file (after a successful FLUSH).
   Status Remove();
@@ -81,16 +92,19 @@ class WriteAheadLog {
   const std::string& filename() const { return filename_; }
 
  private:
-  // One queued record awaiting a group commit.
+  // One queued record awaiting a group commit. Its key and value view the
+  // waiting writer's bytes until the leader encodes them into the log.
   struct Pending {
-    std::string frame;
+    Record record;
     iosched::IoTag tag;
     sim::OneShot<Status>* done;
+    LoggedRecord* stored;  // where the leader hands back the stored record
   };
 
-  // Group-commit path: enqueue the frame; lead the batch loop if no sync
+  // Group-commit path: enqueue the record; lead the batch loop if no sync
   // is in flight, else wait to be committed by the current leader.
-  sim::Task<Status> AppendBatched(iosched::IoTag tag, std::string frame);
+  sim::Task<StatusOr<LoggedRecord>> AppendBatched(iosched::IoTag tag,
+                                                  Record record);
 
   struct IdleAwaiter {
     WriteAheadLog* wal;

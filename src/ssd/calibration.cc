@@ -22,24 +22,22 @@ double InterpolateIops(const std::vector<uint32_t>& sizes_kb,
                        const std::vector<double>& iops, uint32_t size_bytes) {
   assert(!sizes_kb.empty());
   const double kb = std::max(1.0, static_cast<double>(size_bytes) / 1024.0);
-  const double x = std::log2(kb);
-  const double x_lo = std::log2(static_cast<double>(sizes_kb.front()));
-  const double x_hi = std::log2(static_cast<double>(sizes_kb.back()));
-  if (x <= x_lo) {
+  // log2 is monotone, so the bracket is found on the sizes themselves.
+  if (kb <= sizes_kb.front()) {
     return iops.front();
   }
-  if (x >= x_hi) {
+  if (kb >= sizes_kb.back()) {
     return iops.back();
   }
-  for (size_t i = 1; i < sizes_kb.size(); ++i) {
-    const double xi = std::log2(static_cast<double>(sizes_kb[i]));
-    if (x <= xi) {
-      const double xp = std::log2(static_cast<double>(sizes_kb[i - 1]));
-      const double frac = (x - xp) / (xi - xp);
-      return iops[i - 1] * (1.0 - frac) + iops[i] * frac;
-    }
+  size_t i = 1;
+  while (kb > sizes_kb[i]) {
+    ++i;
   }
-  return iops.back();
+  const double x = std::log2(kb);
+  const double xi = std::log2(static_cast<double>(sizes_kb[i]));
+  const double xp = std::log2(static_cast<double>(sizes_kb[i - 1]));
+  const double frac = (x - xp) / (xi - xp);
+  return iops[i - 1] * (1.0 - frac) + iops[i] * frac;
 }
 
 struct ProbeState {

@@ -17,7 +17,11 @@ SsdDevice::SsdDevice(sim::EventLoop& loop, Ftl ftl, DeviceOptions options)
       options_(options),
       ftl_(std::move(ftl)),
       die_free_at_(profile_.num_dies, 0),
-      die_last_type_(profile_.num_dies, IoType::kRead) {
+      die_last_type_(profile_.num_dies, IoType::kRead),
+      die_order_(profile_.num_dies) {
+  for (int d = 0; d < profile_.num_dies; ++d) {
+    die_order_[d] = d;
+  }
   stream_ends_.fill(UINT64_MAX);
   qd_start_time_ = loop_.Now();
   qd_last_change_ = qd_start_time_;
@@ -136,19 +140,17 @@ void SsdDevice::Submit(const IoRequest& req, CompletionFn done) {
 
     // Firmware programs whichever dies are available first: rank dies by
     // earliest availability so placement fills idle dies (the behavior the
-    // calibration curves price in for every workload alike).
-    std::vector<int> die_order(profile_.num_dies);
-    for (int d = 0; d < profile_.num_dies; ++d) {
-      die_order[d] = d;
-    }
-    std::sort(die_order.begin(), die_order.end(), [this](int a, int b) {
+    // calibration curves price in for every workload alike). The order is
+    // total, so sorting the last write's order gives the same result as
+    // sorting the identity.
+    std::sort(die_order_.begin(), die_order_.end(), [this](int a, int b) {
       if (die_free_at_[a] != die_free_at_[b]) {
         return die_free_at_[a] < die_free_at_[b];
       }
       return a < b;
     });
     FtlWriteResult placement =
-        ftl_.Write(span.first_page, span.npages, &die_order);
+        ftl_.Write(span.first_page, span.npages, &die_order_);
     SimTime dies_done = data_ready;
     for (const DiePlacement& p : placement.placements) {
       const SimDuration die_busy =

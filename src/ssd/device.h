@@ -138,6 +138,8 @@ class SsdDevice {
   SimTime bus_free_at_ = 0;
   std::vector<SimTime> die_free_at_;
   std::vector<IoType> die_last_type_;
+  // Dies ranked by availability for the current write (reused by Submit).
+  std::vector<int> die_order_;
 
   // Ring of recent stream end-offsets for sequentiality detection.
   static constexpr int kMaxStreams = 16;

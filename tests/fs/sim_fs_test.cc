@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/iosched/cost_model.h"
@@ -367,6 +369,210 @@ TEST(SimFsTest, WriteFileRejectsNonEmptyFileAndZeroChunks) {
   rig.RunTask(writer());
   EXPECT_EQ(rig.fs.SizeOf(id), 1u);
   EXPECT_EQ(rig.fs.SizeOf(empty), 0u);
+}
+
+TEST(SimFsTest, AppendEncodesInPlaceAndReturnsPinnedBytes) {
+  FsRig rig;
+  const FileId id = *rig.fs.Create("f");
+  rig.RunTask([&]() -> sim::Task<void> {
+    const auto fill = [](char* dst) { std::memcpy(dst, "abcdef", 6); };
+    StatusOr<StoredBytes> first = co_await rig.fs.Append(id, rig.tag, 6, fill);
+    EXPECT_TRUE(first.ok());
+    EXPECT_EQ(first->bytes, "abcdef");
+    StatusOr<StoredBytes> second = co_await rig.fs.Append(id, rig.tag, "gh");
+    EXPECT_TRUE(second.ok());
+    EXPECT_EQ(second->bytes, "gh");
+    // Both appends landed in the file's first segment, one after the other.
+    EXPECT_EQ(second->pin, first->pin);
+    EXPECT_EQ(second->bytes.data(), first->bytes.data() + 6);
+    EXPECT_EQ(first->bytes, "abcdef");
+  }());
+  EXPECT_EQ(rig.fs.SizeOf(id), 8u);
+}
+
+TEST(SimFsTest, PinnedSegmentSurvivesDelete) {
+  FsRig rig;
+  const FileId id = *rig.fs.Create("f");
+  StoredBytes held;
+  rig.RunTask([&]() -> sim::Task<void> {
+    StatusOr<StoredBytes> stored = co_await rig.fs.Append(id, rig.tag, "kept");
+    EXPECT_TRUE(stored.ok());
+    held = *stored;
+  }());
+  EXPECT_EQ(held.pin.use_count(), 2);  // the file and this holder
+  ASSERT_TRUE(rig.fs.Delete("f").ok());
+  EXPECT_EQ(held.pin.use_count(), 1);
+  EXPECT_EQ(held.bytes, "kept");
+}
+
+// Seeded differential check of the segment store against one std::string
+// per file, over every operation that reads or changes file bytes. Every
+// view an append returned is held with its pin and must keep showing the
+// bytes it stored, across later appends, merging reads, fault hooks and
+// the Delete of its file.
+TEST(SimFsTest, SegmentsMatchStringModelDifferentially) {
+  FsRig rig;
+  constexpr int kFiles = 3;
+  constexpr int kOps = 2500;
+  uint64_t rng = 0x5EED;
+  const auto next = [&rng](uint64_t n) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (rng >> 33) % n;
+  };
+  const auto bytes_of = [&next](uint64_t n) {
+    std::string s(n, '\0');
+    for (char& c : s) {
+      c = static_cast<char>(next(256));
+    }
+    return s;
+  };
+  const auto name_of = [](int f) { return "f" + std::to_string(f); };
+  std::vector<FileId> ids;
+  std::vector<std::string> model(kFiles);
+  for (int f = 0; f < kFiles; ++f) {
+    ids.push_back(*rig.fs.Create(name_of(f)));
+  }
+  const uint64_t extents_at_start = rig.fs.stats().extents_free;
+  struct Held {
+    StoredBytes stored;
+    std::string expected;
+  };
+  std::vector<Held> held;
+  const auto check_held = [&held](int op) {
+    for (size_t i = 0; i < held.size(); ++i) {
+      ASSERT_EQ(held[i].stored.bytes, held[i].expected)
+          << "op " << op << " view " << i;
+    }
+  };
+  rig.RunTask([&]() -> sim::Task<void> {
+    for (int op = 0; op < kOps; ++op) {
+      const int f = static_cast<int>(next(kFiles));
+      std::string& m = model[f];
+      // Mostly small records, sometimes one past a segment or an extent.
+      const uint64_t len =
+          next(10) == 0 ? 1 + next(1500 * 1024) : 1 + next(3000);
+      switch (next(10)) {
+        case 0:
+        case 1:
+        case 2: {
+          const std::string data = bytes_of(len);
+          StatusOr<StoredBytes> stored =
+              co_await rig.fs.Append(ids[f], rig.tag, data);
+          EXPECT_TRUE(stored.ok());
+          EXPECT_EQ(stored->bytes, data);
+          m += data;
+          held.push_back({*stored, data});
+          break;
+        }
+        case 3: {  // a group-commit-style batch of 1-3 contributors
+          const std::string data = bytes_of(len);
+          std::vector<iosched::IoShare> manifest;
+          uint64_t left = data.size();
+          while (left > 0) {
+            const uint64_t part = manifest.size() == 2 ? left : 1 + next(left);
+            manifest.push_back({rig.tag, static_cast<uint32_t>(part)});
+            left -= part;
+          }
+          const auto fill = [&data](char* dst) {
+            std::memcpy(dst, data.data(), data.size());
+          };
+          StatusOr<StoredBytes> stored = co_await rig.fs.AppendShared(
+              ids[f], std::move(manifest), data.size(), fill);
+          EXPECT_TRUE(stored.ok());
+          EXPECT_EQ(stored->bytes, data);
+          m += data;
+          held.push_back({*stored, data});
+          break;
+        }
+        case 4: {  // a whole-file write, when the file is empty
+          if (!m.empty()) {
+            break;
+          }
+          const std::string data = bytes_of(len);
+          EXPECT_TRUE((co_await rig.fs.WriteFile(
+                           ids[f], rig.tag, data,
+                           static_cast<uint32_t>(1 + next(256 * 1024))))
+                          .ok());
+          m = data;
+          break;
+        }
+        case 5: {  // a read, often across segments (which merges them)
+          if (m.empty()) {
+            break;
+          }
+          const uint64_t off = next(m.size());
+          const uint64_t n = 1 + next(m.size() - off);
+          if (next(2) == 0) {
+            StatusOr<std::string_view> v =
+                co_await rig.fs.ReadView(ids[f], rig.tag, off, n);
+            EXPECT_TRUE(v.ok());
+            EXPECT_EQ(*v, std::string_view(m).substr(off, n)) << "op " << op;
+          } else {
+            std::string out;
+            EXPECT_TRUE(
+                (co_await rig.fs.ReadAt(ids[f], rig.tag, off, n, &out)).ok());
+            EXPECT_EQ(out, m.substr(off, n)) << "op " << op;
+          }
+          break;
+        }
+        case 6: {  // a host-side pinned peek
+          if (m.empty()) {
+            break;
+          }
+          const uint64_t off = next(m.size());
+          const uint64_t n = 1 + next(m.size() - off);
+          StatusOr<StoredBytes> v = rig.fs.PeekView(ids[f], off, n);
+          EXPECT_TRUE(v.ok());
+          EXPECT_EQ(v->bytes, std::string_view(m).substr(off, n));
+          held.push_back({*v, m.substr(off, n)});
+          break;
+        }
+        case 7: {
+          const uint64_t size = next(m.size() + 16);
+          EXPECT_TRUE(rig.fs.Truncate(name_of(f), size).ok());
+          if (size < m.size()) {
+            m.resize(size);
+          }
+          break;
+        }
+        case 8: {
+          if (m.empty()) {
+            break;
+          }
+          const uint64_t off = next(m.size());
+          const uint8_t mask = static_cast<uint8_t>(1 + next(255));
+          EXPECT_TRUE(rig.fs.CorruptByte(name_of(f), off, mask).ok());
+          m[off] = static_cast<char>(static_cast<uint8_t>(m[off]) ^ mask);
+          break;
+        }
+        case 9: {
+          if (next(4) != 0) {
+            break;  // deletes are rarer, so files grow across segments
+          }
+          EXPECT_TRUE(rig.fs.Delete(name_of(f)).ok());
+          ids[f] = *rig.fs.Create(name_of(f));
+          m.clear();
+          break;
+        }
+      }
+      EXPECT_EQ(rig.fs.SizeOf(ids[f]), m.size()) << "op " << op;
+      if (op % 50 == 0) {
+        std::string all;
+        EXPECT_TRUE(rig.fs.PeekContents(ids[f], &all).ok());
+        EXPECT_EQ(all, m) << "op " << op;
+        check_held(op);
+      }
+    }
+  }());
+  check_held(kOps);
+  for (int f = 0; f < kFiles; ++f) {
+    std::string all;
+    EXPECT_TRUE(rig.fs.PeekContents(ids[f], &all).ok());
+    EXPECT_EQ(all, model[f]);
+    EXPECT_TRUE(rig.fs.Delete(name_of(f)).ok());
+  }
+  check_held(kOps);
+  EXPECT_EQ(rig.fs.stats().extents_free, extents_at_start);
 }
 
 }  // namespace

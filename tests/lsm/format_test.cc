@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 namespace libra::lsm {
@@ -140,6 +142,30 @@ TEST(FormatTest, RecordRoundTrip) {
   EXPECT_EQ(r.key, "key2");
   EXPECT_EQ(r.type, ValueType::kDelete);
   EXPECT_FALSE(DecodeRecord(buf, &off, &r));
+}
+
+// The WAL encodes in place; its bytes must be the ones EncodeRecord
+// appends, and the returned record must view its own key and value.
+TEST(FormatTest, EncodeRecordAtWritesEncodeRecordBytes) {
+  const std::string value(300, 'v');
+  for (const auto& [key, seq, type, val] :
+       {std::tuple<std::string_view, SequenceNumber, ValueType,
+                   std::string_view>{"key1", 42, ValueType::kPut, value},
+        {"k", 0x0123456789ABCDEFull, ValueType::kDelete, ""},
+        {"", 7, ValueType::kPut, "x"}}) {
+    std::string appended;
+    EncodeRecord(&appended, key, seq, type, val);
+    std::string in_place(EncodedRecordBytes(key, val), '\0');
+    const Record r = EncodeRecordAt(in_place.data(), key, seq, type, val);
+    EXPECT_EQ(in_place, appended);
+    EXPECT_EQ(r.key, key);
+    EXPECT_EQ(r.value, val);
+    EXPECT_EQ(r.seq, seq);
+    EXPECT_EQ(r.type, type);
+    EXPECT_EQ(r.key.data(), in_place.data() + 4);
+    EXPECT_EQ(r.value.data() + r.value.size(),
+              in_place.data() + in_place.size());
+  }
 }
 
 TEST(FormatTest, RecordDecodeRejectsTruncation) {

@@ -1,7 +1,8 @@
 // A cache hit allocates nothing: once every block of a table is resident,
 // SstableReader::TryGet answers a bloom-negative key, and a found key whose
 // value fits in std::string's inline buffer, without one heap allocation.
-// A counting global operator new watches the lookup; it is its own binary
+// And a PUT's bytes are stored once: the memtable views the WAL's copy.
+// A counting global operator new watches both; it is its own binary
 // because the replacement applies to the whole program.
 
 #include <gtest/gtest.h>
@@ -13,17 +14,20 @@
 #include <string>
 #include <vector>
 
+#include "src/lsm/db.h"
 #include "src/lsm/sstable.h"
 #include "tests/lsm/lsm_rig.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_allocated_bytes{0};
 }  // namespace
 
 // Out of line, so the compiler never pairs an inlined malloc or free with
 // a new-expression at a call site.
 [[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
   }
@@ -134,6 +138,43 @@ TEST(HitAllocTest, ResidentLookupsAllocateNothing) {
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(result.value, "v1234");
   EXPECT_EQ(counters.data_block_reads, reads);  // no device read either
+}
+
+// Before the memtable viewed the WAL, each PUT byte was allocated about
+// four times: the WAL frame, the log file's growth, the memtable entry and
+// its skiplist node's copy.
+TEST(PutAllocTest, PutsAllocateTheirValueBytesAboutOnce) {
+  constexpr int kPuts = 64;
+  constexpr uint64_t kValueBytes = 64 * 1024;
+  LsmRig rig;
+  LsmOptions options;
+  options.write_buffer_bytes = 64 * kMiB;  // no flush: all stay in memory
+  LsmDb db(rig.loop, rig.fs, rig.sched, 1, "t1", options);
+  ASSERT_TRUE(db.Open().ok());
+  const std::string value(kValueBytes, 'v');
+  const std::vector<std::string> keys = [] {
+    std::vector<std::string> k;
+    for (int i = 0; i < kPuts; ++i) {
+      k.push_back(KeyOf(i));
+    }
+    return k;
+  }();
+  const uint64_t before = g_allocated_bytes.load();
+  rig.RunTask([&]() -> sim::Task<void> {
+    for (const std::string& key : keys) {
+      EXPECT_TRUE((co_await db.Put(key, value)).ok());
+    }
+  }());
+  const uint64_t allocated = g_allocated_bytes.load() - before;
+  const uint64_t value_bytes = kPuts * kValueBytes;
+  EXPECT_LT(allocated, value_bytes + value_bytes / 4)
+      << "allocated " << allocated << " for " << value_bytes;
+  EXPECT_EQ(db.stats().flushes, 0u);
+  rig.RunTask([&]() -> sim::Task<void> {
+    const LsmDb::GetResult r = co_await db.Get(keys[kPuts / 2]);
+    EXPECT_TRUE(r.status.ok());
+    EXPECT_EQ(r.value, value);
+  }());
 }
 
 }  // namespace

@@ -3,15 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace libra::lsm {
 namespace {
 
+// The entries view their bytes without pinning them: every test key and
+// value here is a string literal, which outlives the memtable.
+void Put(MemTable& mt, std::string_view key, SequenceNumber seq,
+         std::string_view value) {
+  mt.Add(Record{key, value, seq, ValueType::kPut}, nullptr);
+}
+
+void Delete(MemTable& mt, std::string_view key, SequenceNumber seq) {
+  mt.Add(Record{key, "", seq, ValueType::kDelete}, nullptr);
+}
+
 TEST(MemTableTest, PutThenGet) {
   MemTable mt;
-  mt.Put("key", 1, "value");
+  Put(mt, "key", 1, "value");
   const auto r = mt.Get("key");
   EXPECT_TRUE(r.found);
   EXPECT_FALSE(r.deleted);
@@ -20,22 +32,22 @@ TEST(MemTableTest, PutThenGet) {
 
 TEST(MemTableTest, MissingKeyNotFound) {
   MemTable mt;
-  mt.Put("key", 1, "value");
+  Put(mt, "key", 1, "value");
   EXPECT_FALSE(mt.Get("other").found);
 }
 
 TEST(MemTableTest, NewestVersionWins) {
   MemTable mt;
-  mt.Put("key", 1, "v1");
-  mt.Put("key", 2, "v2");
-  mt.Put("key", 3, "v3");
+  Put(mt, "key", 1, "v1");
+  Put(mt, "key", 2, "v2");
+  Put(mt, "key", 3, "v3");
   EXPECT_EQ(mt.Get("key").value, "v3");
 }
 
 TEST(MemTableTest, SnapshotSeesOlderVersion) {
   MemTable mt;
-  mt.Put("key", 1, "v1");
-  mt.Put("key", 5, "v5");
+  Put(mt, "key", 1, "v1");
+  Put(mt, "key", 5, "v5");
   EXPECT_EQ(mt.Get("key", 4).value, "v1");
   EXPECT_EQ(mt.Get("key", 5).value, "v5");
   EXPECT_FALSE(mt.Get("key", 0).found);
@@ -43,8 +55,8 @@ TEST(MemTableTest, SnapshotSeesOlderVersion) {
 
 TEST(MemTableTest, DeleteLeavesTombstone) {
   MemTable mt;
-  mt.Put("key", 1, "value");
-  mt.Delete("key", 2);
+  Put(mt, "key", 1, "value");
+  Delete(mt, "key", 2);
   const auto r = mt.Get("key");
   EXPECT_TRUE(r.found);
   EXPECT_TRUE(r.deleted);
@@ -55,16 +67,17 @@ TEST(MemTableTest, DeleteLeavesTombstone) {
 TEST(MemTableTest, MemoryUsageGrows) {
   MemTable mt;
   EXPECT_EQ(mt.ApproximateMemoryUsage(), 0u);
-  mt.Put("key", 1, std::string(1000, 'v'));
+  const std::string value(1000, 'v');
+  Put(mt, "key", 1, value);
   EXPECT_GT(mt.ApproximateMemoryUsage(), 1000u);
 }
 
 TEST(MemTableTest, IterationInInternalOrder) {
   MemTable mt;
-  mt.Put("b", 2, "b2");
-  mt.Put("a", 1, "a1");
-  mt.Put("b", 5, "b5");
-  mt.Put("c", 3, "c3");
+  Put(mt, "b", 2, "b2");
+  Put(mt, "a", 1, "a1");
+  Put(mt, "b", 5, "b5");
+  Put(mt, "c", 3, "c3");
   MemTable::Iterator it(&mt);
   it.SeekToFirst();
   std::vector<std::pair<std::string, SequenceNumber>> seen;
@@ -79,8 +92,8 @@ TEST(MemTableTest, IterationInInternalOrder) {
 
 TEST(MemTableTest, PrefixKeysDistinct) {
   MemTable mt;
-  mt.Put("ab", 1, "x");
-  mt.Put("abc", 2, "y");
+  Put(mt, "ab", 1, "x");
+  Put(mt, "abc", 2, "y");
   EXPECT_EQ(mt.Get("ab").value, "x");
   EXPECT_EQ(mt.Get("abc").value, "y");
   EXPECT_FALSE(mt.Get("a").found);
@@ -88,10 +101,10 @@ TEST(MemTableTest, PrefixKeysDistinct) {
 
 TEST(MemTableTest, SeekLandsOnNewestVersionOfFirstKeyAtOrAfter) {
   MemTable mt;
-  mt.Put("a", 1, "a1");
-  mt.Put("c", 2, "c2");
-  mt.Put("c", 7, "c7");
-  mt.Put("d", 3, "d3");
+  Put(mt, "a", 1, "a1");
+  Put(mt, "c", 2, "c2");
+  Put(mt, "c", 7, "c7");
+  Put(mt, "d", 3, "d3");
   MemTable::Iterator it(&mt);
   it.Seek("b");
   ASSERT_TRUE(it.Valid());
@@ -106,14 +119,14 @@ TEST(MemTableTest, SeekLandsOnNewestVersionOfFirstKeyAtOrAfter) {
 
 TEST(MemTableTest, IteratorHidesEntriesInsertedAfterItOpened) {
   MemTable mt;
-  mt.Put("b", 5, "b5");
-  mt.Put("d", 6, "d6");
+  Put(mt, "b", 5, "b5");
+  Put(mt, "d", 6, "d6");
   MemTable::Iterator it(&mt);
   it.Seek("a");
   // Lands mid-iteration, with a sequence number below the others (a writer
   // whose WAL append finished late): still invisible to this iterator.
-  mt.Put("c", 1, "c1");
-  mt.Put("b", 2, "b2");
+  Put(mt, "c", 1, "c1");
+  Put(mt, "b", 2, "b2");
   std::vector<std::pair<std::string, SequenceNumber>> seen;
   for (; it.Valid(); it.Next()) {
     seen.emplace_back(it.entry().key, it.entry().seq);

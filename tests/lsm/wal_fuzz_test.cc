@@ -62,7 +62,8 @@ size_t ReplayAndCheckPrefix(const WriteAheadLog& wal,
   std::vector<std::string> values;
   std::vector<SequenceNumber> seqs;
   std::vector<ValueType> types;
-  const Status s = wal.Replay([&](const Record& r) {
+  const Status s = wal.Replay([&](const LoggedRecord& logged) {
+    const Record& r = logged.record;
     keys.emplace_back(r.key);
     values.emplace_back(r.value);
     seqs.push_back(r.seq);

@@ -26,9 +26,9 @@ TEST(WalTest, AppendAndReplay) {
   }());
   std::vector<Record> records;
   std::vector<std::string> keys;  // Record holds views; copy out
-  ASSERT_TRUE(wal.Replay([&](const Record& r) {
-                   records.push_back(r);
-                   keys.emplace_back(r.key);
+  ASSERT_TRUE(wal.Replay([&](const LoggedRecord& r) {
+                   records.push_back(r.record);
+                   keys.emplace_back(r.record.key);
                  })
                   .ok());
   ASSERT_EQ(records.size(), 2u);
@@ -53,7 +53,7 @@ TEST(WalTest, ReplayStopsAtTornTail) {
     co_await rig.fs.Append(*rig.fs.Open("wal_1"), kPutTag, torn);
   }());
   int count = 0;
-  ASSERT_TRUE(wal.Replay([&](const Record&) { ++count; }).ok());
+  ASSERT_TRUE(wal.Replay([&](const LoggedRecord&) { ++count; }).ok());
   EXPECT_EQ(count, 2);
 }
 
@@ -127,7 +127,9 @@ TEST(WalGroupCommitTest, ConcurrentAppendsCoalesceAndReplayInArrivalOrder) {
   EXPECT_LT(counters.batches, static_cast<uint64_t>(kN));
   EXPECT_GE(counters.max_batch_records, 2u);
   std::vector<std::string> keys;
-  ASSERT_TRUE(wal.Replay([&](const Record& r) { keys.emplace_back(r.key); })
+  ASSERT_TRUE(wal.Replay([&](const LoggedRecord& r) {
+                   keys.emplace_back(r.record.key);
+                 })
                   .ok());
   ASSERT_EQ(keys.size(), static_cast<size_t>(kN));
   for (int i = 0; i < kN; ++i) {
@@ -154,7 +156,7 @@ TEST(WalGroupCommitTest, RecordBoundCapsBatches) {
   EXPECT_LE(counters.max_batch_records, 2u);
   EXPECT_GE(counters.batches, 5u);  // 9 records at <= 2 per batch
   int replayed = 0;
-  ASSERT_TRUE(wal.Replay([&](const Record&) { ++replayed; }).ok());
+  ASSERT_TRUE(wal.Replay([&](const LoggedRecord&) { ++replayed; }).ok());
   EXPECT_EQ(replayed, 9);
 }
 
@@ -179,7 +181,7 @@ TEST(WalGroupCommitTest, ByteBoundStillAcceptsFirstRecord) {
   EXPECT_EQ(counters.batches, 4u);
   EXPECT_EQ(counters.max_batch_records, 1u);
   int replayed = 0;
-  ASSERT_TRUE(wal.Replay([&](const Record&) { ++replayed; }).ok());
+  ASSERT_TRUE(wal.Replay([&](const LoggedRecord&) { ++replayed; }).ok());
   EXPECT_EQ(replayed, 4);
 }
 
@@ -206,8 +208,10 @@ TEST(WalGroupCommitTest, TornTailAfterBatchesReplaysIntactPrefix) {
     co_await rig.fs.Append(*rig.fs.Open("wal_1"), kPutTag, torn);
   }());
   std::vector<SequenceNumber> seqs;
-  ASSERT_TRUE(
-      wal.Replay([&](const Record& r) { seqs.push_back(r.seq); }).ok());
+  ASSERT_TRUE(wal.Replay([&](const LoggedRecord& r) {
+                   seqs.push_back(r.record.seq);
+                 })
+                  .ok());
   ASSERT_EQ(seqs.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(seqs[i], static_cast<SequenceNumber>(i + 1));
@@ -246,9 +250,9 @@ TEST(WalTest, ReopenExistingLogReplays) {
   ASSERT_TRUE(recovered.Open().ok());
   int count = 0;
   SequenceNumber seq = 0;
-  ASSERT_TRUE(recovered.Replay([&](const Record& r) {
+  ASSERT_TRUE(recovered.Replay([&](const LoggedRecord& r) {
                    ++count;
-                   seq = r.seq;
+                   seq = r.record.seq;
                  })
                   .ok());
   EXPECT_EQ(count, 1);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "src/ssd/device.h"
 #include "src/ssd/profile.h"
 
@@ -89,6 +95,47 @@ TEST_F(CalibrationFixture, InterpolationIsMonotoneBetweenPoints) {
     const double cur = t.RandReadIops(s);
     EXPECT_LE(cur, prev * 1.02) << "size " << s;
     prev = cur;
+  }
+}
+
+// The interpolation as it was before it found the bracket by comparing
+// sizes: log2 of every sweep point on every call.
+double Log2ScanInterpolate(const std::vector<uint32_t>& sizes_kb,
+                           const std::vector<double>& iops,
+                           uint32_t size_bytes) {
+  const double kb = std::max(1.0, static_cast<double>(size_bytes) / 1024.0);
+  const double x = std::log2(kb);
+  const double x_lo = std::log2(static_cast<double>(sizes_kb.front()));
+  const double x_hi = std::log2(static_cast<double>(sizes_kb.back()));
+  if (x <= x_lo) {
+    return iops.front();
+  }
+  if (x >= x_hi) {
+    return iops.back();
+  }
+  for (size_t i = 1; i < sizes_kb.size(); ++i) {
+    const double xi = std::log2(static_cast<double>(sizes_kb[i]));
+    if (x <= xi) {
+      const double xp = std::log2(static_cast<double>(sizes_kb[i - 1]));
+      const double frac = (x - xp) / (xi - xp);
+      return iops[i - 1] * (1.0 - frac) + iops[i] * frac;
+    }
+  }
+  return iops.back();
+}
+
+TEST_F(CalibrationFixture, InterpolationMatchesLog2ScanBitForBit) {
+  const auto& t = *table_;
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  for (uint32_t size = 0; size <= 4 * 1024 * 1024; size += 512) {
+    for (const uint32_t s : {size, size + 1}) {
+      ASSERT_EQ(bits(t.RandReadIops(s)),
+                bits(Log2ScanInterpolate(t.sizes_kb, t.rand_read_iops, s)))
+          << "size " << s;
+      ASSERT_EQ(bits(t.RandWriteIops(s)),
+                bits(Log2ScanInterpolate(t.sizes_kb, t.rand_write_iops, s)))
+          << "size " << s;
+    }
   }
 }
 

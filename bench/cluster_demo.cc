@@ -160,7 +160,7 @@ int RunDemo(const BenchArgs& args) {
   // Mid-run shard migration under live traffic: move the skewed tenant's
   // slot 0 one node over. Gated requests suspend, nothing is lost.
   const int mig_slot = 0;
-  const int mig_from = cl.shard_map().HomeOf(kTenants[0].tenant, mig_slot);
+  const int mig_from = cl.HomeOf(kTenants[0].tenant, mig_slot);
   const int mig_to = (mig_from + 1) % cl.num_nodes();
   Status mig_status = Status::Internal("migration never ran");
   loop.ScheduleAt(t_mid, [&] {

@@ -78,26 +78,30 @@ BENCHMARK(BM_CostModelFitted);
 // completion — the paper's "constant time" scheduling claim. Reads rotate
 // over `active` of `registered` tenants (every registered/active-th id);
 // the rest stay registered and idle. Per-op cost should stay ~flat in both.
+// Tags carry the tenant's slot, as a node's requests do.
 void SchedulerRoundTrip(benchmark::State& state, int registered, int active) {
   sim::EventLoop loop;
   ssd::SsdDevice device(loop, ssd::Intel320Profile());
   device.Prefill(256 * kMiB);
   iosched::IoScheduler sched(loop, device,
                              std::make_unique<iosched::ExactCostModel>(MicroTable()));
+  std::vector<iosched::TenantSlot> slot_of(registered);
   for (int t = 0; t < registered; ++t) {
-    sched.SetAllocation(t, 1000.0);
+    slot_of[t] = sched.slots().Assign(static_cast<iosched::TenantId>(t));
+    sched.SetAllocation(slot_of[t], 1000.0);
   }
   const int stride = registered / active;
   Rng rng(3);
   uint64_t i = 0;
   for (auto _ : state) {
-    const iosched::TenantId t =
-        static_cast<iosched::TenantId>(i++ % active * stride);
-    sim::Detach([](iosched::IoScheduler& s, iosched::TenantId id,
+    const int t = static_cast<int>(i++ % active) * stride;
+    const iosched::IoTag tag{.tenant = static_cast<iosched::TenantId>(t),
+                             .app = iosched::AppRequest::kGet,
+                             .slot = slot_of[t]};
+    sim::Detach([](iosched::IoScheduler& s, iosched::IoTag tag,
                    uint64_t off) -> sim::Task<void> {
-      co_await s.Read({id, iosched::AppRequest::kGet, iosched::InternalOp::kNone},
-                      off, 4096);
-    }(sched, t, rng.NextU64(50000) * 4096));
+      co_await s.Read(tag, off, 4096);
+    }(sched, tag, rng.NextU64(50000) * 4096));
     loop.Run();
   }
   state.SetItemsProcessed(state.iterations());
@@ -204,7 +208,7 @@ void BM_BlockCacheGet(benchmark::State& state) {
   std::vector<lsm::BlockCache::TenantCounters*> counters;
   slots.reserve(kTenants);
   for (int t = 1; t <= kTenants; ++t) {
-    counters.push_back(&cache.Counters(static_cast<iosched::TenantId>(t)));
+    counters.push_back(&cache.Counters(static_cast<iosched::TenantSlot>(t)));
     slots.emplace_back(kTables * kBlocks);
     for (int f = 0; f < kTables; ++f) {
       for (int b = 0; b < kBlocks; ++b) {
@@ -318,8 +322,7 @@ void BM_WalGroupCommit(benchmark::State& state) {
   lsm::WalOptions wopt;
   wopt.group_commit = true;
   const int qd = static_cast<int>(state.range(0));
-  const iosched::IoTag tag{1, iosched::AppRequest::kPut,
-                           iosched::InternalOp::kNone};
+  const iosched::IoTag tag{.tenant = 1, .app = iosched::AppRequest::kPut};
   std::unique_ptr<lsm::WriteAheadLog> wal;
   uint64_t wal_number = 0;
   uint64_t records = 0;

@@ -1,9 +1,11 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <functional>
+#include <span>
 #include <utility>
 
 #include "src/cluster/global_provisioner.h"
@@ -105,7 +107,7 @@ sim::Task<Status> TenantHandle::Write(const std::string& key,
   }
   RetryState retry(cluster_->options_.retry, cluster_->loop_);
   for (;;) {
-    Status s = co_await cluster_->Write(tenant_, key,
+    Status s = co_await cluster_->Write(index_, key,
                                         std::optional<std::string>(value));
     if (retry.Exhausted(s)) {
       co_return retry.deadline_hit ? retry.DeadlineError(s) : s;
@@ -121,7 +123,7 @@ sim::Task<Result<std::string>> TenantHandle::Get(const std::string& key) {
   }
   RetryState retry(cluster_->options_.retry, cluster_->loop_);
   for (;;) {
-    Result<std::string> r = co_await cluster_->Get(tenant_, key);
+    Result<std::string> r = co_await cluster_->Get(index_, key);
     if (retry.Exhausted(r.status())) {
       co_return retry.deadline_hit
           ? Result<std::string>(retry.DeadlineError(r.status()))
@@ -193,7 +195,7 @@ sim::Task<std::vector<Result<std::string>>> TenantHandle::MultiGet(
     }
     sim::TaskGroup batched(cluster_->loop_);
     for (auto& [slot, group_keys] : by_slot) {
-      batched.Spawn(cluster_->MultiGetSlotGroup(tenant_, slot,
+      batched.Spawn(cluster_->MultiGetSlotGroup(index_, slot,
                                                 std::move(group_keys), &out));
     }
     co_await batched.Join();
@@ -220,7 +222,7 @@ sim::Task<Result<ScanEntries>> TenantHandle::Scan(const std::string& start,
   RetryState retry(cluster_->options_.retry, cluster_->loop_);
   for (;;) {
     Result<ScanEntries> r =
-        co_await cluster_->Scan(tenant_, start, end, limit);
+        co_await cluster_->Scan(index_, start, end, limit);
     if (retry.Exhausted(r.status())) {
       co_return retry.deadline_hit
           ? Result<ScanEntries>(retry.DeadlineError(r.status()))
@@ -398,21 +400,42 @@ sim::Task<Cluster::ApplyResult> Cluster::ApplyOpsOn(int node, TenantId tenant,
   co_return result;
 }
 
-lsm::CompactionPolicy Cluster::CompactionOf(TenantId tenant) const {
-  const auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? lsm::CompactionPolicy::kLeveled
-                              : it->second.compaction;
+Cluster::TenantState* Cluster::Find(TenantId tenant) {
+  const iosched::TenantSlot index = index_.Find(tenant);
+  return index == iosched::TenantSlot::kNone ? nullptr : &At(index);
 }
 
-obs::DeclaredAttribution Cluster::DeclaredOf(TenantId tenant) const {
-  const auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? obs::DeclaredAttribution{}
-                              : it->second.declared;
+const Cluster::TenantState* Cluster::Find(TenantId tenant) const {
+  const iosched::TenantSlot index = index_.Find(tenant);
+  return index == iosched::TenantSlot::kNone
+             ? nullptr
+             : &tenants_[iosched::SlotIndex(index)];
 }
 
-void Cluster::NodeEnsureTenant(int node, TenantId tenant) {
-  const lsm::CompactionPolicy compaction = CompactionOf(tenant);
-  const obs::DeclaredAttribution declared = DeclaredOf(tenant);
+void Cluster::PlaceSlot(TenantState& state, int slot, int leader) {
+  state.shards[slot].replicas = shard_map_.ReplicasOf(state.id, slot, leader);
+  for (HostRow& h : state.hosts) {
+    h.slots = 0;
+  }
+  for (const ShardState& ss : state.shards) {
+    for (const int node : ss.replicas) {
+      auto it = std::lower_bound(
+          state.hosts.begin(), state.hosts.end(), node,
+          [](const HostRow& h, int n) { return h.node < n; });
+      if (it == state.hosts.end() || it->node != node) {
+        HostRow row;
+        row.node = node;
+        it = state.hosts.insert(it, row);
+      }
+      ++it->slots;
+    }
+  }
+}
+
+void Cluster::NodeEnsureTenant(int node, const TenantState& state) {
+  const TenantId tenant = state.id;
+  const lsm::CompactionPolicy compaction = state.compaction;
+  const obs::DeclaredAttribution declared = state.declared;
   Post(node, [tenant, compaction, declared](kv::StorageNode& n) {
     if (!n.HasTenant(tenant)) {
       (void)n.AddTenant(tenant, Reservation{}, declared, compaction);
@@ -420,10 +443,11 @@ void Cluster::NodeEnsureTenant(int node, TenantId tenant) {
   });
 }
 
-void Cluster::NodeInstallReservation(int node, TenantId tenant,
+void Cluster::NodeInstallReservation(int node, const TenantState& state,
                                      Reservation share) {
-  const lsm::CompactionPolicy compaction = CompactionOf(tenant);
-  const obs::DeclaredAttribution declared = DeclaredOf(tenant);
+  const TenantId tenant = state.id;
+  const lsm::CompactionPolicy compaction = state.compaction;
+  const obs::DeclaredAttribution declared = state.declared;
   Post(node, [tenant, share, compaction, declared](kv::StorageNode& n) {
     if (n.HasTenant(tenant)) {
       (void)n.UpdateReservation(tenant, share);
@@ -482,28 +506,28 @@ double Cluster::PricedVops(const Reservation& r) const {
 }
 
 std::map<int, Reservation> Cluster::EvenSplit(
-    TenantId tenant, const GlobalReservation& global) const {
+    const TenantState& state, const GlobalReservation& global) const {
   // Split over *alive* hosting nodes, weighted by hosted slot replicas.
   // A crashed node earns no share — its mass moves to the survivors — and
   // the denominator is the alive slot-replica count so the shares still
   // sum to 1 (at RF=1 with every node up this is shards_per_tenant, the
   // pre-replication behavior).
-  const std::vector<int> slots = shard_map_.SlotsPerNode(tenant);
   std::map<int, Reservation> split;
   double total = 0.0;
   int last_node = -1;
-  for (int n = 0; n < static_cast<int>(slots.size()); ++n) {
-    if (slots[n] > 0 && node_state_[n].alive) {
-      last_node = n;
-      total += static_cast<double>(slots[n]);
+  for (const HostRow& h : state.hosts) {
+    if (h.slots > 0 && node_state_[h.node].alive) {
+      last_node = h.node;
+      total += static_cast<double>(h.slots);
     }
   }
   if (last_node < 0) {
     return split;  // every hosting node is down
   }
   double used[iosched::kNumAppRequests] = {};
-  for (int n = 0; n < static_cast<int>(slots.size()); ++n) {
-    if (slots[n] == 0 || !node_state_[n].alive) {
+  for (const HostRow& h : state.hosts) {
+    const int n = h.node;
+    if (h.slots == 0 || !node_state_[n].alive) {
       continue;
     }
     Reservation r;
@@ -514,7 +538,7 @@ std::map<int, Reservation> Cluster::EvenSplit(
         r.rps[a] = global.rps[a] - used[a];
       }
     } else {
-      const double share = static_cast<double>(slots[n]) / total;
+      const double share = static_cast<double>(h.slots) / total;
       for (int a = iosched::kFirstAppRequest; a < iosched::kNumAppRequests;
            ++a) {
         r.rps[a] = global.rps[a] * share;
@@ -533,10 +557,11 @@ Status Cluster::CheckAdmission(
   }
   for (const auto& [n, share] : split) {
     double provisioned = 0.0;
-    for (const auto& [other, state] : tenants_) {
-      if (other == tenant) {
+    for (const iosched::TenantSlots::Entry& e : index_.by_id()) {
+      if (e.id == tenant) {
         continue;
       }
+      const TenantState& state = tenants_[iosched::SlotIndex(e.slot)];
       if (const auto it = state.split.find(n); it != state.split.end()) {
         provisioned += PricedVops(it->second);
       }
@@ -559,9 +584,8 @@ Status Cluster::CheckAdmission(
   return Status::Ok();
 }
 
-void Cluster::ApplySplit(TenantId tenant,
+void Cluster::ApplySplit(TenantState& state,
                          const std::map<int, Reservation>& split) {
-  TenantState& state = tenants_[tenant];
   // Nodes that dropped out of the split (all slots migrated away) fall back
   // to a zero local reservation: the partition still exists and may hold
   // tombstones, but earns no provisioned VOPs.
@@ -570,11 +594,11 @@ void Cluster::ApplySplit(TenantId tenant,
       continue;  // dead node: its policy is stopped; resplit covers it later
     }
     if (split.count(n) == 0) {
-      NodeZeroReservation(n, tenant);
+      NodeZeroReservation(n, state.id);
     }
   }
   for (const auto& [n, share] : split) {
-    NodeInstallReservation(n, tenant, share);
+    NodeInstallReservation(n, state, share);
   }
   state.split = split;
 }
@@ -583,62 +607,77 @@ Result<TenantHandle> Cluster::AddTenant(TenantId tenant,
                                         GlobalReservation reservation,
                                         lsm::CompactionPolicy compaction,
                                         obs::DeclaredAttribution declared) {
-  if (tenants_.count(tenant) > 0) {
+  if (Find(tenant) != nullptr) {
     return Result<TenantHandle>(Status::AlreadyExists(
         "tenant " + std::to_string(tenant) + " already admitted"));
   }
   if (Status s = ValidateGlobal(reservation); !s.ok()) {
     return Result<TenantHandle>(std::move(s));
   }
-  const std::map<int, Reservation> split = EvenSplit(tenant, reservation);
+  TenantState state;
+  state.id = tenant;
+  state.shards.resize(static_cast<size_t>(shard_map_.shards_per_tenant()));
+  for (int slot = 0; slot < shard_map_.shards_per_tenant(); ++slot) {
+    PlaceSlot(state, slot, -1);
+  }
+  const std::map<int, Reservation> split = EvenSplit(state, reservation);
   if (Status s = CheckAdmission(tenant, split); !s.ok()) {
     return Result<TenantHandle>(std::move(s));
   }
-  TenantState& state = tenants_[tenant];
   state.global = reservation;
   state.compaction = compaction;
   state.declared = declared;
-  ApplySplit(tenant, split);
-  return Result<TenantHandle>(TenantHandle(this, tenant));
+  const iosched::TenantSlot index = index_.Assign(tenant);
+  assert(iosched::SlotIndex(index) == tenants_.size());
+  TenantState& admitted = tenants_.emplace_back(std::move(state));
+  ApplySplit(admitted, split);
+  return Result<TenantHandle>(TenantHandle(this, tenant, index));
 }
 
 Status Cluster::UpdateGlobalReservation(TenantId tenant,
                                         GlobalReservation reservation) {
-  const auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
+  TenantState* state = Find(tenant);
+  if (state == nullptr) {
     return Status::NotFound("unknown tenant " + std::to_string(tenant));
   }
   if (Status s = ValidateGlobal(reservation); !s.ok()) {
     return s;
   }
   // Re-split evenly now; the provisioner re-weights by demand next interval.
-  const std::map<int, Reservation> split = EvenSplit(tenant, reservation);
+  const std::map<int, Reservation> split = EvenSplit(*state, reservation);
   if (Status s = CheckAdmission(tenant, split); !s.ok()) {
     return s;
   }
-  it->second.global = reservation;
-  ApplySplit(tenant, split);
+  state->global = reservation;
+  ApplySplit(*state, split);
   return Status::Ok();
 }
 
 Result<TenantHandle> Cluster::Handle(TenantId tenant) {
-  if (tenants_.count(tenant) == 0) {
+  const iosched::TenantSlot index = index_.Find(tenant);
+  if (index == iosched::TenantSlot::kNone) {
     return Result<TenantHandle>(
         Status::NotFound("unknown tenant " + std::to_string(tenant)));
   }
-  return Result<TenantHandle>(TenantHandle(this, tenant));
+  return Result<TenantHandle>(TenantHandle(this, tenant, index));
 }
 
 GlobalReservation Cluster::global_reservation(TenantId tenant) const {
-  const auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? GlobalReservation{} : it->second.global;
+  const TenantState* state = Find(tenant);
+  return state == nullptr ? GlobalReservation{} : state->global;
+}
+
+int Cluster::HomeOf(TenantId tenant, int slot) const {
+  const TenantState* state = Find(tenant);
+  return state == nullptr ? shard_map_.HomeOf(tenant, slot)
+                          : state->shards[slot].replicas[0];
 }
 
 std::vector<TenantId> Cluster::tenants() const {
   std::vector<TenantId> out;
-  out.reserve(tenants_.size());
-  for (const auto& [t, state] : tenants_) {
-    out.push_back(t);
+  out.reserve(index_.size());
+  for (const iosched::TenantSlots::Entry& e : index_.by_id()) {
+    out.push_back(e.id);
   }
   return out;
 }
@@ -652,16 +691,6 @@ double Cluster::GlobalNormalizedTotal(TenantId tenant, AppRequest app) const {
 }
 
 // --- request routing ---
-
-sim::Task<int> Cluster::AwaitRoutable(TenantId tenant, int slot) {
-  ShardState& ss = Shard(tenant, slot);
-  while (ss.migrating) {
-    co_await sim::SleepFor(loop_, kGatePoll);
-  }
-  // Resolve the home only after the gate: a migration that completed while
-  // we slept re-homed the slot.
-  co_return shard_map_.HomeOf(tenant, slot);
-}
 
 namespace {
 
@@ -702,7 +731,7 @@ namespace {
 // persisted it and every failure was mere unavailability (a replica dying
 // mid-write must not fail a write the survivors durably hold). Any hard
 // error — or zero acks — surfaces, preferring the most specific status.
-Status AggregateWrite(const std::vector<Status>& statuses) {
+Status AggregateWrite(std::span<const Status> statuses) {
   int acks = 0;
   Status failure = Status::Ok();
   for (const Status& s : statuses) {
@@ -724,19 +753,21 @@ Status AggregateWrite(const std::vector<Status>& statuses) {
 
 }  // namespace
 
-sim::Task<Status> Cluster::Write(TenantId tenant, std::string key,
+sim::Task<Status> Cluster::Write(iosched::TenantSlot index, std::string key,
                                  std::optional<std::string> value) {
-  if (tenants_.count(tenant) == 0) {
-    co_return Status::NotFound("unknown tenant " + std::to_string(tenant));
-  }
+  const TenantId tenant = At(index).id;
   const int slot = shard_map_.SlotOfKey(key);
-  (void)co_await AwaitRoutable(tenant, slot);
-  const std::vector<int> replicas = shard_map_.ReplicasOf(tenant, slot);
-  ShardState& ss = Shard(tenant, slot);
+  ShardState& ss = At(index).shards[slot];
+  // Routing gate: suspend while the slot migrates; the replica set is read
+  // after it, since a migration that completed meanwhile re-homed it.
+  while (ss.migrating) {
+    co_await sim::SleepFor(loop_, kGatePoll);
+  }
+  const Replicas replicas = ss.replicas;
   ++ss.inflight;
   // Targets: every live replica. Syncing nodes are included — they must
   // see new writes during catch-up or they would fall behind forever.
-  std::vector<int> targets;
+  Replicas targets;
   for (const int r : replicas) {
     if (node_state_[r].alive) {
       targets.push_back(r);
@@ -754,14 +785,15 @@ sim::Task<Status> Cluster::Write(TenantId tenant, std::string key,
     if (targets.size() == 1) {
       co_await WriteReplica(targets[0], tenant, key, value, ctx, &result);
     } else {
-      std::vector<Status> statuses(targets.size());
+      std::array<Status, kMaxReplicas> statuses;
       sim::TaskGroup group(loop_);
       for (size_t i = 0; i < targets.size(); ++i) {
         group.Spawn(WriteReplica(targets[i], tenant, key, value, ctx,
                                  &statuses[i]));
       }
       co_await group.Join();
-      result = AggregateWrite(statuses);
+      result = AggregateWrite(
+          std::span<const Status>(statuses.data(), targets.size()));
       for (size_t i = 1; i < targets.size(); ++i) {
         if (statuses[i].ok()) {
           ++repl_[targets[i]].fanout_puts;
@@ -776,11 +808,11 @@ sim::Task<Status> Cluster::Write(TenantId tenant, std::string key,
   co_return result;
 }
 
-std::vector<int> Cluster::ServingOrder(const std::vector<int>& replicas) const {
+Replicas Cluster::ServingOrder(const Replicas& replicas) const {
   // Live synced replicas in replica-set order (leader first), then live
   // syncing ones — a catching-up replica may be missing flushed data, so
   // it serves only when nothing better is up.
-  std::vector<int> order;
+  Replicas order;
   for (const int r : replicas) {
     if (node_state_[r].alive && !node_state_[r].syncing) {
       order.push_back(r);
@@ -794,18 +826,18 @@ std::vector<int> Cluster::ServingOrder(const std::vector<int>& replicas) const {
   return order;
 }
 
-sim::Task<Result<std::string>> Cluster::Get(TenantId tenant, std::string key) {
-  if (tenants_.count(tenant) == 0) {
-    co_return Result<std::string>(
-        Status::NotFound("unknown tenant " + std::to_string(tenant)));
-  }
+sim::Task<Result<std::string>> Cluster::Get(iosched::TenantSlot index,
+                                            std::string key) {
+  const TenantId tenant = At(index).id;
   const int slot = shard_map_.SlotOfKey(key);
-  (void)co_await AwaitRoutable(tenant, slot);
-  const std::vector<int> replicas = shard_map_.ReplicasOf(tenant, slot);
-  ShardState& ss = Shard(tenant, slot);
+  ShardState& ss = At(index).shards[slot];
+  while (ss.migrating) {
+    co_await sim::SleepFor(loop_, kGatePoll);
+  }
+  const Replicas replicas = ss.replicas;
   ++ss.inflight;
   // Fail over along the whole serving order.
-  const std::vector<int> order = ServingOrder(replicas);
+  const Replicas order = ServingOrder(replicas);
   Result<std::string> result(Status::Unavailable(
       "no live replica for slot " + std::to_string(slot)));
   for (const int node : order) {
@@ -833,25 +865,23 @@ sim::Task<Result<std::string>> Cluster::Get(TenantId tenant, std::string key) {
 }
 
 sim::Task<void> Cluster::MultiGetSlotGroup(
-    TenantId tenant, int slot, std::vector<std::pair<size_t, std::string>> keys,
+    iosched::TenantSlot index, int slot,
+    std::vector<std::pair<size_t, std::string>> keys,
     std::vector<Result<std::string>>* out) {
-  if (tenants_.count(tenant) == 0) {
-    for (const auto& [i, key] : keys) {
-      (*out)[i] = Result<std::string>(
-          Status::NotFound("unknown tenant " + std::to_string(tenant)));
-    }
-    co_return;
-  }
+  const TenantId tenant = At(index).id;
   ++multiget_groups_;
   multiget_grouped_keys_ += keys.size();
   // One migration gate for the whole group; the same inflight accounting
   // as per-key Get so a draining migration still waits for every member.
-  (void)co_await AwaitRoutable(tenant, slot);
+  ShardState& ss = At(index).shards[slot];
+  while (ss.migrating) {
+    co_await sim::SleepFor(loop_, kGatePoll);
+  }
   // Serve from the head of the serving order (the leader when it is up);
   // a whole group fails together when every replica is down — the per-key
   // retry path (TenantHandle) is the recourse.
-  const std::vector<int> replicas = shard_map_.ReplicasOf(tenant, slot);
-  const std::vector<int> order = ServingOrder(replicas);
+  const Replicas replicas = ss.replicas;
+  const Replicas order = ServingOrder(replicas);
   if (order.empty()) {
     for (const auto& [i, key] : keys) {
       (*out)[i] = Result<std::string>(Status::Unavailable(
@@ -863,7 +893,6 @@ sim::Task<void> Cluster::MultiGetSlotGroup(
   if (node != replicas[0]) {
     repl_[node].failover_gets += keys.size();
   }
-  ShardState& ss = Shard(tenant, slot);
   ss.inflight += static_cast<int>(keys.size());
   // One client-request span covers the whole slot group; each member
   // lookup becomes a child span at the node.
@@ -933,13 +962,10 @@ sim::Task<void> Cluster::ScanNodeGroup(TenantId tenant, int node,
                    start_time, loop_.Now(), bytes);
 }
 
-sim::Task<Result<ScanEntries>> Cluster::Scan(TenantId tenant,
+sim::Task<Result<ScanEntries>> Cluster::Scan(iosched::TenantSlot index,
                                              std::string start,
                                              std::string end, size_t limit) {
-  if (tenants_.count(tenant) == 0) {
-    co_return Result<ScanEntries>(
-        Status::NotFound("unknown tenant " + std::to_string(tenant)));
-  }
+  const TenantId tenant = At(index).id;
   if (!end.empty() && end <= start) {
     co_return Result<ScanEntries>(ScanEntries{});  // empty range
   }
@@ -949,9 +975,11 @@ sim::Task<Result<ScanEntries>> Cluster::Scan(TenantId tenant,
   // silently skip part of the keyspace.
   std::map<int, std::vector<int>> by_node;
   for (int slot = 0; slot < shard_map_.shards_per_tenant(); ++slot) {
-    (void)co_await AwaitRoutable(tenant, slot);
-    const std::vector<int> order =
-        ServingOrder(shard_map_.ReplicasOf(tenant, slot));
+    const ShardState& ss = At(index).shards[slot];
+    while (ss.migrating) {
+      co_await sim::SleepFor(loop_, kGatePoll);
+    }
+    const Replicas order = ServingOrder(ss.replicas);
     if (order.empty()) {
       co_return Result<ScanEntries>(Status::Unavailable(
           "no live replica for slot " + std::to_string(slot)));
@@ -962,7 +990,7 @@ sim::Task<Result<ScanEntries>> Cluster::Scan(TenantId tenant,
   // migration drain waits for it like any other request.
   for (const auto& [node, slots] : by_node) {
     for (const int slot : slots) {
-      ++Shard(tenant, slot).inflight;
+      ++At(index).shards[slot].inflight;
     }
   }
   std::vector<lsm::LsmDb::ScanResult> per_node(by_node.size());
@@ -979,7 +1007,7 @@ sim::Task<Result<ScanEntries>> Cluster::Scan(TenantId tenant,
   }
   for (const auto& [node, slots] : by_node) {
     for (const int slot : slots) {
-      --Shard(tenant, slot).inflight;
+      --At(index).shards[slot].inflight;
     }
   }
   // Merge: slots partition the keyspace, so the per-node runs are disjoint
@@ -1003,7 +1031,8 @@ sim::Task<Result<ScanEntries>> Cluster::Scan(TenantId tenant,
 
 sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
                                         int to_node) {
-  if (tenants_.count(tenant) == 0) {
+  TenantState* state = Find(tenant);
+  if (state == nullptr) {
     co_return Status::NotFound("unknown tenant " + std::to_string(tenant));
   }
   if (slot < 0 || slot >= shard_map_.shards_per_tenant()) {
@@ -1012,7 +1041,8 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
   if (to_node < 0 || to_node >= num_nodes()) {
     co_return Status::InvalidArgument("node out of range");
   }
-  const int from = shard_map_.HomeOf(tenant, slot);
+  ShardState& ss = state->shards[slot];
+  const int from = ss.replicas[0];
   if (from == to_node) {
     co_return Status::Ok();
   }
@@ -1022,7 +1052,6 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
   if (!node_state_[from].alive) {
     co_return Status::FailedPrecondition("source node down");
   }
-  ShardState& ss = Shard(tenant, slot);
   if (ss.migrating) {
     co_return Status::FailedPrecondition("shard already migrating");
   }
@@ -1047,7 +1076,7 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
   // Best-effort registration; the provisioner assigns it a real share of
   // the global reservation at its next split. (Node-side membership checks
   // happen on the node's own loop.)
-  NodeEnsureTenant(to_node, tenant);
+  NodeEnsureTenant(to_node, *state);
 
   // Copy every live key of the migrating slot. The drain read and the
   // re-home writes are charged to the tenant as unattributed IO (no app
@@ -1062,8 +1091,7 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
   const TraceContext dst_ctx =
       spans != nullptr ? spans->MintAlways() : TraceContext{};
   const SimTime copy_start = loop_.Now();
-  const iosched::IoTag drain_tag{tenant, AppRequest::kNone,
-                                 iosched::InternalOp::kNone, src_ctx};
+  const iosched::IoTag drain_tag{.tenant = tenant, .ctx = src_ctx};
   const char* const kMissing = "missing partition during migration";
   // Named locals, not prvalues, for OnNode's by-value arguments (see the
   // GCC 12 note in cluster.h).
@@ -1092,11 +1120,8 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
   // keys at the source — unless the source remains in the slot's replica
   // set (RF>1: re-homing the leader can demote the old leader to a ring
   // follower, whose copy must survive).
-  shard_map_.Rehome(tenant, slot, to_node);
-  const std::vector<int> post_replicas = shard_map_.ReplicasOf(tenant, slot);
-  const bool from_still_replica =
-      std::find(post_replicas.begin(), post_replicas.end(), from) !=
-      post_replicas.end();
+  PlaceSlot(*state, slot, to_node);
+  const bool from_still_replica = ss.replicas.contains(from);
   if (!from_still_replica) {
     for (auto& [k, v] : moving) {
       v.reset();  // tombstone each moved key
@@ -1144,13 +1169,14 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
 // --- crash fault injection & recovery ---
 
 void Cluster::ResplitForMembership() {
-  for (auto& [tenant, state] : tenants_) {
-    const std::map<int, Reservation> split = EvenSplit(tenant, state.global);
+  for (const iosched::TenantSlots::Entry& e : index_.by_id()) {
+    TenantState& state = At(e.slot);
+    const std::map<int, Reservation> split = EvenSplit(state, state.global);
     if (split.empty()) {
       // Every hosting node is down; nothing to install until a restart.
       continue;
     }
-    ApplySplit(tenant, split);
+    ApplySplit(state, split);
   }
 }
 
@@ -1200,13 +1226,15 @@ sim::Task<Status> Cluster::RestartNode(int node) {
 }
 
 sim::Task<Status> Cluster::CatchUpNode(int node) {
-  std::vector<TenantId> ids;
-  ids.reserve(tenants_.size());
-  for (const auto& [t, state] : tenants_) {
-    ids.push_back(t);
+  // The tenants admitted now, in id order (admissions during the catch-up
+  // are placed with the node already up).
+  std::vector<iosched::TenantSlot> order;
+  order.reserve(index_.size());
+  for (const iosched::TenantSlots::Entry& e : index_.by_id()) {
+    order.push_back(e.slot);
   }
   Status worst = Status::Ok();
-  for (const TenantId t : ids) {
+  for (const iosched::TenantSlot t : order) {
     if (Status s = co_await CatchUpTenant(t, node); !s.ok()) {
       worst = s;  // keep catching up the other tenants regardless
     }
@@ -1215,14 +1243,17 @@ sim::Task<Status> Cluster::CatchUpNode(int node) {
   co_return worst;
 }
 
-sim::Task<Status> Cluster::CatchUpTenant(TenantId tenant, int node) {
+sim::Task<Status> Cluster::CatchUpTenant(iosched::TenantSlot index,
+                                         int node) {
+  TenantState& state = At(index);
+  const TenantId tenant = state.id;
   // Slots this node replicates, grouped by the surviving replica that will
   // source the copy (first live synced member of each slot's replica set).
   std::map<int, std::vector<int>> by_source;
   int total_slots = 0;
   for (int slot = 0; slot < shard_map_.shards_per_tenant(); ++slot) {
-    const std::vector<int> replicas = shard_map_.ReplicasOf(tenant, slot);
-    if (std::find(replicas.begin(), replicas.end(), node) == replicas.end()) {
+    const Replicas& replicas = state.shards[slot].replicas;
+    if (!replicas.contains(node)) {
       continue;
     }
     for (const int r : replicas) {
@@ -1242,26 +1273,25 @@ sim::Task<Status> Cluster::CatchUpTenant(TenantId tenant, int node) {
     // in-flight ones drain, so a write cannot race the copy and be
     // shadowed by an older copied-in value.
     for (const int slot : slots) {
-      ShardState& ss = Shard(tenant, slot);
+      ShardState& ss = state.shards[slot];
       while (ss.migrating) {
         co_await sim::SleepFor(loop_, kGatePoll);
       }
       ss.migrating = true;
     }
     struct GateRelease {
-      Cluster* c;
-      TenantId tenant;
+      TenantState* state;
       const std::vector<int>* slots;
       ~GateRelease() {
         for (const int slot : *slots) {
-          c->Shard(tenant, slot).migrating = false;
+          state->shards[slot].migrating = false;
         }
       }
-    } release{this, tenant, &slots};
+    } release{&state, &slots};
     for (;;) {
       int inflight = 0;
       for (const int slot : slots) {
-        inflight += Shard(tenant, slot).inflight;
+        inflight += state.shards[slot].inflight;
       }
       if (inflight == 0) {
         break;
@@ -1275,9 +1305,10 @@ sim::Task<Status> Cluster::CatchUpTenant(TenantId tenant, int node) {
     // matrix and interval pricing like any other background amplification.
     NodeRecordReplTrigger(src_node, tenant);
     NodeRecordReplTrigger(node, tenant);
-    const iosched::IoTag repl_tag{tenant, AppRequest::kPut,
-                                  iosched::InternalOp::kReplicate,
-                                  TraceContext{}};
+    const iosched::IoTag repl_tag{
+        .tenant = tenant,
+        .app = AppRequest::kPut,
+        .internal = iosched::InternalOp::kReplicate};
     Result<ScanEntries> src_scan = co_await OnNode<Result<ScanEntries>>(
         src_node, options_.rpc_latency, &Cluster::ScanSlotsOn, this, src_node,
         tenant, slots, repl_tag, "missing source partition during catch-up");
@@ -1349,22 +1380,21 @@ ClusterStats Cluster::Snapshot() const {
     r.catchup_bytes = repl_[n].catchup_bytes;
     r.catchup_lag_slots = repl_[n].catchup_lag_slots;
   }
-  for (const auto& [t, state] : tenants_) {
-    for (int slot = 0; slot < shard_map_.shards_per_tenant(); ++slot) {
-      const std::vector<int> replicas = shard_map_.ReplicasOf(t, slot);
-      ++s.nodes[replicas[0]].replication.leader_slots;
-      for (size_t i = 1; i < replicas.size(); ++i) {
-        ++s.nodes[replicas[i]].replication.follower_slots;
-      }
-    }
-  }
   s.tenants.reserve(tenants_.size());
-  for (const auto& [t, state] : tenants_) {
+  for (const iosched::TenantSlots::Entry& entry : index_.by_id()) {
+    const TenantState& state = tenants_[iosched::SlotIndex(entry.slot)];
     ClusterStats::TenantEntry e;
-    e.tenant = t;
+    e.tenant = entry.id;
     e.global = state.global;
     e.compaction = state.compaction;
-    e.slot_homes = shard_map_.Assignment(t);
+    e.slot_homes.reserve(state.shards.size());
+    for (const ShardState& ss : state.shards) {
+      e.slot_homes.push_back(ss.replicas[0]);
+      ++s.nodes[ss.replicas[0]].replication.leader_slots;
+      for (size_t i = 1; i < ss.replicas.size(); ++i) {
+        ++s.nodes[ss.replicas[i]].replication.follower_slots;
+      }
+    }
     s.tenants.push_back(std::move(e));
   }
   s.rebalances.assign(rebalance_log_.records().begin(),

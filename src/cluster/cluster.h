@@ -22,6 +22,7 @@
 #ifndef LIBRA_SRC_CLUSTER_CLUSTER_H_
 #define LIBRA_SRC_CLUSTER_CLUSTER_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -31,9 +32,11 @@
 #include <vector>
 
 #include "src/cluster/shard_map.h"
+#include "src/common/ewma.h"
 #include "src/common/status.h"
 #include "src/iosched/io_tag.h"
 #include "src/iosched/resource_policy.h"
+#include "src/iosched/tenant_slots.h"
 #include "src/kv/node_stats.h"
 #include "src/kv/storage_node.h"
 #include "src/obs/audit.h"
@@ -143,9 +146,11 @@ struct ClusterOptions {
 };
 
 // Client surface for one tenant: routes requests to the node homing each
-// key's shard. Cheap to copy; valid while the Cluster lives. A
-// default-constructed handle is inert (valid() == false) so
-// Result<TenantHandle> has a well-defined error payload.
+// key's shard. It carries the tenant's index in the cluster's tenant
+// table, so a request reaches its tenant's routing state without a lookup.
+// Cheap to copy; valid while the Cluster lives. A default-constructed
+// handle is inert (valid() == false) so Result<TenantHandle> has a
+// well-defined error payload.
 class TenantHandle {
  public:
   TenantHandle() = default;
@@ -174,8 +179,9 @@ class TenantHandle {
 
  private:
   friend class Cluster;
-  TenantHandle(Cluster* cluster, iosched::TenantId tenant)
-      : cluster_(cluster), tenant_(tenant) {}
+  TenantHandle(Cluster* cluster, iosched::TenantId tenant,
+               iosched::TenantSlot index)
+      : cluster_(cluster), tenant_(tenant), index_(index) {}
 
   // Put (value) or Delete (nullopt) with the retry policy; `value` views
   // the caller's bytes, which must outlive the returned task.
@@ -184,6 +190,7 @@ class TenantHandle {
 
   Cluster* cluster_ = nullptr;
   iosched::TenantId tenant_ = iosched::kInvalidTenant;
+  iosched::TenantSlot index_ = iosched::TenantSlot::kNone;  // tenants_ row
 };
 
 // Cluster-wide observability snapshot (rendered by ClusterStatsToJson).
@@ -287,6 +294,9 @@ class Cluster {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   kv::StorageNode& node(int i) { return *nodes_[i]; }
   const ShardMap& shard_map() const { return shard_map_; }
+  // The node homing (tenant, slot) now: its ring placement until a
+  // migration re-homes it (the ring placement for an unknown tenant).
+  int HomeOf(iosched::TenantId tenant, int slot) const;
   // Engine introspection. Reading node state (node(i), Snapshot,
   // GlobalNormalizedTotal) is only safe while the engine is quiesced:
   // before RunUntil/Run, after it returns, or inside a MultiLoop barrier
@@ -319,39 +329,81 @@ class Cluster {
   friend class GlobalProvisioner;
   friend class TenantHandle;
 
-  // Per-(tenant, slot) routing state. inflight gates migration draining;
-  // migrating gates new requests.
+  // Per-(tenant, slot) routing state: the slot's replica set (leader
+  // first; a migration re-homes the leader) and its gates — inflight gates
+  // migration draining; migrating gates new requests.
   struct ShardState {
     bool migrating = false;
     int inflight = 0;
+    Replicas replicas;
   };
 
-  static uint64_t ShardKey(iosched::TenantId tenant, int slot) {
-    return (static_cast<uint64_t>(tenant) << 32) | static_cast<uint32_t>(slot);
+  // A node that hosts, or once hosted, replicas of a tenant's slots: how
+  // many it holds now and the provisioner's demand measurements there.
+  struct HostRow {
+    int node = 0;
+    int slots = 0;  // slot replicas hosted now (0: all migrated away)
+    // The tenant's slot in the node's registry, once the node has it.
+    iosched::TenantSlot node_slot = iosched::TenantSlot::kNone;
+    // Demand: counter snapshots at the previous provisioner step and
+    // smoothed normalized request rates, one per app-request class
+    // (indexed by AppRequest — the kNone slot stays zero). Unset until
+    // the provisioner first samples this node.
+    bool measured = false;
+    double last_total[iosched::kNumAppRequests] = {};
+    Ewma rate[iosched::kNumAppRequests];
+    // Smoothed all-class demand (normalized requests/s).
+    double TotalRate() const {
+      double sum = 0.0;
+      for (int a = iosched::kFirstAppRequest; a < iosched::kNumAppRequests;
+           ++a) {
+        sum += rate[a].Value();
+      }
+      return sum;
+    }
+  };
+
+  struct TenantState {
+    iosched::TenantId id = iosched::kInvalidTenant;
+    GlobalReservation global;
+    // The tenant's declared LSM compaction policy, passed to every
+    // StorageNode::AddTenant the control-plane seams issue for it.
+    lsm::CompactionPolicy compaction = lsm::CompactionPolicy::kLeveled;
+    // Declared attribution profile, likewise forwarded on every install.
+    obs::DeclaredAttribution declared;
+    // Current per-node split (what the nodes' policies were last told).
+    std::map<int, iosched::Reservation> split;
+    std::vector<ShardState> shards;  // by shard slot
+    std::vector<HostRow> hosts;      // ascending node
+  };
+
+  // The admitted tenant's state, or nullptr.
+  TenantState* Find(iosched::TenantId tenant);
+  const TenantState* Find(iosched::TenantId tenant) const;
+  TenantState& At(iosched::TenantSlot index) {
+    return tenants_[iosched::SlotIndex(index)];
   }
-  ShardState& Shard(iosched::TenantId tenant, int slot) {
-    return shards_[ShardKey(tenant, slot)];
-  }
+  // Places slot `slot` of `state` with `leader` first (the ring placement
+  // when negative) and recounts the tenant's per-node slot replicas.
+  void PlaceSlot(TenantState& state, int slot, int leader);
 
   // --- request routing (TenantHandle forwards here) ---
   // The one write verb: `value` is the PUT payload, nullopt a DELETE. The
   // write fans out to every live replica; a DELETE is accounted as a PUT
   // of its key (fan-out bytes and client span), like StorageNode::Write.
-  sim::Task<Status> Write(iosched::TenantId tenant, std::string key,
+  // `index` is the tenant's row (TenantHandle::index_).
+  sim::Task<Status> Write(iosched::TenantSlot index, std::string key,
                           std::optional<std::string> value);
-  sim::Task<Result<std::string>> Get(iosched::TenantId tenant,
+  sim::Task<Result<std::string>> Get(iosched::TenantSlot index,
                                      std::string key);
-  sim::Task<Result<ScanEntries>> Scan(iosched::TenantId tenant,
+  sim::Task<Result<ScanEntries>> Scan(iosched::TenantSlot index,
                                       std::string start, std::string end,
                                       size_t limit);
-
-  // Suspends while (tenant, slot) is migrating, then returns its home node.
-  sim::Task<int> AwaitRoutable(iosched::TenantId tenant, int slot);
 
   // The live members of `replicas` in the order reads try them: synced
   // replicas in replica-set order (leader first), then syncing ones. Get
   // fails over along it; MultiGet and Scan serve from its head.
-  std::vector<int> ServingOrder(const std::vector<int>& replicas) const;
+  Replicas ServingOrder(const Replicas& replicas) const;
 
   // Batched MultiGet: routes one slot's key group through a single gate,
   // then fans the lookups out concurrently on the home node, writing each
@@ -359,7 +411,7 @@ class Cluster {
   // `keys` pairs are (output index, key), by value: the coroutine frame
   // must own them across suspension.
   sim::Task<void> MultiGetSlotGroup(
-      iosched::TenantId tenant, int slot,
+      iosched::TenantSlot index, int slot,
       std::vector<std::pair<size_t, std::string>> keys,
       std::vector<Result<std::string>>* out);
 
@@ -453,8 +505,8 @@ class Cluster {
 
   // Control-plane seams (Post): registration and reservation installs are
   // fire-and-forget — the shares were validated at admission.
-  void NodeEnsureTenant(int node, iosched::TenantId tenant);
-  void NodeInstallReservation(int node, iosched::TenantId tenant,
+  void NodeEnsureTenant(int node, const TenantState& state);
+  void NodeInstallReservation(int node, const TenantState& state,
                               iosched::Reservation share);
   void NodeZeroReservation(int node, iosched::TenantId tenant);
   void NodeRecordReplTrigger(int node, iosched::TenantId tenant);
@@ -468,30 +520,24 @@ class Cluster {
   // RF>1 catch-up after RestartNode: re-replicates every slot `node` hosts
   // from a surviving replica (see RestartNode).
   sim::Task<Status> CatchUpNode(int node);
-  sim::Task<Status> CatchUpTenant(iosched::TenantId tenant, int node);
-
-  // The tenant's declared compaction policy (kLeveled when unknown — e.g.
-  // a migration target registering the tenant before admission finishes).
-  lsm::CompactionPolicy CompactionOf(iosched::TenantId tenant) const;
-
-  // The tenant's declared attribution profile (empty when unknown).
-  obs::DeclaredAttribution DeclaredOf(iosched::TenantId tenant) const;
+  sim::Task<Status> CatchUpTenant(iosched::TenantSlot index, int node);
 
   // VOP price of one normalized (1KB) request at admission time.
   double AdmissionPrice(iosched::AppRequest app) const;
   // Priced VOP demand of a local reservation share.
   double PricedVops(const iosched::Reservation& r) const;
-  // Even initial split of `global` for `tenant`: per-node reservations
-  // proportional to hosted slot counts, summing exactly to `global`.
+  // Even split of `global` over the tenant's alive hosting nodes: per-node
+  // reservations proportional to hosted slot replicas, summing exactly to
+  // `global`.
   std::map<int, iosched::Reservation> EvenSplit(
-      iosched::TenantId tenant, const GlobalReservation& global) const;
+      const TenantState& state, const GlobalReservation& global) const;
   // Admission check: can `tenant` place `split` on top of the currently
   // provisioned demand of every other tenant?
   Status CheckAdmission(iosched::TenantId tenant,
                         const std::map<int, iosched::Reservation>& split) const;
   // Installs a split on the nodes (registering the tenant where missing)
   // and remembers it as the tenant's current split.
-  void ApplySplit(iosched::TenantId tenant,
+  void ApplySplit(TenantState& state,
                   const std::map<int, iosched::Reservation>& split);
 
   sim::MultiLoop& engine_;
@@ -501,18 +547,12 @@ class Cluster {
   std::vector<std::unique_ptr<kv::StorageNode>> nodes_;
   std::unique_ptr<GlobalProvisioner> provisioner_;
 
-  struct TenantState {
-    GlobalReservation global;
-    // The tenant's declared LSM compaction policy, passed to every
-    // StorageNode::AddTenant the control-plane seams issue for it.
-    lsm::CompactionPolicy compaction = lsm::CompactionPolicy::kLeveled;
-    // Declared attribution profile, likewise forwarded on every install.
-    obs::DeclaredAttribution declared;
-    // Current per-node split (what the nodes' policies were last told).
-    std::map<int, iosched::Reservation> split;
-  };
-  std::map<iosched::TenantId, TenantState> tenants_;
-  std::map<uint64_t, ShardState> shards_;
+  // Admitted tenants: index_ gives each a dense row of tenants_ at
+  // admission and keeps the ascending-id order every output and control
+  // step walks. A deque, so admitting a tenant never moves the ShardState
+  // a suspended request holds.
+  iosched::TenantSlots index_;
+  std::deque<TenantState> tenants_;
 
   // Per-node liveness (indexed like nodes_).
   struct NodeState {

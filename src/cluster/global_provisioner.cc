@@ -11,10 +11,6 @@ namespace libra::cluster {
 
 namespace {
 
-uint64_t DemandKey(iosched::TenantId tenant, int node) {
-  return (static_cast<uint64_t>(tenant) << 32) | static_cast<uint32_t>(node);
-}
-
 // Fire-and-forget wrapper for automatic migrations: the provisioner must not
 // block its interval timer on a drain. Failures leave the shard where it was
 // (MigrateShard is key-preserving on every error path), so the next
@@ -64,11 +60,12 @@ void GlobalProvisioner::Stop() { running_ = false; }
 void GlobalProvisioner::RunIntervalStep() {
   const SimTime now = loop_.Now();
   const bool first_step = last_step_time_ < 0;
-  for (const iosched::TenantId tenant : cluster_.tenants()) {
-    const std::vector<int> slots = cluster_.shard_map_.SlotsPerNode(tenant);
-    for (int n = 0; n < static_cast<int>(slots.size()); ++n) {
-      if (slots[n] > 0 && cluster_.NodeAlive(n)) {
-        UpdateDemand(tenant, n);
+  // One pass over the tenants in id order; each reads only its own rows.
+  for (const iosched::TenantSlots::Entry& e : cluster_.index_.by_id()) {
+    TenantState& tenant = cluster_.At(e.slot);
+    for (HostRow& host : tenant.hosts) {
+      if (host.slots > 0 && cluster_.NodeAlive(host.node)) {
+        UpdateDemand(tenant, host);
       }
     }
     if (!first_step) {
@@ -79,57 +76,66 @@ void GlobalProvisioner::RunIntervalStep() {
   CheckOverbooking();
 }
 
-void GlobalProvisioner::UpdateDemand(iosched::TenantId tenant,
-                                     int node_index) {
-  const auto& tracker = cluster_.nodes_[node_index]->tracker();
-  auto [it, created] = demand_.try_emplace(DemandKey(tenant, node_index),
-                                           options_.demand_alpha);
-  NodeDemand& d = it->second;
+void GlobalProvisioner::UpdateDemand(TenantState& tenant, HostRow& host) {
+  const auto& tracker = cluster_.nodes_[host.node]->tracker();
+  if (host.node_slot == iosched::TenantSlot::kNone) {
+    // The node registers the tenant when its install message lands; until
+    // then its counters read zero.
+    host.node_slot = tracker.slots().Find(tenant.id);
+  }
+  const bool created = !host.measured;
+  if (created) {
+    host.measured = true;
+    for (Ewma& e : host.rate) {
+      e = Ewma(options_.demand_alpha);
+    }
+  }
   const double elapsed =
       last_step_time_ < 0 ? 0.0 : ToSeconds(loop_.Now() - last_step_time_);
   for (int a = iosched::kFirstAppRequest; a < iosched::kNumAppRequests; ++a) {
     const double total = tracker.NormalizedRequestsTotal(
-        tenant, static_cast<iosched::AppRequest>(a));
+        host.node_slot, static_cast<iosched::AppRequest>(a));
     if (!created && elapsed > 0.0) {
-      d.rate[a].Observe((total - d.last_total[a]) / elapsed);
+      host.rate[a].Observe((total - host.last_total[a]) / elapsed);
     }
-    d.last_total[a] = total;
+    host.last_total[a] = total;
   }
 }
 
 double GlobalProvisioner::DemandShare(iosched::TenantId tenant,
                                       int node) const {
-  const auto it = demand_.find(DemandKey(tenant, node));
-  if (it == demand_.end()) {
+  const TenantState* state = cluster_.Find(tenant);
+  if (state == nullptr) {
     return 0.0;
   }
-  const double mine = it->second.TotalRate();
+  double mine = -1.0;
   double total = 0.0;
-  for (int n = 0; n < cluster_.num_nodes(); ++n) {
-    const auto nit = demand_.find(DemandKey(tenant, n));
-    if (nit != demand_.end()) {
-      total += nit->second.TotalRate();
+  for (const HostRow& host : state->hosts) {
+    if (!host.measured) {
+      continue;
     }
+    if (host.node == node) {
+      mine = host.TotalRate();
+    }
+    total += host.TotalRate();
+  }
+  if (mine < 0.0) {
+    return 0.0;
   }
   return total > 0.0 ? mine / total : 0.0;
 }
 
-void GlobalProvisioner::ResplitTenant(iosched::TenantId tenant) {
-  const auto tit = cluster_.tenants_.find(tenant);
-  if (tit == cluster_.tenants_.end()) {
-    return;
-  }
-  const GlobalReservation global = tit->second.global;
+void GlobalProvisioner::ResplitTenant(TenantState& tenant) {
+  const GlobalReservation global = tenant.global;
 
   // Hosting set: alive nodes only — a crashed node earns no share, and its
   // mass must land on the survivors so the split still sums to the global.
-  const std::vector<int> slots = cluster_.shard_map_.SlotsPerNode(tenant);
-  std::vector<int> hosting;
+  std::vector<const HostRow*> hosting;
   int total_slots = 0;
-  for (int n = 0; n < static_cast<int>(slots.size()); ++n) {
-    if (slots[n] > 0 && cluster_.NodeAlive(n)) {
-      hosting.push_back(n);
-      total_slots += slots[n];
+  for (const HostRow& host : tenant.hosts) {
+    if (host.slots > 0 && cluster_.NodeAlive(host.node)) {
+      hosting.push_back(&host);
+      total_slots += host.slots;
     }
   }
   if (hosting.empty()) {
@@ -144,13 +150,12 @@ void GlobalProvisioner::ResplitTenant(iosched::TenantId tenant) {
       iosched::kNumAppRequests, std::vector<double>(k, 0.0));
   std::vector<double> class_total(iosched::kNumAppRequests, 0.0);
   for (size_t i = 0; i < k; ++i) {
-    const auto dit = demand_.find(DemandKey(tenant, hosting[i]));
-    if (dit == demand_.end()) {
+    if (!hosting[i]->measured) {
       continue;
     }
     for (int a = iosched::kFirstAppRequest; a < iosched::kNumAppRequests;
          ++a) {
-      class_demand[a][i] = dit->second.rate[a].Value();
+      class_demand[a][i] = hosting[i]->rate[a].Value();
       class_total[a] += class_demand[a][i];
     }
   }
@@ -160,7 +165,7 @@ void GlobalProvisioner::ResplitTenant(iosched::TenantId tenant) {
     for (size_t i = 0; i < k; ++i) {
       s[i] = total > 1e-9
                  ? demand[i] / total
-                 : static_cast<double>(slots[hosting[i]]) / total_slots;
+                 : static_cast<double>(hosting[i]->slots) / total_slots;
       s[i] = std::max(s[i], options_.min_share);
       sum += s[i];
     }
@@ -185,18 +190,18 @@ void GlobalProvisioner::ResplitTenant(iosched::TenantId tenant) {
       r.rps[a] = global.rps[a] * share[a][i];
       used[a] += r.rps[a];
     }
-    split[hosting[i]] = r;
+    split[hosting[i]->node] = r;
   }
   iosched::Reservation last;
   for (int a = iosched::kFirstAppRequest; a < iosched::kNumAppRequests; ++a) {
     last.rps[a] = std::max(0.0, global.rps[a] - used[a]);
   }
-  split[hosting[k - 1]] = last;
+  split[hosting[k - 1]->node] = last;
 
   // Hysteresis: apply only when some node's share moved by more than the
   // band, as a fraction of the tenant's total global rate. A change in the
   // hosting set (migration) always passes.
-  const auto& current = tit->second.split;
+  const auto& current = tenant.split;
   double max_change = 0.0;
   bool hosting_changed = current.size() != split.size();
   for (const auto& [node, r] : split) {
@@ -224,7 +229,7 @@ void GlobalProvisioner::ResplitTenant(iosched::TenantId tenant) {
   obs::RebalanceRecord rec;
   rec.kind = obs::RebalanceRecord::Kind::kSplit;
   rec.time_ns = loop_.Now();
-  rec.tenant = tenant;
+  rec.tenant = tenant.id;
   rec.nodes = static_cast<int>(k);
   cluster_.rebalance_log_.Append(rec);
 }
@@ -265,30 +270,33 @@ void GlobalProvisioner::CheckOverbooking() {
 
   // Victim: the tenant with the highest smoothed demand on the overbooked
   // node — moving its hottest shard sheds the most load per migration.
-  iosched::TenantId victim = iosched::kInvalidTenant;
+  const TenantState* victim = nullptr;
   double victim_demand = -1.0;
-  for (const auto& [tenant, state] : cluster_.tenants_) {
-    if (cluster_.shard_map_.SlotsPerNode(tenant)[src] == 0) {
+  for (const iosched::TenantSlots::Entry& e : cluster_.index_.by_id()) {
+    const TenantState& tenant = cluster_.At(e.slot);
+    const HostRow* host = nullptr;
+    for (const HostRow& h : tenant.hosts) {
+      if (h.node == src) {
+        host = &h;
+        break;
+      }
+    }
+    if (host == nullptr || host->slots == 0) {
       continue;
     }
-    double d = 0.0;
-    if (const auto dit = demand_.find(DemandKey(tenant, src));
-        dit != demand_.end()) {
-      d = dit->second.TotalRate();
-    }
+    const double d = host->measured ? host->TotalRate() : 0.0;
     if (d > victim_demand) {
       victim_demand = d;
-      victim = tenant;
+      victim = &tenant;
     }
   }
-  if (victim == iosched::kInvalidTenant) {
+  if (victim == nullptr) {
     overbooked_streak_[src] = 0;
     return;
   }
   int slot = -1;
-  const std::vector<int> assignment = cluster_.shard_map_.Assignment(victim);
-  for (int s = 0; s < static_cast<int>(assignment.size()); ++s) {
-    if (assignment[s] == src) {
+  for (int s = 0; s < static_cast<int>(victim->shards.size()); ++s) {
+    if (victim->shards[s].replicas[0] == src) {
       slot = s;
       break;
     }
@@ -306,7 +314,8 @@ void GlobalProvisioner::CheckOverbooking() {
         continue;
       }
       double load = 0.0;
-      for (const auto& [tenant, state] : cluster_.tenants_) {
+      for (const iosched::TenantSlots::Entry& e : cluster_.index_.by_id()) {
+        const TenantState& state = cluster_.At(e.slot);
         if (const auto sit = state.split.find(n); sit != state.split.end()) {
           load += cluster_.PricedVops(sit->second);
         }
@@ -323,7 +332,7 @@ void GlobalProvisioner::CheckOverbooking() {
 
   ++migrations_started_;
   overbooked_streak_[src] = 0;  // give the migration time to take effect
-  sim::Detach(RunMigration(&cluster_, victim, slot, dst));
+  sim::Detach(RunMigration(&cluster_, victim->id, slot, dst));
 }
 
 }  // namespace libra::cluster

@@ -15,7 +15,6 @@
 #define LIBRA_SRC_CLUSTER_GLOBAL_PROVISIONER_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -53,37 +52,18 @@ class GlobalProvisioner {
   double DemandShare(iosched::TenantId tenant, int node) const;
 
  private:
-  struct NodeDemand {
-    // Counter snapshots at the previous step and smoothed normalized
-    // request rates on this node, one per app-request class (indexed by
-    // AppRequest — the kNone slot stays zero).
-    double last_total[iosched::kNumAppRequests] = {};
-    Ewma rate[iosched::kNumAppRequests];
-    explicit NodeDemand(double alpha) {
-      for (Ewma& e : rate) {
-        e = Ewma(alpha);
-      }
-    }
-    // Smoothed all-class demand (normalized requests/s).
-    double TotalRate() const {
-      double sum = 0.0;
-      for (int a = iosched::kFirstAppRequest; a < iosched::kNumAppRequests;
-           ++a) {
-        sum += rate[a].Value();
-      }
-      return sum;
-    }
-  };
+  using TenantState = Cluster::TenantState;
+  using HostRow = Cluster::HostRow;
 
-  void UpdateDemand(iosched::TenantId tenant, int node_index);
-  void ResplitTenant(iosched::TenantId tenant);
+  // Samples the tenant's normalized-request counters on one hosting node
+  // into the row's smoothed demand.
+  void UpdateDemand(TenantState& tenant, HostRow& host);
+  void ResplitTenant(TenantState& tenant);
   void CheckOverbooking();
 
   sim::EventLoop& loop_;
   Cluster& cluster_;
   GlobalProvisionerOptions options_;
-  // Demand state keyed by (tenant << 32 | node).
-  std::map<uint64_t, NodeDemand> demand_;
   // Consecutive overbooked intervals per node.
   std::vector<int> overbooked_streak_;
   // Audit records already inspected per node (total_appended watermark).

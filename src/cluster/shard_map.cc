@@ -25,17 +25,13 @@ uint64_t HashKey(std::string_view key) {
   return Mix64(h);
 }
 
-uint64_t OverrideKey(uint32_t tenant, int slot) {
-  return (static_cast<uint64_t>(tenant) << 32) |
-         static_cast<uint32_t>(slot);
-}
-
 }  // namespace
 
 ShardMap::ShardMap(ShardMapOptions options) : options_(options) {
   assert(options_.num_nodes > 0);
   assert(options_.shards_per_tenant > 0);
   assert(options_.vnodes_per_node > 0);
+  assert(options_.replication_factor <= kMaxReplicas);
   ring_.reserve(static_cast<size_t>(options_.num_nodes) *
                 static_cast<size_t>(options_.vnodes_per_node));
   for (int n = 0; n < options_.num_nodes; ++n) {
@@ -74,18 +70,13 @@ uint64_t ShardMap::SlotPoint(uint32_t tenant, int slot) const {
 
 int ShardMap::HomeOf(uint32_t tenant, int slot) const {
   assert(slot >= 0 && slot < options_.shards_per_tenant);
-  if (const auto it = overrides_.find(OverrideKey(tenant, slot));
-      it != overrides_.end()) {
-    return it->second;
-  }
   return RingLookup(SlotPoint(tenant, slot));
 }
 
-std::vector<int> ShardMap::ReplicasOf(uint32_t tenant, int slot) const {
+Replicas ShardMap::ReplicasOf(uint32_t tenant, int slot, int leader) const {
   const int rf = replication_factor();
-  std::vector<int> out;
-  out.reserve(rf);
-  out.push_back(HomeOf(tenant, slot));
+  Replicas out;
+  out.push_back(leader >= 0 ? leader : HomeOf(tenant, slot));
   if (rf <= 1) {
     return out;
   }
@@ -94,9 +85,10 @@ std::vector<int> ShardMap::ReplicasOf(uint32_t tenant, int slot) const {
   // that walk, so with no override the walk yields leader + successors.
   size_t idx = RingIndex(SlotPoint(tenant, slot));
   for (size_t steps = 0;
-       steps < ring_.size() && static_cast<int>(out.size()) < rf; ++steps) {
+       steps < ring_.size() && out.size() < static_cast<size_t>(rf);
+       ++steps) {
     const int node = ring_[idx].node;
-    if (std::find(out.begin(), out.end(), node) == out.end()) {
+    if (!out.contains(node)) {
       out.push_back(node);
     }
     idx = (idx + 1) % ring_.size();
@@ -114,28 +106,6 @@ std::vector<int> ShardMap::Assignment(uint32_t tenant) const {
     out[s] = HomeOf(tenant, s);
   }
   return out;
-}
-
-std::vector<int> ShardMap::SlotsPerNode(uint32_t tenant) const {
-  std::vector<int> out(options_.num_nodes, 0);
-  if (replication_factor() <= 1) {
-    for (int s = 0; s < options_.shards_per_tenant; ++s) {
-      ++out[HomeOf(tenant, s)];
-    }
-    return out;
-  }
-  for (int s = 0; s < options_.shards_per_tenant; ++s) {
-    for (const int node : ReplicasOf(tenant, s)) {
-      ++out[node];
-    }
-  }
-  return out;
-}
-
-void ShardMap::Rehome(uint32_t tenant, int slot, int node) {
-  assert(slot >= 0 && slot < options_.shards_per_tenant);
-  assert(node >= 0 && node < options_.num_nodes);
-  overrides_[OverrideKey(tenant, slot)] = node;
 }
 
 }  // namespace libra::cluster

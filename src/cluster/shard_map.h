@@ -8,19 +8,48 @@
 // options, so two maps built from the same spec agree on every placement —
 // the property a restarting router or a test harness relies on.
 //
-// Migrations re-home a slot explicitly: Rehome() records an override that
-// takes precedence over the ring until cleared. Overrides are the only
-// mutable state.
+// The map has no mutable state. A migration re-homes a slot's leader; the
+// cluster keeps each tenant's current replica sets with the tenant
+// (Cluster::TenantState) and asks ReplicasOf for the set around a new
+// leader.
 
 #ifndef LIBRA_SRC_CLUSTER_SHARD_MAP_H_
 #define LIBRA_SRC_CLUSTER_SHARD_MAP_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string_view>
 #include <vector>
 
 namespace libra::cluster {
+
+// Largest supported replication factor (ShardMapOptions asserts it).
+inline constexpr int kMaxReplicas = 8;
+
+// A slot's replica set: the leader first, then the followers, all distinct
+// nodes. Fixed capacity, so routing a request allocates nothing.
+class Replicas {
+ public:
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  int operator[](size_t i) const { return nodes_[i]; }
+  const int* begin() const { return nodes_.data(); }
+  const int* end() const { return nodes_.data() + size_; }
+  bool contains(int node) const {
+    for (const int n : *this) {
+      if (n == node) {
+        return true;
+      }
+    }
+    return false;
+  }
+  void push_back(int node) { nodes_[size_++] = node; }
+
+ private:
+  std::array<int, kMaxReplicas> nodes_{};
+  size_t size_ = 0;
+};
 
 struct ShardMapOptions {
   int num_nodes = 4;
@@ -31,7 +60,8 @@ struct ShardMapOptions {
   uint64_t seed = 0x11b7a5eed;  // any change reshuffles every placement
   // Replicas per slot: the leader plus rf-1 followers on distinct nodes
   // (the next distinct nodes walking the ring from the slot's position).
-  // Clamped to num_nodes. 1 = unreplicated, the pre-replication layout.
+  // Clamped to num_nodes, at most kMaxReplicas. 1 = unreplicated, the
+  // pre-replication layout.
   int replication_factor = 1;
 };
 
@@ -51,35 +81,23 @@ class ShardMap {
   // all of its slots regardless of id).
   int SlotOfKey(std::string_view key) const;
 
-  // Node currently homing (tenant, slot): the migration override when one
-  // exists, else the ring placement.
+  // Ring placement of (tenant, slot): the node a slot homes on until a
+  // migration moves it (Cluster::HomeOf answers for the current home).
   int HomeOf(uint32_t tenant, int slot) const;
 
   // Convenience: HomeOf(tenant, SlotOfKey(key)).
   int NodeOfKey(uint32_t tenant, std::string_view key) const;
 
-  // Replica set of (tenant, slot): the leader (HomeOf, override-aware)
-  // first, then RF-1 followers — the next distinct nodes walking the ring
-  // from the slot's position. Size = replication_factor() (leader-only at
-  // RF=1). Followers come from the ring even when a migration override
-  // moved the leader, so a re-homed slot keeps its original followers.
-  std::vector<int> ReplicasOf(uint32_t tenant, int slot) const;
+  // Replica set of (tenant, slot) led by `leader` (the ring placement when
+  // negative): the leader first, then RF-1 followers — the next distinct
+  // nodes walking the ring from the slot's position. Size =
+  // replication_factor() (leader-only at RF=1). A re-homed slot's walk
+  // starts at the ring's own leader, which becomes the first follower, so
+  // the last ring follower drops out of the set.
+  Replicas ReplicasOf(uint32_t tenant, int slot, int leader = -1) const;
 
-  // Per-slot homes for a tenant (size shards_per_tenant).
+  // Ring placement of every slot of a tenant (size shards_per_tenant).
   std::vector<int> Assignment(uint32_t tenant) const;
-
-  // Number of `tenant` slot *replicas* hosted on each node (size
-  // num_nodes). At RF=1 this is the leader count per node; at RF>1 a node
-  // is counted for every slot it leads or follows — the unit of PUT work
-  // (and reservation mass) the node actually carries.
-  std::vector<int> SlotsPerNode(uint32_t tenant) const;
-
-  // Pins (tenant, slot) to `node` (shard migration). An override equal to
-  // the ring placement is stored anyway: placements must not silently move
-  // back if the ring were ever rebuilt differently.
-  void Rehome(uint32_t tenant, int slot, int node);
-
-  size_t num_overrides() const { return overrides_.size(); }
 
  private:
   struct RingPoint {
@@ -100,7 +118,6 @@ class ShardMap {
 
   ShardMapOptions options_;
   std::vector<RingPoint> ring_;  // sorted by point
-  std::map<uint64_t, int> overrides_;  // key: tenant << 32 | slot
 };
 
 }  // namespace libra::cluster

@@ -37,24 +37,33 @@ SimFs::SimFs(iosched::IoScheduler& scheduler, ssd::SsdDevice& device,
   }
 }
 
-SimFs::File* SimFs::Lookup(FileId id) {
-  const auto it = files_.find(id);
-  return it == files_.end() ? nullptr : it->second.get();
-}
-
-const SimFs::File* SimFs::Lookup(FileId id) const {
-  const auto it = files_.find(id);
-  return it == files_.end() ? nullptr : it->second.get();
+SimFs::File* SimFs::Lookup(FileId id) const {
+  const uint64_t index = (id & 0xFFFFFFFFu) - 1;  // kInvalidFile wraps
+  if (index >= files_.size()) {
+    return nullptr;
+  }
+  const FileSlot& slot = files_[index];
+  return slot.generation == (id >> 32) ? slot.file.get() : nullptr;
 }
 
 StatusOr<FileId> SimFs::Create(const std::string& name) {
   if (names_.count(name) > 0) {
     return Status::AlreadyExists(name);
   }
-  const FileId id = next_id_++;
-  auto file = std::make_unique<File>();
-  file->name = name;
-  files_.emplace(id, std::move(file));
+  uint32_t index;
+  if (!free_slots_.empty()) {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    index = static_cast<uint32_t>(files_.size());
+    files_.emplace_back();
+  }
+  FileSlot& slot = files_[index];
+  slot.file = std::make_unique<File>();
+  slot.file->name = name;
+  ++live_files_;
+  const FileId id = (static_cast<uint64_t>(slot.generation) << 32) |
+                    (static_cast<uint64_t>(index) + 1);
   names_.emplace(name, id);
   return id;
 }
@@ -82,7 +91,11 @@ Status SimFs::Delete(const std::string& name) {
     device_.Trim(static_cast<uint64_t>(e) * extent_bytes_, extent_bytes_);
     free_extents_.push_back(e);
   }
-  files_.erase(it->second);
+  const uint32_t index = static_cast<uint32_t>((it->second & 0xFFFFFFFFu) - 1);
+  files_[index].file.reset();
+  ++files_[index].generation;
+  free_slots_.push_back(index);
+  --live_files_;
   names_.erase(it);
   return Status::Ok();
 }
@@ -440,9 +453,11 @@ Status SimFs::CorruptByte(const std::string& name, uint64_t offset,
 
 FsStats SimFs::stats() const {
   FsStats s;
-  s.files = files_.size();
-  for (const auto& [id, f] : files_) {
-    s.bytes_used += f->size;
+  s.files = live_files_;
+  for (const FileSlot& slot : files_) {
+    if (slot.file != nullptr) {
+      s.bytes_used += slot.file->size;
+    }
   }
   s.extents_free = free_extents_.size();
   return s;

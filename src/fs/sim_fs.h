@@ -37,6 +37,10 @@
 
 namespace libra::fs {
 
+// A file handle: the file's slot in the SimFs file table (low 32 bits,
+// index + 1) and that slot's generation (high 32 bits). Delete bumps the
+// generation, so an id kept past its file's deletion never reaches a file
+// that reuses the slot: every verb fails it as "bad file id".
 using FileId = uint64_t;
 inline constexpr FileId kInvalidFile = 0;
 
@@ -236,8 +240,8 @@ class SimFs {
   sim::Task<void> WriteExtents(const File& f, const iosched::IoTag& tag,
                                uint64_t offset, uint64_t length);
 
-  File* Lookup(FileId id);
-  const File* Lookup(FileId id) const;
+  // The live file `id` names, or nullptr (unknown, deleted or stale id).
+  File* Lookup(FileId id) const;
 
   iosched::IoScheduler& scheduler_;
   ssd::SsdDevice& device_;
@@ -245,9 +249,17 @@ class SimFs {
   uint64_t num_extents_;
 
   std::map<std::string, FileId, std::less<>> names_;
-  std::map<FileId, std::unique_ptr<File>> files_;
+  // File table indexed by FileId slot; freed slots are reused (LIFO) under
+  // a bumped generation. Files are boxed: a File* stays valid while the
+  // table grows.
+  struct FileSlot {
+    uint32_t generation = 0;
+    std::unique_ptr<File> file;  // nullptr while the slot is free
+  };
+  std::vector<FileSlot> files_;
+  std::vector<uint32_t> free_slots_;
+  uint64_t live_files_ = 0;
   std::vector<uint32_t> free_extents_;
-  FileId next_id_ = 1;
 };
 
 }  // namespace libra::fs

@@ -38,8 +38,8 @@ sim::Task<void> ProbeWorker(sim::EventLoop& loop, IoScheduler& sched,
         is_read ? read_dist.Sample(rng) : write_dist.Sample(rng));
     const uint64_t slots = std::max<uint64_t>(1, ws / size);
     const uint64_t offset = rng.NextU64(slots) * size;
-    IoTag tag{tenant, is_read ? AppRequest::kGet : AppRequest::kPut,
-              InternalOp::kNone};
+    IoTag tag{.tenant = tenant,
+              .app = is_read ? AppRequest::kGet : AppRequest::kPut};
     if (is_read) {
       co_await sched.Read(tag, offset, size);
     } else {

@@ -9,6 +9,7 @@
 #ifndef LIBRA_SRC_IOSCHED_IO_TAG_H_
 #define LIBRA_SRC_IOSCHED_IO_TAG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -18,6 +19,15 @@ namespace libra::iosched {
 
 using TenantId = uint32_t;
 inline constexpr TenantId kInvalidTenant = UINT32_MAX;
+
+// A tenant's dense index on one node, assigned once at registration by the
+// node's TenantSlots registry: every per-tenant table on the node is a
+// vector indexed by it, so a request finds its tenant's state without a
+// keyed lookup. A distinct type, so a slot never passes for a TenantId.
+enum class TenantSlot : uint32_t { kNone = UINT32_MAX };
+inline constexpr size_t SlotIndex(TenantSlot s) {
+  return static_cast<size_t>(s);
+}
 
 enum class AppRequest : uint8_t {
   kNone = 0,  // unattributed (e.g., system maintenance)
@@ -77,7 +87,10 @@ struct IoTag {
   // Riding the tag means contexts flow through the WAL, group-commit
   // manifests, SSTable builders/readers and the scheduler without any
   // signature changes in those layers; invalid (all-zero) when untraced.
-  TraceContext ctx;
+  TraceContext ctx{};
+  // The tenant's slot on the node issuing the IO (kNone: resolved from
+  // `tenant` at submission, for callers outside a node).
+  TenantSlot slot = TenantSlot::kNone;
 };
 
 // One contributor's slice of a batched (shared) IOP: `bytes` of the op's

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <utility>
 
 namespace libra::iosched {
@@ -19,6 +18,20 @@ ResourcePolicy::ResourcePolicy(sim::EventLoop& loop, IoScheduler& scheduler,
 
 ResourcePolicy::~ResourcePolicy() { Stop(); }
 
+ResourcePolicy::TenantRow& ResourcePolicy::Row(TenantId tenant) {
+  const size_t i = SlotIndex(scheduler_.slots().Assign(tenant));
+  if (i >= rows_.size()) {
+    rows_.resize(i + 1);
+  }
+  return rows_[i];
+}
+
+const ResourcePolicy::TenantRow* ResourcePolicy::FindRow(
+    TenantId tenant) const {
+  const size_t i = SlotIndex(scheduler_.slots().Find(tenant));
+  return i < rows_.size() ? &rows_[i] : nullptr;
+}
+
 void ResourcePolicy::SetReservation(TenantId tenant, Reservation r) {
 #ifndef NDEBUG
   for (int a = kFirstAppRequest; a < kNumAppRequests; ++a) {
@@ -26,12 +39,35 @@ void ResourcePolicy::SetReservation(TenantId tenant, Reservation r) {
   }
 #endif
   assert(r.rps[static_cast<int>(AppRequest::kNone)] == 0.0);
-  reservations_[tenant] = r;
+  TenantRow& row = Row(tenant);
+  row.reserved = true;
+  row.reservation = r;
 }
 
 Reservation ResourcePolicy::GetReservation(TenantId tenant) const {
-  const auto it = reservations_.find(tenant);
-  return it == reservations_.end() ? Reservation{} : it->second;
+  const TenantRow* row = FindRow(tenant);
+  return row == nullptr ? Reservation{} : row->reservation;
+}
+
+void ResourcePolicy::SetCompactionPolicy(TenantId tenant, uint8_t policy) {
+  Row(tenant).compaction_policy = policy;
+}
+
+uint8_t ResourcePolicy::CompactionPolicyOf(TenantId tenant) const {
+  const TenantRow* row = FindRow(tenant);
+  return row == nullptr ? 0 : row->compaction_policy;
+}
+
+void ResourcePolicy::SetDeclaredProfile(TenantId tenant,
+                                        obs::DeclaredAttribution declared) {
+  Row(tenant).declared =
+      std::make_unique<obs::DeclaredAttribution>(declared);
+}
+
+obs::DeclaredAttribution ResourcePolicy::DeclaredOf(TenantId tenant) const {
+  const TenantRow* row = FindRow(tenant);
+  return row == nullptr || row->declared == nullptr ? obs::DeclaredAttribution{}
+                                                    : *row->declared;
 }
 
 void ResourcePolicy::Start() {
@@ -66,7 +102,8 @@ void ResourcePolicy::Stop() {
   }
 }
 
-double ResourcePolicy::ObjectSizePrice(TenantId tenant, AppRequest app) const {
+double ResourcePolicy::ObjectSizePrice(TenantSlot tenant,
+                                       AppRequest app) const {
   const CostModel& model = scheduler_.cost_model();
   ssd::IoType type = ssd::IoType::kRead;
   switch (app) {
@@ -89,25 +126,10 @@ double ResourcePolicy::ObjectSizePrice(TenantId tenant, AppRequest app) const {
   return model.Cost(type, size) / NormalizedRequests(size);
 }
 
-double ResourcePolicy::PriceOf(TenantId tenant, AppRequest app) const {
-  const double object_price = ObjectSizePrice(tenant, app);
-  if (options_.mode == ProfileMode::kObjectSizeOnly) {
-    return object_price;
-  }
-  AppRequestProfile p = scheduler_.tracker().Profile(tenant, app, object_price);
-  // Re-replication catch-up is membership-event work, not steady-state
-  // per-request amplification like FLUSH/COMPACT: its VOPs are charged to
-  // the tenant's allocation as they happen, but baking them into the
-  // per-request price would overbook the node for intervals after every
-  // recovery and scale down the surviving tenants' allocations.
-  p.indirect[static_cast<size_t>(InternalOp::kReplicate)] = 0.0;
-  return p.total();
-}
-
 AppRequestProfile ResourcePolicy::ProfileOf(TenantId tenant,
                                             AppRequest app) const {
-  return scheduler_.tracker().Profile(tenant, app,
-                                      ObjectSizePrice(tenant, app));
+  const TenantSlot slot = scheduler_.slots().Find(tenant);
+  return scheduler_.tracker().Profile(slot, app, ObjectSizePrice(slot, app));
 }
 
 void ResourcePolicy::RunIntervalStep() {
@@ -128,17 +150,39 @@ void ResourcePolicy::RunIntervalStep() {
 
   // Price every reservation under the current profiles: the reserved rate
   // of every application request class times its per-class VOP price.
-  std::map<TenantId, double> required;
+  // Re-replication catch-up is membership-event work, not steady-state
+  // per-request amplification like FLUSH/COMPACT: its VOPs are charged to
+  // the tenant's allocation as they happen, but baking them into the
+  // per-request price would overbook the node for intervals after every
+  // recovery and scale down the surviving tenants' allocations.
+  std::vector<Priced> priced;
+  priced.reserve(rows_.size());
   double total = 0.0;
-  for (const auto& [tenant, res] : reservations_) {
-    double r = 0.0;
+  for (const TenantSlots::Entry& entry : scheduler_.slots().by_id()) {
+    const size_t i = SlotIndex(entry.slot);
+    if (i >= rows_.size() || !rows_[i].reserved) {
+      continue;
+    }
+    const Reservation& res = rows_[i].reservation;
+    Priced& p = priced.emplace_back();
+    p.slot = entry.slot;
+    p.id = entry.id;
     for (int a = kFirstAppRequest; a < kNumAppRequests; ++a) {
+      const AppRequest app = static_cast<AppRequest>(a);
+      const double object_price = ObjectSizePrice(entry.slot, app);
+      p.profile[a] = tracker.Profile(entry.slot, app, object_price);
+      if (options_.mode == ProfileMode::kObjectSizeOnly) {
+        p.price[a] = object_price;
+      } else {
+        AppRequestProfile steady = p.profile[a];
+        steady.indirect[static_cast<size_t>(InternalOp::kReplicate)] = 0.0;
+        p.price[a] = steady.total();
+      }
       if (res.rps[a] > 0.0) {
-        r += res.rps[a] * PriceOf(tenant, static_cast<AppRequest>(a));
+        p.required += res.rps[a] * p.price[a];
       }
     }
-    required[tenant] = r;
-    total += r;
+    total += p.required;
   }
 
   // Overbooking: scale every allocation proportionally into the floor and
@@ -152,8 +196,8 @@ void ResourcePolicy::RunIntervalStep() {
       overflow_cb_(OverflowEvent{now, total, cap, scale});
     }
   }
-  for (const auto& [tenant, r] : required) {
-    scheduler_.SetAllocation(tenant, r * scale);
+  for (const Priced& p : priced) {
+    scheduler_.SetAllocation(p.slot, p.required * scale);
   }
 
   // SLA conformance: did each tenant achieve its priced reservation over the
@@ -162,20 +206,18 @@ void ResourcePolicy::RunIntervalStep() {
   // over the interval (busy time), not sampled at its end: the guarantee is
   // conditional on offered load, and one in-flight request at the sampling
   // instant must not turn a tenant-side load dip into a violation.
-  std::map<TenantId, std::pair<double, bool>> achieved;
   if (elapsed_secs > 0.0) {
-    for (const auto& [tenant, res] : reservations_) {
-      const double vops_now = tracker.Stats(tenant).vops;
-      double& last = last_tenant_vops_[tenant];
-      const double rate = (vops_now - last) / elapsed_secs;
+    for (Priced& p : priced) {
+      const double vops_now = tracker.Stats(p.slot).vops;
+      double& last = rows_[SlotIndex(p.slot)].last_vops;
+      p.achieved = (vops_now - last) / elapsed_secs;
       last = vops_now;
-      const double busy_secs = ToSeconds(scheduler_.ConsumeDemandTime(tenant));
+      const double busy_secs = ToSeconds(scheduler_.ConsumeDemandTime(p.slot));
       const bool demand_pending =
           busy_secs >= options_.sla_demand_fraction * elapsed_secs;
-      const bool violated =
-          sla_.RecordInterval(tenant, now, required[tenant], rate,
-                              demand_pending, options_.sla_tolerance);
-      achieved[tenant] = {rate, violated};
+      p.violated = sla_.RecordInterval(
+          static_cast<uint32_t>(SlotIndex(p.slot)), p.id, now, p.required,
+          p.achieved, demand_pending, options_.sla_tolerance);
     }
   }
 
@@ -187,31 +229,25 @@ void ResourcePolicy::RunIntervalStep() {
     rec.capacity_floor_vops = cap;
     rec.scale = scale;
     rec.overbooked = overbooked;
-    rec.tenants.reserve(reservations_.size());
-    for (const auto& [tenant, res] : reservations_) {
+    rec.tenants.reserve(priced.size());
+    for (const Priced& p : priced) {
+      const TenantRow& row = rows_[SlotIndex(p.slot)];
       obs::AuditTenantEntry e;
-      e.tenant = tenant;
+      e.tenant = p.id;
       for (int a = kFirstAppRequest; a < kNumAppRequests; ++a) {
-        const AppRequest app = static_cast<AppRequest>(a);
-        const AppRequestProfile p = ProfileOf(tenant, app);
-        e.reserved_rps[a] = res.rps[a];
-        e.profile_direct[a] = p.direct;
-        e.profile_flush[a] = p.indirect[static_cast<int>(InternalOp::kFlush)];
+        e.reserved_rps[a] = row.reservation.rps[a];
+        e.profile_direct[a] = p.profile[a].direct;
+        e.profile_flush[a] =
+            p.profile[a].indirect[static_cast<int>(InternalOp::kFlush)];
         e.profile_compact[a] =
-            p.indirect[static_cast<int>(InternalOp::kCompact)];
-        e.price[a] = PriceOf(tenant, app);
+            p.profile[a].indirect[static_cast<int>(InternalOp::kCompact)];
+        e.price[a] = p.price[a];
       }
-      if (const auto cit = compaction_policies_.find(tenant);
-          cit != compaction_policies_.end()) {
-        e.compaction_policy = cit->second;
-      }
-      e.required_vops = required[tenant];
-      e.granted_vops = required[tenant] * scale;
-      const auto ach = achieved.find(tenant);
-      if (ach != achieved.end()) {
-        e.achieved_vops = ach->second.first;
-        e.sla_violated = ach->second.second;
-      }
+      e.compaction_policy = row.compaction_policy;
+      e.required_vops = p.required;
+      e.granted_vops = p.required * scale;
+      e.achieved_vops = p.achieved;
+      e.sla_violated = p.violated;
       rec.tenants.push_back(e);
     }
     audit_log_.Append(std::move(rec));

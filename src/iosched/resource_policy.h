@@ -17,7 +17,8 @@
 #define LIBRA_SRC_IOSCHED_RESOURCE_POLICY_H_
 
 #include <functional>
-#include <map>
+#include <memory>
+#include <vector>
 
 #include "src/common/units.h"
 #include "src/iosched/capacity.h"
@@ -116,24 +117,14 @@ class ResourcePolicy {
   // size-tiered). Purely observational at this layer: it is stamped on
   // audit records so attribution/conformance verdicts can be read against
   // the policy that shaped the indirect profile.
-  void SetCompactionPolicy(TenantId tenant, uint8_t policy) {
-    compaction_policies_[tenant] = policy;
-  }
-  uint8_t CompactionPolicyOf(TenantId tenant) const {
-    const auto it = compaction_policies_.find(tenant);
-    return it == compaction_policies_.end() ? 0 : it->second;
-  }
+  void SetCompactionPolicy(TenantId tenant, uint8_t policy);
+  uint8_t CompactionPolicyOf(TenantId tenant) const;
 
   // The attribution profile the tenant declared at admission — what the
   // tracker-derived observed q̂^{a,i} is verified against. Optional:
   // tenants without a declaration are monitored but never flagged.
-  void SetDeclaredProfile(TenantId tenant, obs::DeclaredAttribution declared) {
-    declared_[tenant] = declared;
-  }
-  obs::DeclaredAttribution DeclaredOf(TenantId tenant) const {
-    const auto it = declared_.find(tenant);
-    return it == declared_.end() ? obs::DeclaredAttribution{} : it->second;
-  }
+  void SetDeclaredProfile(TenantId tenant, obs::DeclaredAttribution declared);
+  obs::DeclaredAttribution DeclaredOf(TenantId tenant) const;
 
   void SetOverflowCallback(std::function<void(const OverflowEvent&)> cb) {
     overflow_cb_ = std::move(cb);
@@ -147,7 +138,10 @@ class ResourcePolicy {
   void Stop();
   bool running() const { return running_; }
 
-  // Runs one provisioning step immediately (also used by tests).
+  // Runs one provisioning step immediately (also used by tests). One pass
+  // over the reserved tenants in ascending id order prices each (tenant,
+  // class) once; the allocation, the SLA row and the audit row all reuse
+  // that price.
   void RunIntervalStep();
 
   // Introspection for the evaluation harnesses.
@@ -165,21 +159,39 @@ class ResourcePolicy {
   const obs::SlaMonitor& sla() const { return sla_; }
 
  private:
-  // VOP price of one normalized request of class `app` for `tenant`.
-  double PriceOf(TenantId tenant, AppRequest app) const;
+  // What the policy keeps per tenant, in a vector indexed by TenantSlot
+  // (the scheduler's registry assigns the slots).
+  struct TenantRow {
+    bool reserved = false;  // SetReservation was called
+    Reservation reservation;
+    uint8_t compaction_policy = 0;
+    std::unique_ptr<obs::DeclaredAttribution> declared;  // nullptr: none
+    double last_vops = 0.0;  // tracker VOPs at the last step (SLA deltas)
+  };
+  TenantRow& Row(TenantId tenant);
+  const TenantRow* FindRow(TenantId tenant) const;
+
+  // One reserved tenant's prices within a step: the profile and the VOP
+  // price of each class, priced once and reused for every output.
+  struct Priced {
+    TenantSlot slot;
+    TenantId id;
+    AppRequestProfile profile[kNumAppRequests];
+    double price[kNumAppRequests] = {};
+    double required = 0.0;
+    double achieved = 0.0;
+    bool violated = false;
+  };
 
   // Cost-model price of a normalized request at the tenant's observed mean
   // object size (fallback/no-profile pricing).
-  double ObjectSizePrice(TenantId tenant, AppRequest app) const;
+  double ObjectSizePrice(TenantSlot tenant, AppRequest app) const;
 
   sim::EventLoop& loop_;
   IoScheduler& scheduler_;
   CapacityModel& capacity_;
   PolicyOptions options_;
-  std::map<TenantId, Reservation> reservations_;
-  std::map<TenantId, uint8_t> compaction_policies_;
-  std::map<TenantId, obs::DeclaredAttribution> declared_;
-  std::map<TenantId, double> last_tenant_vops_;  // SLA interval deltas
+  std::vector<TenantRow> rows_;  // by TenantSlot
   obs::SlaMonitor sla_;
   std::function<void(const OverflowEvent&)> overflow_cb_;
   sim::EventLoop::EventId pending_event_ = 0;

@@ -5,33 +5,41 @@
 namespace libra::iosched {
 
 ResourceTracker::Tenant::Tenant(double alpha) {
-  app.reserve(kNumAppRequests);
-  for (int i = 0; i < kNumAppRequests; ++i) {
-    app.emplace_back(alpha);
+  for (AppClass& a : app) {
+    a.q = Ewma(alpha);
+    a.mean_size = Ewma(alpha);
   }
-  internal.reserve(kNumInternalOps);
-  for (int i = 0; i < kNumInternalOps; ++i) {
-    internal.emplace_back(alpha);
+  for (InternalClass& i : internal) {
+    i.q = Ewma(alpha);
   }
-  trig.reserve(kNumAppRequests * kNumInternalOps);
-  for (int i = 0; i < kNumAppRequests * kNumInternalOps; ++i) {
-    trig.emplace_back(alpha);
+  for (TriggerClass& t : trig) {
+    t.rate = Ewma(alpha);
   }
 }
 
 ResourceTracker::ResourceTracker(double ewma_alpha) : alpha_(ewma_alpha) {}
 
-ResourceTracker::Tenant& ResourceTracker::GetTenant(TenantId id) {
-  auto it = tenants_.find(id);
-  if (it == tenants_.end()) {
-    it = tenants_.emplace(id, Tenant(alpha_)).first;
+ResourceTracker::Tenant& ResourceTracker::Row(TenantSlot slot) {
+  const size_t i = SlotIndex(slot);
+  if (i >= rows_.size()) {
+    rows_.resize(i + 1);
   }
-  return it->second;
+  if (rows_[i] == nullptr) {
+    rows_[i] = std::make_unique<Tenant>(alpha_);
+  }
+  return *rows_[i];
+}
+
+const ResourceTracker::Tenant* ResourceTracker::Recorded(
+    TenantSlot slot) const {
+  const size_t i = SlotIndex(slot);
+  return i < rows_.size() ? rows_[i].get() : nullptr;
 }
 
 void ResourceTracker::RecordIo(const IoTag& tag, ssd::IoType type,
                                uint32_t size_bytes, double vop_cost) {
-  Tenant& t = GetTenant(tag.tenant);
+  Tenant& t = Row(tag.slot != TenantSlot::kNone ? tag.slot
+                                                : slots_.Assign(tag.tenant));
   total_vops_ += vop_cost;
   t.stats.vops += vop_cost;
   if (type == ssd::IoType::kRead) {
@@ -57,9 +65,9 @@ void ResourceTracker::RecordIoShare(const IoTag& tag, ssd::IoType type,
   RecordIo(tag, type, size_bytes, vop_cost);
 }
 
-void ResourceTracker::RecordAppRequest(TenantId tenant, AppRequest app,
+void ResourceTracker::RecordAppRequest(TenantSlot tenant, AppRequest app,
                                        uint64_t size_bytes) {
-  Tenant& t = GetTenant(tenant);
+  Tenant& t = Row(tenant);
   const double n = NormalizedRequests(size_bytes);
   AppClass& cls = t.app[static_cast<int>(app)];
   cls.s += n;
@@ -73,19 +81,23 @@ void ResourceTracker::RecordAppRequest(TenantId tenant, AppRequest app,
   }
 }
 
-void ResourceTracker::RecordTrigger(TenantId tenant, AppRequest origin,
+void ResourceTracker::RecordTrigger(TenantSlot tenant, AppRequest origin,
                                     InternalOp op) {
-  Tenant& t = GetTenant(tenant);
+  Tenant& t = Row(tenant);
   t.trig[static_cast<int>(origin) * kNumInternalOps + static_cast<int>(op)]
       .triggers += 1.0;
 }
 
-void ResourceTracker::RecordInternalOpDone(TenantId tenant, InternalOp op) {
-  GetTenant(tenant).internal[static_cast<int>(op)].ops += 1.0;
+void ResourceTracker::RecordInternalOpDone(TenantSlot tenant, InternalOp op) {
+  Row(tenant).internal[static_cast<int>(op)].ops += 1.0;
 }
 
 void ResourceTracker::Roll() {
-  for (auto& [id, t] : tenants_) {
+  for (const std::unique_ptr<Tenant>& row : rows_) {
+    if (row == nullptr) {
+      continue;
+    }
+    Tenant& t = *row;
     for (auto& a : t.app) {
       if (a.s > 0.0) {
         a.q.Observe(a.u / a.s);
@@ -120,15 +132,15 @@ void ResourceTracker::Roll() {
   }
 }
 
-AppRequestProfile ResourceTracker::Profile(TenantId tenant, AppRequest app,
+AppRequestProfile ResourceTracker::Profile(TenantSlot tenant, AppRequest app,
                                            double fallback_direct) const {
   AppRequestProfile p;
-  const auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
+  const Tenant* row = Recorded(tenant);
+  if (row == nullptr) {
     p.direct = fallback_direct;
     return p;
   }
-  const Tenant& t = it->second;
+  const Tenant& t = *row;
   const AppClass& a = t.app[static_cast<int>(app)];
   p.direct = a.q.initialized() ? a.q.Value() : fallback_direct;
   for (int i = 1; i < kNumInternalOps; ++i) {
@@ -141,22 +153,23 @@ AppRequestProfile ResourceTracker::Profile(TenantId tenant, AppRequest app,
   return p;
 }
 
-double ResourceTracker::VopsBy(TenantId tenant, AppRequest app,
+double ResourceTracker::VopsBy(TenantSlot tenant, AppRequest app,
                                InternalOp internal, ssd::IoType type) const {
-  const auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
+  const Tenant* t = Recorded(tenant);
+  if (t == nullptr) {
     return 0.0;
   }
-  return it->second.vops_by[static_cast<int>(app)][static_cast<int>(internal)]
+  return t->vops_by[static_cast<int>(app)][static_cast<int>(internal)]
                            [static_cast<int>(type)];
 }
 
-double ResourceTracker::MeanRequestSize(TenantId tenant, AppRequest app) const {
-  const auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
+double ResourceTracker::MeanRequestSize(TenantSlot tenant,
+                                        AppRequest app) const {
+  const Tenant* t = Recorded(tenant);
+  if (t == nullptr) {
     return 0.0;
   }
-  const AppClass& cls = it->second.app[static_cast<int>(app)];
+  const AppClass& cls = t->app[static_cast<int>(app)];
   // Prefer the smoothed value; fall back to the live interval.
   if (cls.mean_size.initialized()) {
     return cls.mean_size.Value();
@@ -164,24 +177,24 @@ double ResourceTracker::MeanRequestSize(TenantId tenant, AppRequest app) const {
   return cls.requests > 0.0 ? cls.bytes / cls.requests : 0.0;
 }
 
-double ResourceTracker::NormalizedRequestsTotal(TenantId tenant,
+double ResourceTracker::NormalizedRequestsTotal(TenantSlot tenant,
                                                 AppRequest app) const {
-  const auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
+  const Tenant* t = Recorded(tenant);
+  if (t == nullptr) {
     return 0.0;
   }
-  return it->second.app[static_cast<int>(app)].s_total;
+  return t->app[static_cast<int>(app)].s_total;
 }
 
 std::optional<obs::AttributionMatrix> ResourceTracker::Attribution(
-    TenantId tenant) const {
+    TenantSlot tenant) const {
   static_assert(kNumAppRequests == obs::kAttrApps &&
                 kNumInternalOps == obs::kAttrInternal);
-  const auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
+  const Tenant* row = Recorded(tenant);
+  if (row == nullptr) {
     return std::nullopt;
   }
-  const Tenant& t = it->second;
+  const Tenant& t = *row;
   constexpr int kR = static_cast<int>(ssd::IoType::kRead);
   constexpr int kW = static_cast<int>(ssd::IoType::kWrite);
   obs::AttributionMatrix m;
@@ -195,16 +208,17 @@ std::optional<obs::AttributionMatrix> ResourceTracker::Attribution(
   return m;
 }
 
-const TenantIoStats& ResourceTracker::Stats(TenantId tenant) const {
-  const auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? empty_stats_ : it->second.stats;
+const TenantIoStats& ResourceTracker::Stats(TenantSlot tenant) const {
+  const Tenant* t = Recorded(tenant);
+  return t == nullptr ? empty_stats_ : t->stats;
 }
 
 std::vector<TenantId> ResourceTracker::tenants() const {
   std::vector<TenantId> out;
-  out.reserve(tenants_.size());
-  for (const auto& [id, t] : tenants_) {
-    out.push_back(id);
+  for (const TenantSlots::Entry& e : slots_.by_id()) {
+    if (Recorded(e.slot) != nullptr) {
+      out.push_back(e.id);
+    }
   }
   return out;
 }

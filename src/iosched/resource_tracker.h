@@ -24,12 +24,13 @@
 #define LIBRA_SRC_IOSCHED_RESOURCE_TRACKER_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/ewma.h"
 #include "src/iosched/io_tag.h"
+#include "src/iosched/tenant_slots.h"
 #include "src/obs/conformance.h"
 #include "src/ssd/io_types.h"
 
@@ -63,10 +64,20 @@ struct AppRequestProfile {
   }
 };
 
+// Per-tenant rows live in a vector indexed by TenantSlot. The tracker owns
+// its node's TenantSlots registry (the scheduler, policy and partitions
+// share it through IoScheduler::slots()). Recording calls take the slot a
+// request already carries; the TenantId overloads resolve it through the
+// registry (assigning one to a new tenant) for callers outside a node.
+// Queries by TenantId answer as for a tenant that never recorded anything
+// when the id is unknown.
 class ResourceTracker {
  public:
   // alpha: EWMA weight for profile smoothing.
   explicit ResourceTracker(double ewma_alpha = 0.3);
+
+  TenantSlots& slots() { return slots_; }
+  const TenantSlots& slots() const { return slots_; }
 
   // --- recording (hot path) ---
 
@@ -84,14 +95,24 @@ class ResourceTracker {
                      double vop_cost);
 
   // Called by the serving layer when an app request completes.
-  void RecordAppRequest(TenantId tenant, AppRequest app, uint64_t size_bytes);
+  void RecordAppRequest(TenantSlot tenant, AppRequest app,
+                        uint64_t size_bytes);
+  void RecordAppRequest(TenantId tenant, AppRequest app, uint64_t size_bytes) {
+    RecordAppRequest(slots_.Assign(tenant), app, size_bytes);
+  }
 
   // Called by the persistence engine when app-request activity triggers an
   // internal operation (e.g. a PUT fills the WAL and starts a FLUSH).
-  void RecordTrigger(TenantId tenant, AppRequest origin, InternalOp op);
+  void RecordTrigger(TenantSlot tenant, AppRequest origin, InternalOp op);
+  void RecordTrigger(TenantId tenant, AppRequest origin, InternalOp op) {
+    RecordTrigger(slots_.Assign(tenant), origin, op);
+  }
 
   // Called when an internal operation finishes (defines s_t^i).
-  void RecordInternalOpDone(TenantId tenant, InternalOp op);
+  void RecordInternalOpDone(TenantSlot tenant, InternalOp op);
+  void RecordInternalOpDone(TenantId tenant, InternalOp op) {
+    RecordInternalOpDone(slots_.Assign(tenant), op);
+  }
 
   // --- interval roll (policy path) ---
 
@@ -102,30 +123,50 @@ class ResourceTracker {
 
   // Profile of one request class; `fallback_direct` seeds classes with no
   // observations yet (e.g. the cost-model price of the object IO itself).
-  AppRequestProfile Profile(TenantId tenant, AppRequest app,
+  AppRequestProfile Profile(TenantSlot tenant, AppRequest app,
                             double fallback_direct = 0.0) const;
+  AppRequestProfile Profile(TenantId tenant, AppRequest app,
+                            double fallback_direct = 0.0) const {
+    return Profile(slots_.Find(tenant), app, fallback_direct);
+  }
 
   // Cumulative IO stats (all tags) for a tenant.
-  const TenantIoStats& Stats(TenantId tenant) const;
+  const TenantIoStats& Stats(TenantSlot tenant) const;
+  const TenantIoStats& Stats(TenantId tenant) const {
+    return Stats(slots_.Find(tenant));
+  }
 
   // Cumulative VOPs for one (app request, internal op, IO direction) class
   // — the Fig. 2 stacked-consumption breakdown (GET read IO, PUT write IO,
   // FLUSH read/write IO, COMPACT read/write IO).
-  double VopsBy(TenantId tenant, AppRequest app, InternalOp internal,
+  double VopsBy(TenantSlot tenant, AppRequest app, InternalOp internal,
                 ssd::IoType type) const;
+  double VopsBy(TenantId tenant, AppRequest app, InternalOp internal,
+                ssd::IoType type) const {
+    return VopsBy(slots_.Find(tenant), app, internal, type);
+  }
 
   // Smoothed mean request size in bytes for a class; 0 until observed.
   // Used for object-size-only (no-profile) pricing.
-  double MeanRequestSize(TenantId tenant, AppRequest app) const;
+  double MeanRequestSize(TenantSlot tenant, AppRequest app) const;
+  double MeanRequestSize(TenantId tenant, AppRequest app) const {
+    return MeanRequestSize(slots_.Find(tenant), app);
+  }
 
   // Cumulative normalized requests executed (throughput measurement).
-  double NormalizedRequestsTotal(TenantId tenant, AppRequest app) const;
+  double NormalizedRequestsTotal(TenantSlot tenant, AppRequest app) const;
+  double NormalizedRequestsTotal(TenantId tenant, AppRequest app) const {
+    return NormalizedRequestsTotal(slots_.Find(tenant), app);
+  }
 
   // The tenant's observed attribution matrix, derived from the cumulative
   // counters above: cell (a, i) is VopsBy(a, i, read) + VopsBy(a, i, write),
   // norm_requests[a] is NormalizedRequestsTotal(a), and total_vops is
   // Stats().vops. nullopt until the tenant has recorded anything.
-  std::optional<obs::AttributionMatrix> Attribution(TenantId tenant) const;
+  std::optional<obs::AttributionMatrix> Attribution(TenantSlot tenant) const;
+  std::optional<obs::AttributionMatrix> Attribution(TenantId tenant) const {
+    return Attribution(slots_.Find(tenant));
+  }
 
   // Total VOPs consumed across all tenants since construction.
   double total_vops() const { return total_vops_; }
@@ -135,6 +176,7 @@ class ResourceTracker {
   uint64_t shared_io_shares() const { return shared_io_shares_; }
   uint64_t shared_io_bytes() const { return shared_io_bytes_; }
 
+  // Tenants that have recorded anything, in ascending id order.
   std::vector<TenantId> tenants() const;
 
  private:
@@ -146,34 +188,37 @@ class ResourceTracker {
     double s_total = 0.0;  // cumulative normalized requests (never reset)
     Ewma q;
     Ewma mean_size;
-    explicit AppClass(double alpha) : q(alpha), mean_size(alpha) {}
   };
   struct InternalClass {
     double u = 0.0;    // interval VOPs
     double ops = 0.0;  // interval completed ops
     Ewma q;
-    explicit InternalClass(double alpha) : q(alpha) {}
   };
   struct TriggerClass {
     double triggers = 0.0;  // since-last-roll triggers
     double s_accum = 0.0;   // normalized requests since last observed trigger
     Ewma rate;              // triggers per normalized request
-    explicit TriggerClass(double alpha) : rate(alpha) {}
   };
   struct Tenant {
     explicit Tenant(double alpha);
-    std::vector<AppClass> app;            // by AppRequest
-    std::vector<InternalClass> internal;  // by InternalOp
-    std::vector<TriggerClass> trig;       // [app][internal] flattened
+    AppClass app[kNumAppRequests];            // by AppRequest
+    InternalClass internal[kNumInternalOps];  // by InternalOp
+    TriggerClass trig[kNumAppRequests * kNumInternalOps];  // [app][internal]
     TenantIoStats stats;
     // Cumulative VOPs by [app][internal][io type].
     double vops_by[kNumAppRequests][kNumInternalOps][2] = {};
   };
 
-  Tenant& GetTenant(TenantId id);
+  // The slot's row for recording (created on first use).
+  Tenant& Row(TenantSlot slot);
+  // The slot's row if it has recorded anything, else nullptr.
+  const Tenant* Recorded(TenantSlot slot) const;
 
   double alpha_;
-  std::unordered_map<TenantId, Tenant> tenants_;
+  TenantSlots slots_;
+  // By TenantSlot; nullptr until the tenant records something. Boxed: a
+  // row is ~1.5 KB, so a growing vector of pointers wastes far less.
+  std::vector<std::unique_ptr<Tenant>> rows_;
   TenantIoStats empty_stats_;
   double total_vops_ = 0.0;
   uint64_t shared_io_shares_ = 0;

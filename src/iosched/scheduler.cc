@@ -57,70 +57,64 @@ size_t IoScheduler::IndexBits::Next(size_t from) const {
   return (w << 6) + static_cast<size_t>(std::countr_zero(word));
 }
 
-void IoScheduler::IndexBits::InsertAt(size_t i) {
-  if (size_++ % 64 == 0) {
-    words_.push_back(0);
-  }
-  const size_t w = i >> 6;
-  for (size_t k = words_.size() - 1; k > w; --k) {
-    words_[k] = (words_[k] << 1) | (words_[k - 1] >> 63);
-  }
-  const uint64_t low = (uint64_t{1} << (i & 63)) - 1;
-  words_[w] = (words_[w] & low) | ((words_[w] & ~low) << 1);
+IoScheduler::Tenant* IoScheduler::FindTenant(TenantSlot slot) {
+  const size_t i = SlotIndex(slot);
+  return i < tenants_.size() && tenants_[i].lifecycle != nullptr
+             ? &tenants_[i]
+             : nullptr;
 }
 
-size_t IoScheduler::LowerBound(TenantId id) const {
-  size_t lo = 0;
-  size_t hi = tenants_.size();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (tenants_[mid].id < id) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
+const IoScheduler::Tenant* IoScheduler::FindTenant(TenantSlot slot) const {
+  const size_t i = SlotIndex(slot);
+  return i < tenants_.size() && tenants_[i].lifecycle != nullptr
+             ? &tenants_[i]
+             : nullptr;
+}
+
+IoScheduler::Tenant& IoScheduler::GetTenant(TenantSlot slot) {
+  const size_t i = SlotIndex(slot);
+  if (i >= tenants_.size()) {
+    tenants_.resize(i + 1);
+  }
+  Tenant& t = tenants_[i];
+  if (t.lifecycle == nullptr) {
+    t.lifecycle = std::make_unique<TenantLifecycleStats>();
+  }
+  return t;
+}
+
+void IoScheduler::SyncRanks() {
+  const TenantSlots& reg = slots();
+  if (ranked_slots_ == reg.size()) {
+    return;
+  }
+  ranked_slots_ = reg.size();
+  queued_.Clear(ranked_slots_);
+  active_.Clear(ranked_slots_);
+  for (size_t i = 0; i < tenants_.size(); ++i) {
+    const Tenant& t = tenants_[i];
+    const size_t rank = RankOf(static_cast<TenantSlot>(i));
+    if (!t.queue.empty()) {
+      queued_.Set(rank);
+    }
+    if (t.active()) {
+      active_.Set(rank);
     }
   }
-  return lo;
-}
-
-IoScheduler::Tenant* IoScheduler::FindTenant(TenantId id) {
-  const size_t i = LowerBound(id);
-  return (i < tenants_.size() && tenants_[i].id == id) ? &tenants_[i]
-                                                       : nullptr;
-}
-
-const IoScheduler::Tenant* IoScheduler::FindTenant(TenantId id) const {
-  const size_t i = LowerBound(id);
-  return (i < tenants_.size() && tenants_[i].id == id) ? &tenants_[i]
-                                                       : nullptr;
-}
-
-IoScheduler::Tenant& IoScheduler::GetTenant(TenantId id) {
-  const size_t i = LowerBound(id);
-  if (i < tenants_.size() && tenants_[i].id == id) {
-    return tenants_[i];
-  }
-  Tenant t;
-  t.id = id;
-  t.lifecycle = std::make_unique<TenantLifecycleStats>();
-  queued_.InsertAt(i);
-  active_.InsertAt(i);
-  return *tenants_.insert(tenants_.begin() + static_cast<ptrdiff_t>(i),
-                          std::move(t));
 }
 
 const TenantLifecycleStats* IoScheduler::lifecycle(TenantId tenant) const {
-  const Tenant* t = FindTenant(tenant);
+  const Tenant* t = FindTenant(slots().Find(tenant));
   return t == nullptr ? nullptr : t->lifecycle.get();
 }
 
-void IoScheduler::SetAllocation(TenantId tenant, double vops_per_sec) {
+void IoScheduler::SetAllocation(TenantSlot tenant, double vops_per_sec) {
   assert(vops_per_sec >= 0.0);
   GetTenant(tenant).allocation = vops_per_sec;
 }
 
 double IoScheduler::Allocation(TenantId tenant) const {
-  const Tenant* t = FindTenant(tenant);
+  const Tenant* t = FindTenant(slots().Find(tenant));
   return t == nullptr ? 0.0 : t->allocation;
 }
 
@@ -190,7 +184,18 @@ sim::Task<void> IoScheduler::Submit(IoTag tag, ssd::IoType type,
                                     std::vector<IoShare> manifest) {
   assert(tag.tenant != kInvalidTenant);
   sim::OneShot<bool> done(loop_);
-  Tenant& tenant = GetTenant(tag.tenant);  // auto-registers (allocation 0)
+  // Callers outside a node leave the slot to be resolved here; the op's
+  // tag (and every manifest share) then carries it to the tracker.
+  if (tag.slot == TenantSlot::kNone) {
+    tag.slot = slots().Assign(tag.tenant);
+  }
+  for (IoShare& s : manifest) {
+    if (s.tag.slot == TenantSlot::kNone) {
+      s.tag.slot = slots().Assign(s.tag.tenant);
+    }
+  }
+  SyncRanks();
+  Tenant& tenant = GetTenant(tag.slot);  // auto-registers (allocation 0)
   if (size == 0) {
     // Zero-size IO: nothing to dispatch or charge. Completes immediately
     // with zero chunks; recorded in the lifecycle stats so callers can see
@@ -203,7 +208,7 @@ sim::Task<void> IoScheduler::Submit(IoTag tag, ssd::IoType type,
   Op* op = AllocOp(tag, type, offset, size);
   op->done = &done;
   op->manifest = std::move(manifest);
-  const size_t index = static_cast<size_t>(&tenant - tenants_.data());
+  const size_t rank = RankOf(tag.slot);
   if (!tenant.active()) {
     // Idle -> active: the busy period opens, and the idle clamp NewRound
     // skipped (see Tenant::idle_round) is owed if a round passed.
@@ -212,10 +217,10 @@ sim::Task<void> IoScheduler::Submit(IoTag tag, ssd::IoType type,
     if (tenant.idle_round != rounds_) {
       tenant.deficit = std::min(tenant.deficit, 0.0);
     }
-    active_.Set(index);
+    active_.Set(rank);
   }
   if (tenant.queue.empty()) {
-    queued_.Set(index);
+    queued_.Set(rank);
   }
   tenant.queue.push_back(op);
   Pump();
@@ -230,7 +235,7 @@ uint32_t IoScheduler::NextChunkBytes(const Op& op) const {
   return std::min(remaining, options_.chunk_bytes);
 }
 
-SimDuration IoScheduler::ConsumeDemandTime(TenantId tenant) {
+SimDuration IoScheduler::ConsumeDemandTime(TenantSlot tenant) {
   Tenant* t = FindTenant(tenant);
   if (t == nullptr) {
     return 0;
@@ -263,7 +268,7 @@ bool IoScheduler::NewRound() {
   int active = 0;
   for (size_t i = active_.Next(0); i != IndexBits::kNone;
        i = active_.Next(i + 1)) {
-    weight_sum += tenants_[i].allocation;
+    weight_sum += AtRank(i).allocation;
     ++active;
   }
   if (active == 0) {
@@ -272,7 +277,7 @@ bool IoScheduler::NewRound() {
   ++rounds_;
   for (size_t i = active_.Next(0); i != IndexBits::kNone;
        i = active_.Next(i + 1)) {
-    Tenant& t = tenants_[i];
+    Tenant& t = AtRank(i);
     // Weight-proportional quantum. With all-zero weights (only best-effort
     // tenants active) fall back to equal shares so the device never idles.
     const double share = weight_sum > 0.0
@@ -295,6 +300,7 @@ uint32_t IoScheduler::AllocChunkCtx() {
 }
 
 void IoScheduler::DispatchChunk(Tenant& tenant) {
+  // Pump, the only caller, synced the ranks.
   assert(!tenant.queue.empty());
   Op* op = tenant.queue.front();
   const uint32_t chunk = NextChunkBytes(*op);
@@ -313,14 +319,13 @@ void IoScheduler::DispatchChunk(Tenant& tenant) {
   if (op->fully_dispatched()) {
     tenant.queue.pop_front();  // op stays alive in the pool until completion
     if (tenant.queue.empty()) {
-      queued_.Reset(static_cast<size_t>(&tenant - tenants_.data()));
+      queued_.Reset(RankOf(op->tag.slot));
     }
   }
 
   const uint32_t ctx_idx = AllocChunkCtx();
   ChunkCtx& ctx = chunk_ctx_[ctx_idx];
   ctx.op = op;
-  ctx.tenant = tenant.id;
   ctx.cost = cost;
   ctx.chunk = chunk;
   ctx.shares.clear();
@@ -359,11 +364,11 @@ void IoScheduler::DispatchChunk(Tenant& tenant) {
 }
 
 void IoScheduler::OnChunkComplete(uint32_t index) {
+  SyncRanks();
   // Record against the slot, copy the scalars out, then recycle it: the
   // Pump below may dispatch into it.
   ChunkCtx& slot = chunk_ctx_[index];
   Op* op = slot.op;
-  const TenantId tenant_id = slot.tenant;
   const double cost = slot.cost;
   const uint32_t chunk = slot.chunk;
   if (slot.shares.empty()) {
@@ -382,7 +387,8 @@ void IoScheduler::OnChunkComplete(uint32_t index) {
   chunk_free_ = index;
 
   --op->chunks_inflight;
-  Tenant& t = *FindTenant(tenant_id);  // tenants are never removed
+  const TenantSlot tenant_slot = op->tag.slot;
+  Tenant& t = tenants_[SlotIndex(tenant_slot)];  // never removed
   --t.chunks_inflight;
   if (op->fully_dispatched() && op->chunks_inflight == 0) {
     const SimTime now = loop_.Now();
@@ -407,7 +413,7 @@ void IoScheduler::OnChunkComplete(uint32_t index) {
     t.busy_accum += loop_.Now() - t.busy_since;
     t.busy_since = -1;
     t.idle_round = rounds_;
-    active_.Reset(static_cast<size_t>(&t - tenants_.data()));
+    active_.Reset(RankOf(tenant_slot));
   }
   --inflight_;
   // Posted, not called: the Set above posted the waiter's resume first, so
@@ -464,6 +470,7 @@ void IoScheduler::Pump() {
     return;
   }
   pumping_ = true;
+  SyncRanks();
   // Bound successive budget refills within one pump so a queue whose head
   // chunk exceeds the deficit cap cannot spin the round counter.
   int refills_left = 8;
@@ -471,7 +478,7 @@ void IoScheduler::Pump() {
   // head chunk, or kNone.
   const auto first_affordable = [this](size_t from, size_t to) {
     for (size_t i = queued_.Next(from); i < to; i = queued_.Next(i + 1)) {
-      const Tenant& t = tenants_[i];
+      const Tenant& t = AtRank(i);
       const Op& head = *t.queue.front();
       if (t.deficit + kEps >=
           cost_model_->Cost(head.type, NextChunkBytes(head))) {
@@ -484,7 +491,8 @@ void IoScheduler::Pump() {
     // Rotate the ring from the cursor for an eligible (work + budget)
     // tenant: the queued tenants at or after the cursor, then the ones
     // before it, in id order.
-    const size_t start = LowerBound(ring_cursor_);
+    const size_t start =
+        ring_cursor_ == TenantSlot::kNone ? 0 : RankOf(ring_cursor_);
     size_t pick = first_affordable(start, IndexBits::kNone);
     if (pick == IndexBits::kNone) {
       pick = first_affordable(0, start);
@@ -492,8 +500,8 @@ void IoScheduler::Pump() {
     if (pick != IndexBits::kNone) {
       // DRR: keep serving this tenant while it stays eligible (the cursor
       // only moves past it when it runs out of budget or work).
-      ring_cursor_ = tenants_[pick].id;
-      DispatchChunk(tenants_[pick]);
+      ring_cursor_ = slots().by_id()[pick].slot;
+      DispatchChunk(AtRank(pick));
       continue;
     }
 
@@ -508,7 +516,7 @@ void IoScheduler::Pump() {
     bool holds_round_open = false;
     for (size_t i = active_.Next(0); i != IndexBits::kNone;
          i = active_.Next(i + 1)) {
-      const Tenant& t = tenants_[i];
+      const Tenant& t = AtRank(i);
       if (t.queue.empty() && t.deficit > kMinChunkCostVops) {
         holds_round_open = true;  // active and not queued: chunks in flight
         break;
@@ -522,7 +530,7 @@ void IoScheduler::Pump() {
       // Refills exhausted or impossible: force the lowest-id queued tenant
       // into debt so the scheduler always makes progress (the debt is
       // repaid out of future quanta, preserving long-run proportions).
-      DispatchChunk(tenants_[first_queued]);
+      DispatchChunk(AtRank(first_queued));
     }
   }
   pumping_ = false;

@@ -41,6 +41,7 @@
 #include "src/iosched/cost_model.h"
 #include "src/iosched/io_tag.h"
 #include "src/iosched/resource_tracker.h"
+#include "src/iosched/tenant_slots.h"
 #include "src/obs/io_stats.h"
 #include "src/obs/span.h"
 #include "src/sim/event_loop.h"
@@ -117,9 +118,17 @@ class IoScheduler {
   IoScheduler(const IoScheduler&) = delete;
   IoScheduler& operator=(const IoScheduler&) = delete;
 
+  // The node's tenant registry (kept by the tracker): per-tenant state
+  // here and in the tracker is indexed by the slots it assigns.
+  TenantSlots& slots() { return tracker_.slots(); }
+  const TenantSlots& slots() const { return tracker_.slots(); }
+
   // Registers a tenant with a VOP/s allocation (used as its DRR weight).
   // Re-registering updates the allocation.
-  void SetAllocation(TenantId tenant, double vops_per_sec);
+  void SetAllocation(TenantSlot tenant, double vops_per_sec);
+  void SetAllocation(TenantId tenant, double vops_per_sec) {
+    SetAllocation(slots().Assign(tenant), vops_per_sec);
+  }
   double Allocation(TenantId tenant) const;
 
   // Submits one IO and suspends until it (all chunks) completes.
@@ -160,7 +169,7 @@ class IoScheduler {
 
   // Whether the tenant has queued or in-flight work right now.
   bool HasDemand(TenantId tenant) const {
-    const Tenant* t = FindTenant(tenant);
+    const Tenant* t = FindTenant(slots().Find(tenant));
     return t != nullptr && t->active();
   }
 
@@ -169,7 +178,10 @@ class IoScheduler {
   // HasDemand sample at interval end mislabels load dips as enforcement
   // failures). Closes any open busy period at the current time and starts
   // a fresh one if the tenant is still active.
-  SimDuration ConsumeDemandTime(TenantId tenant);
+  SimDuration ConsumeDemandTime(TenantSlot tenant);
+  SimDuration ConsumeDemandTime(TenantId tenant) {
+    return ConsumeDemandTime(slots().Find(tenant));
+  }
 
  private:
   // Ops live in a scheduler-owned pool (op_arena_ + op_free_) and are
@@ -197,13 +209,12 @@ class IoScheduler {
   };
 
   struct Tenant {
-    TenantId id = 0;
     double allocation = 0.0;  // VOP/s (DRR weight)
     double deficit = 0.0;     // VOPs available now
     int chunks_inflight = 0;  // dispatched, not yet completed
     sim::FifoQueue<Op*> queue;  // owned by the op pool
-    // Created once at tenant registration; keeps the Tenant record small
-    // for the sorted-vector shifts of later registrations.
+    // Created when the scheduler first sees the tenant (SetAllocation or
+    // a submitted IO); nullptr marks a slot the scheduler has not seen.
     std::unique_ptr<TenantLifecycleStats> lifecycle;
 
     // Demand busy-time accounting for ConsumeDemandTime: start of the open
@@ -222,10 +233,11 @@ class IoScheduler {
     bool active() const { return !queue.empty() || chunks_inflight > 0; }
   };
 
-  // One bit per tenants_ index. Pump, NewRound and the round-open check
-  // visit only the set bits, in index (= id) order, so they touch the
-  // records of queued or active tenants only (plus one word load per 64
-  // registered tenants when skipping empty words).
+  // One bit per ring position (the registry's id rank). Pump, NewRound
+  // and the round-open check visit only the set bits, in rank (= id)
+  // order, so they touch the records of queued or active tenants only
+  // (plus one word load per 64 registered tenants when skipping empty
+  // words).
   class IndexBits {
    public:
     static constexpr size_t kNone = SIZE_MAX;
@@ -233,27 +245,32 @@ class IoScheduler {
     void Reset(size_t i) { words_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
     // First set bit at index >= `from`, or kNone.
     size_t Next(size_t from) const;
-    // Makes room for a tenant inserted at index `i`: bits at >= i move up
-    // one place and bit i is clear.
-    void InsertAt(size_t i);
+    // All clear, with room for `n` bits.
+    void Clear(size_t n) { words_.assign((n + 63) / 64, 0); }
 
    private:
     std::vector<uint64_t> words_;
-    size_t size_ = 0;
   };
 
-  // Tenants sit in a dense vector kept sorted by id; queued_ and active_
-  // index it, so the DRR ring visits tenants in id order (deterministic
-  // round-robin order). Registration (rare) inserts in the middle and
-  // shifts both bitmaps; the hot paths only walk set bits.
-  Tenant* FindTenant(TenantId id);
-  const Tenant* FindTenant(TenantId id) const;
+  // Tenants sit in a dense vector indexed by slot; queued_ and active_ are
+  // indexed by the registry's id rank, so the DRR ring visits tenants in id
+  // order (deterministic round-robin order) whatever order they arrived
+  // in. A registration shifts ranks, so the bitmaps are rebuilt from the
+  // records when the registry has grown (SyncRanks); the hot paths only
+  // walk set bits.
+  Tenant* FindTenant(TenantSlot slot);
+  const Tenant* FindTenant(TenantSlot slot) const;
 
   // Find-or-create with lifecycle stats attached.
-  Tenant& GetTenant(TenantId id);
+  Tenant& GetTenant(TenantSlot slot);
 
-  // Index of the first tenant with id >= `id` (== tenants_.size() if none).
-  size_t LowerBound(TenantId id) const;
+  // Rebuilds queued_/active_ when the registry gained slots since the
+  // last rebuild (cheap no-op otherwise).
+  void SyncRanks();
+  size_t RankOf(TenantSlot slot) const { return slots().RankOf(slot); }
+  Tenant& AtRank(size_t rank) {
+    return tenants_[SlotIndex(slots().by_id()[rank].slot)];
+  }
 
   Op* AllocOp(const IoTag& tag, ssd::IoType type, uint64_t offset,
               uint32_t size);
@@ -295,7 +312,6 @@ class IoScheduler {
   // of a fresh closure per dispatch.
   struct ChunkCtx {
     Op* op = nullptr;
-    TenantId tenant = 0;
     double cost = 0.0;
     uint32_t chunk = 0;
     uint32_t next_free = 0;
@@ -317,10 +333,12 @@ class IoScheduler {
   SchedulerOptions options_;
   ResourceTracker tracker_;
 
-  std::vector<Tenant> tenants_;  // sorted by Tenant::id
-  IndexBits queued_;             // tenant queue non-empty
-  IndexBits active_;             // Tenant::active()
-  TenantId ring_cursor_ = 0;     // tenant id to consider next
+  std::vector<Tenant> tenants_;  // by TenantSlot
+  IndexBits queued_;             // tenant queue non-empty, by rank
+  IndexBits active_;             // Tenant::active(), by rank
+  size_t ranked_slots_ = 0;      // registry size the bitmaps were built for
+  // Tenant to consider next (kNone: start of the ring, the lowest id).
+  TenantSlot ring_cursor_ = TenantSlot::kNone;
 
   std::deque<Op> op_arena_;  // stable addresses; Op* handles circulate
   std::vector<Op*> op_free_;

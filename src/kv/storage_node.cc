@@ -120,7 +120,7 @@ lsm::LsmOptions StorageNode::TenantLsmOptions(TenantId tenant) const {
 Status StorageNode::AddTenant(TenantId tenant, Reservation reservation,
                               obs::DeclaredAttribution declared,
                               lsm::CompactionPolicy compaction) {
-  if (partitions_.count(tenant) > 0) {
+  if (HasTenant(tenant)) {
     return Status::AlreadyExists("tenant exists");
   }
   if (Status s = ValidateReservation(reservation); !s.ok()) {
@@ -138,7 +138,14 @@ Status StorageNode::AddTenant(TenantId tenant, Reservation reservation,
       return s;
     }
   }
-  partitions_[tenant].db = std::move(db);
+  const iosched::TenantSlot slot = scheduler_.slots().Assign(tenant);
+  const size_t i = iosched::SlotIndex(slot);
+  if (i >= partitions_.size()) {
+    partitions_.resize(i + 1);
+  }
+  partitions_[i] = std::make_unique<Partition>();
+  partitions_[i]->slot = slot;
+  partitions_[i]->db = std::move(db);
   policy_.SetReservation(tenant, reservation);
   if (declared.declared) {
     policy_.SetDeclaredProfile(tenant, declared);
@@ -148,7 +155,7 @@ Status StorageNode::AddTenant(TenantId tenant, Reservation reservation,
 
 Status StorageNode::UpdateReservation(TenantId tenant,
                                       Reservation reservation) {
-  if (partitions_.count(tenant) == 0) {
+  if (!HasTenant(tenant)) {
     return Status::NotFound("unknown tenant " + std::to_string(tenant));
   }
   if (Status s = ValidateReservation(reservation); !s.ok()) {
@@ -169,10 +176,11 @@ void StorageNode::Crash() {
   // harnesses that drive provisioning manually rely on a draining Run()).
   policy_was_running_ = policy_.running();
   policy_.Stop();
-  for (auto& [tenant, p] : partitions_) {
-    if (p.db != nullptr) {
-      p.db->Kill();
-      graveyard_.push_back(std::move(p.db));
+  for (const iosched::TenantSlots::Entry& e : scheduler_.slots().by_id()) {
+    Partition* p = PartitionAt(e.slot);
+    if (p != nullptr && p->db != nullptr) {
+      p->db->Kill();
+      graveyard_.push_back(std::move(p->db));
     }
   }
 }
@@ -205,7 +213,13 @@ sim::Task<Status> StorageNode::Restart() {
   // The policy kept every tenant's reservation and declared profile;
   // partitions_ kept the tenant set. Reopen each partition over its old
   // prefix — Open() replays the surviving WALs.
-  for (auto& [tenant, p] : partitions_) {
+  for (const iosched::TenantSlots::Entry& e : scheduler_.slots().by_id()) {
+    Partition* entry = PartitionAt(e.slot);
+    if (entry == nullptr) {
+      continue;
+    }
+    Partition& p = *entry;
+    const TenantId tenant = e.id;
     auto db = std::make_unique<lsm::LsmDb>(loop_, fs_, scheduler_, tenant,
                                            "tenant_" + std::to_string(tenant),
                                            TenantLsmOptions(tenant));
@@ -226,9 +240,8 @@ sim::Task<Status> StorageNode::Restart() {
 }
 
 StorageNode::Partition* StorageNode::OpenPartition(TenantId tenant) {
-  const auto it = partitions_.find(tenant);
-  return it == partitions_.end() || it->second.db == nullptr ? nullptr
-                                                              : &it->second;
+  Partition* p = Registered(tenant);
+  return p == nullptr || p->db == nullptr ? nullptr : p;
 }
 
 lsm::LsmDb* StorageNode::partition(TenantId tenant) {
@@ -238,9 +251,10 @@ lsm::LsmDb* StorageNode::partition(TenantId tenant) {
 
 std::vector<TenantId> StorageNode::tenants() const {
   std::vector<TenantId> out;
-  for (const auto& [tenant, p] : partitions_) {
-    if (p.db != nullptr) {
-      out.push_back(tenant);
+  for (const iosched::TenantSlots::Entry& e : scheduler_.slots().by_id()) {
+    const Partition* p = PartitionAt(e.slot);
+    if (p != nullptr && p->db != nullptr) {
+      out.push_back(e.id);
     }
   }
   return out;
@@ -272,7 +286,7 @@ sim::Task<Status> StorageNode::Write(TenantId tenant, const std::string& key,
     // Normalized app-request accounting happens at the protocol layer
     // (§2.2): reservations are in size-normalized 1KB requests, and every
     // request (traced or not) lands in the q̂ denominator.
-    tracker().RecordAppRequest(tenant, AppRequest::kPut, bytes);
+    tracker().RecordAppRequest(p->slot, AppRequest::kPut, bytes);
     if (cache_ != nullptr) {
       if (value.has_value()) {
         cache_->Put(key, std::string(*value));  // write-through
@@ -303,7 +317,8 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
     if (auto hit = cache_->Get(key); hit.has_value()) {
       Result<std::string> out(std::move(*hit));
       // Cache hits consume no IO; they still count as served requests.
-      tracker().RecordAppRequest(tenant, AppRequest::kGet, out.value().size());
+      tracker().RecordAppRequest(p->slot, AppRequest::kGet,
+                                 out.value().size());
       p->get_latency.Record(static_cast<uint64_t>(loop_.Now() - start));
       EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kGet,
                      tenant, start, loop_.Now(), out.value().size());
@@ -313,9 +328,9 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
   // With read coalescing on, this request either rides an in-flight
   // lookup of the same key (follower) or claims the flight (leader).
   const bool coalesce = options_.enable_read_coalescing;
-  std::pair<TenantId, std::string> flight_key;
+  std::pair<iosched::TenantSlot, std::string> flight_key;
   if (coalesce) {
-    flight_key = {tenant, key};
+    flight_key = {p->slot, key};
     const auto it = inflight_gets_.find(flight_key);
     if (it != inflight_gets_.end()) {
       // Follower: ride the leader's in-flight lookup. The request is still
@@ -327,7 +342,7 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
       it->second.waiters.push_back(&done);
       Result<std::string> out = co_await done.Wait();
       const uint64_t billed = out.ok() ? out.value().size() : 1;
-      tracker().RecordAppRequest(tenant, AppRequest::kGet, billed);
+      tracker().RecordAppRequest(p->slot, AppRequest::kGet, billed);
       p->get_latency.Record(static_cast<uint64_t>(loop_.Now() - start));
       EndRequestSpan(spans, span, obs::SpanKind::kCoalescedGet,
                      AppRequest::kGet, tenant, start, loop_.Now(), billed,
@@ -349,7 +364,7 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
     }
   }
   const uint64_t billed = out.ok() ? out.value().size() : 1;
-  tracker().RecordAppRequest(tenant, AppRequest::kGet, billed);
+  tracker().RecordAppRequest(p->slot, AppRequest::kGet, billed);
   p->get_latency.Record(static_cast<uint64_t>(loop_.Now() - start));
   if (out.ok() && cache_ != nullptr) {
     cache_->Put(key, out.value());
@@ -392,7 +407,7 @@ sim::Task<lsm::LsmDb::ScanResult> StorageNode::Scan(TenantId tenant,
     if (billed == 0) {
       billed = 1;
     }
-    tracker().RecordAppRequest(tenant, AppRequest::kScan, billed);
+    tracker().RecordAppRequest(p->slot, AppRequest::kScan, billed);
   }
   p->scan_latency.Record(static_cast<uint64_t>(loop_.Now() - start_time));
   EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kScan,
@@ -435,10 +450,16 @@ NodeStats StorageNode::Snapshot() const {
   }
   s.coalesced_gets = coalesced_gets_;
   s.recovery = recovery_;
-  for (const auto& [tenant, p] : partitions_) {
+  for (const iosched::TenantSlots::Entry& e : scheduler_.slots().by_id()) {
+    const Partition* entry = PartitionAt(e.slot);
+    if (entry == nullptr) {
+      continue;
+    }
+    const Partition& p = *entry;
+    const TenantId tenant = e.id;
     for (const ssd::IoType type : {ssd::IoType::kRead, ssd::IoType::kWrite}) {
       s.recovery.rereplication_vops += scheduler_.tracker().VopsBy(
-          tenant, AppRequest::kPut, iosched::InternalOp::kReplicate, type);
+          p.slot, AppRequest::kPut, iosched::InternalOp::kReplicate, type);
     }
     if (p.db == nullptr) {
       continue;  // crashed: no partition to report
@@ -468,7 +489,7 @@ NodeStats StorageNode::Snapshot() const {
     }
     t.lsm = p.db->stats();
     if (const std::optional<obs::AttributionMatrix> m =
-            scheduler_.tracker().Attribution(tenant)) {
+            scheduler_.tracker().Attribution(p.slot)) {
       t.attribution.observed = true;
       t.attribution.matrix = *m;
     }
@@ -480,7 +501,8 @@ NodeStats StorageNode::Snapshot() const {
       t.attribution.conformant =
           t.attribution.report.conformant(options_.attribution_tolerance);
     }
-    if (const obs::SlaMonitor::TenantSla* sl = policy_.sla().Of(tenant);
+    if (const obs::SlaMonitor::TenantSla* sl = policy_.sla().OfSlot(
+            static_cast<uint32_t>(iosched::SlotIndex(p.slot)));
         sl != nullptr) {
       t.sla.tracked = true;
       t.sla.sla = *sl;

@@ -174,7 +174,7 @@ class StorageNode {
   // Registered tenants, crashed or not: their reservations and partitions
   // outlive a crash.
   bool HasTenant(iosched::TenantId tenant) const {
-    return partitions_.count(tenant) > 0;
+    return Registered(tenant) != nullptr;
   }
   // Tenants with an open partition, in id order (none while crashed).
   std::vector<iosched::TenantId> tenants() const;
@@ -194,14 +194,25 @@ class StorageNode {
   // requests it served. The entry lives as long as the node; only the DB
   // dies with a crash.
   struct Partition {
+    iosched::TenantSlot slot = iosched::TenantSlot::kNone;
     std::unique_ptr<lsm::LsmDb> db;  // nullptr while the node is crashed
     obs::LatencyHistogram get_latency;
     obs::LatencyHistogram put_latency;
     obs::LatencyHistogram scan_latency;
   };
 
-  // The tenant's entry when its DB is open, else nullptr. Entries are never
-  // erased, so the pointer stays valid across the request's suspensions.
+  // The entry in `slot`, or nullptr when the slot is not a tenant of this
+  // node. Entries are never erased or moved, so the pointer stays valid
+  // across a request's suspensions.
+  Partition* PartitionAt(iosched::TenantSlot slot) const {
+    const size_t i = iosched::SlotIndex(slot);
+    return i < partitions_.size() ? partitions_[i].get() : nullptr;
+  }
+  // The tenant's entry (one registry search), or nullptr when unregistered.
+  Partition* Registered(iosched::TenantId tenant) const {
+    return PartitionAt(scheduler_.slots().Find(tenant));
+  }
+  // The tenant's entry when its DB is open, else nullptr.
   Partition* OpenPartition(iosched::TenantId tenant);
 
   // The tenant's LsmOptions: the node-wide base with the tenant's declared
@@ -220,7 +231,9 @@ class StorageNode {
   // before partitions_/graveyard_: their TableHandle destructors erase
   // blocks from it, so it must outlive them.
   std::unique_ptr<lsm::BlockCache> block_cache_;
-  std::map<iosched::TenantId, Partition> partitions_;
+  // By TenantSlot (the scheduler's registry); nullptr for a slot that is
+  // not a registered tenant of this node.
+  std::vector<std::unique_ptr<Partition>> partitions_;
   // Killed partitions awaiting quiescence (see Crash/Restart). Declared
   // next to partitions_ so destruction order versus fs_/scheduler_ is the
   // same for both.
@@ -231,7 +244,7 @@ class StorageNode {
   // per-partition LsmStats reset with each new incarnation).
   // rereplication_vops is read from the tracker at Snapshot().
   RecoverySnapshot recovery_;
-  // Singleflight table: in-flight GET leaders keyed by (tenant, key);
+  // Singleflight table: in-flight GET leaders keyed by (tenant slot, key);
   // followers park a OneShot here and are resolved when the leader's
   // lookup lands. Single-threaded coroutine interleaving makes the
   // find-or-claim race-free. The leader's span context is kept so follower
@@ -240,7 +253,8 @@ class StorageNode {
     TraceContext leader_ctx;
     std::vector<sim::OneShot<Result<std::string>>*> waiters;
   };
-  std::map<std::pair<iosched::TenantId, std::string>, GetFlight> inflight_gets_;
+  std::map<std::pair<iosched::TenantSlot, std::string>, GetFlight>
+      inflight_gets_;
   uint64_t coalesced_gets_ = 0;
 };
 

@@ -43,9 +43,10 @@ void BlockCache::Erase(Slot& slot) {
 }
 
 BlockCache::TenantCounters BlockCache::CountersOf(
-    iosched::TenantId tenant) const {
-  const auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? TenantCounters{} : it->second;
+    iosched::TenantSlot slot) const {
+  const size_t i = iosched::SlotIndex(slot);
+  return i < tenants_.size() && tenants_[i] != nullptr ? *tenants_[i]
+                                                      : TenantCounters{};
 }
 
 }  // namespace libra::lsm

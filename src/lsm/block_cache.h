@@ -33,7 +33,6 @@
 #ifndef LIBRA_SRC_LSM_BLOCK_CACHE_H_
 #define LIBRA_SRC_LSM_BLOCK_CACHE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -91,10 +90,18 @@ class BlockCache {
   BlockCache(const BlockCache&) = delete;
   BlockCache& operator=(const BlockCache&) = delete;
 
-  // The counters of `tenant`, created zeroed on first use. The reference
-  // stays valid for the cache's lifetime: a reader looks it up once.
-  TenantCounters& Counters(iosched::TenantId tenant) {
-    return tenants_[tenant];
+  // The counters of the tenant in `slot` (its node's TenantSlot), created
+  // zeroed on first use. The reference stays valid for the cache's
+  // lifetime: a reader looks it up once.
+  TenantCounters& Counters(iosched::TenantSlot slot) {
+    const size_t i = iosched::SlotIndex(slot);
+    if (i >= tenants_.size()) {
+      tenants_.resize(i + 1);
+    }
+    if (tenants_[i] == nullptr) {
+      tenants_[i] = std::make_unique<TenantCounters>();
+    }
+    return *tenants_[i];
   }
 
   // Probes `slot` for a block of `kind` on behalf of `tenant`: a hit
@@ -130,7 +137,7 @@ class BlockCache {
   uint64_t misses() const { return misses_; }
   uint64_t evictions() const { return evictions_; }
   // Zeroed counters for a tenant the cache has never seen.
-  TenantCounters CountersOf(iosched::TenantId tenant) const;
+  TenantCounters CountersOf(iosched::TenantSlot slot) const;
 
  private:
   void LinkFront(Slot& slot) {
@@ -152,7 +159,9 @@ class BlockCache {
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
-  std::map<iosched::TenantId, TenantCounters> tenants_;  // nodes never move
+  // By TenantSlot, boxed so growing the table never moves the counters a
+  // reader holds (nullptr: a slot with no reader yet).
+  std::vector<std::unique_ptr<TenantCounters>> tenants_;
 };
 
 }  // namespace libra::lsm

@@ -37,6 +37,7 @@ LsmDb::LsmDb(sim::EventLoop& loop, fs::SimFs& fs,
       fs_(fs),
       scheduler_(scheduler),
       tenant_(tenant),
+      slot_(scheduler.slots().Assign(tenant)),
       prefix_(std::move(name_prefix)),
       options_(options),
       owned_cache_(MakeOwnedCache(options)),
@@ -157,7 +158,7 @@ Status LsmDb::SealMemtable() {
     return s;
   }
   // Attribute the flush to the PUTs that filled the buffer (§4.1).
-  scheduler_.tracker().RecordTrigger(tenant_, AppRequest::kPut,
+  scheduler_.tracker().RecordTrigger(slot_, AppRequest::kPut,
                                      InternalOp::kFlush);
   if (!flush_running_) {
     flush_running_ = true;
@@ -191,7 +192,7 @@ sim::Task<Status> LsmDb::WriteInternal(std::string_view key,
   }
 
   const SequenceNumber seq = ++seq_;
-  const IoTag tag{tenant_, AppRequest::kPut, op, ctx};
+  const IoTag tag = Tag(AppRequest::kPut, op, ctx);
   StatusOr<LoggedRecord> logged =
       co_await wal_->Append(tag, key, seq, type, value);
   if (dead_) {
@@ -228,7 +229,7 @@ sim::Task<LsmDb::GetResult> LsmDb::Get(std::string_view key, TraceContext ctx) {
   const OpGuard guard(this);
   ++stats_.gets;
   const SequenceNumber snapshot = seq_;
-  const IoTag tag{tenant_, AppRequest::kGet, InternalOp::kNone, ctx};
+  const IoTag tag = Tag(AppRequest::kGet, InternalOp::kNone, ctx);
   GetResult out;
   if (dead_) {
     out.status = Status::Unavailable("db killed");
@@ -318,7 +319,7 @@ sim::Task<LsmDb::ScanResult> LsmDb::Scan(std::string_view start,
     co_return out;
   }
   const SequenceNumber snapshot = seq_;
-  const IoTag tag{tenant_, AppRequest::kScan, InternalOp::kNone, ctx};
+  const IoTag tag = Tag(AppRequest::kScan, InternalOp::kNone, ctx);
 
   // Pin one consistent cut before any suspension: the version snapshot and
   // both memtables, each read through a cursor seeked to `start`. The live
@@ -475,7 +476,7 @@ sim::Task<StatusOr<LsmDb::TableRef>> LsmDb::BuildTable(
   }
   handle->size_bytes = fs_.SizeOf(handle->file);
   handle->reader = std::make_unique<SstableReader>(
-      fs_, handle->file, sst_opt, cache_, tenant_, &read_counters_);
+      fs_, handle->file, sst_opt, cache_, slot_, &read_counters_);
   co_return handle;
 }
 
@@ -520,7 +521,7 @@ sim::Task<void> LsmDb::FlushJob() {
     // The flush gets its own span (new trace root when no writer was
     // traced); its device IO parents under it via the tag context.
     obs::SpanCollector* spans = scheduler_.spans();
-    IoTag tag{tenant_, AppRequest::kPut, InternalOp::kFlush, {}};
+    IoTag tag = Tag(AppRequest::kPut, InternalOp::kFlush);
     if (spans != nullptr) {
       tag.ctx = spans->MintAlways();
     }
@@ -545,7 +546,7 @@ sim::Task<void> LsmDb::FlushJob() {
     stats_.flush_ns += static_cast<uint64_t>(loop_.Now() - flush_start);
     RecordJobSpan(spans, tag, /*parent_span=*/0, flush_start, built_bytes,
                   origins);
-    scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kFlush);
+    scheduler_.tracker().RecordInternalOpDone(slot_, InternalOp::kFlush);
     imm_.reset();
     if (imm_wal_ != nullptr) {
       // A group-commit leader suspended in the rotated log's batch loop
@@ -697,14 +698,14 @@ LsmDb::CompactionPick LsmDb::PickCompaction(int level) {
 }
 
 sim::Task<Status> LsmDb::Compact(int level) {
-  IoTag tag{tenant_, AppRequest::kPut, InternalOp::kCompact, {}};
+  IoTag tag = Tag(AppRequest::kPut, InternalOp::kCompact);
   const SimTime compact_start = loop_.Now();
-  scheduler_.tracker().RecordTrigger(tenant_, AppRequest::kPut,
+  scheduler_.tracker().RecordTrigger(slot_, AppRequest::kPut,
                                      InternalOp::kCompact);
   const CompactionPick pick = PickCompaction(level);
   const std::vector<TableRef>& sources = pick.sources;
   if (sources.empty()) {
-    scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
+    scheduler_.tracker().RecordInternalOpDone(slot_, InternalOp::kCompact);
     co_return Status::Ok();
   }
 
@@ -738,7 +739,7 @@ sim::Task<Status> LsmDb::Compact(int level) {
     co_return Status::Unavailable("db killed");
   }
   if (!read.ok()) {
-    scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
+    scheduler_.tracker().RecordInternalOpDone(slot_, InternalOp::kCompact);
     co_return read;
   }
   KeepNewest(&merged, pick.drop_tombstones);
@@ -758,7 +759,7 @@ sim::Task<Status> LsmDb::Compact(int level) {
         co_return Status::Unavailable("db killed");  // outputs dtor-reclaimed
       }
       if (!built.ok()) {
-        scheduler_.tracker().RecordInternalOpDone(tenant_,
+        scheduler_.tracker().RecordInternalOpDone(slot_,
                                                   InternalOp::kCompact);
         co_return built.status();
       }
@@ -808,7 +809,7 @@ sim::Task<Status> LsmDb::Compact(int level) {
   fan_in.Merge(origins);  // the span links the fan-in, then the origins
   RecordJobSpan(spans, tag, compact_parent.span_id, compact_start,
                 output_bytes, fan_in);
-  scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
+  scheduler_.tracker().RecordInternalOpDone(slot_, InternalOp::kCompact);
   stall_cv_.NotifyAll();  // level-0 pressure may have cleared
   co_return Status::Ok();
 }
@@ -922,7 +923,7 @@ LsmStats LsmDb::stats() const {
   constexpr int kIdx = static_cast<int>(BlockCache::Kind::kIndex);
   constexpr int kFlt = static_cast<int>(BlockCache::Kind::kFilter);
   constexpr int kDat = static_cast<int>(BlockCache::Kind::kData);
-  const BlockCache::TenantCounters tc = cache_.CountersOf(tenant_);
+  const BlockCache::TenantCounters tc = cache_.CountersOf(slot_);
   s.bcache_index_hits = tc.hits[kIdx];
   s.bcache_index_misses = tc.misses[kIdx];
   s.bcache_filter_hits = tc.hits[kFlt];

@@ -235,8 +235,19 @@ class LsmDb {
   // Used by invariant tests.
   std::string DebugCheckInvariants() const;
   iosched::TenantId tenant() const { return tenant_; }
+  // The tenant's slot on its node (the scheduler's registry), carried by
+  // every IoTag this DB issues.
+  iosched::TenantSlot slot() const { return slot_; }
 
  private:
+  // A tag for IO this DB issues on behalf of its tenant: the tenant, its
+  // node slot, and the request class and engine operation doing the IO.
+  iosched::IoTag Tag(iosched::AppRequest app, iosched::InternalOp op,
+                     TraceContext ctx = {}) const {
+    return {.tenant = tenant_, .app = app, .internal = op, .ctx = ctx,
+            .slot = slot_};
+  }
+
   struct TableHandle {
     fs::SimFs* fs = nullptr;
     std::string name;
@@ -351,6 +362,7 @@ class LsmDb {
   fs::SimFs& fs_;
   iosched::IoScheduler& scheduler_;
   iosched::TenantId tenant_;
+  iosched::TenantSlot slot_;
   std::string prefix_;
   LsmOptions options_;
   // The block cache serving this DB's readers: the caller's shared cache,

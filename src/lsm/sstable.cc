@@ -85,7 +85,7 @@ sim::Task<Status> SstableBuilder::Finish(const iosched::IoTag& tag) {
 
 SstableReader::SstableReader(fs::SimFs& fs, fs::FileId file,
                              SstableOptions options, BlockCache& cache,
-                             iosched::TenantId tenant,
+                             iosched::TenantSlot tenant,
                              TableReadCounters* counters)
     : fs_(fs),
       file_(file),

@@ -131,12 +131,13 @@ class SstableBuilder {
 // eviction. The filter and data slots are views of the stored table.
 class SstableReader {
  public:
-  // `cache` holds this reader's blocks on behalf of `tenant`. It must
+  // `cache` holds this reader's blocks on behalf of the tenant in slot
+  // `tenant` (its node's TenantSlot). It must
   // outlive the reader, whose destruction drops the blocks from it; the
   // table's file must outlive the reader too. `counters`, if non-null,
   // receives read-path events.
   SstableReader(fs::SimFs& fs, fs::FileId file, SstableOptions options,
-                BlockCache& cache, iosched::TenantId tenant,
+                BlockCache& cache, iosched::TenantSlot tenant,
                 TableReadCounters* counters = nullptr);
   ~SstableReader();
 

@@ -16,8 +16,8 @@
 #ifndef LIBRA_SRC_OBS_SLA_H_
 #define LIBRA_SRC_OBS_SLA_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace libra::obs {
@@ -39,12 +39,26 @@ class SlaMonitor {
     }
   };
 
-  // One interval observation; returns whether it violated. `demand_pending`
-  // is whether the tenant had queued or in-flight work at interval end.
-  bool RecordInterval(uint32_t tenant, int64_t time_ns, double reserved_vops,
-                      double achieved_vops, bool demand_pending,
-                      double tolerance) {
-    TenantSla& s = tenants_[tenant];
+  // One interval observation of tenant `tenant`, whose row is `slot` (the
+  // node's dense tenant index); returns whether it violated.
+  // `demand_pending` is whether the tenant had enough queued or in-flight
+  // work over the interval to hold the node to its reservation.
+  bool RecordInterval(uint32_t slot, uint32_t tenant, int64_t time_ns,
+                      double reserved_vops, double achieved_vops,
+                      bool demand_pending, double tolerance) {
+    if (slot >= rows_.size()) {
+      rows_.resize(slot + 1);
+    }
+    Row& row = rows_[slot];
+    if (!row.tracked) {
+      row.tracked = true;
+      row.tenant = tenant;
+      const auto at = std::lower_bound(
+          order_.begin(), order_.end(), tenant,
+          [this](uint32_t s, uint32_t id) { return rows_[s].tenant < id; });
+      order_.insert(at, slot);
+    }
+    TenantSla& s = row.sla;
     const bool reserved = reserved_vops > 0.0;
     const bool violated = reserved && demand_pending &&
                           achieved_vops < (1.0 - tolerance) * reserved_vops;
@@ -62,23 +76,37 @@ class SlaMonitor {
   }
 
   // nullptr until the tenant has recorded an interval.
+  const TenantSla* OfSlot(uint32_t slot) const {
+    return slot < rows_.size() && rows_[slot].tracked ? &rows_[slot].sla
+                                                      : nullptr;
+  }
   const TenantSla* Of(uint32_t tenant) const {
-    const auto it = tenants_.find(tenant);
-    return it == tenants_.end() ? nullptr : &it->second;
+    const auto at = std::lower_bound(
+        order_.begin(), order_.end(), tenant,
+        [this](uint32_t s, uint32_t id) { return rows_[s].tenant < id; });
+    return at != order_.end() && rows_[*at].tenant == tenant
+               ? &rows_[*at].sla
+               : nullptr;
   }
 
+  // Tracked tenants in ascending id order (the JSON export order).
   std::vector<uint32_t> tenants() const {
     std::vector<uint32_t> out;
-    out.reserve(tenants_.size());
-    for (const auto& [t, s] : tenants_) {
-      out.push_back(t);
+    out.reserve(order_.size());
+    for (const uint32_t s : order_) {
+      out.push_back(rows_[s].tenant);
     }
     return out;
   }
 
  private:
-  // std::map: deterministic iteration order for JSON export.
-  std::map<uint32_t, TenantSla> tenants_;
+  struct Row {
+    bool tracked = false;
+    uint32_t tenant = 0;
+    TenantSla sla;
+  };
+  std::vector<Row> rows_;        // by slot
+  std::vector<uint32_t> order_;  // tracked slots, ascending tenant id
 };
 
 }  // namespace libra::obs

@@ -56,8 +56,8 @@ sim::Task<void> RawIoWorkload::Worker(SimTime end_time) {
         std::max<uint64_t>(1, spec_.working_set_bytes / aligned);
     const uint64_t offset = rng_.NextU64(slots) * aligned;
     const iosched::IoTag tag{
-        tenant_, is_read ? iosched::AppRequest::kGet : iosched::AppRequest::kPut,
-        iosched::InternalOp::kNone};
+        .tenant = tenant_,
+        .app = is_read ? iosched::AppRequest::kGet : iosched::AppRequest::kPut};
     if (is_read) {
       co_await scheduler_.Read(tag, offset, static_cast<uint32_t>(aligned));
     } else {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -258,7 +259,7 @@ TEST(ClusterTest, MigrationPreservesEveryKey) {
     const Status s = co_await rig.cl.MigrateShard(1, slot, to);
     EXPECT_TRUE(s.ok()) << s.ToString();
   }());
-  EXPECT_EQ(map.HomeOf(1, slot), to);
+  EXPECT_EQ(rig.cl.HomeOf(1, slot), to);
 
   // Every key reads back through the handle; migrated keys are gone from
   // the source node and live on the destination.
@@ -321,7 +322,7 @@ TEST(ClusterTest, MigrationUnderLiveTrafficLosesNothing) {
     rig.Settle();
   }
   EXPECT_GT(reads, 0u);
-  EXPECT_EQ(rig.cl.shard_map().HomeOf(1, slot), to);
+  EXPECT_EQ(rig.cl.HomeOf(1, slot), to);
 }
 
 TEST(ClusterTest, MigrateShardValidatesArguments) {
@@ -549,6 +550,89 @@ TEST(ClusterTest, SnapshotCoversNodesTenantsAndRebalances) {
   EXPECT_EQ(parsed.Find("nodes")->array.size(), 2u);
   ASSERT_NE(parsed.Find("tenants"), nullptr);
   EXPECT_EQ(parsed.Find("tenants")->array.size(), 1u);
+}
+
+// The cluster's tenant table and every node registry hand out rows in
+// arrival order; the outputs still walk tenants in ascending id order.
+TEST(ClusterTest, NonMonotonicAdmissionKeepsIdOrder) {
+  const std::vector<TenantId> arrival = {900, 3, 4000000000u, 17};
+  const std::vector<TenantId> by_id = {3, 17, 900, 4000000000u};
+  ClusterRig rig(TestOptions(4, 2));
+  std::vector<TenantHandle> handles;
+  for (const TenantId t : arrival) {
+    Result<TenantHandle> h =
+        rig.cl.AddTenant(t, GlobalReservation{50.0, 50.0});
+    ASSERT_TRUE(h.ok()) << t;
+    handles.push_back(h.value());
+  }
+  EXPECT_EQ(rig.cl.tenants(), by_id);
+  EXPECT_EQ(rig.cl.Handle(4).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(rig.cl.UpdateGlobalReservation(4, {}).code(),
+            StatusCode::kNotFound);
+  rig.RunTask([&]() -> sim::Task<void> {
+    const Status s = co_await rig.cl.MigrateShard(4, 0, 1);
+    EXPECT_EQ(s.code(), StatusCode::kNotFound);
+  }());
+
+  const auto key_of = [](TenantId t, int i) {
+    return "t" + std::to_string(t) + "-" + std::to_string(i);
+  };
+  rig.RunTask([&]() -> sim::Task<void> {
+    for (TenantHandle& h : handles) {
+      for (int i = 0; i < 16; ++i) {
+        const std::string key = key_of(h.tenant(), i);
+        EXPECT_TRUE((co_await h.Put(key, "v-" + key)).ok()) << key;
+      }
+    }
+  }());
+  rig.Settle();
+
+  const ClusterStats stats = rig.cl.Snapshot();
+  std::vector<TenantId> listed;
+  for (const ClusterStats::TenantEntry& e : stats.tenants) {
+    listed.push_back(e.tenant);
+  }
+  EXPECT_EQ(listed, by_id);
+  obs::JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(obs::JsonParse(ClusterStatsToJson(stats), &parsed, &error))
+      << error;
+  listed.clear();
+  for (const obs::JsonValue& e : parsed.Find("tenants")->array) {
+    listed.push_back(static_cast<TenantId>(e.Find("tenant")->number));
+  }
+  EXPECT_EQ(listed, by_id);
+
+  // Every node lists, audits and exports SLA rows in id order.
+  for (int n = 0; n < rig.cl.num_nodes(); ++n) {
+    kv::StorageNode& node = rig.cl.node(n);
+    node.policy().RunIntervalStep();
+    const std::vector<TenantId> hosted = node.tenants();
+    EXPECT_TRUE(std::is_sorted(hosted.begin(), hosted.end())) << n;
+    EXPECT_EQ(node.policy().sla().tenants(), hosted) << n;
+    std::vector<TenantId> audited;
+    for (const obs::AuditTenantEntry& e :
+         node.policy().audit_log().records().back().tenants) {
+      audited.push_back(e.tenant);
+    }
+    EXPECT_EQ(audited, hosted) << n;
+  }
+
+  // Crash and restart a node: every tenant is reachable afterwards.
+  const int victim = rig.cl.HomeOf(4000000000u, 0);
+  ASSERT_TRUE(rig.cl.CrashNode(victim).ok());
+  rig.RunTask([&]() -> sim::Task<void> {
+    const Status s = co_await rig.cl.RestartNode(victim);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    for (TenantHandle& h : handles) {
+      for (int i = 0; i < 16; ++i) {
+        const std::string key = key_of(h.tenant(), i);
+        const Result<std::string> r = co_await h.Get(key);
+        EXPECT_TRUE(r.ok()) << key << ": " << r.status().ToString();
+        EXPECT_EQ(r.ok() ? r.value() : "", "v-" + key);
+      }
+    }
+  }());
 }
 
 }  // namespace

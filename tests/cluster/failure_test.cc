@@ -57,7 +57,7 @@ TEST(ReplicationTest, ReplicaSetsAreDistinctAndLeaderFirst) {
   const ShardMap& map = rig.cl.shard_map();
   EXPECT_EQ(map.replication_factor(), 2);
   for (int slot = 0; slot < map.shards_per_tenant(); ++slot) {
-    const std::vector<int> replicas = map.ReplicasOf(1, slot);
+    const Replicas replicas = map.ReplicasOf(1, slot);
     EXPECT_EQ(replicas.size(), 2u) << "slot " << slot;
     EXPECT_EQ(replicas[0], map.HomeOf(1, slot)) << "slot " << slot;
     EXPECT_NE(replicas[0], replicas[1]) << "slot " << slot;
@@ -72,7 +72,7 @@ TEST(ReplicationTest, ReplicationFactorClampsToClusterSize) {
   ClusterRig rig(TestOptions(2, 5));
   EXPECT_TRUE(rig.cl.AddTenant(1, GlobalReservation{}).ok());
   EXPECT_EQ(rig.cl.shard_map().replication_factor(), 2);
-  const std::vector<int> replicas = rig.cl.shard_map().ReplicasOf(1, 0);
+  const Replicas replicas = rig.cl.shard_map().ReplicasOf(1, 0);
   EXPECT_EQ(replicas.size(), 2u);
 }
 
@@ -161,7 +161,7 @@ TEST(RecoveryTest, RestartReplaysWalAndCatchesUp) {
   int checked = 0;
   for (int i = 100; i < 132; ++i) {
     const int slot = rig.cl.shard_map().SlotOfKey(Key(i));
-    const std::vector<int> replicas = rig.cl.shard_map().ReplicasOf(1, slot);
+    const Replicas replicas = rig.cl.shard_map().ReplicasOf(1, slot);
     bool hosts = false;
     for (int r : replicas) {
       hosts |= (r == victim);

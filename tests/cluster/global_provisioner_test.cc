@@ -178,7 +178,10 @@ TEST(GlobalProvisionerTest, PersistentOverbookingTriggersMigration) {
   cl.node(1).Start();
 
   GlobalProvisioner& prov = cl.provisioner();
-  const size_t overrides_before = cl.shard_map().num_overrides();
+  std::vector<int> homes_before;
+  for (int s = 0; s < cl.shard_map().shards_per_tenant(); ++s) {
+    homes_before.push_back(cl.HomeOf(1, s));
+  }
   for (int i = 0; i < 5 && prov.migrations_started() == 0; ++i) {
     rig.ml.RunUntil(rig.loop().Now() + 1100 * kMillisecond);
     prov.RunIntervalStep();
@@ -187,7 +190,11 @@ TEST(GlobalProvisionerTest, PersistentOverbookingTriggersMigration) {
 
   // Let the detached migration drain and flip the map.
   rig.ml.RunUntil(rig.loop().Now() + kSecond);
-  EXPECT_GT(cl.shard_map().num_overrides(), overrides_before);
+  int rehomed = 0;
+  for (int s = 0; s < cl.shard_map().shards_per_tenant(); ++s) {
+    rehomed += cl.HomeOf(1, s) != homes_before[s] ? 1 : 0;
+  }
+  EXPECT_EQ(rehomed, 1);
   bool saw_migration = false;
   for (const auto& rec : cl.rebalance_log().records()) {
     if (rec.kind == obs::RebalanceRecord::Kind::kMigration) {

@@ -201,7 +201,7 @@ TEST(ParallelClusterTest, MigrationIsLosslessOnParallelEngine) {
   const int from = rig.cl.shard_map().HomeOf(tenant, slot);
   const int to = (from + 1) % rig.cl.num_nodes();
   rig.RunTask(MigrateAndCheck(&rig.cl, tenant, slot, to));
-  EXPECT_EQ(rig.cl.shard_map().HomeOf(tenant, slot), to);
+  EXPECT_EQ(rig.cl.HomeOf(tenant, slot), to);
 
   uint64_t moved = 0;
   for (const auto& rec : rig.cl.rebalance_log().records()) {

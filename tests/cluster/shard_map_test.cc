@@ -59,40 +59,24 @@ TEST(ShardMapTest, PlacementsInRangeAndCoverEveryNode) {
   EXPECT_EQ(hits.size(), static_cast<size_t>(opt.num_nodes));
 }
 
-TEST(ShardMapTest, SlotsPerNodeMatchesAssignment) {
-  ShardMap map(ShardMapOptions{});
-  const auto assignment = map.Assignment(3);
-  const auto per_node = map.SlotsPerNode(3);
-  int total = 0;
-  for (const int count : per_node) {
-    total += count;
-  }
-  EXPECT_EQ(total, map.shards_per_tenant());
-  for (int s = 0; s < map.shards_per_tenant(); ++s) {
-    EXPECT_GT(per_node[assignment[s]], 0);
-  }
-}
-
 TEST(ShardMapTest, RehomeOverridesRing) {
-  ShardMap map(ShardMapOptions{});
+  ShardMapOptions opt;
+  opt.replication_factor = 2;
+  const ShardMap map(opt);
   const int slot = 2;
-  const int original = map.HomeOf(9, slot);
-  const int target = (original + 1) % map.num_nodes();
-  map.Rehome(9, slot, target);
-  EXPECT_EQ(map.HomeOf(9, slot), target);
-  EXPECT_EQ(map.num_overrides(), 1u);
-  // Other slots and tenants are untouched.
-  EXPECT_EQ(map.HomeOf(9, (slot + 1) % map.shards_per_tenant()),
-            ShardMap(ShardMapOptions{}).HomeOf(
-                9, (slot + 1) % map.shards_per_tenant()));
-  EXPECT_EQ(map.HomeOf(10, slot), ShardMap(ShardMapOptions{}).HomeOf(10, slot));
-  // NodeOfKey follows the override for keys in the slot.
-  for (int i = 0; i < 1000; ++i) {
-    const std::string key = "k" + std::to_string(i);
-    if (map.SlotOfKey(key) == slot) {
-      EXPECT_EQ(map.NodeOfKey(9, key), target);
-    }
-  }
+  const Replicas ring = map.ReplicasOf(9, slot);
+  ASSERT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring[0], map.HomeOf(9, slot));
+  // A re-homed leader goes first; the followers still come from the ring
+  // walk from the slot's position, so the ring's leader is demoted to the
+  // first follower.
+  const int target = (ring[0] + 1) % map.num_nodes();
+  const Replicas moved = map.ReplicasOf(9, slot, target);
+  ASSERT_EQ(moved.size(), 2u);
+  EXPECT_EQ(moved[0], target);
+  EXPECT_EQ(moved[1], ring[0]);
+  // The map itself keeps no state: the ring placement is unchanged.
+  EXPECT_EQ(map.HomeOf(9, slot), ring[0]);
 }
 
 TEST(ShardMapTest, KeysSpreadAcrossSlots) {

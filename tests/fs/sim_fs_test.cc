@@ -32,7 +32,7 @@ struct FsRig {
   iosched::IoScheduler sched{
       loop, device, std::make_unique<iosched::ExactCostModel>(FakeTable())};
   SimFs fs{sched, device};
-  iosched::IoTag tag{1, iosched::AppRequest::kPut, iosched::InternalOp::kNone};
+  iosched::IoTag tag{.tenant = 1, .app = iosched::AppRequest::kPut};
 
   FsRig() { sched.SetAllocation(1, 10000.0); }
 
@@ -369,6 +369,68 @@ TEST(SimFsTest, WriteFileRejectsNonEmptyFileAndZeroChunks) {
   rig.RunTask(writer());
   EXPECT_EQ(rig.fs.SizeOf(id), 1u);
   EXPECT_EQ(rig.fs.SizeOf(empty), 0u);
+}
+
+// A FileId can outlive its file. Deleting a file while a WriteFile to it
+// is in flight, then creating files that reuse its table slot, must leave
+// the old id failing as "bad file id" on every verb, never reaching them.
+TEST(SimFsTest, StaleFileIdNeverReachesAReusedSlot) {
+  FsRig rig;
+  const FileId old = *rig.fs.Create("old");
+  Status in_flight = Status::Ok();
+  // Two pieces: the writer is suspended in the first piece's device write
+  // when Detach returns.
+  sim::Detach([](SimFs* fs, FileId id, const iosched::IoTag* tag,
+                 Status* out) -> sim::Task<void> {
+    *out = co_await fs->WriteFile(id, *tag, std::string(8192, 'o'), 4096);
+  }(&rig.fs, old, &rig.tag, &in_flight));
+  ASSERT_TRUE(rig.fs.Delete("old").ok());
+  const FileId reused = *rig.fs.Create("new");
+  const FileId other = *rig.fs.Create("other");
+  // The new file took the freed slot (low half of the id) under a new
+  // generation (high half).
+  EXPECT_EQ(reused & 0xFFFFFFFFu, old & 0xFFFFFFFFu);
+  EXPECT_NE(reused, old);
+  rig.loop.Run();
+  EXPECT_EQ(in_flight.code(), StatusCode::kNotFound);
+  EXPECT_EQ(in_flight.message(), "bad file id");
+  EXPECT_EQ(rig.fs.SizeOf(reused), 0u);
+
+  const auto is_bad_id = [](const Status& st) {
+    return st.code() == StatusCode::kNotFound && st.message() == "bad file id";
+  };
+  rig.RunTask([&]() -> sim::Task<void> {
+    const auto fill = [](char* dst) { std::memcpy(dst, "xy", 2); };
+    EXPECT_TRUE(is_bad_id((co_await rig.fs.Append(old, rig.tag, 2, fill))
+                              .status()));
+    EXPECT_TRUE(is_bad_id((co_await rig.fs.Append(old, rig.tag, "xy"))
+                              .status()));
+    EXPECT_TRUE(
+        is_bad_id(co_await rig.fs.WriteFile(old, rig.tag, "xy", 4096)));
+    std::vector<iosched::IoShare> manifest = {{rig.tag, 2}};
+    EXPECT_TRUE(is_bad_id(
+        (co_await rig.fs.AppendShared(old, std::move(manifest), 2, fill))
+            .status()));
+    EXPECT_TRUE(
+        is_bad_id((co_await rig.fs.ReadView(old, rig.tag, 0, 0)).status()));
+    std::string out;
+    EXPECT_TRUE(is_bad_id(co_await rig.fs.ReadAt(old, rig.tag, 0, 0, &out)));
+  }());
+  EXPECT_TRUE(is_bad_id(rig.fs.PeekView(old, 0, 0).status()));
+  std::string peeked;
+  EXPECT_TRUE(is_bad_id(rig.fs.PeekContents(old, &peeked)));
+  EXPECT_EQ(rig.fs.SizeOf(old), 0u);
+
+  // The files in the reused slots never saw any of it, and work normally.
+  EXPECT_EQ(rig.fs.SizeOf(reused), 0u);
+  EXPECT_EQ(rig.fs.SizeOf(other), 0u);
+  rig.RunTask([&]() -> sim::Task<void> {
+    EXPECT_TRUE((co_await rig.fs.Append(reused, rig.tag, "abc")).ok());
+  }());
+  std::string contents;
+  ASSERT_TRUE(rig.fs.PeekContents(reused, &contents).ok());
+  EXPECT_EQ(contents, "abc");
+  EXPECT_EQ(rig.fs.stats().files, 2u);
 }
 
 TEST(SimFsTest, AppendEncodesInPlaceAndReturnsPinnedBytes) {

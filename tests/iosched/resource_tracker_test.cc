@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "src/common/rng.h"
 
@@ -233,6 +234,25 @@ TEST(ResourceTrackerTest, TenantsEnumerated) {
   tr.RecordAppRequest(9, AppRequest::kPut, 1024);
   const auto ids = tr.tenants();
   EXPECT_EQ(ids.size(), 2u);
+}
+
+// Slots are dense and follow arrival; ranks and by_id() follow ids.
+TEST(TenantSlotsTest, ArrivalOrderSlotsIdOrderRanks) {
+  TenantSlots slots;
+  EXPECT_EQ(slots.Find(900), TenantSlot::kNone);
+  const std::vector<TenantId> arrival = {900, 3, 4000000000u, 17};
+  for (size_t i = 0; i < arrival.size(); ++i) {
+    EXPECT_EQ(SlotIndex(slots.Assign(arrival[i])), i);
+  }
+  EXPECT_EQ(SlotIndex(slots.Assign(3)), 1u);  // already assigned
+  EXPECT_EQ(slots.size(), 4u);
+  EXPECT_EQ(SlotIndex(slots.Find(17)), 3u);
+  EXPECT_EQ(slots.Find(4), TenantSlot::kNone);
+  const std::vector<TenantId> by_id = {3, 17, 900, 4000000000u};
+  for (size_t rank = 0; rank < by_id.size(); ++rank) {
+    EXPECT_EQ(slots.by_id()[rank].id, by_id[rank]);
+    EXPECT_EQ(slots.RankOf(slots.by_id()[rank].slot), rank);
+  }
 }
 
 }  // namespace

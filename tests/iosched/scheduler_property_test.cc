@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -49,7 +50,7 @@ double TwoTenantVopRatio(double alloc0, double alloc1, ssd::IoType type0,
     while (loop.Now() < end) {
       const uint64_t slots = (512 * kMiB) / size;
       const uint64_t off = rng.NextU64(slots) * size;
-      IoTag tag{t, AppRequest::kGet, InternalOp::kNone};
+      IoTag tag{.tenant = t, .app = AppRequest::kGet};
       if (type == ssd::IoType::kRead) {
         co_await sched.Read(tag, off, size);
       } else {
@@ -158,7 +159,7 @@ sim::Task<void> PinWorker(PinRig* rig, TenantId t, SimTime end) {
                                           5 * kMillisecond, 30 * kMillisecond};
   while (rig->loop.Now() < end) {
     const uint64_t kind = rig->rng.NextU64(10);
-    const IoTag tag{t, AppRequest::kGet, InternalOp::kNone, {}};
+    const IoTag tag{.tenant = t, .app = AppRequest::kGet};
     if (kind < 4) {
       co_await rig->sched.Read(tag, rig->Offset(4096), 4096);
     } else if (kind < 6) {
@@ -169,7 +170,7 @@ sim::Task<void> PinWorker(PinRig* rig, TenantId t, SimTime end) {
       // Crosses chunk_bytes (128 KiB): dispatched as 2-3 chunks.
       const uint32_t size =
           4096 * static_cast<uint32_t>(33 + rig->rng.NextU64(64));
-      const IoTag put{t, AppRequest::kPut, InternalOp::kNone, {}};
+      const IoTag put{.tenant = t, .app = AppRequest::kPut};
       if (kind == 6) {
         co_await rig->sched.Read(tag, rig->Offset(size), size);
       } else {
@@ -262,6 +263,34 @@ TEST(SchedulerDispatchPin, ManyRegisteredFewActiveOrderIsPinned) {
                             << " gaps(0/1/2+ rounds)=" << rig.gaps_by_rounds[0]
                             << "/" << rig.gaps_by_rounds[1] << "/"
                             << rig.gaps_by_rounds[2];
+}
+
+// The same run with the tenants registered in a shuffled order: slots
+// follow arrival, but the DRR ring follows ids, so the pin is unchanged.
+TEST(SchedulerDispatchPin, ShuffledRegistrationKeepsThePinnedOrder) {
+  PinRig rig;
+  rig.device.Prefill(256 * kMiB);
+  std::vector<std::pair<TenantId, double>> registrations;
+  for (TenantId id = 2; id <= 2048; id += 2) {
+    const double alloc =
+        rig.ids.size() % 8 == 0 ? 0.0 : 100.0 + rig.rng.NextU64(4900);
+    registrations.emplace_back(id, alloc);
+    rig.ids.push_back(id);
+  }
+  Rng shuffle(17);
+  for (size_t k = registrations.size(); k > 1; --k) {
+    std::swap(registrations[k - 1], registrations[shuffle.NextU64(k)]);
+  }
+  for (const auto& [id, alloc] : registrations) {
+    rig.sched.SetAllocation(id, alloc);
+  }
+  {
+    sim::TaskGroup group(rig.loop);
+    group.Spawn(PinPhases(&rig, &group));
+    rig.loop.Run();
+  }
+  rig.Mix(rig.sched.rounds());
+  EXPECT_EQ(rig.hash, 9198280789737014923ULL) << "ops=" << rig.ops;
 }
 
 }  // namespace

@@ -60,9 +60,9 @@ struct Rig {
     while (loop.Now() < end) {
       const uint64_t slots = (1ULL * kGiB) / size;
       const uint64_t offset = rng.NextU64(slots) * size;
-      IoTag tag{tenant,
-                type == ssd::IoType::kRead ? AppRequest::kGet : AppRequest::kPut,
-                InternalOp::kNone};
+      IoTag tag{.tenant = tenant,
+                .app = type == ssd::IoType::kRead ? AppRequest::kGet
+                                                  : AppRequest::kPut};
       if (type == ssd::IoType::kRead) {
         co_await sched.Read(tag, offset, size);
       } else {

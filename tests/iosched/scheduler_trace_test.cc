@@ -110,9 +110,9 @@ TEST(SchedulerTraceTest, WriteSharedLinksFollowerContexts) {
   auto t = [&]() -> sim::Task<void> {
     std::vector<IoShare> manifest;
     manifest.push_back(
-        {IoTag{0, AppRequest::kPut, InternalOp::kNone, leader}, 4096});
+        {IoTag{.tenant = 0, .app = AppRequest::kPut, .ctx = leader}, 4096});
     manifest.push_back(
-        {IoTag{1, AppRequest::kPut, InternalOp::kNone, follower}, 4096});
+        {IoTag{.tenant = 1, .app = AppRequest::kPut, .ctx = follower}, 4096});
     co_await rig.sched.WriteShared(0, 8192, std::move(manifest));
   };
   sim::Detach(t());
@@ -144,9 +144,11 @@ TEST(SchedulerTraceTest, AttributionTotalsMatchTrackerBitForBit) {
     for (int i = 0; i < 40; ++i) {
       const uint32_t size = 1024u << rng.NextU64(8);  // 1KB .. 128KB+
       const uint64_t offset = rng.NextU64(1ULL * kGiB / size) * size;
-      IoTag tag{tenant, i % 2 == 0 ? AppRequest::kGet : AppRequest::kPut,
-                i % 3 == 0 ? InternalOp::kCompact : InternalOp::kNone,
-                spans->MintTrace()};
+      IoTag tag{.tenant = tenant,
+                .app = i % 2 == 0 ? AppRequest::kGet : AppRequest::kPut,
+                .internal =
+                    i % 3 == 0 ? InternalOp::kCompact : InternalOp::kNone,
+                .ctx = spans->MintTrace()};
       if (i % 2 == 0) {
         co_await rig.sched.Read(tag, offset, size);
       } else {
@@ -156,11 +158,13 @@ TEST(SchedulerTraceTest, AttributionTotalsMatchTrackerBitForBit) {
     // A shared write splitting cost across two tenants (uneven bytes).
     std::vector<IoShare> manifest;
     manifest.push_back(
-        {IoTag{tenant, AppRequest::kPut, InternalOp::kNone, spans->MintTrace()},
+        {IoTag{.tenant = tenant,
+               .app = AppRequest::kPut,
+               .ctx = spans->MintTrace()},
          1024});
-    manifest.push_back({IoTag{static_cast<TenantId>((tenant + 1) % 3),
-                              AppRequest::kPut, InternalOp::kNone,
-                              spans->MintTrace()},
+    manifest.push_back({IoTag{.tenant = static_cast<TenantId>((tenant + 1) % 3),
+                              .app = AppRequest::kPut,
+                              .ctx = spans->MintTrace()},
                         7168});
     co_await rig.sched.WriteShared(0, 8192, std::move(manifest));
   };

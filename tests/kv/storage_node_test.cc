@@ -5,6 +5,7 @@
 
 #include <limits>
 
+#include "src/obs/json.h"
 #include "src/workload/workload.h"
 
 namespace libra::kv {
@@ -96,6 +97,77 @@ TEST(StorageNodeTest, UnknownTenantRejected) {
     auto r = co_await rig.node.Get(9, "k");
     EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
   }());
+}
+
+// Slots are handed out in arrival order; every output still lists tenants
+// in ascending id order, and an id the node never admitted stays unknown.
+TEST(StorageNodeTest, NonMonotonicAdmissionKeepsIdOrder) {
+  const std::vector<iosched::TenantId> arrival = {900, 3, 4000000000u, 17};
+  const std::vector<iosched::TenantId> by_id = {3, 17, 900, 4000000000u};
+  NodeRig rig;
+  for (const iosched::TenantId t : arrival) {
+    ASSERT_TRUE(rig.node.AddTenant(t, {100.0, 100.0}).ok()) << t;
+  }
+  EXPECT_EQ(rig.node.tenants(), by_id);
+  rig.RunTask([&]() -> sim::Task<void> {
+    for (const iosched::TenantId t : arrival) {
+      EXPECT_TRUE(
+          (co_await rig.node.Put(t, "k", "v" + std::to_string(t))).ok());
+    }
+    for (const iosched::TenantId unknown : {4u, 4000000001u}) {
+      EXPECT_EQ((co_await rig.node.Get(unknown, "k")).status().code(),
+                StatusCode::kNotFound);
+      EXPECT_EQ((co_await rig.node.Put(unknown, "k", "v")).code(),
+                StatusCode::kNotFound);
+    }
+  }());
+  EXPECT_EQ(rig.node.UpdateReservation(4, {}).code(), StatusCode::kNotFound);
+  EXPECT_FALSE(rig.node.HasTenant(4));
+  EXPECT_EQ(rig.node.scheduler().lifecycle(4), nullptr);
+  EXPECT_FALSE(rig.node.tracker().Attribution(4).has_value());
+
+  // One provisioning step after traffic: audit rows and SLA rows exist.
+  rig.node.policy().RunIntervalStep();
+  EXPECT_EQ(rig.node.tracker().tenants(), by_id);
+  EXPECT_EQ(rig.node.policy().sla().tenants(), by_id);
+  EXPECT_EQ(rig.node.policy().sla().Of(4), nullptr);
+  ASSERT_FALSE(rig.node.policy().audit_log().records().empty());
+  std::vector<iosched::TenantId> audited;
+  for (const obs::AuditTenantEntry& e :
+       rig.node.policy().audit_log().records().back().tenants) {
+    audited.push_back(e.tenant);
+  }
+  EXPECT_EQ(audited, by_id);
+
+  obs::JsonValue v;
+  std::string err;
+  ASSERT_TRUE(obs::JsonParse(NodeStatsToJson(rig.node.Snapshot()), &v, &err))
+      << err;
+  const auto ids_of = [](const obs::JsonValue* array) {
+    std::vector<iosched::TenantId> out;
+    for (const obs::JsonValue& e : array->array) {
+      out.push_back(static_cast<iosched::TenantId>(e.Find("tenant")->number));
+    }
+    return out;
+  };
+  EXPECT_EQ(ids_of(v.Find("tenants")), by_id);
+  EXPECT_EQ(ids_of(v.Find("audit")->array.back().Find("tenants")), by_id);
+  for (const obs::JsonValue& t : v.Find("tenants")->array) {
+    EXPECT_TRUE(t.Find("sla")->Find("tracked")->bool_value);
+  }
+
+  // Every tenant comes back from the WAL after a crash and restart.
+  rig.node.Crash();
+  rig.RunTask([&]() -> sim::Task<void> {
+    const Status s = co_await rig.node.Restart();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    for (const iosched::TenantId t : arrival) {
+      const Result<std::string> r = co_await rig.node.Get(t, "k");
+      EXPECT_TRUE(r.ok()) << t;
+      EXPECT_EQ(r.ok() ? r.value() : "", "v" + std::to_string(t));
+    }
+  }());
+  EXPECT_EQ(rig.node.tenants(), by_id);
 }
 
 TEST(StorageNodeTest, UpdateReservationValidates) {

@@ -29,7 +29,7 @@ std::string_view Bytes(const std::string& backing, size_t n) {
 TEST(BlockCacheTest, KindsAndOffsetsAreDistinctKeys) {
   // One reader's index, filter and two data blocks are four entries.
   BlockCache cache(0);
-  BlockCache::TenantCounters& t1 = cache.Counters(1);
+  BlockCache::TenantCounters& t1 = cache.Counters(iosched::TenantSlot{1});
   const std::string i = "i", f = "f", d0 = "d0", d1 = "d1";
   Slot index, filter, data0, data1;
   cache.Insert(index, t1, i);
@@ -51,8 +51,8 @@ TEST(BlockCacheTest, TenantsDoNotShareEntries) {
   BlockCache cache(0);
   // Two tenants' partitions both number their first table 1; each reader
   // owns its own slots, and each charges its own tenant.
-  BlockCache::TenantCounters& t1 = cache.Counters(1);
-  BlockCache::TenantCounters& t2 = cache.Counters(2);
+  BlockCache::TenantCounters& t1 = cache.Counters(iosched::TenantSlot{1});
+  BlockCache::TenantCounters& t2 = cache.Counters(iosched::TenantSlot{2});
   const std::string b1 = "tenant1", b2 = "tenant2";
   Slot s1, s2;
   cache.Insert(s1, t1, b1);
@@ -62,14 +62,18 @@ TEST(BlockCacheTest, TenantsDoNotShareEntries) {
   EXPECT_EQ(s1.bytes(), "tenant1");
   ASSERT_TRUE(cache.Get(s2, kDat, t2));
   EXPECT_EQ(s2.bytes(), "tenant2");
-  EXPECT_EQ(cache.CountersOf(1).hits[static_cast<int>(kDat)], 1u);
-  EXPECT_EQ(cache.CountersOf(2).hits[static_cast<int>(kDat)], 1u);
+  EXPECT_EQ(
+      cache.CountersOf(iosched::TenantSlot{1}).hits[static_cast<int>(kDat)],
+      1u);
+  EXPECT_EQ(
+      cache.CountersOf(iosched::TenantSlot{2}).hits[static_cast<int>(kDat)],
+      1u);
 }
 
 TEST(BlockCacheTest, PerTenantPerKindCounters) {
   BlockCache cache(0);
-  BlockCache::TenantCounters& t1 = cache.Counters(1);
-  BlockCache::TenantCounters& t2 = cache.Counters(2);
+  BlockCache::TenantCounters& t1 = cache.Counters(iosched::TenantSlot{1});
+  BlockCache::TenantCounters& t2 = cache.Counters(iosched::TenantSlot{2});
   const std::string backing(10, 'x');
   Slot index1, filter1, data2a, data2b;
   cache.Insert(index1, t1, backing);
@@ -79,32 +83,32 @@ TEST(BlockCacheTest, PerTenantPerKindCounters) {
   EXPECT_TRUE(cache.Get(data2a, kDat, t2));    // tenant 2 data hit
   EXPECT_FALSE(cache.Get(data2b, kDat, t2));   // tenant 2 data miss
 
-  const auto c1 = cache.CountersOf(1);
+  const auto c1 = cache.CountersOf(iosched::TenantSlot{1});
   EXPECT_EQ(c1.hits[static_cast<int>(kIdx)], 1u);
   EXPECT_EQ(c1.misses[static_cast<int>(kFlt)], 1u);
   EXPECT_EQ(c1.hits[static_cast<int>(kDat)], 0u);
-  const auto c2 = cache.CountersOf(2);
+  const auto c2 = cache.CountersOf(iosched::TenantSlot{2});
   EXPECT_EQ(c2.hits[static_cast<int>(kDat)], 1u);
   EXPECT_EQ(c2.misses[static_cast<int>(kDat)], 1u);
   // Globals are the per-tenant sums.
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 2u);
   // Unknown tenant: all zero.
-  const auto c9 = cache.CountersOf(9);
+  const auto c9 = cache.CountersOf(iosched::TenantSlot{9});
   EXPECT_EQ(c9.hits[0] + c9.misses[0] + c9.evictions, 0u);
 }
 
 TEST(BlockCacheTest, EvictionChargedToVictimTenant) {
   BlockCache cache(100);
-  BlockCache::TenantCounters& t1 = cache.Counters(1);
-  BlockCache::TenantCounters& t2 = cache.Counters(2);
+  BlockCache::TenantCounters& t1 = cache.Counters(iosched::TenantSlot{1});
+  BlockCache::TenantCounters& t2 = cache.Counters(iosched::TenantSlot{2});
   const std::string backing(60, 'x');
   Slot s1, s2;
   cache.Insert(s1, t1, backing);
   cache.Insert(s2, t2, backing);  // evicts tenant 1's block
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.CountersOf(1).evictions, 1u);
-  EXPECT_EQ(cache.CountersOf(2).evictions, 0u);
+  EXPECT_EQ(cache.CountersOf(iosched::TenantSlot{1}).evictions, 1u);
+  EXPECT_EQ(cache.CountersOf(iosched::TenantSlot{2}).evictions, 0u);
   // The eviction emptied the victim's slot.
   EXPECT_FALSE(s1.resident());
   EXPECT_TRUE(s1.bytes().empty());
@@ -114,7 +118,7 @@ TEST(BlockCacheTest, EvictionChargedToVictimTenant) {
 
 TEST(BlockCacheTest, InsertReplacesExistingKey) {
   BlockCache cache(0);
-  BlockCache::TenantCounters& t1 = cache.Counters(1);
+  BlockCache::TenantCounters& t1 = cache.Counters(iosched::TenantSlot{1});
   const std::string old_bytes(10, 'o'), new_bytes(20, 'n');
   Slot slot;
   cache.Insert(slot, t1, old_bytes);
@@ -132,7 +136,7 @@ TEST(BlockCacheTest, OversizedInsertKeepsNewestEntry) {
   BlockCache cache(10);
   const std::string backing(50, 'x');
   Slot slot;
-  cache.Insert(slot, cache.Counters(1), backing);
+  cache.Insert(slot, cache.Counters(iosched::TenantSlot{1}), backing);
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.resident_bytes(), 50u);
   EXPECT_TRUE(slot.resident());
@@ -142,8 +146,8 @@ TEST(BlockCacheTest, EraseTableDropsAllKindsForThatTableOnly) {
   // A table is erased slot by slot when its reader dies; the other table
   // and the other tenant's table of the same number stay.
   BlockCache cache(0);
-  BlockCache::TenantCounters& t1 = cache.Counters(1);
-  BlockCache::TenantCounters& t2 = cache.Counters(2);
+  BlockCache::TenantCounters& t1 = cache.Counters(iosched::TenantSlot{1});
+  BlockCache::TenantCounters& t2 = cache.Counters(iosched::TenantSlot{2});
   const std::string backing(10, 'x');
   std::array<Slot, 4> table7;  // index, filter, two data blocks
   Slot table8_index, tenant2_table7_index;
@@ -166,7 +170,7 @@ TEST(BlockCacheTest, EraseTableDropsAllKindsForThatTableOnly) {
 
 TEST(BlockCacheTest, RefPinsBlockPastEviction) {
   BlockCache cache(100);
-  BlockCache::TenantCounters& t1 = cache.Counters(1);
+  BlockCache::TenantCounters& t1 = cache.Counters(iosched::TenantSlot{1});
   const std::string table_bytes(60, 'p');
   auto parsed = std::make_shared<TableIndex>();
   parsed->emplace_back("pinned", 0, 60);
@@ -306,7 +310,7 @@ TEST(BlockCacheTest, SlotsMatchKeyedLruDifferentially) {
   KeyedLru ref(kCapacity);
   std::vector<BlockCache::TenantCounters*> counters;
   for (int t = 0; t < kTenants; ++t) {
-    counters.push_back(&cache.Counters(static_cast<iosched::TenantId>(t)));
+    counters.push_back(&cache.Counters(static_cast<iosched::TenantSlot>(t)));
   }
   // readers[t][f]: tenant t's table f (tables reuse numbers across
   // tenants, as partitions on a shared cache do).
@@ -349,7 +353,7 @@ TEST(BlockCacheTest, SlotsMatchKeyedLruDifferentially) {
     ASSERT_EQ(cache.resident_bytes(), ref.resident_bytes()) << op;
     ASSERT_EQ(cache.entries(), ref.entries()) << op;
     for (int tt = 0; tt < kTenants; ++tt) {
-      const auto a = cache.CountersOf(tt);
+      const auto a = cache.CountersOf(static_cast<iosched::TenantSlot>(tt));
       const auto b = ref.CountersOf(tt);
       for (int k = 0; k < BlockCache::kNumKinds; ++k) {
         ASSERT_EQ(a.hits[k], b.hits[k]) << op;

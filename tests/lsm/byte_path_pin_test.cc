@@ -120,8 +120,7 @@ PinResult RunPinned(CompactionPolicy policy, uint32_t bloom_bits,
       }
     }
     std::map<std::string, std::string> live;
-    const iosched::IoTag tag{1, iosched::AppRequest::kGet,
-                             iosched::InternalOp::kNone, {}};
+    const iosched::IoTag tag{.tenant = 1, .app = iosched::AppRequest::kGet};
     EXPECT_TRUE((co_await db.ScanLive(tag, [&](std::string_view k,
                                                std::string_view v) {
                   live.emplace(std::string(k), std::string(v));

@@ -781,8 +781,7 @@ TEST(LsmDbTest, ScansPinMemtablesAcrossSealFlushAndCompaction) {
   };
   int live_scans = 0;
   auto live_scanner = [&]() -> sim::Task<void> {
-    const iosched::IoTag tag{1, iosched::AppRequest::kGet,
-                             iosched::InternalOp::kNone, {}};
+    const iosched::IoTag tag{.tenant = 1, .app = iosched::AppRequest::kGet};
     while (writers_left > 0) {
       const Entries expected(model.begin(), model.end());
       Entries got;

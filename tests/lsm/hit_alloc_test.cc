@@ -50,10 +50,10 @@ namespace {
 
 using testing::LsmRig;
 
-const iosched::IoTag kFlushTag{1, iosched::AppRequest::kPut,
-                               iosched::InternalOp::kFlush};
-const iosched::IoTag kGetTag{1, iosched::AppRequest::kGet,
-                             iosched::InternalOp::kNone};
+const iosched::IoTag kFlushTag{.tenant = 1,
+                               .app = iosched::AppRequest::kPut,
+                               .internal = iosched::InternalOp::kFlush};
+const iosched::IoTag kGetTag{.tenant = 1, .app = iosched::AppRequest::kGet};
 constexpr int kKeys = 2000;
 
 std::string KeyOf(int i) {
@@ -95,7 +95,8 @@ TEST(HitAllocTest, ResidentLookupsAllocateNothing) {
   }());
   BlockCache cache(0, /*cache_data=*/true);
   TableReadCounters counters;
-  SstableReader reader(rig.fs, file, options, cache, /*tenant=*/1, &counters);
+  SstableReader reader(rig.fs, file, options, cache, iosched::TenantSlot{1},
+                       &counters);
 
   // Warm: look up every present key, which makes filter, index and every
   // data block resident.

@@ -11,10 +11,10 @@ namespace {
 
 using testing::LsmRig;
 
-const iosched::IoTag kFlushTag{1, iosched::AppRequest::kPut,
-                               iosched::InternalOp::kFlush};
-const iosched::IoTag kGetTag{1, iosched::AppRequest::kGet,
-                             iosched::InternalOp::kNone};
+const iosched::IoTag kFlushTag{.tenant = 1,
+                               .app = iosched::AppRequest::kPut,
+                               .internal = iosched::InternalOp::kFlush};
+const iosched::IoTag kGetTag{.tenant = 1, .app = iosched::AppRequest::kGet};
 
 // Builds a table with `n` keys "key00000i" -> "value_i" at seq i+1.
 fs::FileId BuildTestTable(LsmRig& rig, int n, uint32_t value_size = 100) {
@@ -47,7 +47,7 @@ TEST(SstableTest, BuildAndLookup) {
   LsmRig rig;
   BlockCache cache(0, /*cache_data=*/false);  // the LsmDb default
   const fs::FileId file = BuildTestTable(rig, 500);
-  SstableReader reader(rig.fs, file, {}, cache, /*tenant=*/1);
+  SstableReader reader(rig.fs, file, {}, cache, iosched::TenantSlot{1});
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await Get(reader, "key0000042", UINT64_MAX);
     EXPECT_TRUE(r.status.ok());
@@ -62,7 +62,7 @@ TEST(SstableTest, MissingKeyNotFound) {
   LsmRig rig;
   BlockCache cache(0, /*cache_data=*/false);  // the LsmDb default
   const fs::FileId file = BuildTestTable(rig, 100);
-  SstableReader reader(rig.fs, file, {}, cache, /*tenant=*/1);
+  SstableReader reader(rig.fs, file, {}, cache, iosched::TenantSlot{1});
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await Get(reader, "key0000xyz", UINT64_MAX);
     EXPECT_TRUE(r.status.ok());
@@ -99,7 +99,7 @@ TEST(SstableTest, TombstonesSurfaceAsDeleted) {
     builder.Add("key", 5, ValueType::kDelete, "");
     builder.Add("key", 2, ValueType::kPut, "old");
     co_await builder.Finish(kFlushTag);
-    SstableReader reader(rig.fs, file, {}, cache, /*tenant=*/1);
+    SstableReader reader(rig.fs, file, {}, cache, iosched::TenantSlot{1});
     auto r = co_await Get(reader, "key", UINT64_MAX);
     EXPECT_TRUE(r.found);
     EXPECT_TRUE(r.deleted);
@@ -115,7 +115,7 @@ TEST(SstableTest, LookupCostsIndexPlusDataBlock) {
   LsmRig rig;
   BlockCache cache(0, /*cache_data=*/false);  // the LsmDb default
   const fs::FileId file = BuildTestTable(rig, 2000);  // many 4KB blocks
-  SstableReader reader(rig.fs, file, {}, cache, /*tenant=*/1);
+  SstableReader reader(rig.fs, file, {}, cache, iosched::TenantSlot{1});
   const auto before = rig.sched.tracker().Stats(1);
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await Get(reader, "key0001000", UINT64_MAX);
@@ -138,7 +138,7 @@ TEST(SstableTest, LookupCostsIndexPlusDataBlock) {
 TEST(BlockCacheTest, BoundedCapacityEvictsLeastRecentlyUsed) {
   constexpr auto kIdx = BlockCache::Kind::kIndex;
   BlockCache cache(100);
-  BlockCache::TenantCounters& t1 = cache.Counters(1);
+  BlockCache::TenantCounters& t1 = cache.Counters(iosched::TenantSlot{1});
   const std::string index_bytes(40, 'i');
   BlockCache::Slot s1, s2, s3;  // three tables' index slots
   cache.Insert(s1, t1, index_bytes);
@@ -166,7 +166,7 @@ TEST(BlockCacheTest, ZeroCapacityIsUnbounded) {
   const std::string index_bytes(1 * kMiB, 'i');
   std::vector<BlockCache::Slot> slots(32);
   for (BlockCache::Slot& slot : slots) {
-    cache.Insert(slot, cache.Counters(1), index_bytes);
+    cache.Insert(slot, cache.Counters(iosched::TenantSlot{1}), index_bytes);
   }
   EXPECT_EQ(cache.entries(), 32u);
   EXPECT_EQ(cache.evictions(), 0u);
@@ -181,7 +181,7 @@ TEST(SstableTest, SharedCacheServesRepeatLookups) {
   const fs::FileId file = BuildTestTable(rig, 2000);
   // A bounded index-only cache (LsmOptions::table_cache_bytes).
   BlockCache cache(1 * kMiB, /*cache_data=*/false);
-  SstableReader reader(rig.fs, file, {}, cache, /*tenant=*/1);
+  SstableReader reader(rig.fs, file, {}, cache, iosched::TenantSlot{1});
   const auto before = rig.sched.tracker().Stats(1);
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await Get(reader, "key0001000", UINT64_MAX);
@@ -220,8 +220,8 @@ TEST(SstableTest, EvictedIndexReloadIsRereadAndCharged) {
   // Capacity below a single index: every insert evicts the other table's
   // entry (an insert never evicts itself, so the newest index is resident).
   BlockCache cache(1, /*cache_data=*/false);
-  SstableReader ra(rig.fs, file_a, {}, cache, /*tenant=*/1);
-  SstableReader rb(rig.fs, file_b, {}, cache, /*tenant=*/1);
+  SstableReader ra(rig.fs, file_a, {}, cache, iosched::TenantSlot{1});
+  SstableReader rb(rig.fs, file_b, {}, cache, iosched::TenantSlot{1});
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await Get(ra, "key0001000", UINT64_MAX);
     EXPECT_TRUE(r.found);
@@ -258,7 +258,7 @@ TEST(SstableTest, WarmLookupFinishesInTryGet) {
   BlockCache cache(0, /*cache_data=*/true);
   TableReadCounters counters;
   SstableReader reader(rig.fs, file, {.bloom_bits_per_key = 10}, cache,
-                       /*tenant=*/1, &counters);
+                       iosched::TenantSlot{1}, &counters);
   SstableReader::Lookup cold;
   EXPECT_FALSE(reader.TryGet("key0001000", UINT64_MAX, cold));
   rig.RunTask([&]() -> sim::Task<void> {
@@ -277,7 +277,7 @@ TEST(SstableTest, WarmLookupFinishesInTryGet) {
   EXPECT_TRUE(warm.result.found);
   EXPECT_EQ(warm.result.value, cold.result.value);
   EXPECT_EQ(rig.sched.tracker().Stats(1).read_ops, before.read_ops);
-  const auto tc = cache.CountersOf(1);
+  const auto tc = cache.CountersOf(iosched::TenantSlot{1});
   EXPECT_EQ(tc.hits[static_cast<int>(BlockCache::Kind::kFilter)], 1u);
   EXPECT_EQ(tc.hits[static_cast<int>(BlockCache::Kind::kIndex)], 1u);
   EXPECT_EQ(tc.hits[static_cast<int>(BlockCache::Kind::kData)], 1u);
@@ -295,9 +295,9 @@ TEST(SstableTest, ReaderDestructionDropsItsBlocksOnly) {
   LsmRig rig;
   const fs::FileId file = BuildTestTable(rig, 2000);
   BlockCache cache(0, /*cache_data=*/true);
-  SstableReader keep(rig.fs, file, {}, cache, /*tenant=*/1);
+  SstableReader keep(rig.fs, file, {}, cache, iosched::TenantSlot{1});
   auto drop = std::make_unique<SstableReader>(rig.fs, file, SstableOptions{},
-                                              cache, /*tenant=*/2);
+                                              cache, iosched::TenantSlot{2});
   rig.RunTask([&]() -> sim::Task<void> {
     EXPECT_TRUE((co_await Get(keep, "key0000001", UINT64_MAX)).found);
     EXPECT_TRUE((co_await Get(*drop, "key0000001", UINT64_MAX)).found);
@@ -318,7 +318,7 @@ TEST(SstableTest, ScanAllYieldsEverythingInOrder) {
   LsmRig rig;
   BlockCache cache(0, /*cache_data=*/false);  // the LsmDb default
   const fs::FileId file = BuildTestTable(rig, 777);
-  SstableReader reader(rig.fs, file, {}, cache, /*tenant=*/1);
+  SstableReader reader(rig.fs, file, {}, cache, iosched::TenantSlot{1});
   std::vector<std::string> keys;
   rig.RunTask([&]() -> sim::Task<void> {
     EXPECT_TRUE((co_await reader.ScanAll(
@@ -341,7 +341,7 @@ TEST(SstableTest, LargeValuesSpanBlocks) {
     builder.Add("big0", 1, ValueType::kPut, big);
     builder.Add("big1", 2, ValueType::kPut, big);
     co_await builder.Finish(kFlushTag);
-    SstableReader reader(rig.fs, file, {}, cache, /*tenant=*/1);
+    SstableReader reader(rig.fs, file, {}, cache, iosched::TenantSlot{1});
     auto r = co_await Get(reader, "big1", UINT64_MAX);
     EXPECT_TRUE(r.found);
     if (r.found) {
@@ -357,7 +357,7 @@ TEST(SstableTest, EmptyTableLookups) {
   rig.RunTask([&]() -> sim::Task<void> {
     SstableBuilder builder(rig.fs, file);
     co_await builder.Finish(kFlushTag);
-    SstableReader reader(rig.fs, file, {}, cache, /*tenant=*/1);
+    SstableReader reader(rig.fs, file, {}, cache, iosched::TenantSlot{1});
     auto r = co_await Get(reader, "anything", UINT64_MAX);
     EXPECT_FALSE(r.found);
   }());

@@ -19,8 +19,7 @@ namespace {
 
 using testing::LsmRig;
 
-const iosched::IoTag kPutTag{1, iosched::AppRequest::kPut,
-                             iosched::InternalOp::kNone};
+const iosched::IoTag kPutTag{.tenant = 1, .app = iosched::AppRequest::kPut};
 
 // splitmix64: one seeded stream drives every damage decision, so a failing
 // case number reproduces exactly.

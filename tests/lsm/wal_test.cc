@@ -11,8 +11,7 @@ namespace {
 
 using testing::LsmRig;
 
-const iosched::IoTag kPutTag{1, iosched::AppRequest::kPut,
-                             iosched::InternalOp::kNone};
+const iosched::IoTag kPutTag{.tenant = 1, .app = iosched::AppRequest::kPut};
 
 TEST(WalTest, AppendAndReplay) {
   LsmRig rig;

@@ -107,10 +107,9 @@ int main() {
   engine.Run();
 
   // 5. Inspect where the requests landed and what they cost.
-  const auto homes = cl.shard_map().Assignment(42);
   std::printf("shard homes:");
-  for (const int node : homes) {
-    std::printf(" %d", node);
+  for (int slot = 0; slot < cl.shard_map().shards_per_tenant(); ++slot) {
+    std::printf(" %d", cl.HomeOf(42, slot));
   }
   std::printf("\n");
   double vops = 0.0;

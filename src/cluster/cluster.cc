@@ -432,6 +432,44 @@ void Cluster::PlaceSlot(TenantState& state, int slot, int leader) {
   }
 }
 
+Cluster::SlotGate::SlotGate(sim::EventLoop& loop, TenantState& state,
+                            std::span<const int> slots, int* active)
+    : loop_(loop), state_(state), slots_(slots), active_(active) {
+  if (active_ != nullptr) {
+    ++*active_;
+  }
+}
+
+Cluster::SlotGate::~SlotGate() {
+  for (size_t i = 0; i < closed_; ++i) {
+    state_.shards[slots_[i]].migrating = false;
+  }
+  if (active_ != nullptr) {
+    --*active_;
+  }
+}
+
+sim::Task<void> Cluster::SlotGate::Close() {
+  for (const int slot : slots_) {
+    ShardState& ss = state_.shards[slot];
+    while (ss.migrating) {
+      co_await sim::SleepFor(loop_, kGatePoll);
+    }
+    ss.migrating = true;
+    ++closed_;
+  }
+  for (;;) {
+    int inflight = 0;
+    for (const int slot : slots_) {
+      inflight += state_.shards[slot].inflight;
+    }
+    if (inflight == 0) {
+      break;
+    }
+    co_await sim::SleepFor(loop_, kGatePoll);
+  }
+}
+
 void Cluster::NodeEnsureTenant(int node, const TenantState& state) {
   const TenantId tenant = state.id;
   const lsm::CompactionPolicy compaction = state.compaction;
@@ -634,52 +672,10 @@ Result<TenantHandle> Cluster::AddTenant(TenantId tenant,
   return Result<TenantHandle>(TenantHandle(this, tenant, index));
 }
 
-Status Cluster::UpdateGlobalReservation(TenantId tenant,
-                                        GlobalReservation reservation) {
-  TenantState* state = Find(tenant);
-  if (state == nullptr) {
-    return Status::NotFound("unknown tenant " + std::to_string(tenant));
-  }
-  if (Status s = ValidateGlobal(reservation); !s.ok()) {
-    return s;
-  }
-  // Re-split evenly now; the provisioner re-weights by demand next interval.
-  const std::map<int, Reservation> split = EvenSplit(*state, reservation);
-  if (Status s = CheckAdmission(tenant, split); !s.ok()) {
-    return s;
-  }
-  state->global = reservation;
-  ApplySplit(*state, split);
-  return Status::Ok();
-}
-
-Result<TenantHandle> Cluster::Handle(TenantId tenant) {
-  const iosched::TenantSlot index = index_.Find(tenant);
-  if (index == iosched::TenantSlot::kNone) {
-    return Result<TenantHandle>(
-        Status::NotFound("unknown tenant " + std::to_string(tenant)));
-  }
-  return Result<TenantHandle>(TenantHandle(this, tenant, index));
-}
-
-GlobalReservation Cluster::global_reservation(TenantId tenant) const {
-  const TenantState* state = Find(tenant);
-  return state == nullptr ? GlobalReservation{} : state->global;
-}
-
 int Cluster::HomeOf(TenantId tenant, int slot) const {
   const TenantState* state = Find(tenant);
   return state == nullptr ? shard_map_.HomeOf(tenant, slot)
                           : state->shards[slot].replicas[0];
-}
-
-std::vector<TenantId> Cluster::tenants() const {
-  std::vector<TenantId> out;
-  out.reserve(index_.size());
-  for (const iosched::TenantSlots::Entry& e : index_.by_id()) {
-    out.push_back(e.id);
-  }
-  return out;
 }
 
 double Cluster::GlobalNormalizedTotal(TenantId tenant, AppRequest app) const {
@@ -1055,23 +1051,11 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
   if (ss.migrating) {
     co_return Status::FailedPrecondition("shard already migrating");
   }
-  ss.migrating = true;  // gate: new requests to this shard now suspend
-  ++active_migrations_;
-  // Coroutine-frame destructor order releases the gate on every co_return
-  // path, success or error.
-  struct GateRelease {
-    ShardState* ss;
-    int* active;
-    ~GateRelease() {
-      ss->migrating = false;
-      --*active;
-    }
-  } release{&ss, &active_migrations_};
-
-  // Drain: let in-flight requests on the shard finish.
-  while (ss.inflight > 0) {
-    co_await sim::SleepFor(loop_, kGatePoll);
-  }
+  // New requests to the shard suspend and in-flight ones drain; the gate
+  // reopens when this coroutine returns, on success or error.
+  SlotGate gate(loop_, *state, std::span<const int>(&slot, 1),
+                &active_migrations_);
+  co_await gate.Close();
 
   // Best-effort registration; the provisioner assigns it a real share of
   // the global reservation at its next split. (Node-side membership checks
@@ -1151,8 +1135,8 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
     spans->Record(rec);
   }
 
-  // GateRelease clears `migrating`; gated requests re-resolve to the new
-  // home once the coroutine returns.
+  // The gate reopens as the coroutine returns; gated requests re-resolve
+  // to the new home.
 
   obs::RebalanceRecord rec;
   rec.kind = obs::RebalanceRecord::Kind::kMigration;
@@ -1272,32 +1256,8 @@ sim::Task<Status> Cluster::CatchUpTenant(iosched::TenantSlot index,
     // Gate the group's slots like a migration: new requests suspend and
     // in-flight ones drain, so a write cannot race the copy and be
     // shadowed by an older copied-in value.
-    for (const int slot : slots) {
-      ShardState& ss = state.shards[slot];
-      while (ss.migrating) {
-        co_await sim::SleepFor(loop_, kGatePoll);
-      }
-      ss.migrating = true;
-    }
-    struct GateRelease {
-      TenantState* state;
-      const std::vector<int>* slots;
-      ~GateRelease() {
-        for (const int slot : *slots) {
-          state->shards[slot].migrating = false;
-        }
-      }
-    } release{&state, &slots};
-    for (;;) {
-      int inflight = 0;
-      for (const int slot : slots) {
-        inflight += state.shards[slot].inflight;
-      }
-      if (inflight == 0) {
-        break;
-      }
-      co_await sim::SleepFor(loop_, kGatePoll);
-    }
+    SlotGate gate(loop_, state, slots);
+    co_await gate.Close();
 
     // Both sides bill the copy stream as PUT-triggered REPL work: the scan
     // on the source and the copy-in on the restarted node all carry

@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -128,9 +129,9 @@ struct ClusterOptions {
   // factor (a stand-in for unobserved amplification at admission time).
   double admission_utilization = 0.95;
   double admission_headroom = 1.0;
-  // Disables the admission check entirely (AddTenant/UpdateGlobalReservation
-  // always admit). The check walks every admitted tenant per hosting node,
-  // which is O(tenants^2) across a mega-scale setup phase; consolidation
+  // Disables the admission check entirely (AddTenant always admits). The
+  // check walks every admitted tenant per hosting node, which is
+  // O(tenants^2) across a mega-scale setup phase; consolidation
   // experiments that only study steady-state scheduling turn it off.
   bool admission_enabled = true;
   // One-way cross-node RPC latency: the delay of every request and
@@ -240,14 +241,6 @@ class Cluster {
       lsm::CompactionPolicy compaction = lsm::CompactionPolicy::kLeveled,
       obs::DeclaredAttribution declared = {});
 
-  // Replaces a tenant's global reservation, subject to the same admission
-  // check against the other tenants' current provisioned demand.
-  Status UpdateGlobalReservation(iosched::TenantId tenant,
-                                 GlobalReservation reservation);
-
-  // Handle for an already-admitted tenant (kNotFound otherwise).
-  Result<TenantHandle> Handle(iosched::TenantId tenant);
-
   // Starts/stops every node's resource policy and the global provisioner.
   void Start();
   void Stop();
@@ -310,8 +303,6 @@ class Cluster {
   }
   GlobalProvisioner& provisioner() { return *provisioner_; }
   const obs::RebalanceLog& rebalance_log() const { return rebalance_log_; }
-  GlobalReservation global_reservation(iosched::TenantId tenant) const;
-  std::vector<iosched::TenantId> tenants() const;
 
   // Cumulative normalized requests served for `tenant` across all nodes
   // (evaluation harnesses take deltas for global achieved rates).
@@ -386,6 +377,30 @@ class Cluster {
   // Places slot `slot` of `state` with `leader` first (the ring placement
   // when negative) and recounts the tenant's per-node slot replicas.
   void PlaceSlot(TenantState& state, int slot, int leader);
+
+  // Holds some of one tenant's slots closed while a copy stream (migration
+  // or catch-up) runs. Close waits until each slot's gate is open, closes
+  // it (new requests to the slot now suspend), then waits until the slots'
+  // in-flight requests drain. The destructor reopens every slot it closed,
+  // so a gate in a coroutine frame reopens on every return path. `active`,
+  // when set, counts the gate while it lives (active_migrations_).
+  class SlotGate {
+   public:
+    SlotGate(sim::EventLoop& loop, TenantState& state,
+             std::span<const int> slots, int* active = nullptr);
+    ~SlotGate();
+    SlotGate(const SlotGate&) = delete;
+    SlotGate& operator=(const SlotGate&) = delete;
+
+    sim::Task<void> Close();
+
+   private:
+    sim::EventLoop& loop_;
+    TenantState& state_;
+    std::span<const int> slots_;  // the caller's; outlives the gate
+    int* active_;
+    size_t closed_ = 0;  // slots_[0, closed_) are closed
+  };
 
   // --- request routing (TenantHandle forwards here) ---
   // The one write verb: `value` is the PUT payload, nullopt a DELETE. The

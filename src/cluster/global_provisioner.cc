@@ -102,29 +102,6 @@ void GlobalProvisioner::UpdateDemand(TenantState& tenant, HostRow& host) {
   }
 }
 
-double GlobalProvisioner::DemandShare(iosched::TenantId tenant,
-                                      int node) const {
-  const TenantState* state = cluster_.Find(tenant);
-  if (state == nullptr) {
-    return 0.0;
-  }
-  double mine = -1.0;
-  double total = 0.0;
-  for (const HostRow& host : state->hosts) {
-    if (!host.measured) {
-      continue;
-    }
-    if (host.node == node) {
-      mine = host.TotalRate();
-    }
-    total += host.TotalRate();
-  }
-  if (mine < 0.0) {
-    return 0.0;
-  }
-  return total > 0.0 ? mine / total : 0.0;
-}
-
 void GlobalProvisioner::ResplitTenant(TenantState& tenant) {
   const GlobalReservation global = tenant.global;
 

@@ -47,10 +47,6 @@ class GlobalProvisioner {
   uint64_t splits_applied() const { return splits_applied_; }
   uint64_t migrations_started() const { return migrations_started_; }
 
-  // Smoothed demand share of `node` within `tenant`'s global demand
-  // (normalized requests; 0 when unobserved).
-  double DemandShare(iosched::TenantId tenant, int node) const;
-
  private:
   using TenantState = Cluster::TenantState;
   using HostRow = Cluster::HostRow;

@@ -96,16 +96,4 @@ Replicas ShardMap::ReplicasOf(uint32_t tenant, int slot, int leader) const {
   return out;
 }
 
-int ShardMap::NodeOfKey(uint32_t tenant, std::string_view key) const {
-  return HomeOf(tenant, SlotOfKey(key));
-}
-
-std::vector<int> ShardMap::Assignment(uint32_t tenant) const {
-  std::vector<int> out(options_.shards_per_tenant);
-  for (int s = 0; s < options_.shards_per_tenant; ++s) {
-    out[s] = HomeOf(tenant, s);
-  }
-  return out;
-}
-
 }  // namespace libra::cluster

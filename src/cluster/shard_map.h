@@ -85,9 +85,6 @@ class ShardMap {
   // migration moves it (Cluster::HomeOf answers for the current home).
   int HomeOf(uint32_t tenant, int slot) const;
 
-  // Convenience: HomeOf(tenant, SlotOfKey(key)).
-  int NodeOfKey(uint32_t tenant, std::string_view key) const;
-
   // Replica set of (tenant, slot) led by `leader` (the ring placement when
   // negative): the leader first, then RF-1 followers — the next distinct
   // nodes walking the ring from the slot's position. Size =
@@ -95,9 +92,6 @@ class ShardMap {
   // starts at the ring's own leader, which becomes the first follower, so
   // the last ring follower drops out of the set.
   Replicas ReplicasOf(uint32_t tenant, int slot, int leader = -1) const;
-
-  // Ring placement of every slot of a tenant (size shards_per_tenant).
-  std::vector<int> Assignment(uint32_t tenant) const;
 
  private:
   struct RingPoint {

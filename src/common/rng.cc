@@ -51,12 +51,6 @@ double Rng::NextDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(NextU64(span));
-}
-
 double Rng::NextGaussian() {
   // Box-Muller; draw until u1 is nonzero to keep log() finite.
   double u1 = 0.0;

@@ -26,9 +26,6 @@ class Rng {
   // Uniform in [0, 1).
   double NextDouble();
 
-  // Uniform in [lo, hi]; lo <= hi.
-  int64_t UniformInt(int64_t lo, int64_t hi);
-
   // Standard normal via Box-Muller (one value per call; stateless variant).
   double NextGaussian();
 

@@ -1,33 +1,8 @@
 #include "src/common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace libra {
-
-void RunningStat::Observe(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::variance() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 void SampleSet::EnsureSorted() const {
   if (!sorted_) {
@@ -47,45 +22,6 @@ double SampleSet::Percentile(double p) const {
   const size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-double SampleSet::Mean() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  double sum = 0.0;
-  for (double s : samples_) {
-    sum += s;
-  }
-  return sum / static_cast<double>(samples_.size());
-}
-
-double SampleSet::CdfAt(double x) const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  EnsureSorted();
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-  return static_cast<double>(it - samples_.begin()) /
-         static_cast<double>(samples_.size());
-}
-
-std::vector<std::pair<double, double>> SampleSet::CdfPoints(
-    size_t num_points) const {
-  std::vector<std::pair<double, double>> points;
-  if (samples_.empty() || num_points == 0) {
-    return points;
-  }
-  EnsureSorted();
-  points.reserve(num_points);
-  for (size_t i = 0; i < num_points; ++i) {
-    const double p = num_points == 1
-                         ? 1.0
-                         : static_cast<double>(i) /
-                               static_cast<double>(num_points - 1);
-    points.emplace_back(Percentile(p), p);
-  }
-  return points;
 }
 
 double MinMaxRatio(const std::vector<double>& ratios) {

@@ -1,6 +1,6 @@
-// Streaming statistics and CDF helpers used by the evaluation harnesses:
-// running mean/stddev (Welford), percentile extraction, and the normalized
-// min-max ratio (MMR) accuracy metric from §6.2.
+// Statistics helpers used by the evaluation harnesses: percentile
+// extraction and the normalized min-max ratio (MMR) accuracy metric from
+// §6.2.
 
 #ifndef LIBRA_SRC_COMMON_STATS_H_
 #define LIBRA_SRC_COMMON_STATS_H_
@@ -10,37 +10,14 @@
 
 namespace libra {
 
-// Welford's online mean/variance.
-class RunningStat {
- public:
-  void Observe(double x);
-
-  size_t count() const { return count_; }
-  double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-// Collects samples and answers percentile/CDF queries. Sorting is deferred
-// to query time.
+// Collects samples and answers percentile queries. Sorting is deferred to
+// query time.
 class SampleSet {
  public:
   void Add(double x) {
     samples_.push_back(x);
     sorted_ = false;
   }
-  void Reserve(size_t n) { samples_.reserve(n); }
 
   size_t size() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
@@ -50,15 +27,6 @@ class SampleSet {
   double Median() const { return Percentile(0.5); }
   double Min() const { return Percentile(0.0); }
   double Max() const { return Percentile(1.0); }
-  double Mean() const;
-
-  // Fraction of samples <= x.
-  double CdfAt(double x) const;
-
-  // Evenly-spaced (value, cumulative-fraction) points for plotting a CDF.
-  std::vector<std::pair<double, double>> CdfPoints(size_t num_points) const;
-
-  const std::vector<double>& samples() const { return samples_; }
 
  private:
   void EnsureSorted() const;

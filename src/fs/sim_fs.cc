@@ -235,15 +235,6 @@ sim::Task<StatusOr<StoredBytes>> SimFs::Append(FileId file,
   return AppendShared(file, {{tag, static_cast<uint32_t>(n)}}, n, encode);
 }
 
-sim::Task<StatusOr<StoredBytes>> SimFs::Append(FileId file,
-                                               const iosched::IoTag& tag,
-                                               std::string_view data) {
-  const auto copy = [data](char* dst) {
-    std::memcpy(dst, data.data(), data.size());
-  };
-  co_return co_await Append(file, tag, data.size(), copy);
-}
-
 sim::Task<Status> SimFs::WriteFile(FileId file, const iosched::IoTag& tag,
                                    std::string data, uint32_t chunk_bytes) {
   File* f = Lookup(file);

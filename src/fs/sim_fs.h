@@ -114,7 +114,6 @@ class SimFs {
   StatusOr<FileId> Open(const std::string& name) const;
   bool Exists(const std::string& name) const;
   Status Delete(const std::string& name);
-  Status Rename(const std::string& from, const std::string& to);
   // Names starting with `prefix`, sorted (every name when it is empty).
   std::vector<std::string> List(std::string_view prefix = {}) const;
 
@@ -126,10 +125,6 @@ class SimFs {
   sim::Task<StatusOr<StoredBytes>> Append(FileId file,
                                           const iosched::IoTag& tag,
                                           uint64_t n, Encoder encode);
-  // The same, storing a copy of `data`.
-  sim::Task<StatusOr<StoredBytes>> Append(FileId file,
-                                          const iosched::IoTag& tag,
-                                          std::string_view data);
 
   // Writes an empty file's whole contents: `data` becomes the file's one
   // segment without a copy. Device IO, extent allocation and the visible
@@ -161,35 +156,41 @@ class SimFs {
                                                  uint64_t offset,
                                                  uint64_t length);
 
-  // ReadView plus a copy into *out (resized).
-  sim::Task<Status> ReadAt(FileId file, const iosched::IoTag& tag,
-                           uint64_t offset, uint64_t length,
-                           std::string* out);
-
   uint64_t SizeOf(FileId file) const;
   FsStats stats() const;
 
   iosched::IoScheduler& scheduler() { return scheduler_; }
 
-  // Host-side peeks at file contents WITHOUT device IO or scheduling. Only
-  // for one-shot maintenance paths that happen before a node serves
+  // A host-side peek at file contents WITHOUT device IO or scheduling.
+  // Only for one-shot maintenance paths that happen before a node serves
   // traffic (WAL recovery at open); all serving-path reads must use
-  // ReadView so their IO is charged. PeekView pins the viewed bytes
-  // (merging a spanning range as ReadView does); PeekContents copies the
-  // whole file.
+  // ReadView so their IO is charged. Pins the viewed bytes (merging a
+  // spanning range as ReadView does).
   StatusOr<StoredBytes> PeekView(FileId file, uint64_t offset,
                                  uint64_t length);
+
+  // --- test-only hooks ---
+  //
+  // No program path calls these; tests use them to check stored bytes
+  // (ReadAt, PeekContents, Rename) and to model crashes (Truncate,
+  // CorruptByte). Kept on purpose and allowlisted in
+  // tests/unused_symbols.allow.
+
+  Status Rename(const std::string& from, const std::string& to);
+  // ReadView plus a copy into *out (resized).
+  sim::Task<Status> ReadAt(FileId file, const iosched::IoTag& tag,
+                           uint64_t offset, uint64_t length,
+                           std::string* out);
+  // Copies the whole file, host-side (no device IO).
   Status PeekContents(FileId file, std::string* out) const;
 
-  // --- fault-injection hooks (host-side, no device IO) ---
-  //
-  // Crash modeling for recovery tests: a torn tail is a truncation at an
-  // arbitrary byte, and media corruption is an in-place bit flip. Both act
-  // on the stored bytes only — extent accounting keeps the original
-  // allocation, as a real crash would leave blocks allocated past the
-  // last valid write. Neither changes a segment someone else pins: the
-  // file gets a copy of it first, so bytes already handed out stay as
-  // they were.
+  // Fault injection (host-side, no device IO): a torn tail is a
+  // truncation at an arbitrary byte, and media corruption is an in-place
+  // bit flip. Both act on the stored bytes only — extent accounting keeps
+  // the original allocation, as a real crash would leave blocks allocated
+  // past the last valid write. Neither changes a segment someone else
+  // pins: the file gets a copy of it first (Unshare), so bytes already
+  // handed out stay as they were.
 
   // Truncates the file's contents to `size` bytes (no-op if already
   // smaller). Returns kNotFound for an unknown name.

@@ -146,9 +146,6 @@ class ResourcePolicy {
 
   // Introspection for the evaluation harnesses.
   AppRequestProfile ProfileOf(TenantId tenant, AppRequest app) const;
-  double AllocationOf(TenantId tenant) const {
-    return scheduler_.Allocation(tenant);
-  }
 
   // Per-interval provisioning decisions: what each tenant reserved, the
   // profile components and VOP prices used, what was granted, and whether

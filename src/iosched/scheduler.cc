@@ -250,14 +250,6 @@ SimDuration IoScheduler::ConsumeDemandTime(TenantSlot tenant) {
   return out;
 }
 
-size_t IoScheduler::backlog() const {
-  size_t n = 0;
-  for (const Tenant& t : tenants_) {
-    n += t.queue.size();
-  }
-  return n;
-}
-
 bool IoScheduler::NewRound() {
   // Active tenants only, in id order: the same additions in the same order
   // as a scan over every tenant would make. Classic DRR also clamps each

@@ -155,9 +155,6 @@ class IoScheduler {
   uint64_t rounds() const { return rounds_; }
   int inflight() const { return inflight_; }
 
-  // Sum of queued (not yet dispatched) chunks across tenants.
-  size_t backlog() const;
-
   // Lifecycle statistics for a tenant; nullptr until the tenant has been
   // registered (SetAllocation) or has submitted an IO.
   const TenantLifecycleStats* lifecycle(TenantId tenant) const;

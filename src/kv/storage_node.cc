@@ -176,6 +176,9 @@ void StorageNode::Crash() {
   // harnesses that drive provisioning manually rely on a draining Run()).
   policy_was_running_ = policy_.running();
   policy_.Stop();
+  if (cache_ != nullptr) {
+    cache_->Clear();  // RAM is lost with the process
+  }
   for (const iosched::TenantSlots::Entry& e : scheduler_.slots().by_id()) {
     Partition* p = PartitionAt(e.slot);
     if (p != nullptr && p->db != nullptr) {
@@ -289,9 +292,9 @@ sim::Task<Status> StorageNode::Write(TenantId tenant, const std::string& key,
     tracker().RecordAppRequest(p->slot, AppRequest::kPut, bytes);
     if (cache_ != nullptr) {
       if (value.has_value()) {
-        cache_->Put(key, std::string(*value));  // write-through
+        cache_->Put(p->slot, key, std::string(*value));  // write-through
       } else {
-        cache_->Erase(key);
+        cache_->Erase(p->slot, key);
       }
     }
   }
@@ -314,7 +317,7 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
   const RequestSpan span = BeginRequestSpan(spans, ctx);
   const SimTime start = loop_.Now();
   if (cache_ != nullptr) {
-    if (auto hit = cache_->Get(key); hit.has_value()) {
+    if (auto hit = cache_->Get(p->slot, key); hit.has_value()) {
       Result<std::string> out(std::move(*hit));
       // Cache hits consume no IO; they still count as served requests.
       tracker().RecordAppRequest(p->slot, AppRequest::kGet,
@@ -367,7 +370,7 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
   tracker().RecordAppRequest(p->slot, AppRequest::kGet, billed);
   p->get_latency.Record(static_cast<uint64_t>(loop_.Now() - start));
   if (out.ok() && cache_ != nullptr) {
-    cache_->Put(key, out.value());
+    cache_->Put(p->slot, key, out.value());
   }
   EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kGet,
                  tenant, start, loop_.Now(), billed);

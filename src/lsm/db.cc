@@ -255,20 +255,16 @@ sim::Task<LsmDb::GetResult> LsmDb::Get(std::string_view key, TraceContext ctx) {
   // Table lookups against an immutable version snapshot; the refs keep
   // files alive even if a compaction replaces them mid-read.
   const VersionRef version = current_;
-  // Overlapping levels probe every covering file newest-first: L0 under
-  // leveled, every tier under size-tiered (runs only leave a tier by
-  // whole-tier merges, so run recency orders version recency globally).
-  const int overlapping_levels =
-      options_.compaction_policy == CompactionPolicy::kSizeTiered
-          ? options_.num_levels
-          : 1;
+  // Overlapping levels probe every covering file newest-first (under
+  // size-tiered, runs only leave a tier by whole-tier merges, so run
+  // recency orders version recency globally).
   for (int level = 0; level < options_.num_levels; ++level) {
     const std::vector<TableRef>& files = version->levels[level];
     auto first = files.begin();
     auto last = files.end();
-    if (level >= overlapping_levels) {
-      // Leveled L1+: sorted disjoint files, so at most the first one whose
-      // largest key reaches `key` can cover it.
+    if (!Overlapping(level)) {
+      // Sorted disjoint files, so at most the first one whose largest key
+      // reaches `key` can cover it.
       first = std::lower_bound(
           files.begin(), files.end(), key,
           [](const TableRef& t, std::string_view k) { return t->largest < k; });
@@ -575,36 +571,30 @@ sim::Task<void> LsmDb::FlushJob() {
 }
 
 int LsmDb::PickCompactionLevel() const {
+  // Overlapping levels score by table count against the policy's trigger
+  // (ties go to the deeper one), sorted levels by bytes against their
+  // target. Size-tiered scores every tier: the bottom tier self-merges,
+  // and a single run never merges (nothing to reclaim). Leveled never
+  // compacts out of the bottom level.
+  const bool tiered =
+      options_.compaction_policy == CompactionPolicy::kSizeTiered;
+  const double trigger = tiered ? options_.tier_compaction_trigger
+                                : options_.l0_compaction_trigger;
+  const int scored = tiered ? options_.num_levels : options_.num_levels - 1;
   double best_score = 1.0;
   int best_level = -1;
-  if (options_.compaction_policy == CompactionPolicy::kSizeTiered) {
-    // Fullest tier by run count; the bottom tier self-merges at the same
-    // threshold. A single run never merges (nothing to reclaim).
-    for (int tier = 0; tier < options_.num_levels; ++tier) {
-      const size_t runs = current_->levels[tier].size();
-      if (runs < 2) {
-        continue;
-      }
-      const double score =
-          static_cast<double>(runs) /
-          static_cast<double>(options_.tier_compaction_trigger);
-      if (score >= best_score) {
+  for (int level = 0; level < scored; ++level) {
+    const std::vector<TableRef>& files = current_->levels[level];
+    if (Overlapping(level)) {
+      const double score = static_cast<double>(files.size()) / trigger;
+      if ((!tiered || files.size() >= 2) && score >= best_score) {
         best_score = score;
-        best_level = tier;
+        best_level = level;
       }
+      continue;
     }
-    return best_level;
-  }
-  const double l0_score =
-      static_cast<double>(current_->levels[0].size()) /
-      static_cast<double>(options_.l0_compaction_trigger);
-  if (l0_score >= best_score) {
-    best_score = l0_score;
-    best_level = 0;
-  }
-  for (int level = 1; level < options_.num_levels - 1; ++level) {
     uint64_t bytes = 0;
-    for (const TableRef& t : current_->levels[level]) {
+    for (const TableRef& t : files) {
       bytes += t->size_bytes;
     }
     const double score = static_cast<double>(bytes) /
@@ -666,7 +656,7 @@ LsmDb::CompactionPick LsmDb::PickCompaction(int level) {
   pick.out_level = level + 1;
   pick.drop_tombstones = pick.out_level == options_.num_levels - 1;
   pick.split_bytes = options_.target_file_bytes;
-  if (level == 0) {
+  if (Overlapping(level)) {
     // All of L0 (their ranges overlap each other anyway).
     pick.sources = files;
   } else {
@@ -944,41 +934,24 @@ LsmStats LsmDb::stats() const {
 }
 
 std::string LsmDb::DebugCheckInvariants() const {
-  if (options_.compaction_policy == CompactionPolicy::kSizeTiered) {
-    // Every tier is a stack of whole runs, newest (highest number) first.
-    for (int tier = 0; tier < options_.num_levels; ++tier) {
-      const auto& runs = current_->levels[tier];
-      for (size_t i = 1; i < runs.size(); ++i) {
-        if (runs[i - 1]->number < runs[i]->number) {
-          return "tier " + std::to_string(tier) +
-                 " not newest-first at index " + std::to_string(i);
-        }
-      }
-    }
-    return "";
-  }
-  const auto& l0 = current_->levels[0];
-  for (size_t i = 1; i < l0.size(); ++i) {
-    if (l0[i - 1]->number < l0[i]->number) {
-      return "L0 not newest-first at index " + std::to_string(i);
-    }
-  }
-  for (int level = 1; level < options_.num_levels; ++level) {
-    const auto& files = current_->levels[level];
+  for (int level = 0; level < options_.num_levels; ++level) {
+    const std::vector<TableRef>& files = current_->levels[level];
+    const bool overlapping = Overlapping(level);
     for (size_t i = 1; i < files.size(); ++i) {
-      if (files[i - 1]->largest >= files[i]->smallest) {
-        return "L" + std::to_string(level) + " overlap: [" +
-               files[i - 1]->smallest + "," + files[i - 1]->largest +
-               "] vs [" + files[i]->smallest + "," + files[i]->largest + "]";
+      const TableHandle& prev = *files[i - 1];
+      const TableHandle& t = *files[i];
+      if (overlapping && prev.number < t.number) {
+        return "L" + std::to_string(level) + " not newest-first at index " +
+               std::to_string(i);
+      }
+      if (!overlapping && prev.largest >= t.smallest) {
+        return "L" + std::to_string(level) + " overlap: [" + prev.smallest +
+               "," + prev.largest + "] vs [" + t.smallest + "," + t.largest +
+               "]";
       }
     }
   }
   return "";
-}
-
-int LsmDb::NumFilesAtLevel(int level) const {
-  assert(level >= 0 && level < options_.num_levels);
-  return static_cast<int>(current_->levels[level].size());
 }
 
 }  // namespace libra::lsm

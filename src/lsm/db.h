@@ -228,11 +228,12 @@ class LsmDb {
   }
 
   LsmStats stats() const;
-  int NumFilesAtLevel(int level) const;
 
-  // Structural self-check: L1+ files sorted and non-overlapping, L0 files
-  // newest-first by number. Returns "" when healthy, else a description.
-  // Used by invariant tests.
+  // Test-only structural self-check: overlapping levels (see Overlapping)
+  // newest-first by file number, the others sorted and disjoint. Returns ""
+  // when healthy, else a description. No program path calls it; invariant
+  // tests compare the tree against it (allowlisted in
+  // tests/unused_symbols.allow).
   std::string DebugCheckInvariants() const;
   iosched::TenantId tenant() const { return tenant_; }
   // The tenant's slot on its node (the scheduler's registry), carried by
@@ -276,12 +277,20 @@ class LsmDb {
   using TableRef = std::shared_ptr<TableHandle>;
 
   struct Version {
-    // Leveled: levels[0] newest first (ranges may overlap); levels[1..]
-    // sorted by smallest key, disjoint ranges.
-    // Size-tiered: every level is a tier of whole runs, newest first,
-    // ranges may overlap.
+    // An overlapping level (see Overlapping) holds tables newest first,
+    // whose ranges may overlap; any other level is sorted by smallest key,
+    // with disjoint ranges.
     std::vector<std::vector<TableRef>> levels;
   };
+
+  // Whether `level`'s tables may overlap one another: L0 under leveled,
+  // every tier under size-tiered (a tier is a stack of whole runs). A GET
+  // probes every covering table of such a level, newest first; a sorted
+  // level has at most one covering table.
+  bool Overlapping(int level) const {
+    return level == 0 ||
+           options_.compaction_policy == CompactionPolicy::kSizeTiered;
+  }
   using VersionRef = std::shared_ptr<const Version>;
 
   // Frame-scoped in-flight counter backing Quiescent(): constructed at the

@@ -1,22 +1,19 @@
-// Minimal JSON support for the observability layer: an append-only writer
-// used to emit stats snapshots, and a small recursive-descent parser used
-// by schema-validating tests and tooling. No third-party dependency — the
-// container bakes in only the C++ toolchain.
+// Minimal JSON output for the observability layer: an append-only writer
+// used to emit stats snapshots. No third-party dependency — the project
+// builds with the C++ toolchain alone. (The parser the tests validate
+// these documents with lives in tests/support/json_parse.h.)
 //
 // The writer is deliberately low-level (callers manage {}/[] nesting with
 // the scope helpers); the snapshot emitters are the only intended users.
 // Doubles are rendered with %.17g (round-trippable); NaN/Inf — which JSON
-// cannot represent — are emitted as null, and the parser accepts null for
-// numbers as NaN, so "all percentiles finite" checks detect them.
+// cannot represent — are emitted as null.
 
 #ifndef LIBRA_SRC_OBS_JSON_H_
 #define LIBRA_SRC_OBS_JSON_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace libra::obs {
 
@@ -38,7 +35,6 @@ class JsonWriter {
   void Uint(uint64_t v);
   void Double(double v);
   void Bool(bool v);
-  void Null();
 
   // Splices pre-rendered JSON into a value slot (trusted input).
   void Raw(std::string_view json);
@@ -61,33 +57,6 @@ class JsonWriter {
 
 // Escapes a string per RFC 8259 (quotes, backslash, control chars).
 std::string JsonEscape(std::string_view s);
-
-// --- parsing ---
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Type type = Type::kNull;
-  bool bool_value = false;
-  double number = 0.0;
-  std::string string_value;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  bool is_null() const { return type == Type::kNull; }
-  bool is_number() const { return type == Type::kNumber; }
-  bool is_object() const { return type == Type::kObject; }
-  bool is_array() const { return type == Type::kArray; }
-  bool is_string() const { return type == Type::kString; }
-
-  // Object member access; nullptr when absent or not an object.
-  const JsonValue* Find(const std::string& key) const;
-};
-
-// Parses a complete JSON document. Returns false (and sets *error when
-// non-null) on malformed input or trailing garbage.
-bool JsonParse(std::string_view text, JsonValue* out,
-               std::string* error = nullptr);
 
 // --- canonical exports ---
 

@@ -322,12 +322,6 @@ std::string SpansToChromeTraceJson(const std::vector<SpanExportGroup>& groups) {
   return w.Take();
 }
 
-std::string SpansToChromeTraceJson(const SpanCollector& collector, int pid,
-                                   const std::string& process_name) {
-  return SpansToChromeTraceJson({SpanExportGroup{&collector, pid,
-                                                 process_name}});
-}
-
 std::unordered_set<uint64_t> CausallyReaching(
     const std::vector<SpanRecord>& spans,
     const std::function<bool(const SpanRecord&)>& pred) {
@@ -368,11 +362,6 @@ std::unordered_set<uint64_t> CausallyReaching(
     }
   }
   return reaching;
-}
-
-bool CausallyReaches(const std::vector<SpanRecord>& spans, uint64_t from,
-                     const std::function<bool(const SpanRecord&)>& pred) {
-  return CausallyReaching(spans, pred).contains(from);
 }
 
 }  // namespace libra::obs

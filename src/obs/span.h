@@ -158,8 +158,6 @@ struct SpanExportGroup {
 // naming processes and tenant threads. Deterministic: byte-identical for
 // identical simulations.
 std::string SpansToChromeTraceJson(const std::vector<SpanExportGroup>& groups);
-std::string SpansToChromeTraceJson(const SpanCollector& collector, int pid = 0,
-                                   const std::string& process_name = "node");
 
 // Ids of the spans in `spans` that reach a span satisfying `pred` (itself
 // included) by following parent edges and retained links backwards. One
@@ -169,10 +167,6 @@ std::string SpansToChromeTraceJson(const SpanCollector& collector, int pid = 0,
 std::unordered_set<uint64_t> CausallyReaching(
     const std::vector<SpanRecord>& spans,
     const std::function<bool(const SpanRecord&)>& pred);
-
-// Whether the span `from` is in CausallyReaching(spans, pred).
-bool CausallyReaches(const std::vector<SpanRecord>& spans, uint64_t from,
-                     const std::function<bool(const SpanRecord&)>& pred);
 
 }  // namespace libra::obs
 

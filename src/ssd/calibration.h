@@ -51,7 +51,9 @@ CalibrationTable Calibrate(const DeviceProfile& profile,
                            const CalibrationOptions& options = {});
 
 // Single-point probe: achieved IOPS for a pure workload of `size` bytes, on
-// a device freshly preconditioned over the working set.
+// a device freshly preconditioned over the working set. Test-only: no
+// program path calls it; the calibration tests compare Calibrate's table
+// against it (allowlisted in tests/unused_symbols.allow).
 double MeasureIops(const DeviceProfile& profile, IoType type, uint32_t size,
                    bool sequential, const CalibrationOptions& options = {});
 

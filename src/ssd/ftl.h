@@ -145,10 +145,6 @@ class Ftl {
 
   void InvalidatePpn(uint32_t ppn);
 
-  int DieOfBlock(uint32_t block) const {
-    return static_cast<int>(block / blocks_per_die_);
-  }
-
   // By value: callers may construct an Ftl from a temporary profile.
   const DeviceProfile profile_;
   uint64_t logical_pages_;

@@ -94,9 +94,7 @@ sim::Task<void> ClusterTenantWorkload::Worker(SimTime end_time) {
       const Result<cluster::ScanEntries> r = co_await handle_.Scan(
           GetKey(idx), std::string(),
           static_cast<size_t>(std::max(1, spec_.scan_span)));
-      if (r.ok()) {
-        scan_keys_returned_ += r.value().size();
-      } else {
+      if (!r.ok()) {
         ++scan_errors_;
         CountError(r.status());
       }
@@ -115,7 +113,6 @@ sim::Task<void> ClusterTenantWorkload::Worker(SimTime end_time) {
       }
       const Result<std::string> r = co_await handle_.Get(key);
       if (!r.ok() && r.status().code() != StatusCode::kNotFound) {
-        ++get_errors_;
         CountError(r.status());
       }
       ++gets_done_;

@@ -36,9 +36,7 @@ class ClusterTenantWorkload {
   uint64_t gets_done() const { return gets_done_; }
   uint64_t puts_done() const { return puts_done_; }
   uint64_t scans_done() const { return scans_done_; }
-  uint64_t scan_keys_returned() const { return scan_keys_returned_; }
   uint64_t scan_errors() const { return scan_errors_; }
-  uint64_t get_errors() const { return get_errors_; }
   // Failure-mode breakdown (crash experiments): requests that ultimately
   // failed kUnavailable (retry budget exhausted against down replicas) or
   // kDeadlineExceeded (RetryPolicy.deadline ran out), and PUT failures of
@@ -72,9 +70,7 @@ class ClusterTenantWorkload {
   uint64_t gets_done_ = 0;
   uint64_t puts_done_ = 0;
   uint64_t scans_done_ = 0;
-  uint64_t scan_keys_returned_ = 0;
   uint64_t scan_errors_ = 0;
-  uint64_t get_errors_ = 0;
   uint64_t put_errors_ = 0;
   uint64_t unavailable_errors_ = 0;
   uint64_t deadline_errors_ = 0;

@@ -134,10 +134,8 @@ sim::Task<void> KvTenantWorkload::Worker(SimTime end_time) {
     // historical run) is byte-for-byte unchanged.
     if (spec_.scan_fraction > 0.0 && rng_.Bernoulli(spec_.scan_fraction)) {
       const uint64_t idx = rng_.NextU64(get_keys_);
-      const lsm::LsmDb::ScanResult r = co_await node_.Scan(
-          tenant_, GetKey(idx), std::string(),
-          static_cast<size_t>(std::max(1, spec_.scan_span)));
-      scan_keys_returned_ += r.entries.size();
+      co_await node_.Scan(tenant_, GetKey(idx), std::string(),
+                          static_cast<size_t>(std::max(1, spec_.scan_span)));
       ++scans_done_;
     } else if (rng_.Bernoulli(spec_.get_fraction)) {
       const uint64_t idx = zipf_ != nullptr ? zipf_->Sample(rng_) % get_keys_

@@ -118,8 +118,6 @@ class KvTenantWorkload {
   uint64_t gets_done() const { return gets_done_; }
   uint64_t puts_done() const { return puts_done_; }
   uint64_t scans_done() const { return scans_done_; }
-  // Live entries returned across all completed scans.
-  uint64_t scan_keys_returned() const { return scan_keys_returned_; }
   iosched::TenantId tenant() const { return tenant_; }
 
  private:
@@ -141,7 +139,6 @@ class KvTenantWorkload {
   uint64_t gets_done_ = 0;
   uint64_t puts_done_ = 0;
   uint64_t scans_done_ = 0;
-  uint64_t scan_keys_returned_ = 0;
 };
 
 // Builds a value of `size` bytes with deterministic, key-derived contents

@@ -85,7 +85,7 @@ TEST(ReplicationTest, AckedWritesSurviveLeaderCrash) {
       EXPECT_TRUE((co_await tenant.Put(Key(i), Val(i))).ok()) << i;
     }
     // Crash the leader of k0's slot — reads of k0 must fail over.
-    const int victim = rig.cl.shard_map().NodeOfKey(1, Key(0));
+    const int victim = rig.cl.HomeOf(1, rig.cl.shard_map().SlotOfKey(Key(0)));
     EXPECT_TRUE(rig.cl.CrashNode(victim).ok());
     EXPECT_FALSE(rig.cl.NodeAlive(victim));
     // Every acked write stays readable: each slot has a live replica.
@@ -105,7 +105,7 @@ TEST(ReplicationTest, AckedWritesSurviveLeaderCrash) {
     }
   }());
 
-  const int victim = rig.cl.shard_map().NodeOfKey(1, Key(0));
+  const int victim = rig.cl.HomeOf(1, rig.cl.shard_map().SlotOfKey(Key(0)));
   {
     const ClusterStats stats = rig.cl.Snapshot();
     EXPECT_FALSE(stats.nodes[victim].replication.alive);
@@ -135,7 +135,7 @@ TEST(RecoveryTest, RestartReplaysWalAndCatchesUp) {
     for (int i = 0; i < 32; ++i) {
       EXPECT_TRUE((co_await tenant.Put(Key(i), Val(i))).ok());
     }
-    const int victim = rig.cl.shard_map().NodeOfKey(1, Key(0));
+    const int victim = rig.cl.HomeOf(1, rig.cl.shard_map().SlotOfKey(Key(0)));
     EXPECT_TRUE(rig.cl.CrashNode(victim).ok());
     // Writes the victim misses entirely — catch-up must copy these in.
     for (int i = 100; i < 132; ++i) {
@@ -157,7 +157,7 @@ TEST(RecoveryTest, RestartReplaysWalAndCatchesUp) {
   // The victim's own copy now holds writes it missed while down: read
   // directly from the node (bypassing cluster failover) for every missed
   // key whose replica set includes the victim.
-  const int victim = rig.cl.shard_map().NodeOfKey(1, Key(0));
+  const int victim = rig.cl.HomeOf(1, rig.cl.shard_map().SlotOfKey(Key(0)));
   int checked = 0;
   for (int i = 100; i < 132; ++i) {
     const int slot = rig.cl.shard_map().SlotOfKey(Key(i));

@@ -30,7 +30,8 @@ std::vector<std::string> KeysOn(const Cluster& cl, TenantId tenant, int node,
   for (int i = 0; keys.size() < static_cast<size_t>(count) && i < 100000;
        ++i) {
     std::string key = "hot-" + std::to_string(i);
-    if (cl.shard_map().NodeOfKey(tenant, key) == node) {
+    const ShardMap& map = cl.shard_map();
+    if (map.HomeOf(tenant, map.SlotOfKey(key)) == node) {
       keys.push_back(std::move(key));
     }
   }
@@ -94,7 +95,6 @@ TEST(GlobalProvisionerTest, ResplitSumsExactlyToGlobalUnderSkew) {
   const double hot_share =
       cl.node(hot_node).policy().GetReservation(1).get_rps() / global.get_rps();
   EXPECT_GT(hot_share, 0.5);
-  EXPECT_GT(prov.DemandShare(1, hot_node), 0.5);
 }
 
 TEST(GlobalProvisionerTest, HysteresisStopsSteadyStateThrash) {

@@ -44,21 +44,6 @@ TEST(RngTest, DoubleInUnitInterval) {
   }
 }
 
-TEST(RngTest, UniformIntCoversRangeInclusive) {
-  Rng rng(11);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 10000; ++i) {
-    const int64_t v = rng.UniformInt(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= (v == -3);
-    saw_hi |= (v == 3);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, GaussianMomentsRoughlyStandard) {
   Rng rng(13);
   double sum = 0.0;

@@ -5,35 +5,6 @@
 namespace libra {
 namespace {
 
-TEST(RunningStatTest, EmptyIsZero) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatTest, SingleSample) {
-  RunningStat s;
-  s.Observe(4.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(s.min(), 4.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatTest, KnownMoments) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Observe(x);
-  }
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
 TEST(SampleSetTest, PercentilesInterpolate) {
   SampleSet s;
   for (double x : {10.0, 20.0, 30.0, 40.0}) {
@@ -43,31 +14,6 @@ TEST(SampleSetTest, PercentilesInterpolate) {
   EXPECT_DOUBLE_EQ(s.Max(), 40.0);
   EXPECT_DOUBLE_EQ(s.Median(), 25.0);
   EXPECT_DOUBLE_EQ(s.Percentile(0.25), 17.5);
-}
-
-TEST(SampleSetTest, CdfAtCountsInclusive) {
-  SampleSet s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) {
-    s.Add(x);
-  }
-  EXPECT_DOUBLE_EQ(s.CdfAt(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(s.CdfAt(2.0), 0.5);
-  EXPECT_DOUBLE_EQ(s.CdfAt(100.0), 1.0);
-}
-
-TEST(SampleSetTest, CdfPointsMonotone) {
-  SampleSet s;
-  for (int i = 0; i < 100; ++i) {
-    s.Add(static_cast<double>((i * 37) % 100));
-  }
-  const auto points = s.CdfPoints(11);
-  ASSERT_EQ(points.size(), 11u);
-  for (size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GE(points[i].first, points[i - 1].first);
-    EXPECT_GE(points[i].second, points[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(points.front().second, 0.0);
-  EXPECT_DOUBLE_EQ(points.back().second, 1.0);
 }
 
 TEST(SampleSetTest, AddAfterQueryResorts) {

@@ -12,6 +12,7 @@
 #include "src/sim/event_loop.h"
 #include "src/ssd/device.h"
 #include "src/ssd/profile.h"
+#include "tests/support/fs_append.h"
 
 namespace libra::fs {
 namespace {
@@ -66,8 +67,8 @@ TEST(SimFsTest, AppendThenReadRoundTrips) {
   FsRig rig;
   const FileId id = *rig.fs.Create("f");
   rig.RunTask([&]() -> sim::Task<void> {
-    EXPECT_TRUE((co_await rig.fs.Append(id, rig.tag, "hello ")).ok());
-    EXPECT_TRUE((co_await rig.fs.Append(id, rig.tag, "world")).ok());
+    EXPECT_TRUE((co_await AppendBytes(rig.fs, id, rig.tag, "hello ")).ok());
+    EXPECT_TRUE((co_await AppendBytes(rig.fs, id, rig.tag, "world")).ok());
     std::string out;
     EXPECT_TRUE((co_await rig.fs.ReadAt(id, rig.tag, 0, 11, &out)).ok());
     EXPECT_EQ(out, "hello world");
@@ -82,7 +83,7 @@ TEST(SimFsTest, ReadPastEofFails) {
   FsRig rig;
   const FileId id = *rig.fs.Create("f");
   rig.RunTask([&]() -> sim::Task<void> {
-    co_await rig.fs.Append(id, rig.tag, "abc");
+    co_await AppendBytes(rig.fs, id, rig.tag, "abc");
     std::string out;
     EXPECT_EQ((co_await rig.fs.ReadAt(id, rig.tag, 2, 5, &out)).code(),
               StatusCode::kOutOfRange);
@@ -94,7 +95,7 @@ TEST(SimFsTest, AppendCrossesExtentBoundary) {
   const FileId id = *rig.fs.Create("f");
   const std::string big(3 * 1024 * 1024 + 123, 'x');  // 3MB+ spans extents
   rig.RunTask([&]() -> sim::Task<void> {
-    EXPECT_TRUE((co_await rig.fs.Append(id, rig.tag, big)).ok());
+    EXPECT_TRUE((co_await AppendBytes(rig.fs, id, rig.tag, big)).ok());
     std::string out;
     EXPECT_TRUE(
         (co_await rig.fs.ReadAt(id, rig.tag, big.size() - 10, 10, &out)).ok());
@@ -107,7 +108,7 @@ TEST(SimFsTest, IoIsChargedToTenant) {
   FsRig rig;
   const FileId id = *rig.fs.Create("f");
   rig.RunTask([&]() -> sim::Task<void> {
-    co_await rig.fs.Append(id, rig.tag, std::string(64 * 1024, 'y'));
+    co_await AppendBytes(rig.fs, id, rig.tag, std::string(64 * 1024, 'y'));
   }());
   const auto& stats = rig.sched.tracker().Stats(1);
   EXPECT_EQ(stats.write_bytes, 64u * 1024u);
@@ -118,7 +119,7 @@ TEST(SimFsTest, AppendAdvancesVirtualTime) {
   FsRig rig;
   const FileId id = *rig.fs.Create("f");
   rig.RunTask([&]() -> sim::Task<void> {
-    co_await rig.fs.Append(id, rig.tag, std::string(4096, 'z'));
+    co_await AppendBytes(rig.fs, id, rig.tag, std::string(4096, 'z'));
     // O_SYNC: the append returns only after the device write completes.
     EXPECT_GT(rig.loop.Now(), 0);
   }());
@@ -129,7 +130,8 @@ TEST(SimFsTest, DeleteFreesExtentsForReuse) {
   const auto before = rig.fs.stats().extents_free;
   const FileId id = *rig.fs.Create("f");
   rig.RunTask([&]() -> sim::Task<void> {
-    co_await rig.fs.Append(id, rig.tag, std::string(2 * 1024 * 1024, 'a'));
+    co_await AppendBytes(rig.fs, id, rig.tag,
+                         std::string(2 * 1024 * 1024, 'a'));
   }());
   EXPECT_LT(rig.fs.stats().extents_free, before);
   ASSERT_TRUE(rig.fs.Delete("f").ok());
@@ -140,7 +142,7 @@ TEST(SimFsTest, RenamePreservesContents) {
   FsRig rig;
   const FileId id = *rig.fs.Create("old");
   rig.RunTask([&]() -> sim::Task<void> {
-    co_await rig.fs.Append(id, rig.tag, "payload");
+    co_await AppendBytes(rig.fs, id, rig.tag, "payload");
   }());
   ASSERT_TRUE(rig.fs.Rename("old", "new").ok());
   EXPECT_FALSE(rig.fs.Exists("old"));
@@ -186,7 +188,7 @@ TEST(SimFsTest, PeekContentsBypassesIo) {
   FsRig rig;
   const FileId id = *rig.fs.Create("f");
   rig.RunTask([&]() -> sim::Task<void> {
-    co_await rig.fs.Append(id, rig.tag, "secret");
+    co_await AppendBytes(rig.fs, id, rig.tag, "secret");
   }());
   const SimTime t = rig.loop.Now();
   std::string out;
@@ -200,7 +202,7 @@ TEST(SimFsTest, ConcurrentAppendsDoNotInterleaveBytes) {
   const FileId id = *rig.fs.Create("f");
   auto writer = [&](char c) -> sim::Task<void> {
     for (int i = 0; i < 10; ++i) {
-      co_await rig.fs.Append(id, rig.tag, std::string(100, c));
+      co_await AppendBytes(rig.fs, id, rig.tag, std::string(100, c));
     }
   };
   sim::Detach(writer('a'));
@@ -258,7 +260,7 @@ IoState RunReads(bool views, std::vector<std::string>* got) {
   const std::vector<std::pair<uint64_t, uint64_t>> ranges = {
       {0, 16}, {4096, 4096}, {1024 * 1024 - 100, 300}, {0, data.size()}};
   auto reader = [&]() -> sim::Task<void> {
-    EXPECT_TRUE((co_await rig.fs.Append(id, rig.tag, data)).ok());
+    EXPECT_TRUE((co_await AppendBytes(rig.fs, id, rig.tag, data)).ok());
     for (const auto& [off, len] : ranges) {
       if (views) {
         StatusOr<std::string_view> v =
@@ -322,16 +324,16 @@ TableWrite RunTableWrite(bool whole_file) {
           (co_await rig.fs.WriteFile(table, rig.tag, data, kChunk)).ok());
     } else {
       for (uint64_t off = 0; off < data.size(); off += kChunk) {
-        EXPECT_TRUE((co_await rig.fs.Append(
-                         table, rig.tag,
-                         std::string_view(data).substr(off, kChunk)))
-                        .ok());
+        EXPECT_TRUE(
+            (co_await AppendBytes(rig.fs, table, rig.tag,
+                                  std::string_view(data).substr(off, kChunk)))
+                .ok());
       }
     }
   };
   auto log_writer = [&]() -> sim::Task<void> {
     for (int i = 0; i < 400; ++i) {
-      co_await rig.fs.Append(log, rig.tag, std::string(4096, 'w'));
+      co_await AppendBytes(rig.fs, log, rig.tag, std::string(4096, 'w'));
       out.seen.emplace_back(rig.fs.SizeOf(table), rig.fs.stats().extents_free);
     }
   };
@@ -360,7 +362,7 @@ TEST(SimFsTest, WriteFileRejectsNonEmptyFileAndZeroChunks) {
   const FileId id = *rig.fs.Create("f");
   const FileId empty = *rig.fs.Create("g");
   auto writer = [&]() -> sim::Task<void> {
-    EXPECT_TRUE((co_await rig.fs.Append(id, rig.tag, "x")).ok());
+    EXPECT_TRUE((co_await AppendBytes(rig.fs, id, rig.tag, "x")).ok());
     EXPECT_EQ((co_await rig.fs.WriteFile(id, rig.tag, "yz", 4096)).code(),
               StatusCode::kFailedPrecondition);
     EXPECT_EQ((co_await rig.fs.WriteFile(empty, rig.tag, "yz", 0)).code(),
@@ -403,8 +405,6 @@ TEST(SimFsTest, StaleFileIdNeverReachesAReusedSlot) {
     const auto fill = [](char* dst) { std::memcpy(dst, "xy", 2); };
     EXPECT_TRUE(is_bad_id((co_await rig.fs.Append(old, rig.tag, 2, fill))
                               .status()));
-    EXPECT_TRUE(is_bad_id((co_await rig.fs.Append(old, rig.tag, "xy"))
-                              .status()));
     EXPECT_TRUE(
         is_bad_id(co_await rig.fs.WriteFile(old, rig.tag, "xy", 4096)));
     std::vector<iosched::IoShare> manifest = {{rig.tag, 2}};
@@ -425,7 +425,7 @@ TEST(SimFsTest, StaleFileIdNeverReachesAReusedSlot) {
   EXPECT_EQ(rig.fs.SizeOf(reused), 0u);
   EXPECT_EQ(rig.fs.SizeOf(other), 0u);
   rig.RunTask([&]() -> sim::Task<void> {
-    EXPECT_TRUE((co_await rig.fs.Append(reused, rig.tag, "abc")).ok());
+    EXPECT_TRUE((co_await AppendBytes(rig.fs, reused, rig.tag, "abc")).ok());
   }());
   std::string contents;
   ASSERT_TRUE(rig.fs.PeekContents(reused, &contents).ok());
@@ -441,7 +441,8 @@ TEST(SimFsTest, AppendEncodesInPlaceAndReturnsPinnedBytes) {
     StatusOr<StoredBytes> first = co_await rig.fs.Append(id, rig.tag, 6, fill);
     EXPECT_TRUE(first.ok());
     EXPECT_EQ(first->bytes, "abcdef");
-    StatusOr<StoredBytes> second = co_await rig.fs.Append(id, rig.tag, "gh");
+    StatusOr<StoredBytes> second =
+        co_await AppendBytes(rig.fs, id, rig.tag, "gh");
     EXPECT_TRUE(second.ok());
     EXPECT_EQ(second->bytes, "gh");
     // Both appends landed in the file's first segment, one after the other.
@@ -457,7 +458,8 @@ TEST(SimFsTest, PinnedSegmentSurvivesDelete) {
   const FileId id = *rig.fs.Create("f");
   StoredBytes held;
   rig.RunTask([&]() -> sim::Task<void> {
-    StatusOr<StoredBytes> stored = co_await rig.fs.Append(id, rig.tag, "kept");
+    StatusOr<StoredBytes> stored =
+        co_await AppendBytes(rig.fs, id, rig.tag, "kept");
     EXPECT_TRUE(stored.ok());
     held = *stored;
   }());
@@ -519,7 +521,7 @@ TEST(SimFsTest, SegmentsMatchStringModelDifferentially) {
         case 2: {
           const std::string data = bytes_of(len);
           StatusOr<StoredBytes> stored =
-              co_await rig.fs.Append(ids[f], rig.tag, data);
+              co_await AppendBytes(rig.fs, ids[f], rig.tag, data);
           EXPECT_TRUE(stored.ok());
           EXPECT_EQ(stored->bytes, data);
           m += data;

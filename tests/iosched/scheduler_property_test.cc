@@ -249,7 +249,6 @@ TEST(SchedulerDispatchPin, ManyRegisteredFewActiveOrderIsPinned) {
   }
   rig.Mix(rig.sched.rounds());
   EXPECT_GE(rig.loop.Now(), 1600 * kMillisecond);  // every phase ran
-  EXPECT_EQ(rig.sched.backlog(), 0u);
   EXPECT_EQ(rig.sched.inflight(), 0);
   EXPECT_GT(rig.ordinal[1], 0u);
   EXPECT_GT(rig.ordinal[999], 0u);

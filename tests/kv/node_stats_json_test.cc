@@ -12,9 +12,9 @@
 #include <string>
 
 #include "src/kv/storage_node.h"
-#include "src/obs/json.h"
 #include "src/sim/sync.h"
 #include "src/workload/workload.h"
+#include "tests/support/json_parse.h"
 
 namespace libra::kv {
 namespace {

@@ -11,9 +11,9 @@
 
 #include "src/kv/node_stats.h"
 #include "src/kv/storage_node.h"
-#include "src/obs/json.h"
 #include "src/obs/span.h"
 #include "src/workload/workload.h"
+#include "tests/support/json_parse.h"
 
 namespace libra::kv {
 namespace {

@@ -5,8 +5,8 @@
 
 #include <limits>
 
-#include "src/obs/json.h"
 #include "src/workload/workload.h"
+#include "tests/support/json_parse.h"
 
 namespace libra::kv {
 namespace {
@@ -254,6 +254,51 @@ TEST(StorageNodeTest, CacheHitConsumesNoIo) {
     EXPECT_EQ(rig.node.tracker().Stats(1).read_ops, reads_before);
   }());
   EXPECT_GT(rig.node.cache()->hits(), 0u);
+}
+
+// One object cache serves every tenant of the node: the same user key of
+// two tenants is two entries, and each tenant reads back its own value.
+TEST(StorageNodeTest, CacheKeepsTenantsApart) {
+  NodeRig rig(/*cache=*/true);
+  ASSERT_TRUE(rig.node.AddTenant(1, {}).ok());
+  ASSERT_TRUE(rig.node.AddTenant(2, {}).ok());
+  ASSERT_TRUE(rig.node.AddTenant(3, {}).ok());
+  rig.RunTask([&]() -> sim::Task<void> {
+    EXPECT_TRUE((co_await rig.node.Put(1, "k", "one")).ok());
+    EXPECT_TRUE((co_await rig.node.Put(2, "k", "two")).ok());
+    const Result<std::string> a = co_await rig.node.Get(1, "k");
+    const Result<std::string> b = co_await rig.node.Get(2, "k");
+    EXPECT_EQ(a.ok() ? a.value() : a.status().ToString(), "one");
+    EXPECT_EQ(b.ok() ? b.value() : b.status().ToString(), "two");
+    // A tenant that never wrote the key misses, whoever else cached it.
+    const Result<std::string> c = co_await rig.node.Get(3, "k");
+    EXPECT_EQ(c.status().code(), StatusCode::kNotFound);
+  }());
+  EXPECT_EQ(rig.node.cache()->entries(), 2u);
+  EXPECT_EQ(rig.node.cache()->hits(), 2u);
+}
+
+// A crash loses the node's RAM: after Restart the first GET misses the
+// object cache and is served (from the replayed WAL) by the partition.
+TEST(StorageNodeTest, CrashEmptiesTheCache) {
+  NodeRig rig(/*cache=*/true);
+  ASSERT_TRUE(rig.node.AddTenant(1, {}).ok());
+  rig.RunTask([&]() -> sim::Task<void> {
+    EXPECT_TRUE((co_await rig.node.Put(1, "k", "v")).ok());
+  }());
+  ASSERT_EQ(rig.node.cache()->entries(), 1u);
+  rig.node.Crash();
+  EXPECT_EQ(rig.node.cache()->entries(), 0u);
+  EXPECT_EQ(rig.node.cache()->size_bytes(), 0u);
+  rig.RunTask([&]() -> sim::Task<void> {
+    EXPECT_TRUE((co_await rig.node.Restart()).ok());
+    const uint64_t hits = rig.node.cache()->hits();
+    const uint64_t misses = rig.node.cache()->misses();
+    const Result<std::string> r = co_await rig.node.Get(1, "k");
+    EXPECT_EQ(r.ok() ? r.value() : r.status().ToString(), "v");
+    EXPECT_EQ(rig.node.cache()->hits(), hits);
+    EXPECT_EQ(rig.node.cache()->misses(), misses + 1);
+  }());
 }
 
 // Fills the tenant's partition past the 256KB write buffer so early keys

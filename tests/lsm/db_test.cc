@@ -107,7 +107,7 @@ TEST(LsmDbTest, CompactionReducesL0AndPreservesData) {
       }
     }
     co_await db.WaitIdle();
-    EXPECT_LT(db.NumFilesAtLevel(0), 5);
+    EXPECT_LT(db.stats().files_per_level[0], 5);
     for (int i = 0; i < 400; i += 37) {
       auto r = co_await db.Get(Key(i));
       EXPECT_TRUE(r.status.ok()) << i;
@@ -115,7 +115,7 @@ TEST(LsmDbTest, CompactionReducesL0AndPreservesData) {
     }
   }());
   EXPECT_GT(db.stats().compactions, 0u);
-  EXPECT_GT(db.NumFilesAtLevel(1), 0);
+  EXPECT_GT(db.stats().files_per_level[1], 0);
 }
 
 TEST(LsmDbTest, DeletedKeysStayDeletedThroughCompaction) {

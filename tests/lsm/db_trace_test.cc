@@ -158,7 +158,7 @@ std::string RunAndExport() {
   TraceRig rig;
   EXPECT_TRUE(rig.db.Open().ok());
   rig.RunTask(ChurnWrites(&rig, 120));
-  return obs::SpansToChromeTraceJson(*rig.sched.spans(), 0, "node0");
+  return obs::SpansToChromeTraceJson({{rig.sched.spans(), 0, "node0"}});
 }
 
 TEST(DbTraceTest, ExportIsByteIdenticalAcrossRunsAndThreads) {

@@ -57,7 +57,7 @@ TEST(ReadPathTest, FilterRoundTripThroughFlushAndCompaction) {
     }
   }());
   ASSERT_GT(db.stats().compactions, 0u);
-  ASSERT_GT(db.NumFilesAtLevel(1), 0);
+  ASSERT_GT(db.stats().files_per_level[1], 0);
   const LsmStats mid = db.stats();
   EXPECT_GT(mid.bloom_probes, 0u);
   EXPECT_GT(mid.filter_block_reads, 0u);
@@ -292,10 +292,10 @@ TEST(ReadPathTest, NodeSharedCachePerTenantAccounting) {
 }
 
 // Live tables across every level.
-int LiveTables(const LsmDb& db, const LsmOptions& opt) {
+int LiveTables(const LsmDb& db) {
   int n = 0;
-  for (int level = 0; level < opt.num_levels; ++level) {
-    n += db.NumFilesAtLevel(level);
+  for (const int files : db.stats().files_per_level) {
+    n += files;
   }
   return n;
 }
@@ -353,7 +353,7 @@ TEST(ReadPathTest, DeletedTablesLeaveTheCache) {
       co_await db.WaitIdle();
       if (db.stats().compactions > compactions) {
         compactions = db.stats().compactions;
-        EXPECT_LE(cache.entries(), 2u * LiveTables(db, opt)) << round;
+        EXPECT_LE(cache.entries(), 2u * LiveTables(db)) << round;
         ++checked;
       }
       // Probe every key, loading the filter and index of every live table.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "tests/lsm/lsm_rig.h"
+#include "tests/support/fs_append.h"
 
 namespace libra::lsm {
 namespace {
@@ -49,7 +50,7 @@ TEST(WalTest, ReplayStopsAtTornTail) {
     std::string torn;
     PutFixed32(&torn, 100);
     PutFixed32(&torn, 0x12345678);
-    co_await rig.fs.Append(*rig.fs.Open("wal_1"), kPutTag, torn);
+    co_await fs::AppendBytes(rig.fs, *rig.fs.Open("wal_1"), kPutTag, torn);
   }());
   int count = 0;
   ASSERT_TRUE(wal.Replay([&](const LoggedRecord&) { ++count; }).ok());
@@ -204,7 +205,7 @@ TEST(WalGroupCommitTest, TornTailAfterBatchesReplaysIntactPrefix) {
     std::string torn;
     PutFixed32(&torn, 64);
     PutFixed32(&torn, 0xdeadbeef);
-    co_await rig.fs.Append(*rig.fs.Open("wal_1"), kPutTag, torn);
+    co_await fs::AppendBytes(rig.fs, *rig.fs.Open("wal_1"), kPutTag, torn);
   }());
   std::vector<SequenceNumber> seqs;
   ASSERT_TRUE(wal.Replay([&](const LoggedRecord& r) {

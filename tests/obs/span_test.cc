@@ -6,7 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/obs/json.h"
+#include "tests/support/json_parse.h"
 
 namespace libra::obs {
 namespace {
@@ -124,12 +124,12 @@ TEST(CausallyReachesTest, FollowsParentsAndLinksBackwards) {
   spans.push_back(compact);
   spans.push_back(MakeSpan(20, 4, 3, SpanKind::kDeviceIo));
 
-  EXPECT_TRUE(CausallyReaches(spans, 4, [](const SpanRecord& r) {
-    return r.kind == SpanKind::kRequest;
-  }));
-  EXPECT_FALSE(CausallyReaches(spans, 1, [](const SpanRecord& r) {
-    return r.kind == SpanKind::kDeviceIo;
-  }));
+  EXPECT_TRUE(CausallyReaching(spans, [](const SpanRecord& r) {
+                return r.kind == SpanKind::kRequest;
+              }).contains(4));
+  EXPECT_FALSE(CausallyReaching(spans, [](const SpanRecord& r) {
+                 return r.kind == SpanKind::kDeviceIo;
+               }).contains(1));
 }
 
 TEST(CausallyReachesTest, ReachingSetHandlesSharedAncestorsCyclesAndGaps) {
@@ -162,9 +162,9 @@ TEST(CausallyReachesTest, ReachingSetHandlesSharedAncestorsCyclesAndGaps) {
       });
   EXPECT_EQ(reaching, (std::unordered_set<uint64_t>{1, 2, 3, 4, 5}));
   // A span id missing from the ring reaches nothing, whatever the predicate.
-  EXPECT_FALSE(CausallyReaches(spans, 99, [](const SpanRecord&) {
-    return true;
-  }));
+  EXPECT_FALSE(CausallyReaching(spans, [](const SpanRecord&) {
+                 return true;
+               }).contains(99));
 }
 
 TEST(SpanExportTest, ChromeJsonParsesAndIsDeterministic) {
@@ -184,7 +184,7 @@ TEST(SpanExportTest, ChromeJsonParsesAndIsDeterministic) {
   io.is_write = 1;
   c.Record(io);
 
-  const std::string json = SpansToChromeTraceJson(c, 7, "n7");
+  const std::string json = SpansToChromeTraceJson({{&c, 7, "n7"}});
   JsonValue doc;
   std::string err;
   ASSERT_TRUE(JsonParse(json, &doc, &err)) << err;
@@ -208,7 +208,7 @@ TEST(SpanExportTest, ChromeJsonParsesAndIsDeterministic) {
   EXPECT_EQ(flows, 2);
   EXPECT_GE(meta, 2);  // process name + tenant thread name
 
-  EXPECT_EQ(json, SpansToChromeTraceJson(c, 7, "n7"));  // byte-stable
+  EXPECT_EQ(json, SpansToChromeTraceJson({{&c, 7, "n7"}}));  // byte-stable
 }
 
 }  // namespace

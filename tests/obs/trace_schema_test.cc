@@ -16,8 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/json.h"
 #include "src/obs/span.h"
+#include "tests/support/json_parse.h"
 
 namespace libra::obs {
 namespace {
@@ -146,7 +146,7 @@ TEST(TraceSchemaTest, SelfGeneratedExportValidates) {
   sc.end_ns = 29000;
   c.Record(sc);
 
-  const std::string json = SpansToChromeTraceJson(c, 0, "node0");
+  const std::string json = SpansToChromeTraceJson({{&c, 0, "node0"}});
   size_t io_slices = 0;
   ValidateChromeTrace(json, &io_slices);
   EXPECT_EQ(io_slices, 1u);

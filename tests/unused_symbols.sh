@@ -16,13 +16,27 @@
 #     that no src/ .cc instantiates: it is in no src/ object to begin with;
 #   - code that only tests call: tests are not among the binaries, so it is
 #     listed (delete it together with its tests, or keep it on purpose).
+# Out-of-line instantiations of std:: function templates with a libra type
+# in their signature (std::forward<libra::...>, std::__relocate_a<...>)
+# name no libra function, and which ones a compiler emits varies: they are
+# dropped from the list.
 #
-# Usage: tests/unused_symbols.sh [BUILD_DIR]   (default: build-unused)
+# With --check, also compares the list against tests/unused_symbols.allow
+# (the functions kept on purpose for tests, one qualified name per line)
+# and exits 1, naming them, if any listed function is not allowed there.
+#
+# Usage: tests/unused_symbols.sh [--check] [BUILD_DIR]
+#        (default BUILD_DIR: build-unused)
 # Not registered with ctest: it configures and builds two trees (minutes).
 
 set -euo pipefail
 export LC_ALL=C  # one collation for sort and comm
 
+CHECK=0
+if [[ "${1:-}" == "--check" ]]; then
+  CHECK=1
+  shift
+fi
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$(realpath -m "${1:-$ROOT/build-unused}")"
 JOBS="${JOBS:-4}"
@@ -53,6 +67,24 @@ mapfile -t BINARIES < <(
     -perm -u+x
   echo "$BUILD/perfbench/libra_perfbench"
 )
-comm -23 \
+# A std:: function's name follows its return type after a space; a
+# template argument list separates its types with ", ".
+UNUSED="$(comm -23 \
   <(functions "${OBJECTS[@]}") \
-  <(functions "${BINARIES[@]}")
+  <(functions "${BINARIES[@]}") |
+  grep -v -E '^[^(]*[^,] std::' || true)"
+[[ -z "$UNUSED" ]] || echo "$UNUSED"
+[[ "$CHECK" == 1 ]] || exit 0
+
+# The qualified name of each listed function: the text before its
+# parameter list, without ABI tags.
+DISALLOWED="$(echo "$UNUSED" | sed -e 's/(.*//' -e 's/\[abi:[^]]*\]//g' |
+  sort -u |
+  comm -23 - <(grep -v -E '^(#|$)' "$ROOT/tests/unused_symbols.allow" |
+    sort -u) |
+  grep -v '^$' || true)"
+if [[ -n "$DISALLOWED" ]]; then
+  echo "error: unused functions missing from tests/unused_symbols.allow:" >&2
+  echo "$DISALLOWED" >&2
+  exit 1
+fi
